@@ -281,12 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mbc",
         description="Minimal balanced collections and core stability of TU games",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker hint passed to the library (generation is currently sequential)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a minimal-balanced-collection database")
@@ -326,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be positive")
     try:
         return args.func(args)
     except CliError as exc:

@@ -17,8 +17,8 @@ collections on 1..n:
 
 Every rule emits only minimal balanced collections and together they are
 exhaustive, so after deduplication the output is the complete set.  The
-inner loops work on integer weight numerators over a shared denominator;
-fractions only materialize at the API boundary.
+generator and the database work on integer rows (masks, numerators,
+denominator); fractions only materialize at the API boundary.
 """
 
 from __future__ import annotations
@@ -26,12 +26,21 @@ from __future__ import annotations
 import heapq
 import os
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
+from operator import lt, mul
 
-from .model import PLAYER_CAP, WeightedCollection, full_mask
+from .model import (
+    PLAYER_CAP,
+    WeightedCollection,
+    format_row,
+    full_mask,
+    members,
+    parse_row,
+)
 from . import linalg, polytope
 from .linalg import _echelon
 
@@ -45,20 +54,11 @@ MINIMAL = "minimal"
 BALANCED_NOT_MINIMAL = "balanced_not_minimal"
 NOT_BALANCED = "not_balanced"
 
-# internal record: (masks ascending, integer weight numerators, denominator)
-Triple = tuple[tuple[int, ...], tuple[int, ...], int]
-
-
-def _to_triple(wc: WeightedCollection) -> Triple:
-    den = 1
-    for w in wc.weights:
-        den = lcm(den, w.denominator)
-    nums = tuple(int(w * den) for w in wc.weights)
-    return wc.coalitions, nums, den
-
-
-def _to_collection(masks, nums, den) -> WeightedCollection:
-    return WeightedCollection(tuple(masks), tuple(Fraction(x, den) for x in nums))
+# One collection as an integer row: (masks strictly increasing, weight
+# numerators, denominator), weight i being nums[i]/den.  Rows held by an
+# MbcDatabase are canonical: gcd(den, *nums) == 1, so equal collections give
+# equal rows whether generated or loaded.
+Row = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 def _subset_sums(nums) -> list[int]:
@@ -76,14 +76,6 @@ def _rank01(masks, n: int) -> int:
     return len(pivots)
 
 
-def _format_triple_line(masks, nums, den) -> str:
-    parts = []
-    for mask, num in zip(masks, nums):
-        g = gcd(num, den)
-        parts.append(f"{mask:x}:{num // g}/{den // g}")
-    return " ".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # the four construction rules, shared by the bulk generator and the public
 # single-step helpers
@@ -93,7 +85,7 @@ def apply_case1(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
     """Case 1: the picked members' weights sum to 1; the new player joins
     them and the weight system is unchanged.  `picked` holds 0-based member
     positions."""
-    masks, nums, den = _to_triple(wc)
+    masks, nums, den = wc.to_row()
     picked = sorted(set(picked))
     if sum(nums[i] for i in picked) != den:
         raise ValueError("case 1 needs the picked weights to sum to exactly 1")
@@ -103,13 +95,13 @@ def apply_case1(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
         ((m | p_bit) if i in picked else m, nums[i]) for i, m in enumerate(masks)
     ]
     entries.sort()
-    return _to_collection([m for m, _ in entries], [x for _, x in entries], den)
+    return WeightedCollection.from_row([m for m, _ in entries], [x for _, x in entries], den)
 
 
 def apply_case2(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
     """Case 2: the picked weights sum to s < 1; the new player joins them and
     the singleton {p} enters with weight 1-s."""
-    masks, nums, den = _to_triple(wc)
+    masks, nums, den = wc.to_row()
     picked = sorted(set(picked))
     s = sum(nums[i] for i in picked)
     if s >= den:
@@ -121,14 +113,14 @@ def apply_case2(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
     ]
     entries.append((p_bit, den - s))
     entries.sort()
-    return _to_collection([m for m, _ in entries], [x for _, x in entries], den)
+    return WeightedCollection.from_row([m for m, _ in entries], [x for _, x in entries], den)
 
 
 def apply_case3(wc: WeightedCollection, picked, split, p: int) -> WeightedCollection:
     """Case 3: besides moving the new player into the picked members, the
     non-picked member at position `split` is duplicated into S u {p} with
     weight 1-s, keeping S with the weight remainder."""
-    masks, nums, den = _to_triple(wc)
+    masks, nums, den = wc.to_row()
     picked = sorted(set(picked))
     if split in picked:
         raise ValueError("the split member must not be picked")
@@ -146,7 +138,7 @@ def apply_case3(wc: WeightedCollection, picked, split, p: int) -> WeightedCollec
     entries.append((masks[split] | p_bit, rem))
     entries.append((masks[split], nums[split] - rem))
     entries.sort()
-    return _to_collection([m for m, _ in entries], [x for _, x in entries], den)
+    return WeightedCollection.from_row([m for m, _ in entries], [x for _, x in entries], den)
 
 
 def apply_case4(first: WeightedCollection, second: WeightedCollection, picked,
@@ -156,8 +148,8 @@ def apply_case4(first: WeightedCollection, second: WeightedCollection, picked,
     union members and the weights interpolate the two systems at the unique
     point giving the new player total weight 1.  `picked` indexes the sorted
     union."""
-    masks_a, nums_a, den_a = _to_triple(first)
-    masks_b, nums_b, den_b = _to_triple(second)
+    masks_a, nums_a, den_a = first.to_row()
+    masks_b, nums_b, den_b = second.to_row()
     union_masks = sorted(set(masks_a) | set(masks_b))
     k = len(union_masks)
     n_old = max(union_masks).bit_length()
@@ -173,7 +165,7 @@ def apply_case4(first: WeightedCollection, second: WeightedCollection, picked,
     picked = sorted(set(picked))
     a = L - sum(mu[i] for i in picked)
     b = sum(nu[i] for i in picked) - sum(mu[i] for i in picked)
-    if b == 0 or not (0 < Fraction(a, b) < 1):
+    if not (0 < a < b or b < a < 0):
         raise ValueError("case 4 needs the interpolation parameter inside ]0,1[")
     p_bit = 1 << p - 1
     _require_new_player(union_masks, p_bit)
@@ -186,7 +178,7 @@ def apply_case4(first: WeightedCollection, second: WeightedCollection, picked,
         den = -den
         entries = [(m, -x) for m, x in entries]
     entries.sort()
-    return _to_collection([m for m, _ in entries], [x for _, x in entries], den)
+    return WeightedCollection.from_row([m for m, _ in entries], [x for _, x in entries], den)
 
 
 def _require_new_player(masks, p_bit: int) -> None:
@@ -246,13 +238,13 @@ def _children_4(masks, mu, nu, L, p_bit, emit):
         emit(child, den)
 
 
-def _add_player_raw(parents: list[Triple], n_old: int, allowed: set[int] | None,
-                    sink=None) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
+def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
+                    sink=None) -> list[Row]:
     """One induction step: all minimal balanced collections on n_old+1 players
-    from those on n_old.  Returns a dict keyed by the coalition tuple (the
-    weights of a minimal balanced collection are determined by it).  When
-    `sink` is given, canonical lines are pushed there instead (streaming mode)
-    and the returned dict stays empty.
+    from those on n_old, as canonical rows sorted by masks (the weights of a
+    minimal balanced collection are determined by its coalitions, so rows
+    are deduplicated on the masks).  When `sink` is given, MBCDB lines are
+    pushed there instead (streaming mode) and the returned list is empty.
     """
     p_bit = 1 << n_old
     out: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
@@ -265,14 +257,18 @@ def _add_player_raw(parents: list[Triple], n_old: int, allowed: set[int] | None,
                 return
             if allowed is not None and not all(m in allowed for m in masks):
                 return
-            out[masks] = (tuple(x for _, x in entries), den)
+            nums = tuple(x for _, x in entries)
+            g = gcd(den, *nums)
+            if g > 1:
+                den //= g
+                nums = tuple(x // g for x in nums)
+            out[masks] = (nums, den)
     else:
         def emit(entries, den):
             entries.sort()
             if allowed is not None and not all(m in allowed for m, _ in entries):
                 return
-            sink(_format_triple_line([m for m, _ in entries],
-                                     [x for _, x in entries], den))
+            sink(format_row([m for m, _ in entries], [x for _, x in entries], den))
 
     for masks, nums, den in parents:
         _children_123(masks, nums, den, p_bit, emit)
@@ -313,7 +309,7 @@ def _add_player_raw(parents: list[Triple], n_old: int, allowed: set[int] | None,
             mu = [nums_a[pos_a[m]] * fa if m in pos_a else 0 for m in union_masks]
             nu = [nums_b[pos_b[m]] * fb if m in pos_b else 0 for m in union_masks]
             _children_4(union_masks, mu, nu, L, p_bit, emit)
-    return out
+    return [(masks, nums, den) for masks, (nums, den) in sorted(out.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -322,53 +318,50 @@ def _add_player_raw(parents: list[Triple], n_old: int, allowed: set[int] | None,
 
 @dataclass(frozen=True)
 class MbcDatabase:
-    """All minimal balanced collections for a fixed n, canonically sorted by
-    coalition tuple and deduplicated; optionally generated under a set-system
-    restriction (in which case only collections whose coalitions fit inside
-    some set-system element are present)."""
+    """All minimal balanced collections for a fixed n, as canonical rows
+    sorted by masks; optionally generated under a set-system restriction (in
+    which case only collections whose coalitions fit inside some set-system
+    element are present).  `collections` is the `WeightedCollection` view of
+    the rows, built on first use."""
 
     n: int
-    collections: tuple[WeightedCollection, ...]
+    rows: tuple[Row, ...]
     restricted: bool = False
 
+    @cached_property
+    def collections(self) -> tuple[WeightedCollection, ...]:
+        return tuple(WeightedCollection.from_row(*row) for row in self.rows)
+
     def __len__(self) -> int:
-        return len(self.collections)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.collections)
 
-    def coalition_tuples(self) -> set[tuple[int, ...]]:
-        return {wc.coalitions for wc in self.collections}
-
     def contains(self, masks) -> bool:
         key = tuple(sorted(masks))
-        lo, hi = 0, len(self.collections)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.collections[mid].coalitions < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.collections) and self.collections[lo].coalitions == key
+        i = bisect_left(self.rows, key, key=lambda row: row[0])
+        return i < len(self.rows) and self.rows[i][0] == key
 
     def header(self) -> str:
         tail = " restricted" if self.restricted else ""
-        return f"MBCDB 1 n={self.n} count={len(self.collections)}{tail}"
+        return f"MBCDB 1 n={self.n} count={len(self.rows)}{tail}"
 
     def save(self, path) -> None:
-        lines = sorted(wc.format_line() for wc in self.collections)
         with open(path, "w") as fh:
-            fh.write(self.header() + "\n")
-            for line in lines:
-                fh.write(line + "\n")
+            self.dump(fh)
 
     def dump(self, fh) -> None:
         fh.write(self.header() + "\n")
-        for line in sorted(wc.format_line() for wc in self.collections):
+        for line in sorted(format_row(*row) for row in self.rows):
             fh.write(line + "\n")
 
     @classmethod
     def load(cls, path) -> "MbcDatabase":
+        """Read an MBCDB file, rejecting a row whose masks are not strictly
+        increasing inside 1..2^n-1, whose weights are not positive, or in
+        which some player's weights do not sum to exactly 1, and a
+        collection listed twice.  Minimality is not checked."""
         with open(path) as fh:
             header = fh.readline().strip()
             fields = header.split()
@@ -379,18 +372,56 @@ class MbcDatabase:
                 count = int(fields[3].removeprefix("count="))
             except ValueError as exc:
                 raise ValueError(f"bad MBCDB header: {header!r}") from exc
+            if not 1 <= n <= PLAYER_CAP:
+                raise ValueError(f"bad MBCDB header: n={n} out of range")
             restricted = "restricted" in fields[4:]
-            collections = []
-            for line in fh:
-                line = line.strip()
-                if line:
-                    collections.append(WeightedCollection.parse_line(line))
-        if len(collections) != count:
+            top = full_mask(n)
+            lanes = _Lanes(0)
+            rows = []
+            for lineno, line in enumerate(fh, 2):
+                if line.isspace():
+                    continue
+                try:
+                    masks, nums, den = row = parse_row(line)
+                    if not all(map(lt, masks, masks[1:])):
+                        raise ValueError("coalitions are not strictly increasing")
+                    if not 0 < masks[0] <= masks[-1] <= top:
+                        raise ValueError(f"coalition out of range for n={n}")
+                    if min(nums) <= 0:
+                        raise ValueError("weights must be positive")
+                    total = sum(nums)
+                    if total >> lanes.width:
+                        lanes = _Lanes(total.bit_length())
+                    if sum(map(mul, nums, map(lanes.__getitem__, masks))) != den * lanes[top]:
+                        raise ValueError("player weight sums are not all 1")
+                except ValueError as exc:
+                    raise ValueError(
+                        f"MBCDB line {lineno} {line.strip()!r}: {exc}") from exc
+                rows.append(row)
+        if len(rows) != count:
             raise ValueError(
-                f"MBCDB count mismatch: header says {count}, file has {len(collections)}"
+                f"MBCDB count mismatch: header says {count}, file has {len(rows)}"
             )
-        collections.sort(key=lambda wc: wc.coalitions)
-        return cls(n, tuple(collections), restricted)
+        rows.sort()
+        for a, b in zip(rows, rows[1:]):
+            if a[0] == b[0]:
+                raise ValueError(f"MBCDB lists a collection twice: {format_row(*b)!r}")
+        return cls(n, tuple(rows), restricted)
+
+
+class _Lanes(dict):
+    """mask -> the integer with a 1 at bit (p-1)*width for each player p of
+    the mask.  A weighted sum of these holds every player's total in its own
+    width-bit lane; while the weights sum below 2^width no lane carries into
+    the next, so one comparison checks all the totals."""
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, mask: int) -> int:
+        value = self[mask] = sum(1 << (p - 1) * self.width for p in members(mask))
+        return value
 
 
 def _allowed_masks(set_system, n: int) -> set[int]:
@@ -436,15 +467,12 @@ def peleg(n: int, set_system=None, player_limit: int = DEFAULT_PLAYER_LIMIT) -> 
         allowed = _allowed_masks(set_system, n)
         restricted = True
 
-    parents: list[Triple] = [((1,), (1,), 1)]
+    rows: list[Row] = [((1,), (1,), 1)]
     if allowed is not None:
-        parents = [t for t in parents if all(m in allowed for m in t[0])]
+        rows = [row for row in rows if all(m in allowed for m in row[0])]
     for i in range(1, n):
-        result = _add_player_raw(parents, i, allowed)
-        parents = [(masks, nums, den) for masks, (nums, den) in result.items()]
-        parents.sort()
-    collections = tuple(_to_collection(*t) for t in sorted(parents))
-    return MbcDatabase(n, collections, restricted)
+        rows = _add_player_raw(rows, i, allowed)
+    return MbcDatabase(n, tuple(rows), restricted)
 
 
 def add_new_player(db: MbcDatabase, p: int) -> MbcDatabase:
@@ -455,13 +483,8 @@ def add_new_player(db: MbcDatabase, p: int) -> MbcDatabase:
         raise ValueError(f"players must stay contiguous; expected p={db.n + 1}")
     if p > PLAYER_CAP:
         raise ValueError(f"player cap {PLAYER_CAP} exceeded")
-    parents = [_to_triple(wc) for wc in db.collections]
-    result = _add_player_raw(parents, db.n, None)
-    collections = tuple(
-        _to_collection(masks, nums, den)
-        for masks, (nums, den) in sorted(result.items())
-    )
-    return MbcDatabase(db.n + 1, collections, db.restricted)
+    rows = _add_player_raw(list(db.rows), db.n, None)
+    return MbcDatabase(db.n + 1, tuple(rows), db.restricted)
 
 
 def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000,
@@ -479,7 +502,6 @@ def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000
     allowed = None
     if set_system is not None:
         allowed = _allowed_masks(set_system, n)
-    parents = [_to_triple(wc) for wc in base.collections]
 
     shards: list[str] = []
     buffer: set[str] = set()
@@ -500,7 +522,7 @@ def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000
             flush()
 
     try:
-        _add_player_raw(parents, n - 1, allowed, sink=sink)
+        _add_player_raw(list(base.rows), n - 1, allowed, sink=sink)
         flush()
         count = 0
         body_fd, body_path = tempfile.mkstemp(prefix="mbcbody", dir=tmp_dir)
@@ -583,22 +605,18 @@ def is_balanced_collection(masks, db: MbcDatabase) -> bool:
     if not target:
         return False
     covered: set[int] = set()
-    for wc in db.collections:
+    for row_masks, _, _ in db.rows:
         if covered >= target:
             break
-        member_set = wc.masks()
-        if member_set <= target:
-            covered |= member_set
+        if target.issuperset(row_masks):
+            covered.update(row_masks)
     return covered == target
 
 
 def to_regular_hypergraph(wc: WeightedCollection) -> tuple[int, tuple[int, ...]]:
     """Depth and integer multiplicities of a minimal balanced collection seen
     as a regular hypergraph: the depth is the common per-vertex degree."""
-    depth = 1
-    for w in wc.weights:
-        depth = lcm(depth, w.denominator)
-    multiplicities = tuple(int(w * depth) for w in wc.weights)
+    _, multiplicities, depth = wc.to_row()
     return depth, multiplicities
 
 

@@ -13,6 +13,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import mul
 
 PLAYER_CAP = 32
 
@@ -165,28 +168,66 @@ class WeightedCollection:
                 sums[p - 1] += w
         return sums
 
+    @classmethod
+    def from_row(cls, masks, nums, den) -> "WeightedCollection":
+        """The collection of an integer row: weight i is nums[i]/den."""
+        return cls(tuple(masks), tuple(Fraction(x, den) for x in nums))
+
+    def to_row(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """The integer row (masks, nums, den): den is the least common
+        denominator of the weights and weight i is nums[i]/den."""
+        den = lcm(*(w.denominator for w in self.weights))
+        return self.coalitions, tuple(w.numerator * (den // w.denominator)
+                                      for w in self.weights), den
+
     def format_line(self) -> str:
         """One MBCDB line: space-separated ``<hex-mask>:<num>/<den>`` items."""
-        return " ".join(
-            f"{mask:x}:{w.numerator}/{w.denominator}" for mask, w in self.items()
-        )
+        return format_row(*self.to_row())
 
     @classmethod
     def parse_line(cls, line: str) -> "WeightedCollection":
-        masks = []
-        weights = []
-        for item in line.split():
-            try:
-                mask_part, weight_part = item.split(":")
-                num, den = weight_part.split("/")
-                masks.append(int(mask_part, 16))
-                weights.append(Fraction(int(num), int(den)))
-            except ValueError as exc:
-                raise ValueError(f"bad MBCDB item {item!r}") from exc
-        return cls(tuple(masks), tuple(weights))
+        return cls.from_row(*parse_row(line))
 
     def pretty(self) -> str:
         return "{" + ", ".join("{" + coalition_key(m) + "}" for m in self.coalitions) + "}"
+
+
+# ---------------------------------------------------------------------------
+# MBCDB lines
+
+
+def format_row(masks, nums, den) -> str:
+    """The MBCDB line of an integer row: ``<hex-mask>:<num>/<den>`` items,
+    each weight in lowest terms."""
+    parts = []
+    for mask, num in zip(masks, nums):
+        g = gcd(num, den)
+        parts.append(f"{mask:x}:{num // g}/{den // g}")
+    return " ".join(parts)
+
+
+_ITEM = r"[0-9a-fA-F]+:[0-9]+/[0-9]+"
+_ROW_RE = re.compile(rf"{_ITEM}(?:\s+{_ITEM})*")
+
+
+def parse_row(line: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Parse one MBCDB line into an integer row (masks, nums, den) over the
+    least common denominator of its weights, in lowest terms.  Only the
+    syntax is checked here, plus that no denominator is zero."""
+    line = line.strip()
+    if not _ROW_RE.fullmatch(line):
+        raise ValueError("malformed MBCDB line")
+    fields = line.replace(":", " ").replace("/", " ").split()
+    dens = list(map(int, fields[2::3]))
+    den = lcm(*dens)
+    if not den:
+        raise ValueError("zero denominator")
+    nums = tuple(map(mul, map(int, fields[1::3]), map(den.__floordiv__, dens)))
+    g = gcd(den, *nums)
+    if g > 1:
+        den //= g
+        nums = tuple(x // g for x in nums)
+    return tuple(map(int, fields[0::3], repeat(16))), nums, den
 
 
 # ---------------------------------------------------------------------------

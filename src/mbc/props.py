@@ -7,6 +7,10 @@ reduced games.  Since the database does not depend on the game, it is built
 once and scanned with per-game indexes; derived games only ever move one
 value (the complement of the studied coalition), so the index adjusts sums
 incrementally instead of rescanning.
+
+The scans are integer arithmetic: a game is scaled once to a common
+denominator D, and for a database row (masks, nums, den) the inequality
+Σ λ_S v(S) <= v(N) becomes Σ nums·V <= den·G with V = v·D and G = v(N)·D.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from . import polytope
 from .generate import MbcDatabase, peleg
-from .model import Game, complement, full_mask, members
+from .model import Game, WeightedCollection, complement, full_mask, members
 from .polytope import LinearSystem, enumerate_vertices
 
 
@@ -83,65 +88,97 @@ def derived_vSS(game: Game, collection) -> DerivedGame:
 
 
 # ---------------------------------------------------------------------------
+# integer scans
+
+
+def _scale(values) -> tuple[list[int], int]:
+    """Rationals over their least common denominator D: ([v·D, ...], D)."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _scaled_game(game) -> tuple[list[int], int]:
+    """V[mask] = v(mask)·D for every mask of the game (V[0] = 0), and D."""
+    return _scale([game.value(mask) for mask in range(1 << game.n)])
+
+
+def _first_violated(rows, V, G):
+    """Index of the first row with Σ nums·V > den·G, or None."""
+    for i, (masks, nums, den) in enumerate(rows):
+        total = 0
+        for m, x in zip(masks, nums):
+            total += x * V[m]
+        if total > den * G:
+            return i
+    return None
+
+
+def _require_same_n(game, db: MbcDatabase) -> None:
+    if game.n != db.n:
+        raise ValueError(f"game has n={game.n}, database has n={db.n}")
+
+
+# ---------------------------------------------------------------------------
 # balancedness index
 
 
 class BalancedIndex:
-    """Per-(game, database) sums Σ λ_S v(S), with a per-coalition index so
-    that games differing from the base at a single coalition are evaluated
-    by adjusting only the affected collections."""
+    """Per-(game, database) slacks of the core-nonemptiness inequalities,
+    with a per-coalition index so that games differing from the base at a
+    single coalition are evaluated by adjusting only the affected rows.
+
+    slack[i] = den·G - Σ nums·V for row i: the row is violated when it is
+    negative and tight when it is zero."""
 
     def __init__(self, game: Game, db: MbcDatabase):
-        if game.n != db.n:
-            raise ValueError(f"game has n={game.n}, database has n={db.n}")
+        _require_same_n(game, db)
         self.game = game
         self.db = db
-        self.grand = game.grand_value()
-        sums = []
-        per: dict[int, list[tuple[int, Fraction]]] = {}
-        value = game.value
-        for idx, wc in enumerate(db.collections):
-            total = Fraction(0)
-            for mask, w in wc.items():
-                v = value(mask)
-                if v:
-                    total += w * v
-                per.setdefault(mask, []).append((idx, w))
-            sums.append(total)
-        self.sums = sums
+        V, self.scale = _scaled_game(game)
+        G = V[full_mask(game.n)]
+        slack = []
+        per: list[list[tuple[int, int]]] = [[] for _ in V]
+        for idx, (masks, nums, den) in enumerate(db.rows):
+            total = 0
+            for m, x in zip(masks, nums):
+                total += x * V[m]
+                per[m].append((idx, x))
+            slack.append(den * G - total)
+        self.slack = slack
         self.per = per
-        self.base_tight = [i for i, s in enumerate(sums) if s == self.grand]
-        self.balanced = all(s <= self.grand for s in sums)
+        self.base_tight = [i for i, s in enumerate(slack) if s == 0]
+        self.balanced = all(s >= 0 for s in slack)
 
     def require_balanced(self):
         if not self.balanced:
             raise UnbalancedGameError("the game has an empty core")
 
+    def _scaled_delta(self, mask: int, new_value: Fraction) -> tuple[int, int]:
+        """(p, q) with p/q = (new_value - v(mask))·D, q > 0."""
+        delta = (new_value - self.game.value(mask)) * self.scale
+        return delta.numerator, delta.denominator
+
     def tight_with_single_override(self, mask: int, new_value: Fraction):
         """Indices of collections whose sum equals v(N) for the game with
         v(mask) replaced by new_value, assuming the base game is balanced."""
-        delta = new_value - self.game.value(mask)
-        out = []
-        if delta == 0:
+        p, q = self._scaled_delta(mask, new_value)
+        if p == 0:
             return list(self.base_tight)
-        affected = self.per.get(mask, ())
+        affected = self.per[mask]
         affected_ids = {i for i, _ in affected}
-        out.extend(i for i in self.base_tight if i not in affected_ids)
-        for i, w in affected:
-            if self.sums[i] + w * delta == self.grand:
-                out.append(i)
+        out = [i for i in self.base_tight if i not in affected_ids]
+        slack = self.slack
+        out.extend(i for i, x in affected if x * p == q * slack[i])
         out.sort()
         return out
 
     def balanced_with_single_override(self, mask: int, new_value: Fraction) -> bool:
         self.require_balanced()
-        delta = new_value - self.game.value(mask)
-        if delta <= 0:
+        p, q = self._scaled_delta(mask, new_value)
+        if p <= 0:
             return True
-        for i, w in self.per.get(mask, ()):
-            if self.sums[i] + w * delta > self.grand:
-                return False
-        return True
+        slack = self.slack
+        return all(x * p <= q * slack[i] for i, x in self.per[mask])
 
 
 def is_balanced_game(game, db: MbcDatabase) -> bool:
@@ -154,17 +191,10 @@ def is_balanced_game(game, db: MbcDatabase) -> bool:
 def balancedness_witness(game, db: MbcDatabase):
     """The first collection violating the core-nonemptiness inequality, or
     None when the game is balanced."""
-    grand = game.grand_value()
-    value = game.value
-    for wc in db.collections:
-        total = Fraction(0)
-        for mask, w in wc.items():
-            v = value(mask)
-            if v:
-                total += w * v
-        if total > grand:
-            return wc
-    return None
+    _require_same_n(game, db)
+    V, _ = _scaled_game(game)
+    i = _first_violated(db.rows, V, V[full_mask(game.n)])
+    return None if i is None else WeightedCollection.from_row(*db.rows[i])
 
 
 def is_exact(S: int, game: Game, index: BalancedIndex) -> bool:
@@ -188,7 +218,7 @@ def effective_set(game: Game, db: MbcDatabase, index: BalancedIndex | None = Non
     index.require_balanced()
     out: set[int] = set()
     for i in index.base_tight:
-        out.update(db.collections[i].coalitions)
+        out.update(db.rows[i][0])
     return frozenset(out)
 
 
@@ -210,7 +240,7 @@ def is_strictly_vital_exact(S: int, game: Game, index: BalancedIndex) -> bool:
             comp, game.grand_value() - game.value(S)
         )
     for i in tight:
-        for T in index.db.collections[i].coalitions:
+        for T in index.db.rows[i][0]:
             if T != S and T & ~S == 0:
                 return False
     return True
@@ -332,14 +362,9 @@ def is_extendable(S: int, game: Game, dim_cap: int = polytope.DEFAULT_DIM_CAP) -
         reduced = reduced_game(game, outside, fixed)
         top = _recruitment_value(game, outside, S, fixed)
         values = reduced.with_value(full_mask(m), top)
-        for wc in db_small.collections:
-            total = Fraction(0)
-            for mask, w in wc.items():
-                v = values.value(mask)
-                if v:
-                    total += w * v
-            if total > level:
-                return False
+        scaled, _ = _scale([values.value(mask) for mask in range(1 << m)] + [level])
+        if _first_violated(db_small.rows, scaled[:-1], scaled[-1]) is not None:
+            return False
     return True
 
 
@@ -441,28 +466,26 @@ class FeasibilityOracle:
         self.db = db
         self.family = tuple(sorted(family))
         self.n = game.n
-        self.grand = game.grand_value()
         self.findex = {mask: i for i, mask in enumerate(self.family)}
         universe = set(self.family) | {
             complement(S, self.n) for S in self.family
         }
         universe.discard(0)
+        V, _ = _scaled_game(game)
+        G = V[full_mask(self.n)]
         self.entries = []
-        for wc in db.collections:
-            if not wc.masks() <= universe:
+        for idx, (masks, nums, den) in enumerate(db.rows):
+            if not universe.issuperset(masks):
                 continue
             need = 0       # family bits that must be inside the queried collection
             pure = 0       # family bits that must stay outside it
             duals = []     # members present in the family together with their complement
-            terms = []     # (weight, delta, trigger_bit) per member
-            ok = True
-            for T, w in wc.items():
+            terms = []     # (numerator, scaled delta, trigger_bit) per member
+            base = 0
+            for T, x in zip(masks, nums):
                 fbit = self.findex.get(T)
                 comp = complement(T, self.n)
                 cbit = self.findex.get(comp)
-                if fbit is None and cbit is None:
-                    ok = False
-                    break
                 fmask = 0 if fbit is None else 1 << fbit
                 cmask = 0 if cbit is None else 1 << cbit
                 if fmask and cmask:
@@ -471,12 +494,10 @@ class FeasibilityOracle:
                     pure |= fmask
                 else:
                     need |= cmask
-                delta = (self.grand - game.value(comp)) - game.value(T)
-                terms.append((w, delta, cmask))
-            if not ok:
-                continue
-            base = sum((w * game.value(T) for T, w in wc.items()), Fraction(0))
-            self.entries.append((need, pure, tuple(duals), base, tuple(terms), wc))
+                terms.append((x, (G - V[comp]) - V[T], cmask))
+                base += x * V[T]
+            self.entries.append(
+                (need, pure, tuple(duals), base, den * G, tuple(terms), idx))
 
     def collection_mask(self, masks) -> int:
         bits = 0
@@ -487,32 +508,17 @@ class FeasibilityOracle:
         return bits
 
     def feasible(self, masks) -> bool:
-        return self.feasible_by_mask(self.collection_mask(masks))
-
-    def feasible_by_mask(self, smask: int) -> bool:
-        grand = self.grand
-        for need, pure, duals, base, terms, _ in self.entries:
-            if need & ~smask or pure & smask:
-                continue
-            if duals and any(
-                fmask & smask and not (cmask & smask) for fmask, cmask in duals
-            ):
-                continue
-            total = base
-            touches = False
-            for w, delta, cmask in terms:
-                if cmask & smask:
-                    touches = True
-                    if delta:
-                        total += w * delta
-            if total > grand or (touches and total == grand):
-                return False
-        return True
+        return self.defeating_row(self.collection_mask(masks)) is None
 
     def witness(self, masks):
         """The first database collection defeating feasibility, or None."""
-        smask = self.collection_mask(masks)
-        for need, pure, duals, base, terms, wc in self.entries:
+        idx = self.defeating_row(self.collection_mask(masks))
+        return None if idx is None else WeightedCollection.from_row(*self.db.rows[idx])
+
+    def defeating_row(self, smask: int):
+        """Index in `db.rows` of the first collection defeating feasibility
+        of the collection with family bitmask `smask`, or None."""
+        for need, pure, duals, base, level, terms, idx in self.entries:
             if need & ~smask or pure & smask:
                 continue
             if duals and any(
@@ -521,13 +527,12 @@ class FeasibilityOracle:
                 continue
             total = base
             touches = False
-            for w, delta, cmask in terms:
+            for x, delta, cmask in terms:
                 if cmask & smask:
                     touches = True
-                    if delta:
-                        total += w * delta
-            if total > self.grand or (touches and total == self.grand):
-                return wc
+                    total += x * delta
+            if total > level or (touches and total == level):
+                return idx
         return None
 
 

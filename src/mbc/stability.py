@@ -94,7 +94,8 @@ def _render_masks(masks) -> list[str]:
 def associated_mbcs(S: int, family, db: MbcDatabase) -> list[WeightedCollection]:
     """Collections associated with S: they contain a singleton of S and live
     inside {singletons of S} + {S^c} + {family members not inside S}."""
-    return associated_collections(S, db.n, family, db.collections)
+    return associated_collections(
+        S, db.n, family, association_pool(db, (*family, S), db.n))
 
 
 def associated_collections(S: int, n: int, family, pool) -> list[WeightedCollection]:
@@ -155,7 +156,8 @@ def association_pool(db: MbcDatabase, family, n: int) -> list[WeightedCollection
     universe.update(family)
     universe.update(complement(T, n) for T in family)
     universe.discard(0)
-    return [wc for wc in db.collections if wc.masks() <= universe]
+    return [WeightedCollection.from_row(*row) for row in db.rows
+            if universe.issuperset(row[0])]
 
 
 # ---------------------------------------------------------------------------

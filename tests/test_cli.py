@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from mbc import WeightedCollection
 from mbc.cli import main
 
 FOUR_PLAYER = (
@@ -170,6 +171,28 @@ def test_console_script_entry_point(tmp_path):
     assert result.stdout.startswith("MBCDB 1 n=2")
 
 
-def test_threads_flag_validated(capsys):
-    with pytest.raises(SystemExit):
-        main(["--threads", "0", "gen", "-n", "2", "-o", "-"])
+def test_analyze_does_not_build_every_collection(tmp_path, capsys, monkeypatch,
+                                                 db6, sk_game):
+    # the scans read the integer rows; building the WeightedCollection view
+    # of all 200,214 rows would bring back the time and memory it costs
+    db_path = tmp_path / "mbc6.db"
+    db6.save(db_path)
+    game_path = tmp_path / "sk.game"
+    game_path.write_text(sk_game.to_text())
+    built = []
+    post_init = WeightedCollection.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(WeightedCollection, "__post_init__", counting)
+    code, stdout, _ = run_main(capsys, [
+        "analyze", str(game_path), "-d", str(db_path),
+        "-c", "core,exact,effective,sve,extendable,feasible",
+    ])
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["database"]["count"] == 200214
+    assert len(report["results"]["sve"]["coalitions"]) == 13
+    assert len(built) < 1000

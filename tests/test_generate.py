@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -149,8 +150,9 @@ def test_peleg_three_lists_all_six():
     }
 
 
-def test_add_new_player_matches_peleg(db4):
+def test_add_new_player_matches_peleg(db4, db5):
     assert [w for w in add_new_player(peleg(3), 4)] == list(db4)
+    assert add_new_player(db4, 5).rows == db5.rows
     with pytest.raises(ValueError):
         add_new_player(db4, 3)
     with pytest.raises(ValueError):
@@ -174,6 +176,58 @@ def test_database_save_load_roundtrip(tmp_path, db4):
     assert text[1:] == sorted(text[1:])
     loaded = MbcDatabase.load(path)
     assert loaded.n == 4 and list(loaded) == list(db4)
+    assert loaded == db4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_database_rows_roundtrip(tmp_path, n):
+    db = peleg(n)
+    path = tmp_path / f"mbc{n}.db"
+    db.save(path)
+    assert MbcDatabase.load(path).rows == db.rows
+
+
+def _probe(tmp_path, db, old, new):
+    """Save db with the row `old` replaced by `new`; returns the path and
+    the probed row's file line number."""
+    path = tmp_path / "probe.db"
+    db.save(path)
+    lines = path.read_text().splitlines()
+    lineno = lines.index(old) + 1
+    lines[lineno - 1] = new
+    path.write_text("\n".join(lines) + "\n")
+    return path, lineno
+
+
+@pytest.mark.parametrize(
+    "new,problem",
+    [
+        ("1:1/1 2:1/1 4:1/1 8:1/7", "sums"),        # no longer balanced
+        ("1:1/1 2:1/1 4:1/1 ff:1/1", "range"),      # mask outside 1..15
+        ("1:1/1 2:1/1 8:1/1 4:1/1", "increasing"),
+        ("1:1/1 2:1/1 4:1/1 8:0/1", "positive"),
+        ("1:1/1 2:1/1 4:1/1 8:1/0", "denominator"),
+        ("1:1/1 2:1/1 4:1/1 8 1/1", "malformed"),
+        ("1:1/1 2:1/1 4:1/1 8:-1/1", "malformed"),
+    ],
+)
+def test_database_load_rejects_bad_rows(tmp_path, db4, new, problem):
+    path, lineno = _probe(tmp_path, db4, "1:1/1 2:1/1 4:1/1 8:1/1", new)
+    with pytest.raises(ValueError, match=problem) as info:
+        MbcDatabase.load(path)
+    assert f"line {lineno} {new!r}" in str(info.value)
+
+
+def test_database_load_rejects_repeated_collection(tmp_path, db4):
+    # the same collection written with unreduced weights parses to the same row
+    path, _ = _probe(tmp_path, db4, "1:1/1 e:1/1", "1:1/1 2:1/1 4:1/1 8:2/2")
+    with pytest.raises(ValueError, match="twice"):
+        MbcDatabase.load(path)
+
+
+def test_database_load_reduces_rows(tmp_path, db4):
+    path, _ = _probe(tmp_path, db4, "1:1/1 e:1/1", "1:2/2 e:3/3")
+    assert MbcDatabase.load(path).rows == db4.rows
 
 
 def test_database_load_rejects_bad_headers(tmp_path):
@@ -191,6 +245,7 @@ def test_streaming_generation_matches_in_memory(tmp_path, db5):
     count = peleg_stream(5, out, shard_lines=200)  # force several shards
     assert count == 1292
     assert list(MbcDatabase.load(out)) == list(db5)
+    assert MbcDatabase.load(out) == db5
     direct = tmp_path / "direct5.db"
     db5.save(direct)
     assert out.read_bytes() == direct.read_bytes()
@@ -361,6 +416,21 @@ def test_databases_sound(n):
 def test_collections_verify_individually(db4):
     for collection in db4:
         assert is_minimal_balanced(collection, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rows_are_canonical_and_match_solved_weights(n):
+    # the collection view of every row carries the Fraction weights that
+    # linear algebra solves for its coalitions, independently of the generator
+    db = peleg(n)
+    assert len(db.collections) == len(db.rows)
+    assert [masks for masks, _, _ in db.rows] == sorted({m for m, _, _ in db.rows})
+    for row, collection in zip(db.rows, db.collections):
+        masks, nums, den = row
+        assert gcd(den, *nums) == 1
+        assert collection.to_row() == row
+        status, weights = check_minimal_balanced(masks, n)
+        assert status == MINIMAL and collection.weights == weights
 
 
 def test_anti_partitions_present():

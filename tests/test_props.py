@@ -54,6 +54,12 @@ def test_additive_game_balanced(db4):
     assert is_balanced_game(game, db4)
 
 
+def test_balancedness_needs_matching_n(db3, game4):
+    for check in (is_balanced_game, balancedness_witness, BalancedIndex):
+        with pytest.raises(ValueError, match="n=4.*n=3"):
+            check(game4, db3)
+
+
 # ---------------------------------------------------------------------------
 # derived games
 
