@@ -150,7 +150,7 @@ def cmd_analyze(args) -> int:
         if check == "core":
             witness = None
             if not balanced:
-                wc = props.balancedness_witness(game, db)
+                wc = index.witness()
                 witness = {
                     "coalitions": [coalition_key(m) for m in wc.coalitions],
                     "weights": [format_value(w) for w in wc.weights],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 UNIQUE = "unique"
 NO_SOLUTION = "no_solution"
@@ -91,6 +91,46 @@ def _reduce_row(row: list[int]) -> None:
     if g > 1:
         for i, x in enumerate(row):
             row[i] = x // g
+
+
+def primitive(values) -> tuple[list[int], Fraction]:
+    """(r, s): the rationals `values` times the positive scale s, where r is
+    an integer vector with gcd 1 (all zeros, with s = 1, for a zero vector).
+    A positive scale keeps every sign, so it keeps inequalities a.x >= b."""
+    values = [Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (den // x.denominator) for x in values]
+    g = gcd(*ints) or 1
+    return [x // g for x in ints], Fraction(den, g)
+
+
+def solve_int(rows, rhs, n_cols: int):
+    """The unique solution of the integer system rows·x = rhs.
+
+    Fraction-free Gauss-Jordan elimination: every updated row is divided by
+    its gcd, and no Fraction is built.  Returns (nums, den) with den > 0 and
+    x[j] = nums[j]/den, or None when the system has no solution or more than
+    one."""
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    for c in range(n_cols):
+        for r in range(c, len(aug)):
+            if aug[r][c]:
+                break
+        else:
+            return None
+        aug[c], aug[r] = aug[r], aug[c]
+        pivot_row = aug[c]
+        p = pivot_row[c]
+        for i, row in enumerate(aug):
+            x = row[c]
+            if x and i != c:
+                row = [p * a - x * b for a, b in zip(row, pivot_row)]
+                _reduce_row(row)
+                aug[i] = row
+    if any(row[n_cols] for row in aug[n_cols:]):
+        return None
+    den = lcm(*(aug[c][c] for c in range(n_cols)))
+    return [aug[c][n_cols] * (den // aug[c][c]) for c in range(n_cols)], den
 
 
 def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from . import linalg
 from .model import WeightedCollection, full_mask, members
@@ -180,18 +181,33 @@ def enumerate_vertices(system: LinearSystem, dim_cap: int = DEFAULT_DIM_CAP):
     if d == 0:
         return [lift(())]
 
+    return sorted({lift(y) for y in _tight_points(reduced, d)})
+
+
+def _tight_points(reduced, d):
+    """Every point where d independent reduced inequalities a.y >= b are
+    tight and all of them hold, each once, in the order first found.  Each
+    inequality is scaled once by a positive factor to integers, which keeps
+    >=; the d-by-d solves and the checks are integer."""
+    rows = []
+    for coeffs, rhs in reduced:
+        ints, _ = linalg.primitive((*coeffs, rhs))
+        rows.append((ints[:-1], ints[-1]))
+    seen = set()
     points = []
-    for tight in combinations(range(len(reduced)), d):
-        rows = [reduced[i][0] for i in tight]
-        rhs = [reduced[i][1] for i in tight]
-        status, y = linalg.solve_unique(rows, rhs)
-        if status != linalg.UNIQUE:
+    for tight in combinations(rows, d):
+        solution = linalg.solve_int([a for a, _ in tight], [b for _, b in tight], d)
+        if solution is None:
             continue
-        if all(
-            sum(c * yj for c, yj in zip(coeffs, y)) >= b for coeffs, b in reduced
-        ):
-            points.append(y)
-    return sorted({lift(y) for y in points})
+        nums, den = solution
+        g = gcd(den, *nums)
+        key = (den // g, *(x // g for x in nums))
+        if key in seen:
+            continue
+        seen.add(key)
+        if all(sum(c * x for c, x in zip(a, nums)) >= b * den for a, b in rows):
+            points.append(tuple(Fraction(x, den) for x in nums))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +326,7 @@ def _min_reduced(reduced, objective, base_value, d):
     else:
         return VALUE, base_value
 
-    points = []
-    for tight in combinations(range(len(reduced)), d):
-        rows = [reduced[i][0] for i in tight]
-        rhs = [reduced[i][1] for i in tight]
-        status, y = linalg.solve_unique(rows, rhs)
-        if status != linalg.UNIQUE:
-            continue
-        if all(sum(c * yj for c, yj in zip(coeffs, y)) >= b for coeffs, b in reduced):
-            points.append(y)
+    points = _tight_points(reduced, d)
     if points:
         best = min(sum(c * yj for c, yj in zip(objective, y)) for y in points)
         return VALUE, base_value + best

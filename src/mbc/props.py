@@ -149,6 +149,14 @@ class BalancedIndex:
         self.base_tight = [i for i, s in enumerate(slack) if s == 0]
         self.balanced = all(s >= 0 for s in slack)
 
+    def witness(self):
+        """The first collection violating the core-nonemptiness inequality,
+        the one `balancedness_witness` returns, or None when balanced."""
+        for i, s in enumerate(self.slack):
+            if s < 0:
+                return WeightedCollection.from_row(*self.db.rows[i])
+        return None
+
     def require_balanced(self):
         if not self.balanced:
             raise UnbalancedGameError("the game has an empty core")

@@ -258,6 +258,12 @@ def minimal_balanced_sets(vectors, n: int):
     Depth-first growth of linearly independent subsets; as soon as a subset
     spans the all-ones vector it is tested and the branch is cut, because a
     strict superset would force zero weights and cannot be minimal.
+
+    The search runs in integers: every vector is scaled once by a positive
+    factor to a primitive integer vector (rescaling keeps minimal
+    balancedness, and the weights rescale with it), residuals and the
+    all-ones target are kept fraction-free, and Fraction weights are built
+    only for accepted subsets.
     """
     vectors = [tuple(Fraction(x) for x in vec) for vec in vectors]
     for vec in vectors:
@@ -267,60 +273,108 @@ def minimal_balanced_sets(vectors, n: int):
             raise ValueError("zero vector in a balanced-set universe")
         if any(x < 0 for x in vec):
             raise ValueError("balanced-set vectors must be nonnegative")
-    m = len(vectors)
+    rows, scales = _integer_rows(vectors, n)
+    m = len(rows)
     results = []
-    ones = [Fraction(1)] * n
-
-    def reduce(vec, basis):
-        v = list(vec)
-        for piv, row in basis:
-            x = v[piv]
-            if x:
-                f = x / row[piv]
-                for j in range(n):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        return v
 
     def dfs(start, chosen, basis, target):
-        if all(x == 0 for x in target):
-            cols = [[vectors[j][i] for j in chosen] for i in range(n)]
-            status, weights = linalg.solve_unique(cols, ones)
-            if status == linalg.UNIQUE and all(w > 0 for w in weights):
-                results.append((tuple(chosen), weights))
+        depth = len(chosen)
+        if not any(target[:n]):
+            weights = _positive_weights(target, n, depth)
+            if weights is not None:
+                results.append((tuple(chosen), tuple(
+                    w * scales[j] for w, j in zip(weights, chosen))))
             return
-        if len(chosen) == n:
+        if depth == n:
             return
         for j in range(start, m):
-            residual = reduce(vectors[j], basis)
-            piv = next((i for i, x in enumerate(residual) if x), None)
-            if piv is None:
+            step = _extend(basis, target, rows[j][depth], n)
+            if step is None:
                 continue
-            x = target[piv]
-            if x:
-                f = x / residual[piv]
-                new_target = [
-                    t - f * r if r else t for t, r in zip(target, residual)
-                ]
-            else:
-                new_target = target
+            piv, residual, new_target = step
             chosen.append(j)
             basis.append((piv, residual))
             dfs(j + 1, chosen, basis, new_target)
             basis.pop()
             chosen.pop()
 
-    dfs(0, [], [], list(ones))
+    dfs(0, [], [], _ones_row(n))
     return results
+
+
+# The integer rows of the search have width 2n + 1: [vector (n) |
+# coefficients on the chosen vectors, by depth (n) | multiple of the all-ones
+# vector (1)].  Every row thus records how it is combined from the chosen
+# vectors and the all-ones vector, and eliminating the target down to zero
+# leaves the weights in its coefficient slots: no solve at the leaves.
+
+
+def _integer_rows(vectors, n: int):
+    """rows[j][d] is vector j, scaled to a primitive integer vector, entering
+    at depth d; scales[j] is its positive scale factor."""
+    rows, scales = [], []
+    for vec in vectors:
+        ints, scale = linalg.primitive(vec)
+        rows.append([ints + [0] * d + [1] + [0] * (n - d) for d in range(n)])
+        scales.append(scale)
+    return rows, scales
+
+
+def _ones_row(n: int) -> list[int]:
+    return [1] * n + [0] * n + [1]
+
+
+def _extend(basis, target, row, n: int):
+    """Reduce a row against the basis of (pivot, row) pairs.  None when it
+    depends on the basis, else (pivot, residual, target reduced by the
+    residual).  Each row is a nonzero multiple of its Fraction counterpart,
+    so pivots and zero tests are those of exact rational elimination."""
+    for piv, b in basis:
+        x = row[piv]
+        if x:
+            p = b[piv]
+            row = [p * u - x * v for u, v in zip(row, b)]
+    for piv in range(n):
+        if row[piv]:
+            break
+    else:
+        return None
+    linalg._reduce_row(row)
+    x = target[piv]
+    if x:
+        r = row[piv]
+        target = [r * t - x * v for t, v in zip(target, row)]
+        linalg._reduce_row(target)
+    return piv, row, target
+
+
+def _positive_weights(target, n: int, depth: int):
+    """Weights of the chosen vectors in the all-ones vector, read from a
+    target reduced to zero (alpha·1 + Σ coef·vector = 0), as Fractions;
+    None when some weight is not positive."""
+    alpha = target[-1]
+    coefs = target[n:n + depth]
+    if all(c * alpha < 0 for c in coefs):
+        return [Fraction(-c, alpha) for c in coefs]
+    return None
 
 
 def is_minimal_balanced_set(vectors, n: int) -> bool:
     """Direct test: the column system has a unique, strictly positive
     solution against the all-ones vector."""
     vectors = list(vectors)
-    cols = [[Fraction(vec[i]) for vec in vectors] for i in range(n)]
-    status, weights = linalg.solve_unique(cols, [Fraction(1)] * n)
-    return status == linalg.UNIQUE and all(w > 0 for w in weights)
+    if len(vectors) > n:
+        return False  # dependent columns
+    rows, _ = _integer_rows([[vec[i] for i in range(n)] for vec in vectors], n)
+    basis, target = [], _ones_row(n)
+    for depth, row in enumerate(rows):
+        step = _extend(basis, target, row[depth], n)
+        if step is None:
+            return False
+        piv, residual, target = step
+        basis.append((piv, residual))
+    return (not any(target[:n])
+            and _positive_weights(target, n, len(rows)) is not None)
 
 
 def mbs_candidate_filter(wc: WeightedCollection, s_prime: int, z) -> bool:
@@ -510,7 +564,8 @@ def is_core_stable(game: Game, db: MbcDatabase,
         timings[stage] = now - t0
         t0 = now
 
-    violated = props.balancedness_witness(game, db)
+    index = props.BalancedIndex(game, db)
+    violated = index.witness()
     mark("balancedness")
     if violated is not None:
         return StabilityReport(
@@ -519,7 +574,6 @@ def is_core_stable(game: Game, db: MbcDatabase,
              "note": "empty core"},
             diagnostics, timings)
 
-    index = props.BalancedIndex(game, db)
     for i in range(game.n):
         if not props.is_exact(1 << i, game, index):
             mark("singleton-exactness")

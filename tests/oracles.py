@@ -4,6 +4,8 @@ These deliberately avoid the code paths they check: feasibility goes through
 a strict-inequality Fourier-Motzkin probe on the region itself, extendability
 through exact feasibility of the pinned core system, and the nested stability
 condition through plain combinations plus a direct solve per subset.
+`minimal_balanced_sets_reference` is the library's earlier Fraction search
+for minimal balanced sets, kept as the reference for the integer one.
 """
 
 from fractions import Fraction
@@ -115,3 +117,78 @@ def brute_nested_system_satisfied(game: Game, family, collection, system) -> boo
             if (in_b0 and psi >= grand) or (not in_b0 and psi > grand):
                 return True
     return False
+
+
+def minimal_balanced_sets_reference(vectors, n: int):
+    """Minimal balanced subsets by the same depth-first search as the
+    library, with Fraction residuals and a `solve_unique` call per leaf."""
+    vectors = [tuple(Fraction(x) for x in vec) for vec in vectors]
+    for vec in vectors:
+        if len(vec) != n:
+            raise ValueError("vector dimension mismatch")
+        if all(x == 0 for x in vec):
+            raise ValueError("zero vector in a balanced-set universe")
+        if any(x < 0 for x in vec):
+            raise ValueError("balanced-set vectors must be nonnegative")
+    m = len(vectors)
+    results = []
+    ones = [Fraction(1)] * n
+
+    def reduce(vec, basis):
+        v = list(vec)
+        for piv, row in basis:
+            x = v[piv]
+            if x:
+                f = x / row[piv]
+                for j in range(n):
+                    if row[j]:
+                        v[j] -= f * row[j]
+        return v
+
+    def dfs(start, chosen, basis, target):
+        if all(x == 0 for x in target):
+            cols = [[vectors[j][i] for j in chosen] for i in range(n)]
+            status, weights = linalg.solve_unique(cols, ones)
+            if status == linalg.UNIQUE and all(w > 0 for w in weights):
+                results.append((tuple(chosen), weights))
+            return
+        if len(chosen) == n:
+            return
+        for j in range(start, m):
+            residual = reduce(vectors[j], basis)
+            piv = next((i for i, x in enumerate(residual) if x), None)
+            if piv is None:
+                continue
+            x = target[piv]
+            if x:
+                f = x / residual[piv]
+                new_target = [
+                    t - f * r if r else t for t, r in zip(target, residual)
+                ]
+            else:
+                new_target = target
+            chosen.append(j)
+            basis.append((piv, residual))
+            dfs(j + 1, chosen, basis, new_target)
+            basis.pop()
+            chosen.pop()
+
+    dfs(0, [], [], list(ones))
+    return results
+
+
+def tight_points_reference(reduced, d):
+    """The vertex loop over reduced inequalities a.y >= b in Fractions: one
+    `solve_unique` per d-subset, then every inequality checked."""
+    points = []
+    for tight in combinations(range(len(reduced)), d):
+        rows = [reduced[i][0] for i in tight]
+        rhs = [reduced[i][1] for i in tight]
+        status, y = linalg.solve_unique(rows, rhs)
+        if status != linalg.UNIQUE:
+            continue
+        if all(
+            sum(c * yj for c, yj in zip(coeffs, y)) >= b for coeffs, b in reduced
+        ):
+            points.append(y)
+    return points

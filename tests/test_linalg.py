@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 from mbc.linalg import (
     NO_SOLUTION,
@@ -10,7 +11,9 @@ from mbc.linalg import (
     kernel_basis,
     left_null_space,
     null_space,
+    primitive,
     rank,
+    solve_int,
     solve_unique,
 )
 
@@ -133,3 +136,32 @@ def test_in_column_span():
     m = RatMatrix.from_columns([(1, 0, 1), (0, 1, 1)])
     assert in_column_span(m, (1, 1, 2))
     assert not in_column_span(m, (1, 1, 0))
+
+
+def test_primitive_scales_positively():
+    assert primitive([F(1, 2), F(3, 4), 0]) == ([2, 3, 0], F(4))
+    assert primitive([-2, 4]) == ([-1, 2], F(1, 2))
+    assert primitive([0, 0]) == ([0, 0], F(1))
+
+
+def test_solve_int_matches_solve_unique():
+    rng = random.Random(17)
+    for _ in range(300):
+        n_rows = rng.randint(1, 5)
+        n_cols = rng.randint(1, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(n_cols)] for _ in range(n_rows)]
+        rhs = [rng.randint(-2, 2) for _ in range(n_rows)]
+        if rng.random() < 0.3:  # a consistent system
+            x = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n_cols)]
+            rhs = [sum(a * xj for a, xj in zip(row, x)) for row in rows]
+            scale = lcm(*(b.denominator for b in rhs))
+            rows = [[a * scale for a in row] for row in rows]
+            rhs = [int(b * scale) for b in rhs]
+        status, expected = solve_unique(rows, rhs)
+        got = solve_int(rows, rhs, n_cols)
+        if status == UNIQUE:
+            nums, den = got
+            assert den > 0
+            assert tuple(F(x, den) for x in nums) == expected
+        else:
+            assert got is None

@@ -10,12 +10,14 @@ from mbc.polytope import (
     VALUE,
     DimensionCapError,
     LinearSystem,
+    _tight_points,
     enumerate_vertices,
     min_over,
     system_feasible,
     weight_polytope_vertices,
 )
 from conftest import make_additive, make_three_player_tight
+from oracles import tight_points_reference
 
 F = Fraction
 
@@ -172,3 +174,19 @@ def test_bondareva_shapley_vs_vertex_oracle_random():
         status, lowest = min_over(lp, [1, 1, 1, 1])
         assert status == VALUE
         assert bs == (lowest == game.value(15))
+
+
+def test_tight_points_match_fraction_loop():
+    rng = random.Random(29)
+    found = 0
+    for _ in range(200):
+        d = rng.randint(1, 3)
+        reduced = [
+            (tuple(F(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(d)),
+             F(rng.randint(-5, 5), rng.randint(1, 9)))
+            for _ in range(rng.randint(d, d + 4))
+        ]
+        got = _tight_points(reduced, d)
+        assert got == list(dict.fromkeys(tight_points_reference(reduced, d)))
+        found += len(got)
+    assert found > 50

@@ -54,6 +54,20 @@ def test_additive_game_balanced(db4):
     assert is_balanced_game(game, db4)
 
 
+def test_index_witness_is_the_first_violated_collection(db4):
+    rng = random.Random(23)
+    unbalanced = 0
+    for _ in range(60):
+        values = {m: F(rng.randint(0, 4), rng.randint(1, 3))
+                  for m in range(1, full_mask(4))}
+        values[full_mask(4)] = F(rng.randint(1, 8))
+        game = Game(4, values)
+        witness = BalancedIndex(game, db4).witness()
+        assert witness == balancedness_witness(game, db4)
+        unbalanced += witness is not None
+    assert 0 < unbalanced < 60
+
+
 def test_balancedness_needs_matching_n(db3, game4):
     for check in (is_balanced_game, balancedness_witness, BalancedIndex):
         with pytest.raises(ValueError, match="n=4.*n=3"):

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from mbc import Game, WeightedCollection, coalition_mask
+from mbc import Game, WeightedCollection, coalition_mask, linalg, stability
 from mbc.generate import check_minimal_balanced, MINIMAL
 from mbc.model import full_mask
 from mbc.props import sve_family
@@ -28,7 +28,10 @@ from mbc.stability import (
     z_vector,
 )
 from conftest import make_additive, make_three_player_tight
-from oracles import brute_nested_system_satisfied
+from oracles import (
+    brute_nested_system_satisfied,
+    minimal_balanced_sets_reference,
+)
 
 F = Fraction
 
@@ -194,6 +197,83 @@ def test_minimal_balanced_sets_input_validation():
         minimal_balanced_sets([(F(1), F(-1))], 2)
     with pytest.raises(ValueError):
         minimal_balanced_sets([(F(1),)], 2)
+
+
+def _random_vector_set(rng, n):
+    """Nonnegative rational vectors: characteristic vectors, positive
+    multiples of vectors already drawn, and sparse vectors whose entries have
+    large or pairwise coprime denominators."""
+    dens = [1, 2, 3, 7, 11, 13, 97, 10007, 2**40 + 15]
+    out = []
+    for _ in range(rng.randint(1, n + 4)):
+        kind = rng.random()
+        if kind < 0.4 or not out:
+            mask = rng.randint(1, full_mask(n))
+            vec = tuple(F((mask >> i) & 1) for i in range(n))
+        elif kind < 0.6:
+            scale = F(rng.randint(1, 50), rng.choice(dens))
+            vec = tuple(scale * x for x in rng.choice(out))
+        else:
+            vec = tuple(
+                F(rng.randint(1, 9), rng.choice(dens)) if rng.random() < 0.5
+                else F(0)
+                for _ in range(n)
+            )
+            if not any(vec):
+                vec = (F(1, rng.choice(dens)),) + vec[1:]
+        out.append(vec)
+    return out
+
+
+def _assert_same_results(got, expected):
+    assert got == expected
+    assert all(type(w) is Fraction for _, weights in got for w in weights)
+
+
+def test_minimal_balanced_sets_match_fraction_reference():
+    rng = random.Random(41)
+    found = 0
+    for n in range(2, 7):
+        for _ in range(40 if n < 6 else 15):
+            vectors = _random_vector_set(rng, n)
+            got = minimal_balanced_sets(vectors, n)
+            _assert_same_results(got, minimal_balanced_sets_reference(vectors, n))
+            for indices, _ in got:
+                assert is_minimal_balanced_set([vectors[i] for i in indices], n)
+            found += len(got)
+    assert found > 100
+
+
+def test_minimal_balanced_sets_match_reference_on_fixture_omegas(
+        db5, biswas, monkeypatch):
+    calls = []
+    kernel = stability.minimal_balanced_sets
+
+    def recording(vectors, n):
+        calls.append((vectors, n))
+        return kernel(vectors, n)
+
+    monkeypatch.setattr(stability, "minimal_balanced_sets", recording)
+    assert is_core_stable(biswas, db5).stage == "nested-balancedness"
+    assert calls
+    for vectors, n in calls:
+        _assert_same_results(kernel(vectors, n),
+                             minimal_balanced_sets_reference(vectors, n))
+
+
+def test_is_minimal_balanced_set_matches_fraction_solve():
+    rng = random.Random(43)
+    for n in range(1, 6):
+        for _ in range(60):
+            vectors = [
+                tuple(rng.choice([0, 1, 2, F(1, 3), F(-1, 2), F(5, 7)])
+                      for _ in range(n))
+                for _ in range(rng.randint(0, n + 1))
+            ]
+            cols = [[F(vec[i]) for vec in vectors] for i in range(n)]
+            status, weights = linalg.solve_unique(cols, [1] * n)
+            expected = status == linalg.UNIQUE and all(w > 0 for w in weights)
+            assert is_minimal_balanced_set(vectors, n) == expected
 
 
 # ---------------------------------------------------------------------------
