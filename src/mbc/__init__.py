@@ -9,7 +9,6 @@ stability, all in exact rational arithmetic.
 
 from .generate import (
     BALANCED_NOT_MINIMAL,
-    KNOWN_COUNTS,
     MINIMAL,
     NOT_BALANCED,
     MbcDatabase,
@@ -62,12 +61,9 @@ from .stability import (
     UNKNOWN,
     StabilityCaps,
     StabilityReport,
-    a_values,
     admissible_collections,
     associated_mbcs,
-    build_omega,
     is_core_stable,
-    mbs_candidate_filter,
     minimal_balanced_sets,
     nested_balancedness_ok,
 )

@@ -21,8 +21,6 @@ from .model import (
     Game,
     GameFormatError,
     coalition_key,
-    format_value,
-    full_mask,
     parse_coalition_key,
     parse_game,
 )
@@ -148,13 +146,7 @@ def cmd_analyze(args) -> int:
     for check in checks:
         started = time.monotonic()
         if check == "core":
-            witness = None
-            if not balanced:
-                wc = index.witness()
-                witness = {
-                    "coalitions": [coalition_key(m) for m in wc.coalitions],
-                    "weights": [format_value(w) for w in wc.weights],
-                }
+            witness = None if balanced else index.witness().to_payload()
             report["results"]["core"] = {
                 "balanced": balanced,
                 "violated_collection": witness,
@@ -227,55 +219,6 @@ def cmd_stable(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Timing comparisons; prints numbers and asserts nothing."""
-    import random
-
-    from fractions import Fraction
-
-    lines = []
-    for n in range(2, min(args.max_players, 4) + 1):
-        t = time.monotonic()
-        db = peleg(n)
-        t_peleg = time.monotonic() - t
-        t = time.monotonic()
-        from .polytope import mbc_via_vertices
-
-        verts = mbc_via_vertices(n)
-        t_vertex = time.monotonic() - t
-        lines.append(
-            f"generation n={n}: peleg {t_peleg:.3f}s ({len(db)}), "
-            f"vertex oracle {t_vertex:.3f}s ({len(verts)})"
-        )
-    rng = random.Random(args.seed)
-    n = min(args.max_players, 5)
-    db = peleg(n)
-    games = []
-    for _ in range(args.games):
-        values = {
-            mask: Fraction(rng.randint(0, 500), 100)
-            for mask in range(1, full_mask(n))
-        }
-        values[full_mask(n)] = Fraction(50)
-        games.append(Game(n, values))
-    t = time.monotonic()
-    bs = [props.is_balanced_game(g, db) for g in games]
-    t_bs = time.monotonic() - t
-    from .polytope import LinearSystem, enumerate_vertices
-
-    t = time.monotonic()
-    oracle = [bool(enumerate_vertices(LinearSystem.core(g))) for g in games]
-    t_oracle = time.monotonic() - t
-    agree = sum(1 for a, b in zip(bs, oracle) if a == b)
-    lines.append(
-        f"nonemptiness n={n} x{args.games}: Bondareva-Shapley {t_bs:.3f}s, "
-        f"vertex oracle {t_oracle:.3f}s, agreement {agree}/{args.games}"
-    )
-    for line in lines:
-        print(line)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbc",
@@ -308,12 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wall-clock cap for the nested stage, seconds")
     stable.add_argument("--timings", action="store_true")
     stable.set_defaults(func=cmd_stable)
-
-    bench = sub.add_parser("bench", help="timing comparisons (asserts nothing)")
-    bench.add_argument("--max-players", type=int, default=4)
-    bench.add_argument("--games", type=int, default=100)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

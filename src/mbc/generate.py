@@ -44,10 +44,6 @@ from .model import (
 from . import linalg, polytope
 from .linalg import _echelon
 
-# Known counts of minimal balanced collections (used for CLI summaries only;
-# tests recompute everything they assert).
-KNOWN_COUNTS = {1: 1, 2: 2, 3: 6, 4: 42, 5: 1292, 6: 200214, 7: 132422036}
-
 DEFAULT_PLAYER_LIMIT = 7
 
 MINIMAL = "minimal"

@@ -59,12 +59,6 @@ class RatMatrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(zip(*self.rows)))
-
-    def mul_vector(self, vec) -> tuple[Fraction, ...]:
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
-
 
 def _as_rows(matrix) -> list[list[Fraction]]:
     rows = matrix.rows if isinstance(matrix, RatMatrix) else matrix
@@ -171,6 +165,38 @@ def rank(matrix) -> int:
     return len(pivots)
 
 
+def solve_affine(rows, rhs, n_cols: int):
+    """The solutions of rows·x = rhs as x0 + span(basis), exactly.
+
+    None when the system is inconsistent.  Otherwise x0 is the solution with
+    every free column at 0, and the basis has one vector per free column, in
+    column order: 1 at that column, 0 at the other free columns.  With no
+    rows every column is free."""
+    aug, pivots = _echelon(_int_rows([[*row, b] for row, b in zip(rows, rhs)]))
+    if n_cols in pivots:
+        return None
+
+    def back_substitute(x, with_rhs):
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            row = aug[r]
+            acc = Fraction(row[n_cols]) if with_rhs else Fraction(0)
+            for j in range(c + 1, n_cols):
+                if x[j]:
+                    acc -= row[j] * x[j]
+            x[c] = acc / row[c]
+        return tuple(x)
+
+    x0 = back_substitute([Fraction(0)] * n_cols, True)
+    basis = []
+    for free in range(n_cols):
+        if free not in pivots:
+            unit = [Fraction(0)] * n_cols
+            unit[free] = Fraction(1)
+            basis.append(back_substitute(unit, False))
+    return x0, basis
+
+
 def solve_unique(matrix, b) -> tuple[str, tuple[Fraction, ...] | None]:
     """Solve A x = b demanding uniqueness.
 
@@ -179,82 +205,20 @@ def solve_unique(matrix, b) -> tuple[str, tuple[Fraction, ...] | None]:
     affine family.
     """
     rows = _as_rows(matrix)
-    b = [Fraction(x) for x in b]
     if len(b) != len(rows):
         raise ValueError("right-hand side has wrong length")
-    n_cols = len(rows[0]) if rows else 0
-    aug = _int_rows([row + [bx] for row, bx in zip(rows, b)])
-    aug, pivots = _echelon(aug)
-    if n_cols in pivots:
+    solution = solve_affine(rows, b, len(rows[0]) if rows else 0)
+    if solution is None:
         return NO_SOLUTION, None
-    if len(pivots) < n_cols:
+    x0, basis = solution
+    if basis:
         return NON_UNIQUE, None
-    # back substitution on the echelon form (pivot columns are 0..n_cols-1)
-    x: list[Fraction] = [Fraction(0)] * n_cols
-    for r in range(n_cols - 1, -1, -1):
-        row = aug[r]
-        acc = Fraction(row[n_cols])
-        for j in range(r + 1, n_cols):
-            acc -= row[j] * x[j]
-        x[r] = acc / row[r]
-    return UNIQUE, tuple(x)
+    return UNIQUE, x0
 
 
 def null_space(matrix) -> list[tuple[Fraction, ...]]:
     """Basis of {x : A x = 0} (the right kernel, vectors indexed by columns)."""
-    rows = _int_rows(matrix)
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    rows, pivots = _echelon(rows)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            acc = Fraction(0)
-            for j in range(c + 1, n_cols):
-                if vec[j]:
-                    acc += rows[r][j] * vec[j]
-            vec[c] = -acc / rows[r][c]
-        basis.append(tuple(vec))
-    return basis
-
-
-def left_null_space(matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of {y : y A = 0}, i.e. the orthogonal complement of the column
-    span, with vectors living in the row space dimension."""
     rows = _as_rows(matrix)
     if not rows:
         return []
-    transposed = [list(col) for col in zip(*rows)]
-    if not transposed:
-        return []
-    return null_space(transposed)
-
-
-def kernel_basis(matrix, side: str = "left") -> list[tuple[Fraction, ...]]:
-    """Kernel in the caller-named orientation.
-
-    side="right": vectors x with A x = 0.  side="left": vectors y orthogonal
-    to every column of A, the orientation used when splitting the ambient
-    space into column span plus complement.
-    """
-    if side == "right":
-        return null_space(matrix)
-    if side == "left":
-        return left_null_space(matrix)
-    raise ValueError("side must be 'left' or 'right'")
-
-
-def in_column_span(matrix, vec) -> bool:
-    """Exact membership of `vec` in the span of the matrix columns."""
-    rows = _as_rows(matrix)
-    vec = [Fraction(x) for x in vec]
-    if not rows:
-        return all(x == 0 for x in vec)
-    base_rank = rank(rows)
-    extended = [row + [v] for row, v in zip(rows, vec)]
-    return rank(extended) == base_rank
+    return solve_affine(rows, [0] * len(rows), len(rows[0]))[1]

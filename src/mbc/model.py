@@ -153,9 +153,6 @@ class WeightedCollection:
     def items(self):
         return zip(self.coalitions, self.weights)
 
-    def weight_of(self, mask: int) -> Fraction:
-        return self.weights[self.coalitions.index(mask)]
-
     def masks(self) -> frozenset[int]:
         return frozenset(self.coalitions)
 
@@ -188,8 +185,12 @@ class WeightedCollection:
     def parse_line(cls, line: str) -> "WeightedCollection":
         return cls.from_row(*parse_row(line))
 
-    def pretty(self) -> str:
-        return "{" + ", ".join("{" + coalition_key(m) + "}" for m in self.coalitions) + "}"
+    def to_payload(self) -> dict:
+        """The report form: coalition keys and canonical weights."""
+        return {
+            "coalitions": [coalition_key(m) for m in self.coalitions],
+            "weights": [format_value(w) for w in self.weights],
+        }
 
 
 # ---------------------------------------------------------------------------

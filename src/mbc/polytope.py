@@ -49,6 +49,12 @@ class LinearSystem:
     def add_ineq(self, coeffs, rhs):
         self.ineqs.append((tuple(Fraction(c) for c in coeffs), Fraction(rhs)))
 
+    def affine_hull(self):
+        """The solutions of the equalities as x0 + span(basis), or None when
+        they are inconsistent (see `linalg.solve_affine`)."""
+        return linalg.solve_affine([a for a, _ in self.eqs],
+                                   [b for _, b in self.eqs], self.n_vars)
+
     @classmethod
     def core(cls, game) -> "LinearSystem":
         """C(N,v): x(S) >= v(S) for every proper nonempty S, x(N) = v(N)."""
@@ -80,52 +86,6 @@ class LinearSystem:
         for mask in family:
             ls.add_ineq([(mask >> i) & 1 for i in range(n)], game.value(mask))
         return ls
-
-
-def _solve_affine(eqs, n_vars):
-    """Parametrize {x : eqs} as x0 + span(basis).  None when inconsistent."""
-    if not eqs:
-        return [Fraction(0)] * n_vars, [
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(n_vars))
-            for i in range(n_vars)
-        ]
-    rows = [list(c) + [r] for c, r in eqs]
-    aug = linalg._int_rows(rows)
-    aug, pivots = linalg._echelon(aug)
-    if n_vars in pivots:
-        return None
-    pivot_rows = {c: r for r, c in enumerate(pivots)}
-    free_cols = [c for c in range(n_vars) if c not in pivot_rows]
-
-    def back_solve(assignment):
-        x = [Fraction(0)] * n_vars
-        for c, val in assignment.items():
-            x[c] = val
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            row = aug[r]
-            acc = Fraction(row[n_vars])
-            for j in range(c + 1, n_vars):
-                if x[j]:
-                    acc -= row[j] * x[j]
-            x[c] = acc / row[c]
-        return x
-
-    x0 = back_solve({c: Fraction(0) for c in free_cols})
-    basis = []
-    for free in free_cols:
-        hom = [Fraction(0)] * n_vars
-        hom[free] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            row = aug[r]
-            acc = Fraction(0)
-            for j in range(c + 1, n_vars):
-                if hom[j]:
-                    acc += row[j] * hom[j]
-            hom[c] = -acc / row[c]
-        basis.append(tuple(hom))
-    return x0, basis
 
 
 def _reduce_ineqs(ineqs, x0, basis):
@@ -161,7 +121,7 @@ def enumerate_vertices(system: LinearSystem, dim_cap: int = DEFAULT_DIM_CAP):
     and makes some maximal independent subset of them tight; the list is
     deduplicated and sorted.  Empty output means no vertex (for a bounded
     polytope: empty polytope)."""
-    hull = _solve_affine(system.eqs, system.n_vars)
+    hull = system.affine_hull()
     if hull is None:
         return []
     x0, basis = hull
@@ -272,7 +232,7 @@ def _fm_feasible(rows, n_vars: int) -> bool:
 
 def system_feasible(system: LinearSystem, strict_ineqs=()) -> bool:
     """Exact feasibility of eqs + ineqs + strict inequalities a.x > b."""
-    hull = _solve_affine(system.eqs, system.n_vars)
+    hull = system.affine_hull()
     if hull is None:
         return False
     x0, basis = hull
@@ -297,7 +257,7 @@ def min_over(system: LinearSystem, objective, dim_cap: int = DEFAULT_DIM_CAP):
     Recession directions are detected exactly from the constraint matrix.
     """
     objective = tuple(Fraction(c) for c in objective)
-    hull = _solve_affine(system.eqs, system.n_vars)
+    hull = system.affine_hull()
     if hull is None:
         return INFEASIBLE, None
     x0, basis = hull

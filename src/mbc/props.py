@@ -341,7 +341,7 @@ def _small_db(m: int) -> MbcDatabase:
     return peleg(m)
 
 
-def is_extendable(S: int, game: Game, dim_cap: int = polytope.DEFAULT_DIM_CAP) -> bool:
+def is_extendable(S: int, game: Game) -> bool:
     """Every subgame-core allocation on S extends to a full core element iff
     every vertex of C(S,v) induces a balanced reduced game on S^c.  An empty
     subgame core extends vacuously.
@@ -357,7 +357,7 @@ def is_extendable(S: int, game: Game, dim_cap: int = polytope.DEFAULT_DIM_CAP) -
     n = game.n
     if S == full_mask(n):
         return True
-    vertices = enumerate_vertices(LinearSystem.subgame_core(game, S), dim_cap)
+    vertices = enumerate_vertices(LinearSystem.subgame_core(game, S))
     if not vertices:
         return True
     outside = complement(S, n)
@@ -397,7 +397,7 @@ def _recruitment_value(game: Game, T: int, inside: int, fixed: dict) -> Fraction
 # core-describing families
 
 
-def is_core_describing(family, game: Game, dim_cap: int = polytope.DEFAULT_DIM_CAP) -> bool:
+def is_core_describing(family, game: Game) -> bool:
     """True iff the family's constraints alone already cut out the core:
     every missing coalition's constraint is implied."""
     family = set(family)
@@ -408,7 +408,7 @@ def is_core_describing(family, game: Game, dim_cap: int = polytope.DEFAULT_DIM_C
         raise polytope.UnboundedPolytopeError(
             "family polytope is unbounded; singletons are missing"
         )
-    vertices = enumerate_vertices(system, dim_cap)
+    vertices = enumerate_vertices(system)
     if not vertices:
         # the family polytope contains the core, which is nonempty for the
         # intended (balanced) callers, so this means an empty core
@@ -427,7 +427,7 @@ def is_core_describing(family, game: Game, dim_cap: int = polytope.DEFAULT_DIM_C
 
 
 def _family_unbounded(system: LinearSystem) -> bool:
-    hull = polytope._solve_affine(system.eqs, system.n_vars)
+    hull = system.affine_hull()
     if hull is None:
         return False
     x0, basis = hull
@@ -518,11 +518,6 @@ class FeasibilityOracle:
     def feasible(self, masks) -> bool:
         return self.defeating_row(self.collection_mask(masks)) is None
 
-    def witness(self, masks):
-        """The first database collection defeating feasibility, or None."""
-        idx = self.defeating_row(self.collection_mask(masks))
-        return None if idx is None else WeightedCollection.from_row(*self.db.rows[idx])
-
     def defeating_row(self, smask: int):
         """Index in `db.rows` of the first collection defeating feasibility
         of the collection with family bitmask `smask`, or None."""
@@ -570,6 +565,17 @@ def minimal_members(collection):
     return out
 
 
+def has_min_extendable(collection, game: Game, cache: dict) -> bool:
+    """Is some minimal member of the collection extendable?  `cache` holds
+    the extendability of every coalition tested so far, and grows."""
+    for S in minimal_members(collection):
+        if S not in cache:
+            cache[S] = is_extendable(S, game)
+        if cache[S]:
+            return True
+    return False
+
+
 def feasible_collections(oracle: FeasibilityOracle):
     """All feasible nonempty subcollections of the oracle's family, by
     increasing size and lexicographic member order."""
@@ -588,19 +594,12 @@ def feasibility_survey(game: Game, db: MbcDatabase, family,
         extendable_cache = {}
     reports = []
     for combo in feasible_collections(oracle):
-        has_ext = False
-        for S in minimal_members(combo):
-            if S not in extendable_cache:
-                extendable_cache[S] = is_extendable(S, game)
-            if extendable_cache[S]:
-                has_ext = True
-                break
         reports.append(
             FeasibleCollectionReport(
                 collection=combo,
                 feasible=True,
                 blocking=is_blocking(combo, game.n),
-                has_min_extendable=has_ext,
+                has_min_extendable=has_min_extendable(combo, game, extendable_cache),
             )
         )
     return reports

@@ -29,7 +29,6 @@ from .model import (
     WeightedCollection,
     coalition_key,
     complement,
-    format_value,
     members,
 )
 
@@ -45,7 +44,6 @@ class StabilityCaps:
 
     max_systems: int | None = 20_000
     time_limit: float | None = 600.0
-    dim_cap: int = 8
 
 
 @dataclass
@@ -74,13 +72,6 @@ def _char_vector(mask: int, n: int) -> tuple[Fraction, ...]:
 
 def _singletons_of(S: int) -> frozenset[int]:
     return frozenset(1 << (p - 1) for p in members(S))
-
-
-def _render_collection(wc: WeightedCollection) -> dict:
-    return {
-        "coalitions": [coalition_key(m) for m in wc.coalitions],
-        "weights": [format_value(w) for w in wc.weights],
-    }
 
 
 def _render_masks(masks) -> list[str]:
@@ -164,20 +155,6 @@ def association_pool(db: MbcDatabase, family, n: int) -> list[WeightedCollection
 # Omega and the a-values
 
 
-@dataclass
-class OmegaSet:
-    """The vector set for the second-level balancedness test, with the
-    provenance of every vector (a vector can be generated several times)."""
-
-    omega_a: frozenset
-    omega_b: frozenset
-    omega_c: frozenset
-    provenance: dict
-
-    def vectors(self) -> tuple:
-        return tuple(sorted(self.omega_a | self.omega_b | self.omega_c))
-
-
 def z_vector(S: int, wc: WeightedCollection, n: int) -> tuple[Fraction, ...]:
     """The singleton-weight pattern of an associated collection: coordinate
     j carries the weight of {j} when j is in S and {j} is a member, else 0."""
@@ -202,49 +179,33 @@ def c_value(S: int, wc: WeightedCollection, game: Game) -> Fraction:
     return game.grand_value() - total
 
 
-def build_omega(collection, system: dict, family, n: int) -> OmegaSet:
-    """Omega for one admissible system: complements of the collection,
-    family members outside it, and the singleton patterns z^S."""
-    provenance: dict = {}
-    omega_a = set()
+def omega_base(collection, family, game: Game):
+    """The part of Omega that every admissible system of a feasible
+    collection shares, with its a-values: the complement of each member S,
+    with a = v(N) - v(S), and each family member T outside the collection,
+    with a = v(T).  A vector generated more than once keeps its largest
+    a-value; a system's patterns z^S, with a = c_value, merge in the same
+    way.  Returns (a-value table, the members each complement vector comes
+    from)."""
+    n = game.n
+    grand = game.grand_value()
+    complement_sources: dict = {}
+    table: dict = {}
     for S in collection:
         vec = _char_vector(complement(S, n), n)
-        omega_a.add(vec)
-        provenance.setdefault(vec, []).append(("complement", S))
-    omega_b = set()
+        complement_sources.setdefault(vec, []).append(S)
+        val = grand - game.value(S)
+        if vec not in table or val > table[vec]:
+            table[vec] = val
     s_set = set(collection)
     for T in family:
         if T in s_set:
             continue
         vec = _char_vector(T, n)
-        omega_b.add(vec)
-        provenance.setdefault(vec, []).append(("family", T))
-    omega_c = set()
-    for S in collection:
-        vec = z_vector(S, system[S], n)
-        omega_c.add(vec)
-        provenance.setdefault(vec, []).append(("pattern", S))
-    return OmegaSet(frozenset(omega_a), frozenset(omega_b), frozenset(omega_c), provenance)
-
-
-def a_values(omega: OmegaSet, collection, system: dict, game: Game) -> dict:
-    """a_z = max over the provenance entries of z: v(N)-v(S) for complements,
-    v(T) for family vectors, and the association bound for patterns."""
-    grand = game.grand_value()
-    table: dict = {}
-    for vec, sources in omega.provenance.items():
-        best = None
-        for kind, source in sources:
-            if kind == "complement":
-                val = grand - game.value(source)
-            elif kind == "family":
-                val = game.value(source)
-            else:
-                val = c_value(source, system[source], game)
-            if best is None or val > best:
-                best = val
-        table[vec] = best
-    return table
+        val = game.value(T)
+        if vec not in table or val > table[vec]:
+            table[vec] = val
+    return table, complement_sources
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +324,11 @@ def is_minimal_balanced_set(vectors, n: int) -> bool:
     """Direct test: the column system has a unique, strictly positive
     solution against the all-ones vector."""
     vectors = list(vectors)
+    if any(len(vec) != n for vec in vectors):
+        raise ValueError("vector dimension mismatch")
     if len(vectors) > n:
         return False  # dependent columns
-    rows, _ = _integer_rows([[vec[i] for i in range(n)] for vec in vectors], n)
+    rows, _ = _integer_rows(vectors, n)
     basis, target = [], _ones_row(n)
     for depth, row in enumerate(rows):
         step = _extend(basis, target, row[depth], n)
@@ -375,36 +338,6 @@ def is_minimal_balanced_set(vectors, n: int) -> bool:
         basis.append((piv, residual))
     return (not any(target[:n])
             and _positive_weights(target, n, len(rows)) is not None)
-
-
-def mbs_candidate_filter(wc: WeightedCollection, s_prime: int, z) -> bool:
-    """Necessary condition for replacing the column of s_prime by z to yield
-    a minimal balanced set: z stays independent of the remaining columns and
-    lies in the column span of the full collection."""
-    z = tuple(Fraction(x) for x in z)
-    n = len(z)
-    if s_prime not in wc.coalitions:
-        raise ValueError("s_prime must be a member of the collection")
-    support = 0
-    for i, x in enumerate(z):
-        if x < 0:
-            raise ValueError("z must be nonnegative")
-        if x > 0:
-            support |= 1 << i
-    if support != s_prime:
-        raise ValueError("z must be supported exactly on s_prime")
-    others = [m for m in wc.coalitions if m != s_prime]
-    if others:
-        matrix = linalg.RatMatrix.from_collection(others, n)
-        independent = any(
-            sum(a * b for a, b in zip(z, y)) != 0
-            for y in linalg.left_null_space(matrix)
-        )
-    else:
-        independent = True
-    full = linalg.RatMatrix.from_collection(wc.coalitions, n)
-    in_image = linalg.in_column_span(full, z)
-    return independent and in_image
 
 
 # ---------------------------------------------------------------------------
@@ -496,23 +429,7 @@ def nested_balancedness_ok(collection, family, db, game: Game,
     if caps.max_systems is not None and total > caps.max_systems:
         return "capped", {"reason": "system-cap", "systems": total}
 
-    grand = game.grand_value()
-    omega_a_sources: dict = {}
-    base_table: dict = {}
-    for S in collection:
-        vec = _char_vector(complement(S, n), n)
-        omega_a_sources.setdefault(vec, []).append(S)
-        val = grand - game.value(S)
-        if vec not in base_table or val > base_table[vec]:
-            base_table[vec] = val
-    s_set = set(collection)
-    for T in family:
-        if T in s_set:
-            continue
-        vec = _char_vector(T, n)
-        val = game.value(T)
-        if vec not in base_table or val > base_table[vec]:
-            base_table[vec] = val
+    base_table, omega_a_sources = omega_base(collection, family, game)
 
     checked = 0
     for combo in product(*choice_lists):
@@ -533,7 +450,7 @@ def nested_balancedness_ok(collection, family, db, game: Game,
                 "system": [
                     {
                         "coalition": coalition_key(S),
-                        "collection": _render_collection(wc),
+                        "collection": wc.to_payload(),
                     }
                     for S, (_, _, wc) in zip(collection, combo)
                 ],
@@ -570,7 +487,7 @@ def is_core_stable(game: Game, db: MbcDatabase,
     if violated is not None:
         return StabilityReport(
             NOT_STABLE, "balancedness",
-            {"violated_collection": _render_collection(violated),
+            {"violated_collection": violated.to_payload(),
              "note": "empty core"},
             diagnostics, timings)
 
@@ -588,7 +505,7 @@ def is_core_stable(game: Game, db: MbcDatabase,
     mark("vital-exactness")
 
     try:
-        describing = props.is_core_describing(family, game, caps.dim_cap)
+        describing = props.is_core_describing(family, game)
     except props.polytope.DimensionCapError:
         mark("core-describing")
         return StabilityReport(
@@ -616,17 +533,9 @@ def is_core_stable(game: Game, db: MbcDatabase,
             diagnostics, timings)
 
     extendable_cache: dict[int, bool] = {}
-
-    def has_min_extendable(collection):
-        for S in props.minimal_members(collection):
-            if S not in extendable_cache:
-                extendable_cache[S] = props.is_extendable(S, game, caps.dim_cap)
-            if extendable_cache[S]:
-                return True
-        return False
-
     try:
-        survivors = [c for c in feasible if not has_min_extendable(c)]
+        survivors = [c for c in feasible
+                     if not props.has_min_extendable(c, game, extendable_cache)]
     except props.polytope.DimensionCapError:
         mark("weak-extendability")
         return StabilityReport(

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import make_biswas
 from mbc import WeightedCollection
 from mbc.cli import main
 
@@ -142,8 +143,6 @@ def test_stable_additive_game(tmp_path, capsys):
 def test_stable_exit_zero_on_unknown(game_file, tmp_path, capsys):
     # an Unknown verdict is a result, not an operational failure
     path = tmp_path / "biswas.game"
-    from conftest import make_biswas
-
     path.write_text(make_biswas().to_text())
     code, stdout, _ = run_main(
         capsys, ["stable", str(path), "--max-systems", "1"]
@@ -152,13 +151,29 @@ def test_stable_exit_zero_on_unknown(game_file, tmp_path, capsys):
     assert json.loads(stdout)["verdict"] == "Unknown"
 
 
-def test_bench_prints_timings(capsys):
-    code, stdout, _ = run_main(
-        capsys, ["bench", "--max-players", "3", "--games", "5"]
-    )
+# The Biswas report as printed when this test was written: a change to any
+# verdict, witness, counter or to the JSON layout shows here.
+BISWAS_STABLE_REPORT = (
+    '{"game": "c76bc5636beb2e73", "n": 5, "verdict": "NotStable", '
+    '"stage": "nested-balancedness", '
+    '"witness": {"collection": ["1,3,4", "1,3,5"], '
+    '"system": [{"coalition": "1,3,4", '
+    '"collection": {"coalitions": ["1", "2,3", "4", "2,5", "1,3,5"], '
+    '"weights": ["1/2", "1/2", "1", "1/2", "1/2"]}}, '
+    '{"coalition": "1,3,5", "collection": {"coalitions": ["1", "2,3", '
+    '"2,4", "1,3,4", "5"], "weights": ["1/2", "1/2", "1/2", "1/2", '
+    '"1"]}}]}, "diagnostics": {"vital_exact_count": 11, '
+    '"feasible_count": 300, "surviving_count": 7}}'
+    "\n"
+)
+
+
+def test_stable_biswas_report_bytes(tmp_path, capsys):
+    path = tmp_path / "biswas.game"
+    path.write_text(make_biswas().to_text())
+    code, stdout, _ = run_main(capsys, ["stable", str(path)])
     assert code == 0
-    assert "generation n=3" in stdout
-    assert "agreement 5/5" in stdout
+    assert stdout == BISWAS_STABLE_REPORT
 
 
 def test_console_script_entry_point(tmp_path):

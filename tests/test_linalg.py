@@ -7,12 +7,10 @@ from mbc.linalg import (
     NON_UNIQUE,
     UNIQUE,
     RatMatrix,
-    in_column_span,
-    kernel_basis,
-    left_null_space,
     null_space,
     primitive,
     rank,
+    solve_affine,
     solve_int,
     solve_unique,
 )
@@ -71,6 +69,16 @@ def test_solve_unique_three_way_contract():
         status, solution = solve_unique(m, b)
         r = rank(m)
         r_aug = rank([row + [bb] for row, bb in zip(m, b)])
+        affine = solve_affine(m, b, cols)
+        assert (affine is None) == (r_aug > r)
+        if affine is not None:
+            x0, basis = affine
+            assert len(basis) == cols - r
+            assert [sum(c * x for c, x in zip(row, x0)) for row in m] == b
+            assert all(
+                sum(c * x for c, x in zip(row, vec)) == 0
+                for vec in basis for row in m
+            )
         if status == UNIQUE:
             assert r == cols == r_aug
             assert [
@@ -87,7 +95,7 @@ def test_kernel_left_orientation_fixture():
     # remove {1,2,4,5} from {{3,4,5},{1,2,4,5},{2,3},{1,3}} on five players:
     # the complement of the remaining column span is two-dimensional
     remaining = RatMatrix.from_collection([0b11100, 0b00110, 0b00101], 5)
-    basis = left_null_space(remaining)
+    basis = null_space(list(zip(*remaining.rows)))
     assert len(basis) == 2
     for y in basis:
         for j in range(remaining.n_cols):
@@ -103,19 +111,12 @@ def test_kernel_left_orientation_fixture():
 
 def test_kernel_full_rank_empty_and_duplicate_column():
     square = RatMatrix.from_rows([[1, 0], [0, 1]])
-    assert left_null_space(square) == []
     assert null_space(square) == []
     duplicated = RatMatrix.from_columns([(1,), (1,)])
     basis = null_space(duplicated)
     assert len(basis) == 1
     y = basis[0]
     assert y[0] * 1 + y[1] * 1 == 0 and y != (0, 0)
-
-
-def test_kernel_sides():
-    m = RatMatrix.from_rows([[1, 1, 0]])
-    assert kernel_basis(m, side="right") == null_space(m)
-    assert kernel_basis(m, side="left") == left_null_space(m)
 
 
 def test_null_space_satisfies_equations_random():
@@ -130,12 +131,6 @@ def test_null_space_satisfies_equations_random():
             assert all(
                 sum(c * x for c, x in zip(row, vec)) == 0 for row in m
             )
-
-
-def test_in_column_span():
-    m = RatMatrix.from_columns([(1, 0, 1), (0, 1, 1)])
-    assert in_column_span(m, (1, 1, 2))
-    assert not in_column_span(m, (1, 1, 0))
 
 
 def test_primitive_scales_positively():

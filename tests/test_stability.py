@@ -14,17 +14,16 @@ from mbc.stability import (
     STABLE,
     UNKNOWN,
     StabilityCaps,
-    a_values,
     admissible_collections,
     admissible_systems,
     associated_mbcs,
     association_pool,
-    build_omega,
+    c_value,
     is_core_stable,
     is_minimal_balanced_set,
-    mbs_candidate_filter,
     minimal_balanced_sets,
     nested_balancedness_ok,
+    omega_base,
     z_vector,
 )
 from conftest import make_additive, make_three_player_tight
@@ -91,43 +90,52 @@ def test_admissible_systems_product(db4):
 # Omega and the a-values
 
 
-def test_shared_pattern_vector():
-    # two coalitions sharing the associated collection produce one pattern
-    # vector carrying both provenance entries
-    n = 3
+def test_shared_pattern_vector(db3, monkeypatch):
+    # z^S of the collection {1},{2,3} is (1,0,0), the family vector of the
+    # singleton {1}: Omega holds it once, with the larger of the two a-values
     S = coalition_mask([1, 2])
-    T = coalition_mask([1, 3])
     shared = wc([(0b001, 1), (0b110, 1)])
-    shared_T = wc([(0b001, 1), (0b110, 1)])
-    assert z_vector(S, shared, n) == (F(1), F(0), F(0))
-    assert z_vector(T, shared_T, n) == (F(1), F(0), F(0))
-    family = (S, T, 0b001, 0b010, 0b100)
-    omega = build_omega((S, T), {S: shared, T: shared_T}, family, n)
     pattern = (F(1), F(0), F(0))
-    assert pattern in omega.omega_c
-    # the vector is also the family vector of the singleton {1}: three sources
-    assert sorted(omega.provenance[pattern]) == [
-        ("family", 0b001), ("pattern", S), ("pattern", T)
-    ]
+    assert z_vector(S, shared, 3) == pattern
+    family = tuple(range(1, 7))
+    systems = []
+
+    def record(vectors, a_table, omega_a_sources, omega_c_vecs, *rest):
+        systems.append((vectors, a_table, omega_c_vecs))
+        return True
+
+    monkeypatch.setattr(stability, "_nested_for_system", record)
+    for v1 in (F(1, 2), F(3, 2)):
+        game = Game(3, {0b001: v1, 0b110: F(1), 0b111: F(2)})
+        c = c_value(S, shared, game)
+        assert c == F(1)
+        systems.clear()
+        assert nested_balancedness_ok((S,), family, db3, game) == ("ok", None)
+        merged = [s for s in systems if pattern in s[2]]
+        assert merged
+        for vectors, a_table, _ in merged:
+            assert vectors.count(pattern) == 1
+            assert a_table[pattern] == max(v1, c)
 
 
 def test_a_value_cases():
-    game = Game(3, {0b011: F(1), 0b111: F(2), 0b100: F(1, 4)})
-    n = 3
+    game = Game(3, {0b011: F(1), 0b111: F(2), 0b100: F(1, 4), 0b101: F(1, 2)})
     S = 0b011
-    system = {S: wc([(0b001, 1), (0b010, 1), (0b100, 1)])}
-    family = (S, 0b100)
-    omega = build_omega((S,), system, family, n)
-    table = a_values(omega, (S,), system, game)
-    # family vector: a = v(T)
-    assert table[(F(0), F(0), F(1))] == max(
-        F(1, 4),  # {3} in the family
-        # the same vector is also the complement of S and a C-entry is absent
-        game.grand_value() - game.value(S),
-    )
+    family = (S, 0b100, 0b101)
+    table, complement_sources = omega_base((S,), family, game)
+    assert table == {
+        # the complement of S is also the family vector of {3}: the larger
+        # of v(N) - v(S) and v({3})
+        (F(0), F(0), F(1)): max(game.grand_value() - game.value(S), F(1, 4)),
+        # a family vector alone: a = v(T); S itself is in the collection
+        (F(1), F(0), F(1)): F(1, 2),
+    }
+    assert complement_sources == {(F(0), F(0), F(1)): [S]}
     # pattern vector (1,1,0): v(N) minus the non-singleton part of the
     # sum, evaluated on the derived game, where {3} carries v(N) - v(S)
-    assert table[(F(1), F(1), F(0))] == F(2) - (F(2) - F(1))
+    partition = wc([(0b001, 1), (0b010, 1), (0b100, 1)])
+    assert z_vector(S, partition, 3) == (F(1), F(1), F(0))
+    assert c_value(S, partition, game) == F(2) - (F(2) - F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +158,13 @@ def test_minimal_balanced_sets_fixtures():
         (0, F(1, 5), F(1, 10), F(1, 2)),
     ]
     assert not is_minimal_balanced_set(rejected, 4)
+    # the unique solution zeroes the weight of {3,4,5}
+    zero_weight = [
+        tuple(F((m >> i) & 1) for i in range(5))
+        for m in (coalition_mask([3, 4, 5]), coalition_mask([2, 3]),
+                  coalition_mask([1, 3]))
+    ] + [(1, 1, 0, 2, 2)]
+    assert not is_minimal_balanced_set(zero_weight, 5)
     full = minimal_balanced_sets(rejected, 4)
     assert all(set(indices) != {0, 1, 2, 3} for indices, _ in full)
 
@@ -197,6 +212,9 @@ def test_minimal_balanced_sets_input_validation():
         minimal_balanced_sets([(F(1), F(-1))], 2)
     with pytest.raises(ValueError):
         minimal_balanced_sets([(F(1),)], 2)
+    for vectors in ([(1, 1, 5)], [(1,)]):
+        with pytest.raises(ValueError, match="dimension"):
+            is_minimal_balanced_set(vectors, 2)
 
 
 def _random_vector_set(rng, n):
@@ -274,66 +292,6 @@ def test_is_minimal_balanced_set_matches_fraction_solve():
             status, weights = linalg.solve_unique(cols, [1] * n)
             expected = status == linalg.UNIQUE and all(w > 0 for w in weights)
             assert is_minimal_balanced_set(vectors, n) == expected
-
-
-# ---------------------------------------------------------------------------
-# the candidate filter
-
-
-SIX_FIXTURE = wc(
-    [
-        (coalition_mask([3, 4, 5]), F(1, 3)),
-        (coalition_mask([1, 2, 4, 5]), F(2, 3)),
-        (coalition_mask([2, 3]), F(1, 3)),
-        (coalition_mask([1, 3]), F(1, 3)),
-    ]
-)
-
-
-def test_mbs_filter_image_condition():
-    s_prime = coalition_mask([1, 2, 4, 5])
-    # supported on {1,2,4,5}; membership in the column span forces the last
-    # two coordinates to agree
-    assert mbs_candidate_filter(SIX_FIXTURE, s_prime, (1, 1, 0, 2, 2))
-    assert not mbs_candidate_filter(SIX_FIXTURE, s_prime, (1, 1, 0, 2, 3))
-    with pytest.raises(ValueError):
-        mbs_candidate_filter(SIX_FIXTURE, s_prime, (1, 1, 1, 2, 2))
-    with pytest.raises(ValueError):
-        mbs_candidate_filter(SIX_FIXTURE, coalition_mask([1, 2]), (1, 1, 0, 0, 0))
-
-
-def test_mbs_filter_is_necessary_not_sufficient():
-    s_prime = coalition_mask([1, 2, 4, 5])
-    # passes the filter, yet the direct check rejects: the unique solution
-    # zeroes the first column
-    z = (1, 1, 0, 2, 2)
-    assert mbs_candidate_filter(SIX_FIXTURE, s_prime, z)
-    others = [m for m in SIX_FIXTURE.coalitions if m != s_prime]
-    vectors = [
-        tuple(F((m >> i) & 1) for i in range(5)) for m in others
-    ] + [tuple(F(x) for x in z)]
-    assert not is_minimal_balanced_set(vectors, 5)
-
-
-def test_mbs_filter_never_rejects_accepted_extensions(db4):
-    rng = random.Random(19)
-    n = 4
-    for _ in range(200):
-        base = rng.choice(db4.collections)
-        s_prime = rng.choice(base.coalitions)
-        scale = F(rng.randint(1, 4), rng.randint(1, 4))
-        z = tuple(
-            F((s_prime >> i) & 1) * (scale if rng.random() < 0.5 else 1)
-            for i in range(n)
-        )
-        if all(x in (0, 1) for x in z):
-            continue
-        others = [m for m in base.coalitions if m != s_prime]
-        vectors = [
-            tuple(F((m >> i) & 1) for i in range(n)) for m in others
-        ] + [z]
-        if is_minimal_balanced_set(vectors, n):
-            assert mbs_candidate_filter(base, s_prime, z)
 
 
 # ---------------------------------------------------------------------------
