@@ -127,6 +127,113 @@ def solve_int(rows, rhs, n_cols: int):
     return [aug[c][n_cols] * (den // aug[c][c]) for c in range(n_cols)], den
 
 
+def vertex_clause(columns, costs, bound: int, marked) -> bool:
+    """Whether some vertex w of P = {w >= 0 : Σ_j w_j·columns[j] = 1} has
+    Σ_j costs[j]·w_j > bound, or = bound with w_j > 0 for a marked j.
+
+    The columns are nonnegative, nonzero integer vectors of one length n,
+    so P is bounded, and its vertices are the weights of the minimal
+    balanced subsets of the columns.  Decided by a fraction-free simplex
+    (Bland's rule) in up to three phases: find a vertex (P empty: False),
+    maximise the costs, and only when the maximum equals the bound,
+    maximise the marked weight over the optimal face (the columns of zero
+    reduced cost).  Costs and bound are integers; no Fraction is built."""
+    if not columns:
+        return False
+    m, n = len(columns), len(columns[0])
+    if any(len(col) != n or min(col) < 0 or not any(col) for col in columns):
+        raise ValueError("columns must be nonnegative, nonzero and of one length")
+    real = range(m)
+    # phase 1: one artificial column per row, maximise minus their sum
+    tab = [[col[i] for col in columns] + [int(i == k) for k in range(n)] + [1]
+           for i in range(n)]
+    tab.append([-sum(col) for col in columns] + [0] * n + [-n])
+    basis = list(range(m, m + n))
+    d = _simplex(tab, basis, 1, real)
+    if tab[-1][-1] < 0:
+        return False
+    # pivot out the artificials left at level zero; a row with no real
+    # entry is a dependent equation and is dropped with its artificial
+    for r, b in enumerate(basis):
+        if b >= m:
+            s = next((j for j in real if tab[r][j]), None)
+            if s is not None:
+                d = _pivot(tab, basis, d, r, s)
+    keep = [r for r, b in enumerate(basis) if b < m]
+    tab = [tab[r][:m] + tab[r][-1:] for r in keep]
+    basis = [basis[r] for r in keep]
+    # phase 2: maximise the costs; the last entry of the objective row is
+    # d times the current value
+    tab.append(_objective_row(tab, basis, d, costs))
+    d = _simplex(tab, basis, d, real)
+    value, target = tab[-1][-1], d * bound
+    if value != target:
+        return value > target
+    # phase 3: maximise the marked weight over the optimal face
+    face = [j for j in real if not tab[-1][j]]
+    tab[-1] = _objective_row(tab[:-1], basis, d, [int(x) for x in marked])
+    d = _simplex(tab, basis, d, face)
+    return tab[-1][-1] > 0
+
+
+def _objective_row(rows, basis, d: int, costs) -> list[int]:
+    """The objective row of the tableau `rows` (common denominator d) for
+    maximising costs·w: −d·c + Σ c_B·row.  Every entry is then d times the
+    reduced cost, a minor of the bordered starting tableau, so the exact
+    divisions of later pivots stay exact."""
+    obj = [-d * c for c in costs] + [0]
+    for row, b in zip(rows, basis):
+        c = costs[b]
+        if c:
+            obj = [o + c * x for o, x in zip(obj, row)]
+    return obj
+
+
+def _simplex(tab, basis, d: int, allowed) -> int:
+    """Maximise the objective in the last row of tab, entering only the
+    allowed columns (ascending), by Bland's rule: the first column of
+    negative reduced cost enters, and the ratio-test tie with the smallest
+    basic column leaves.  Returns the final common denominator."""
+    rows = range(len(basis))
+    while True:
+        obj = tab[-1]
+        s = next((j for j in allowed if obj[j] < 0), None)
+        if s is None:
+            return d
+        r = None
+        for i in rows:
+            x = tab[i][s]
+            if x <= 0:
+                continue
+            if r is not None:
+                t = tab[i][-1] * tab[r][s] - tab[r][-1] * x
+                if t > 0 or (t == 0 and basis[i] > basis[r]):
+                    continue
+            r = i
+        if r is None:
+            raise ValueError("unbounded linear program")
+        d = _pivot(tab, basis, d, r, s)
+
+
+def _pivot(tab, basis, d: int, r: int, s: int) -> int:
+    """Bareiss pivot on tab[r][s]: the pivot row stays, every other row x
+    becomes (p·x − x[s]·pivot row) // d, and the pivot p is the new common
+    denominator.  Every entry stays a minor of the starting tableau, so each
+    division is exact.  A negative pivot (an artificial leaving at level
+    zero) negates the whole tableau, which keeps d positive."""
+    prow = tab[r]
+    p = prow[s]
+    for i, row in enumerate(tab):
+        if i != r:
+            f = row[s]
+            tab[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+    basis[r] = s
+    if p < 0:
+        tab[:] = [[-x for x in row] for row in tab]
+        p = -p
+    return p
+
+
 def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """In-place integer row echelon form; returns (rows, pivot column list)."""
     if not rows:

@@ -10,17 +10,29 @@ weak-extendability sufficient condition.
 
 The second level generalizes balanced collections to balanced sets: finite
 sets of nonnegative vectors whose positive combinations reach the all-ones
-vector.  Minimal balanced subsets of Omega are enumerated by a depth-first
-search over linearly independent subsets, pruning above any subset that
-already spans the all-ones vector (no strict superset can be minimal).
-"""
+vector.  The minimal balanced subsets of Omega are the vertex supports of
+the bounded polytope P = {w >= 0 : Σ w_v·v = 1_N}, so the condition of a
+system (some minimal balanced subset with ψ = Σ w_v·a_v above v(N), or at
+v(N) with a vector of B0 in its support) is decided by linear programs over
+P, with no listing of subsets: maximise ψ, and when the maximum is exactly
+v(N), maximise the B0 weight over the optimal face (`linalg.vertex_clause`).
+The programs run in integers: each vector is scaled once per feasible
+collection by the positive factor s that makes it a primitive integer
+vector, which divides its weight by s, so its a-value is multiplied by s
+(and every a-value by one common denominator).
 
+`minimal_balanced_sets` still lists the minimal balanced subsets, by a
+depth-first search over linearly independent subsets that prunes above any
+subset already spanning the all-ones vector (no strict superset can be
+minimal).
+"""
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from . import linalg, props
 from .generate import MbcDatabase
@@ -226,14 +238,7 @@ def minimal_balanced_sets(vectors, n: int):
     all-ones target are kept fraction-free, and Fraction weights are built
     only for accepted subsets.
     """
-    vectors = [tuple(Fraction(x) for x in vec) for vec in vectors]
-    for vec in vectors:
-        if len(vec) != n:
-            raise ValueError("vector dimension mismatch")
-        if all(x == 0 for x in vec):
-            raise ValueError("zero vector in a balanced-set universe")
-        if any(x < 0 for x in vec):
-            raise ValueError("balanced-set vectors must be nonnegative")
+    vectors = _checked_vectors(vectors, n)
     rows, scales = _integer_rows(vectors, n)
     m = len(rows)
     results = []
@@ -261,6 +266,20 @@ def minimal_balanced_sets(vectors, n: int):
 
     dfs(0, [], [], _ones_row(n))
     return results
+
+
+def _checked_vectors(vectors, n: int):
+    """The vectors as Fraction tuples, after the input checks shared by
+    `minimal_balanced_sets` and `is_minimal_balanced_set`."""
+    vectors = [tuple(Fraction(x) for x in vec) for vec in vectors]
+    for vec in vectors:
+        if len(vec) != n:
+            raise ValueError("vector dimension mismatch")
+        if all(x == 0 for x in vec):
+            raise ValueError("zero vector in a balanced-set universe")
+        if any(x < 0 for x in vec):
+            raise ValueError("balanced-set vectors must be nonnegative")
+    return vectors
 
 
 # The integer rows of the search have width 2n + 1: [vector (n) |
@@ -322,10 +341,9 @@ def _positive_weights(target, n: int, depth: int):
 
 def is_minimal_balanced_set(vectors, n: int) -> bool:
     """Direct test: the column system has a unique, strictly positive
-    solution against the all-ones vector."""
-    vectors = list(vectors)
-    if any(len(vec) != n for vec in vectors):
-        raise ValueError("vector dimension mismatch")
+    solution against the all-ones vector.  Raises ValueError on the inputs
+    `minimal_balanced_sets` rejects."""
+    vectors = _checked_vectors(vectors, n)
     if len(vectors) > n:
         return False  # dependent columns
     rows, _ = _integer_rows(vectors, n)
@@ -344,53 +362,80 @@ def is_minimal_balanced_set(vectors, n: int) -> bool:
 # the nested condition
 
 
-def _nested_for_system(vectors, a_table, omega_a_sources, omega_c_vecs, game,
-                       mbs_cache, diagnostics) -> bool:
-    """The two existential clauses of the stability theorem for one system:
-    some minimal balanced subset outside B0 with weighted a-value above v(N),
-    or some subset inside B0 reaching it."""
+def _lp_data(vectors, terms, grand):
+    """Integer LP data for rational Omega vectors: (columns, costs, bound).
+    Vector j becomes the primitive integer vector s_j·vector, s_j > 0; each
+    (j, a-value) term becomes the integer D·s_j·a for one common D; the
+    bound is D·v(N).  Scaling a column by s_j divides its weight by s_j, so
+    its a-value is multiplied by s_j: ψ over the columns is D·ψ."""
+    scaled = [linalg.primitive(vec) for vec in vectors]
+    weighted = [a * scaled[j][1] for j, a in terms]
+    den = lcm(grand.denominator, *(x.denominator for x in weighted))
+    return ([ints for ints, _ in scaled],
+            [x.numerator * (den // x.denominator) for x in weighted],
+            grand.numerator * (den // grand.denominator))
+
+
+def _omega_lp(collection, family, game: Game, choice_lists):
+    """Omega of one feasible collection as integer LP data, scaled once for
+    all its systems: (omega, choice lists), each choice (z, c, wc) extended
+    by its column and its cost.  omega holds the columns, the costs of the
+    shared vectors, the cost at which each complement vector is in B0 (its
+    largest v(N) - v(S)), and the bound."""
+    base_table, sources = omega_base(collection, family, game)
     grand = game.grand_value()
-    key = tuple(vectors)
-    mbs = mbs_cache.get(key)
-    if mbs is None:
-        mbs = minimal_balanced_sets(vectors, game.n)
-        mbs_cache[key] = mbs
-    satisfied = False
-    for indices, weights in mbs:
-        psi = Fraction(0)
-        for idx, w in zip(indices, weights):
-            psi += w * a_table[vectors[idx]]
-        in_b0 = False
-        for idx in indices:
-            vec = vectors[idx]
-            sources = omega_a_sources.get(vec)
-            if sources and any(
-                a_table[vec] == grand - game.value(S) for S in sources
-            ):
-                in_b0 = True
-                break
-        shortcut_b0 = any(
-            vectors[idx] in omega_a_sources and vectors[idx] not in omega_c_vecs
-            for idx in indices
-        )
-        if shortcut_b0 != in_b0:
+    vectors = list(base_table)
+    ids = {vec: j for j, vec in enumerate(vectors)}
+    terms = list(enumerate(base_table.values()))
+    for order in choice_lists:
+        for z, c, _ in order:
+            if z not in ids:
+                ids[z] = len(vectors)
+                vectors.append(z)
+            terms.append((ids[z], c))
+    b0_values = {ids[vec]: max(grand - game.value(S) for S in members_of)
+                 for vec, members_of in sources.items()}
+    terms.extend(b0_values.items())
+    columns, costs, bound = _lp_data(vectors, terms, grand)
+    costs = iter(costs)
+    base_costs = {j: next(costs) for j in range(len(base_table))}
+    choice_lists = [[(z, c, wc, ids[z], next(costs)) for z, c, wc in order]
+                    for order in choice_lists]
+    b0_costs = {j: next(costs) for j in b0_values}
+    return (columns, base_costs, b0_costs, bound), choice_lists
+
+
+def _nested_for_system(omega, combo, diagnostics) -> bool:
+    """The two existential clauses of the stability theorem for one system:
+    some minimal balanced subset of Omega with ψ above v(N), or one meeting
+    B0 with ψ = v(N), decided by `linalg.vertex_clause`.  Omega is the
+    shared vectors plus the system's patterns z^S, a vector generated more
+    than once keeping its largest cost.  A complement vector is in B0 when
+    its a-value is v(N) - v(S) for a member S it comes from; the diagnostic
+    counts the vectors where the shortcut (a complement vector that is no
+    pattern) disagrees with that definition."""
+    columns, base_costs, b0_costs, bound = omega
+    costs = dict(base_costs)
+    patterns = set()
+    for _, _, _, j, cost in combo:
+        patterns.add(j)
+        if j not in costs or cost > costs[j]:
+            costs[j] = cost
+    marked = []
+    for j, cost in costs.items():
+        in_b0 = b0_costs.get(j) == cost
+        if in_b0 != (j in b0_costs and j not in patterns):
             diagnostics["b0_definition_disagreements"] = (
                 diagnostics.get("b0_definition_disagreements", 0) + 1
             )
-        if in_b0:
-            if psi >= grand:
-                satisfied = True
-                break
-        elif psi > grand:
-            satisfied = True
-            break
-    return satisfied
+        marked.append(in_b0)
+    return linalg.vertex_clause([columns[j] for j in costs],
+                                list(costs.values()), bound, marked)
 
 
 def nested_balancedness_ok(collection, family, db, game: Game,
                            caps: StabilityCaps | None = None,
-                           pool=None, mbs_cache=None, diagnostics=None,
-                           deadline=None):
+                           pool=None, diagnostics=None, deadline=None):
     """Checks the stability theorem's condition for one feasible collection.
 
     Returns ("ok", None), ("fail", witness) with the first failing system in
@@ -403,8 +448,6 @@ def nested_balancedness_ok(collection, family, db, game: Game,
     n = game.n
     if pool is None:
         pool = association_pool(db, family, n)
-    if mbs_cache is None:
-        mbs_cache = {}
     if diagnostics is None:
         diagnostics = {}
 
@@ -429,22 +472,14 @@ def nested_balancedness_ok(collection, family, db, game: Game,
     if caps.max_systems is not None and total > caps.max_systems:
         return "capped", {"reason": "system-cap", "systems": total}
 
-    base_table, omega_a_sources = omega_base(collection, family, game)
+    omega, choice_lists = _omega_lp(collection, family, game, choice_lists)
 
     checked = 0
     for combo in product(*choice_lists):
         if deadline is not None and checked % 32 == 0 and time.monotonic() > deadline:
             return "capped", {"reason": "time-cap", "systems": total}
         checked += 1
-        a_table = dict(base_table)
-        omega_c_vecs = set()
-        for z, c, _ in combo:
-            omega_c_vecs.add(z)
-            if z not in a_table or c > a_table[z]:
-                a_table[z] = c
-        vectors = tuple(sorted(a_table))
-        if not _nested_for_system(vectors, a_table, omega_a_sources,
-                                  omega_c_vecs, game, mbs_cache, diagnostics):
+        if not _nested_for_system(omega, combo, diagnostics):
             witness = {
                 "collection": _render_masks(collection),
                 "system": [
@@ -452,7 +487,7 @@ def nested_balancedness_ok(collection, family, db, game: Game,
                         "coalition": coalition_key(S),
                         "collection": wc.to_payload(),
                     }
-                    for S, (_, _, wc) in zip(collection, combo)
+                    for S, (_, _, wc, _, _) in zip(collection, combo)
                 ],
             }
             return "fail", witness
@@ -550,7 +585,6 @@ def is_core_stable(game: Game, db: MbcDatabase,
             diagnostics, timings)
 
     pool = association_pool(db, family, game.n)
-    mbs_cache: dict = {}
     deadline = None
     if caps.time_limit is not None:
         deadline = time.monotonic() + caps.time_limit
@@ -558,7 +592,7 @@ def is_core_stable(game: Game, db: MbcDatabase,
     for collection in survivors:
         status, detail = nested_balancedness_ok(
             collection, family, db, game, caps,
-            pool=pool, mbs_cache=mbs_cache, diagnostics=diagnostics,
+            pool=pool, diagnostics=diagnostics,
             deadline=deadline)
         if status == "fail":
             mark("nested-balancedness")

@@ -5,7 +5,10 @@ a strict-inequality Fourier-Motzkin probe on the region itself, extendability
 through exact feasibility of the pinned core system, and the nested stability
 condition through plain combinations plus a direct solve per subset.
 `minimal_balanced_sets_reference` is the library's earlier Fraction search
-for minimal balanced sets, kept as the reference for the integer one.
+for minimal balanced sets, kept as the reference for the integer one, and
+`nested_system_reference` is the earlier nested-stage decision (list the
+minimal balanced subsets of Omega, then test ψ and B0 set by set), kept as
+the reference for the linear programs that replace it.
 """
 
 from fractions import Fraction
@@ -15,6 +18,7 @@ from mbc import Game, linalg
 from mbc.model import complement, full_mask, members
 from mbc.polytope import LinearSystem, enumerate_vertices, system_feasible
 from mbc.props import derived_vS
+from mbc.stability import minimal_balanced_sets, omega_base
 
 
 def region_nonempty(collection, family, game: Game) -> bool:
@@ -192,3 +196,32 @@ def tight_points_reference(reduced, d):
         ):
             points.append(y)
     return points
+
+
+def nested_clause_reference(vectors, a_values, b0, grand) -> bool:
+    """The nested clause by enumeration: some minimal balanced subset of the
+    vectors has ψ = Σ w·a above v(N), or ψ >= v(N) and an index in B0."""
+    n = len(vectors[0])
+    for indices, weights in minimal_balanced_sets(vectors, n):
+        psi = sum((w * a_values[i] for i, w in zip(indices, weights)),
+                  Fraction(0))
+        if psi > grand or (psi == grand and any(b0[i] for i in indices)):
+            return True
+    return False
+
+
+def nested_system_reference(collection, family, game: Game, patterns) -> bool:
+    """One admissible system, given by its (z^S, c) patterns, decided in
+    Fractions: Omega merged as a dict of vectors keeping each one's largest
+    a-value, B0 by its definition (a complement vector whose a-value is
+    v(N) - v(S) for a member S it comes from), then the enumeration."""
+    grand = game.grand_value()
+    a_table, sources = omega_base(collection, family, game)
+    for z, c in patterns:
+        if z not in a_table or c > a_table[z]:
+            a_table[z] = c
+    vectors = sorted(a_table)
+    b0 = [any(a_table[vec] == grand - game.value(S)
+              for S in sources.get(vec, ())) for vec in vectors]
+    return nested_clause_reference(
+        vectors, [a_table[vec] for vec in vectors], b0, grand)

@@ -1,7 +1,13 @@
+import fractions
 import random
+import sys
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
+import pytest
+
+from mbc import linalg
 from mbc.linalg import (
     NO_SOLUTION,
     NON_UNIQUE,
@@ -13,6 +19,7 @@ from mbc.linalg import (
     solve_affine,
     solve_int,
     solve_unique,
+    vertex_clause,
 )
 
 F = Fraction
@@ -160,3 +167,135 @@ def test_solve_int_matches_solve_unique():
             assert tuple(F(x, den) for x in nums) == expected
         else:
             assert got is None
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free simplex behind the nested stage
+
+
+def _vertex_clause_by_subsets(columns, costs, bound, marked):
+    """vertex_clause from its definition: every vertex of P is the unique,
+    positive solution on some independent column subset."""
+    n = len(columns[0])
+    for r in range(1, n + 1):
+        for subset in combinations(range(len(columns)), r):
+            rows = [[columns[j][i] for j in subset] for i in range(n)]
+            status, w = solve_unique(rows, [1] * n)
+            if status != UNIQUE or any(x <= 0 for x in w):
+                continue
+            psi = sum(costs[j] * x for j, x in zip(subset, w))
+            if psi > bound or (psi == bound and any(marked[j] for j in subset)):
+                return True
+    return False
+
+
+def test_vertex_clause_empty_polytope():
+    # no nonnegative combination of (1, 0) reaches (1, 1)
+    assert not vertex_clause([(1, 0)], [5], 0, [True])
+    assert not vertex_clause([(1, 0), (3, 0)], [5, 1], -10, [True, True])
+    assert not vertex_clause([], [], 0, [])
+    with pytest.raises(ValueError):
+        vertex_clause([(1, -1), (0, 1)], [0, 0], 0, [False, False])
+    with pytest.raises(ValueError):
+        vertex_clause([(1, 1), (0, 0)], [0, 0], 0, [False, False])
+
+
+def test_vertex_clause_degenerate_repeated_columns():
+    # A = A' = (1,1,0), C = (0,0,1), U = U' = (1,1,1): every ratio test of
+    # the first pivots ties, and the vertices are {A,C}, {A',C}, {U}, {U'}
+    # with ψ = 2, 3, 2, 3
+    columns = [(1, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 1)]
+    costs = [1, 2, 1, 2, 3]
+    none = [False] * 5
+
+    def mark(*indices):
+        return [j in indices for j in range(5)]
+
+    assert vertex_clause(columns, costs, 2, none)
+    assert not vertex_clause(columns, costs, 4, mark(0, 1, 2, 3, 4))
+    assert not vertex_clause(columns, costs, 3, none)
+    assert vertex_clause(columns, costs, 3, mark(4))
+    assert vertex_clause(columns, costs, 3, mark(2))
+    assert not vertex_clause(columns, costs, 3, mark(0, 3))
+    # dependent equations: both rows of (1,1) and (2,2) are one equation;
+    # the vertices w = 1 and w = 1/2 have ψ = 3 and 5/2
+    assert vertex_clause([(1, 1), (2, 2)], [3, 5], 3, [True, False])
+    assert not vertex_clause([(1, 1), (2, 2)], [3, 5], 3, [False, True])
+
+
+def test_vertex_clause_maximum_at_bound():
+    columns = [(1, 0), (0, 1), (1, 1)]
+    # ψ = 2 on both vertices {(1,0),(0,1)} and {(1,1)}: the optimal face is
+    # all of P, and one marked column anywhere on it decides
+    assert vertex_clause(columns, [1, 1, 2], 2, [False, False, True])
+    assert vertex_clause(columns, [1, 1, 2], 2, [True, False, False])
+    assert not vertex_clause(columns, [1, 1, 2], 2, [False, False, False])
+    # ψ({(1,1)}) = 1 < 2: its marked weight is off the optimal face
+    assert not vertex_clause(columns, [1, 1, 1], 2, [False, False, True])
+    assert vertex_clause(columns, [1, 1, 1], 2, [False, True, False])
+
+
+def test_vertex_clause_matches_vertex_definition(monkeypatch):
+    pivots = []
+    pivot = linalg._pivot
+
+    def recording(tab, basis, d, r, s):
+        pivots.append(tab[r][s])
+        return pivot(tab, basis, d, r, s)
+
+    monkeypatch.setattr(linalg, "_pivot", recording)
+    rng = random.Random(17)
+    at_max = {True: 0, False: 0}
+    for n in range(1, 5):
+        for _ in range(120):
+            columns = []
+            for _ in range(rng.randint(1, n + 4)):
+                if columns and rng.random() < 0.3:
+                    k = rng.randint(1, 3)
+                    columns.append(tuple(k * x for x in rng.choice(columns)))
+                else:
+                    col = tuple(rng.choice([0, 0, 1, 1, 2, 5]) for _ in range(n))
+                    columns.append(col if any(col) else (1,) * n)
+            costs = [rng.randint(-4, 12) for _ in columns]
+            marked = [rng.random() < 0.3 for _ in columns]
+            bound = rng.randint(-4, 12)
+            assert vertex_clause(columns, costs, bound, marked) == \
+                _vertex_clause_by_subsets(columns, costs, bound, marked)
+            # the largest ψ, scaled to an integer bound
+            psis = []
+            for r in range(1, n + 1):
+                for subset in combinations(range(len(columns)), r):
+                    rows = [[columns[j][i] for j in subset] for i in range(n)]
+                    status, w = solve_unique(rows, [1] * n)
+                    if status == UNIQUE and all(x > 0 for x in w):
+                        psis.append(sum(costs[j] * x for j, x in zip(subset, w)))
+            if psis:
+                top = max(psis)
+                scaled = [c * top.denominator for c in costs]
+                got = vertex_clause(columns, scaled, top.numerator, marked)
+                assert got == _vertex_clause_by_subsets(
+                    columns, scaled, top.numerator, marked)
+                at_max[got] += 1
+    assert at_max[True] > 30 and at_max[False] > 30
+    # artificials left at level zero were pivoted out on negative entries
+    assert any(p < 0 for p in pivots)
+
+
+def test_vertex_clause_builds_no_fraction():
+    # a run through all three phases, with ties and a redundant equation
+    columns = [(1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (2, 2, 2, 2),
+               (1, 1, 1, 1), (0, 0, 2, 2)]
+    costs, marked = [1, 2, 1, 6, 3, 1], [False, False, False, True, False, False]
+    calls = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        verdict = vertex_clause(columns, costs, 3, marked)
+    finally:
+        sys.setprofile(None)
+    assert verdict
+    assert calls == []

@@ -8,7 +8,7 @@ import pytest
 from mbc import Game, WeightedCollection, coalition_mask, linalg, stability
 from mbc.generate import check_minimal_balanced, MINIMAL
 from mbc.model import full_mask
-from mbc.props import sve_family
+from mbc.props import FeasibilityOracle, feasible_collections, sve_family
 from mbc.stability import (
     NOT_STABLE,
     STABLE,
@@ -26,10 +26,12 @@ from mbc.stability import (
     omega_base,
     z_vector,
 )
-from conftest import make_additive, make_three_player_tight
+from conftest import make_additive, make_biswas, make_three_player_tight
 from oracles import (
     brute_nested_system_satisfied,
     minimal_balanced_sets_reference,
+    nested_clause_reference,
+    nested_system_reference,
 )
 
 F = Fraction
@@ -99,23 +101,32 @@ def test_shared_pattern_vector(db3, monkeypatch):
     assert z_vector(S, shared, 3) == pattern
     family = tuple(range(1, 7))
     systems = []
+    nested, decide = stability._nested_for_system, linalg.vertex_clause
 
-    def record(vectors, a_table, omega_a_sources, omega_c_vecs, *rest):
-        systems.append((vectors, a_table, omega_c_vecs))
+    def record_system(omega, combo, diagnostics):
+        systems.append([z for z, *_ in combo])
+        nested(omega, combo, diagnostics)
         return True
 
-    monkeypatch.setattr(stability, "_nested_for_system", record)
+    def record_lp(columns, costs, bound, marked):
+        systems[-1] = (systems[-1], columns, costs, bound)
+        return decide(columns, costs, bound, marked)
+
+    monkeypatch.setattr(stability, "_nested_for_system", record_system)
+    monkeypatch.setattr(linalg, "vertex_clause", record_lp)
     for v1 in (F(1, 2), F(3, 2)):
         game = Game(3, {0b001: v1, 0b110: F(1), 0b111: F(2)})
         c = c_value(S, shared, game)
         assert c == F(1)
         systems.clear()
         assert nested_balancedness_ok((S,), family, db3, game) == ("ok", None)
-        merged = [s for s in systems if pattern in s[2]]
+        merged = [s for s in systems if pattern in s[0]]
         assert merged
-        for vectors, a_table, _ in merged:
-            assert vectors.count(pattern) == 1
-            assert a_table[pattern] == max(v1, c)
+        for _, columns, costs, bound in merged:
+            assert columns.count([1, 0, 0]) == 1
+            cost = costs[columns.index([1, 0, 0])]
+            # costs are a-values times one common factor, bound/v(N)
+            assert F(cost, bound) * game.grand_value() == max(v1, c)
 
 
 def test_a_value_cases():
@@ -217,6 +228,15 @@ def test_minimal_balanced_sets_input_validation():
             is_minimal_balanced_set(vectors, 2)
 
 
+def test_is_minimal_balanced_set_input_checks():
+    # the checks of minimal_balanced_sets: the unique solution (1, 1) of
+    # this set is positive, but its vectors are not nonnegative
+    with pytest.raises(ValueError, match="nonnegative"):
+        is_minimal_balanced_set([(2, -1), (-1, 2)], 2)
+    with pytest.raises(ValueError, match="zero vector"):
+        is_minimal_balanced_set([(1, 1), (0, 0)], 2)
+
+
 def _random_vector_set(rng, n):
     """Nonnegative rational vectors: characteristic vectors, positive
     multiples of vectors already drawn, and sparse vectors whose entries have
@@ -264,19 +284,22 @@ def test_minimal_balanced_sets_match_fraction_reference():
 
 def test_minimal_balanced_sets_match_reference_on_fixture_omegas(
         db5, biswas, monkeypatch):
+    # the Omega sets the nested stage decides, as the integer columns it
+    # hands to the linear programs
     calls = []
-    kernel = stability.minimal_balanced_sets
+    decide = linalg.vertex_clause
 
-    def recording(vectors, n):
-        calls.append((vectors, n))
-        return kernel(vectors, n)
+    def recording(columns, costs, bound, marked):
+        calls.append(columns)
+        return decide(columns, costs, bound, marked)
 
-    monkeypatch.setattr(stability, "minimal_balanced_sets", recording)
+    monkeypatch.setattr(linalg, "vertex_clause", recording)
     assert is_core_stable(biswas, db5).stage == "nested-balancedness"
     assert calls
-    for vectors, n in calls:
-        _assert_same_results(kernel(vectors, n),
-                             minimal_balanced_sets_reference(vectors, n))
+    for columns in calls:
+        n = len(columns[0])
+        _assert_same_results(minimal_balanced_sets(columns, n),
+                             minimal_balanced_sets_reference(columns, n))
 
 
 def test_is_minimal_balanced_set_matches_fraction_solve():
@@ -284,10 +307,10 @@ def test_is_minimal_balanced_set_matches_fraction_solve():
     for n in range(1, 6):
         for _ in range(60):
             vectors = [
-                tuple(rng.choice([0, 1, 2, F(1, 3), F(-1, 2), F(5, 7)])
-                      for _ in range(n))
+                tuple(rng.choice([0, 1, 2, F(1, 3), F(5, 7)]) for _ in range(n))
                 for _ in range(rng.randint(0, n + 1))
             ]
+            vectors = [vec for vec in vectors if any(vec)]
             cols = [[F(vec[i]) for vec in vectors] for i in range(n)]
             status, weights = linalg.solve_unique(cols, [1] * n)
             expected = status == linalg.UNIQUE and all(w > 0 for w in weights)
@@ -335,6 +358,104 @@ def test_nested_failure_verified_by_brute_force(db5, biswas):
             if w.coalitions == masks
         )
     assert not brute_nested_system_satisfied(biswas, family, collection, system)
+
+
+def _record_systems(monkeypatch):
+    """Every system the nested stage decides, as (collection, family, game,
+    its (z^S, c) patterns, the stage's verdict)."""
+    systems, context = [], []
+    ok, nested = stability.nested_balancedness_ok, stability._nested_for_system
+
+    def ok_recording(collection, family, db, game, *args, **kwargs):
+        context[:] = [(collection, family, game)]
+        return ok(collection, family, db, game, *args, **kwargs)
+
+    def nested_recording(omega, combo, diagnostics):
+        verdict = nested(omega, combo, diagnostics)
+        systems.append((*context[0], [(z, c) for z, c, *_ in combo], verdict))
+        return verdict
+
+    monkeypatch.setattr(stability, "nested_balancedness_ok", ok_recording)
+    monkeypatch.setattr(stability, "_nested_for_system", nested_recording)
+    return systems
+
+
+def test_lp_matches_enumeration_on_fixture_systems(db4, game4, db5,
+                                                   monkeypatch):
+    systems = _record_systems(monkeypatch)
+    # the 4-player fixture stops at its blocking pairs, so every feasible
+    # collection of it goes to the nested stage directly
+    family = sve_family(game4, db4)
+    caps = StabilityCaps(max_systems=None, time_limit=None)
+    for collection in feasible_collections(
+            FeasibilityOracle(game4, db4, family)):
+        stability.nested_balancedness_ok(collection, family, db4, game4, caps)
+    for grand in (F(3), F(31, 10)):
+        report = is_core_stable(make_biswas(grand), db5)
+        assert report.stage == "nested-balancedness"
+    verdicts = {True: 0, False: 0}
+    for collection, family, game, patterns, verdict in systems:
+        assert verdict == nested_system_reference(
+            collection, family, game, patterns)
+        verdicts[verdict] += 1
+    assert verdicts[True] > 100 and verdicts[False] >= 2
+
+
+def test_b0_definition_per_vector():
+    # Omega = {(1,0), (0,1), (1,1)} with bound 2; (1,0) is a complement
+    # vector, in B0 while its cost stays at 1 (its largest v(N) - v(S))
+    omega = ([[1, 0], [0, 1], [1, 1]], {0: 1, 1: 1}, {0: 1}, 2)
+    diagnostics = {}
+    # a pattern z^S equal to (1,0) with c = 1: by the definition (1,0) is
+    # still in B0, so the vertex {(1,0), (0,1)} with ψ = 2 satisfies the
+    # clause; the shortcut (a complement vector that is no pattern) would
+    # leave B0 empty, and the disagreement is counted
+    assert stability._nested_for_system(
+        omega, [(None, None, None, 0, 1)], diagnostics)
+    assert diagnostics == {"b0_definition_disagreements": 1}
+    # a larger c takes (1,0) out of B0 by both rules, and ψ = 4 > 2
+    assert stability._nested_for_system(
+        omega, [(None, None, None, 0, 3)], diagnostics)
+    # a pattern (1,1) of cost 1: ψ <= 2 everywhere, and (1,0) in B0 by both
+    assert stability._nested_for_system(
+        omega, [(None, None, None, 2, 1)], diagnostics)
+    assert not stability._nested_for_system(
+        (omega[0], omega[1], {}, 2), [(None, None, None, 2, 1)], diagnostics)
+    assert diagnostics == {"b0_definition_disagreements": 1}
+
+
+def _lp_decides(vectors, a_values, b0, grand):
+    columns, costs, bound = stability._lp_data(
+        vectors, list(enumerate(a_values)), grand)
+    return linalg.vertex_clause(columns, costs, bound, b0)
+
+
+def test_lp_matches_enumeration_on_random_omegas():
+    # fractional vectors (positive multiples among them) and a-values; v(N)
+    # drawn at random and, for the equality case, set to the largest ψ
+    rng = random.Random(47)
+    dens = [1, 2, 3, 7, 10, 97]
+    at_max = {True: 0, False: 0}
+    for n in range(2, 6):
+        for _ in range(80):
+            vectors = _random_vector_set(rng, n)
+            a_values = [F(rng.randint(-5, 40), rng.choice(dens))
+                        for _ in vectors]
+            b0 = [rng.random() < 0.3 for _ in vectors]
+            psis = [
+                sum((w * a_values[i] for i, w in zip(indices, weights)), F(0))
+                for indices, weights in minimal_balanced_sets(vectors, n)
+            ]
+            grands = [F(rng.randint(0, 40), rng.choice(dens))]
+            if psis:
+                grands.append(max(psis))
+            for grand in grands:
+                got = _lp_decides(vectors, a_values, b0, grand)
+                assert got == nested_clause_reference(
+                    vectors, a_values, b0, grand)
+            if psis:
+                at_max[got] += 1
+    assert at_max[True] > 20 and at_max[False] > 20
 
 
 def test_nested_caps_yield_capped(db5, biswas):
