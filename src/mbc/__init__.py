@@ -34,7 +34,6 @@ from .model import (
 from .polytope import (
     LinearSystem,
     enumerate_vertices,
-    mbc_via_vertices,
     min_over,
     weight_polytope_vertices,
 )

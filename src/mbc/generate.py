@@ -28,18 +28,17 @@ import os
 import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, partial
 from math import gcd, lcm
 from operator import lt, mul
 
 from .model import (
     PLAYER_CAP,
+    LineCodec,
     WeightedCollection,
-    format_row,
+    _Memo,
     full_mask,
     members,
-    parse_row,
 )
 from . import linalg, polytope
 from .linalg import _echelon
@@ -260,11 +259,14 @@ def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
                 nums = tuple(x // g for x in nums)
             out[masks] = (nums, den)
     else:
+        write = LineCodec().write
+
         def emit(entries, den):
             entries.sort()
             if allowed is not None and not all(m in allowed for m, _ in entries):
                 return
-            sink(format_row([m for m, _ in entries], [x for _, x in entries], den))
+            masks, nums = zip(*entries)
+            sink(write(masks, nums, den))
 
     for masks, nums, den in parents:
         _children_123(masks, nums, den, p_bit, emit)
@@ -348,8 +350,9 @@ class MbcDatabase:
             self.dump(fh)
 
     def dump(self, fh) -> None:
+        write = LineCodec().write
         fh.write(self.header() + "\n")
-        for line in sorted(format_row(*row) for row in self.rows):
+        for line in sorted(write(*row) for row in self.rows):
             fh.write(line + "\n")
 
     @classmethod
@@ -372,28 +375,30 @@ class MbcDatabase:
                 raise ValueError(f"bad MBCDB header: n={n} out of range")
             restricted = "restricted" in fields[4:]
             top = full_mask(n)
-            lanes = _Lanes(0)
+            width = 0
+            codec = LineCodec()
+            read = codec.read
             rows = []
             for lineno, line in enumerate(fh, 2):
                 if line.isspace():
                     continue
                 try:
-                    masks, nums, den = row = parse_row(line)
+                    masks, nums, den, total = read(line)
                     if not all(map(lt, masks, masks[1:])):
                         raise ValueError("coalitions are not strictly increasing")
                     if not 0 < masks[0] <= masks[-1] <= top:
                         raise ValueError(f"coalition out of range for n={n}")
                     if min(nums) <= 0:
                         raise ValueError("weights must be positive")
-                    total = sum(nums)
-                    if total >> lanes.width:
-                        lanes = _Lanes(total.bit_length())
+                    if total >> width:
+                        width = total.bit_length()
+                        lanes = _Memo(partial(_lanes, width))
                     if sum(map(mul, nums, map(lanes.__getitem__, masks))) != den * lanes[top]:
                         raise ValueError("player weight sums are not all 1")
                 except ValueError as exc:
                     raise ValueError(
                         f"MBCDB line {lineno} {line.strip()!r}: {exc}") from exc
-                rows.append(row)
+                rows.append((masks, nums, den))
         if len(rows) != count:
             raise ValueError(
                 f"MBCDB count mismatch: header says {count}, file has {len(rows)}"
@@ -401,23 +406,16 @@ class MbcDatabase:
         rows.sort()
         for a, b in zip(rows, rows[1:]):
             if a[0] == b[0]:
-                raise ValueError(f"MBCDB lists a collection twice: {format_row(*b)!r}")
+                raise ValueError(f"MBCDB lists a collection twice: {codec.write(*b)!r}")
         return cls(n, tuple(rows), restricted)
 
 
-class _Lanes(dict):
-    """mask -> the integer with a 1 at bit (p-1)*width for each player p of
-    the mask.  A weighted sum of these holds every player's total in its own
-    width-bit lane; while the weights sum below 2^width no lane carries into
-    the next, so one comparison checks all the totals."""
-
-    def __init__(self, width: int):
-        super().__init__()
-        self.width = width
-
-    def __missing__(self, mask: int) -> int:
-        value = self[mask] = sum(1 << (p - 1) * self.width for p in members(mask))
-        return value
+def _lanes(width: int, mask: int) -> int:
+    """The integer with a 1 at bit (p-1)*width for each player p of the mask.
+    A weighted sum of these holds every player's total in its own width-bit
+    lane; while the weights sum below 2^width no lane carries into the next,
+    so one comparison checks all the totals."""
+    return sum(1 << (p - 1) * width for p in members(mask))
 
 
 def _allowed_masks(set_system, n: int) -> set[int]:
@@ -446,29 +444,36 @@ def _validate_set_system(set_system, n: int) -> tuple[int, ...]:
     return masks
 
 
+def _restriction(n: int, set_system, player_limit: int) -> set[int] | None:
+    """Checks the arguments of a generation on 1..n; returns the masks a
+    restricted run may keep, or None when it is unrestricted."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > player_limit:
+        raise ValueError(f"n={n} exceeds the configured limit {player_limit}")
+    if set_system is None:
+        return None
+    _validate_set_system(set_system, n)
+    return _allowed_masks(set_system, n)
+
+
+def _rows_on(players: int, allowed: set[int] | None) -> list[Row]:
+    rows: list[Row] = [((1,), (1,), 1)]
+    if allowed is not None:
+        rows = [row for row in rows if all(m in allowed for m in row[0])]
+    for i in range(1, players):
+        rows = _add_player_raw(rows, i, allowed)
+    return rows
+
+
 def peleg(n: int, set_system=None, player_limit: int = DEFAULT_PLAYER_LIMIT) -> MbcDatabase:
     """All minimal balanced collections on 1..n, by induction from n=1.
 
     With `set_system`, collections whose coalitions do not all fit inside
     some element of the system are discarded as soon as they appear.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > player_limit:
-        raise ValueError(f"n={n} exceeds the configured limit {player_limit}")
-    allowed = None
-    restricted = False
-    if set_system is not None:
-        _validate_set_system(set_system, n)
-        allowed = _allowed_masks(set_system, n)
-        restricted = True
-
-    rows: list[Row] = [((1,), (1,), 1)]
-    if allowed is not None:
-        rows = [row for row in rows if all(m in allowed for m in row[0])]
-    for i in range(1, n):
-        rows = _add_player_raw(rows, i, allowed)
-    return MbcDatabase(n, tuple(rows), restricted)
+    allowed = _restriction(n, set_system, player_limit)
+    return MbcDatabase(n, tuple(_rows_on(n, allowed)), allowed is not None)
 
 
 def add_new_player(db: MbcDatabase, p: int) -> MbcDatabase:
@@ -494,10 +499,8 @@ def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000
     """
     if n < 2:
         raise ValueError("streaming generation needs n >= 2")
-    base = peleg(n - 1, set_system=set_system, player_limit=player_limit)
-    allowed = None
-    if set_system is not None:
-        allowed = _allowed_masks(set_system, n)
+    allowed = _restriction(n, set_system, player_limit)
+    base = _rows_on(n - 1, allowed)
 
     shards: list[str] = []
     buffer: set[str] = set()
@@ -518,7 +521,7 @@ def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000
             flush()
 
     try:
-        _add_player_raw(list(base.rows), n - 1, allowed, sink=sink)
+        _add_player_raw(base, n - 1, allowed, sink=sink)
         flush()
         count = 0
         body_fd, body_path = tempfile.mkstemp(prefix="mbcbody", dir=tmp_dir)
@@ -589,11 +592,6 @@ def check_minimal_balanced(masks, n: int):
     return NOT_BALANCED, None
 
 
-def is_minimal_balanced(wc: WeightedCollection, n: int) -> bool:
-    status, weights = check_minimal_balanced(wc.coalitions, n)
-    return status == MINIMAL and weights == wc.weights
-
-
 def is_balanced_collection(masks, db: MbcDatabase) -> bool:
     """A collection is balanced iff it equals the union of the minimal
     balanced collections it contains."""
@@ -614,19 +612,3 @@ def to_regular_hypergraph(wc: WeightedCollection) -> tuple[int, tuple[int, ...]]
     as a regular hypergraph: the depth is the common per-vertex degree."""
     _, multiplicities, depth = wc.to_row()
     return depth, multiplicities
-
-
-def brute_force_mbcs(n: int) -> list[WeightedCollection]:
-    """Independent oracle: test every subcollection of 2^N of size <= n.
-
-    Exponential in 2^n; intended for n <= 4 cross-checks.
-    """
-    all_masks = list(range(1, full_mask(n) + 1))
-    found = []
-    for size in range(1, n + 1):
-        for combo in combinations(all_masks, size):
-            status, weights = check_minimal_balanced(combo, n)
-            if status == MINIMAL:
-                found.append(WeightedCollection(combo, weights))
-    found.sort(key=lambda wc: wc.coalitions)
-    return found

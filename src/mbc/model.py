@@ -13,9 +13,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add
 
 PLAYER_CAP = 32
 
@@ -179,11 +178,12 @@ class WeightedCollection:
 
     def format_line(self) -> str:
         """One MBCDB line: space-separated ``<hex-mask>:<num>/<den>`` items."""
-        return format_row(*self.to_row())
+        return LineCodec().write(*self.to_row())
 
     @classmethod
     def parse_line(cls, line: str) -> "WeightedCollection":
-        return cls.from_row(*parse_row(line))
+        masks, nums, den, _ = LineCodec().read(line)
+        return cls.from_row(masks, nums, den)
 
     def to_payload(self) -> dict:
         """The report form: coalition keys and canonical weights."""
@@ -197,38 +197,79 @@ class WeightedCollection:
 # MBCDB lines
 
 
-def format_row(masks, nums, den) -> str:
-    """The MBCDB line of an integer row: ``<hex-mask>:<num>/<den>`` items,
-    each weight in lowest terms."""
-    parts = []
-    for mask, num in zip(masks, nums):
-        g = gcd(num, den)
-        parts.append(f"{mask:x}:{num // g}/{den // g}")
-    return " ".join(parts)
+class _Memo(dict):
+    """A table whose misses are computed by `compute`.  A miss that raises
+    stores nothing, so the table holds only keys that passed their checks."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
-_ITEM = r"[0-9a-fA-F]+:[0-9]+/[0-9]+"
-_ROW_RE = re.compile(rf"{_ITEM}(?:\s+{_ITEM})*")
+_ITEM_RE = re.compile(r"([0-9a-fA-F]+):([0-9]+/[0-9]+)")
 
 
-def parse_row(line: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Parse one MBCDB line into an integer row (masks, nums, den) over the
-    least common denominator of its weights, in lowest terms.  Only the
-    syntax is checked here, plus that no denominator is zero."""
-    line = line.strip()
-    if not _ROW_RE.fullmatch(line):
+def _parse_item(text: str) -> tuple[int, str]:
+    """``<hex-mask>:<num>/<den>`` -> (mask, weight text)."""
+    match = _ITEM_RE.fullmatch(text)
+    if match is None:
         raise ValueError("malformed MBCDB line")
-    fields = line.replace(":", " ").replace("/", " ").split()
-    dens = list(map(int, fields[2::3]))
-    den = lcm(*dens)
+    return int(match[1], 16), match[2]
+
+
+def _canonical_weights(texts) -> tuple[tuple[int, ...], int, int]:
+    """Weight texts ``num/den`` -> (nums, den, sum(nums)) over the least
+    common denominator, in lowest terms."""
+    pairs = [tuple(map(int, text.split("/"))) for text in texts]
+    den = lcm(*(d for _, d in pairs))
     if not den:
         raise ValueError("zero denominator")
-    nums = tuple(map(mul, map(int, fields[1::3]), map(den.__floordiv__, dens)))
+    nums = [x * (den // d) for x, d in pairs]
     g = gcd(den, *nums)
-    if g > 1:
-        den //= g
-        nums = tuple(x // g for x in nums)
-    return tuple(map(int, fields[0::3], repeat(16))), nums, den
+    nums = tuple(x // g for x in nums)
+    return nums, den // g, sum(nums)
+
+
+def _weight_texts(key) -> tuple[str, ...]:
+    """(nums, den) -> the ``:num/den`` item tails, each in lowest terms."""
+    nums, den = key
+    tails = []
+    for x in nums:
+        g = gcd(x, den)
+        tails.append(f":{x // g}/{den // g}")
+    return tuple(tails)
+
+
+class LineCodec:
+    """Reads and writes MBCDB lines: space-separated ``<hex-mask>:<num>/<den>``
+    items.  A database file repeats few distinct items and weight rows, so
+    the codec parses or formats each of them once and looks it up after
+    that.  Use one codec per file: its tables live as long as it does."""
+
+    def __init__(self):
+        self._items = _Memo(_parse_item)
+        self._weight_rows = _Memo(_canonical_weights)
+        self._hex = _Memo("{:x}".format)
+        self._tails = _Memo(_weight_texts)
+
+    def read(self, line: str) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+        """One line -> (masks, nums, den, sum(nums)): the integer row over
+        the least common denominator of its weights, in lowest terms.  Only
+        the syntax is checked here, plus that no denominator is zero."""
+        fields = line.split()
+        if not fields:
+            raise ValueError("malformed MBCDB line")
+        masks, texts = zip(*map(self._items.__getitem__, fields))
+        return (masks, *self._weight_rows[texts])
+
+    def write(self, masks, nums: tuple[int, ...], den: int) -> str:
+        """The line of an integer row, each weight in lowest terms."""
+        return " ".join(map(add, map(self._hex.__getitem__, masks),
+                            self._tails[nums, den]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import gcd
 
 from . import linalg
-from .model import WeightedCollection, full_mask, members
+from .model import full_mask, members
 
 DEFAULT_DIM_CAP = 8
 _FM_ROW_LIMIT = 200_000
@@ -333,15 +333,3 @@ def weight_polytope_vertices(masks, n: int):
                 out.append((combo, tuple(solution)))
     out.sort()
     return out
-
-
-def mbc_via_vertices(n: int, cap: int = 4) -> list[WeightedCollection]:
-    """Minimal balanced collections as supports of the vertices of the full
-    weight polytope over all 2^n - 1 coalitions.  Oracle scale: n <= cap."""
-    if n > cap:
-        raise ValueError(f"vertex-oracle generation capped at n={cap}")
-    all_masks = range(1, full_mask(n) + 1)
-    return [
-        WeightedCollection(support, weights)
-        for support, weights in weight_polytope_vertices(all_masks, n)
-    ]

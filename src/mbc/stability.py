@@ -138,19 +138,6 @@ def admissible_collections(S: int, collection, n: int, family, pool):
     return out
 
 
-def admissible_systems(collection, family, db: MbcDatabase, pool=None):
-    """Lazily yields every admissible system: one admissible collection per
-    member, in lexicographic product order over the per-member lists."""
-    n = db.n
-    if pool is None:
-        pool = association_pool(db, family, n)
-    lists = [
-        admissible_collections(S, collection, n, family, pool) for S in collection
-    ]
-    for combo in product(*lists):
-        yield dict(zip(collection, combo))
-
-
 def association_pool(db: MbcDatabase, family, n: int) -> list[WeightedCollection]:
     """Database entries that can ever be associated with a member of the
     family: all members must be singletons, family members, or complements

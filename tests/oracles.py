@@ -8,17 +8,30 @@ condition through plain combinations plus a direct solve per subset.
 for minimal balanced sets, kept as the reference for the integer one, and
 `nested_system_reference` is the earlier nested-stage decision (list the
 minimal balanced subsets of Omega, then test ψ and B0 set by set), kept as
-the reference for the linear programs that replace it.
+the reference for the linear programs that replace it.  The generator is
+checked against `brute_force_mbcs` (every subcollection solved on its own)
+and `mbc_via_vertices` (the vertices of the full weight polytope).
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from mbc import Game, linalg
+from mbc import Game, WeightedCollection, linalg
+from mbc.generate import MINIMAL, MbcDatabase, check_minimal_balanced
 from mbc.model import complement, full_mask, members
-from mbc.polytope import LinearSystem, enumerate_vertices, system_feasible
+from mbc.polytope import (
+    LinearSystem,
+    enumerate_vertices,
+    system_feasible,
+    weight_polytope_vertices,
+)
 from mbc.props import derived_vS
-from mbc.stability import minimal_balanced_sets, omega_base
+from mbc.stability import (
+    admissible_collections,
+    association_pool,
+    minimal_balanced_sets,
+    omega_base,
+)
 
 
 def region_nonempty(collection, family, game: Game) -> bool:
@@ -225,3 +238,53 @@ def nested_system_reference(collection, family, game: Game, patterns) -> bool:
               for S in sources.get(vec, ())) for vec in vectors]
     return nested_clause_reference(
         vectors, [a_table[vec] for vec in vectors], b0, grand)
+
+
+# ---------------------------------------------------------------------------
+# minimal balanced collections without the generator
+
+
+def is_minimal_balanced(wc: WeightedCollection, n: int) -> bool:
+    status, weights = check_minimal_balanced(wc.coalitions, n)
+    return status == MINIMAL and weights == wc.weights
+
+
+def brute_force_mbcs(n: int) -> list[WeightedCollection]:
+    """Test every subcollection of 2^N of size <= n.
+
+    Exponential in 2^n; intended for n <= 4 cross-checks.
+    """
+    all_masks = list(range(1, full_mask(n) + 1))
+    found = []
+    for size in range(1, n + 1):
+        for combo in combinations(all_masks, size):
+            status, weights = check_minimal_balanced(combo, n)
+            if status == MINIMAL:
+                found.append(WeightedCollection(combo, weights))
+    found.sort(key=lambda wc: wc.coalitions)
+    return found
+
+
+def mbc_via_vertices(n: int, cap: int = 4) -> list[WeightedCollection]:
+    """Minimal balanced collections as supports of the vertices of the full
+    weight polytope over all 2^n - 1 coalitions.  Oracle scale: n <= cap."""
+    if n > cap:
+        raise ValueError(f"vertex-oracle generation capped at n={cap}")
+    all_masks = range(1, full_mask(n) + 1)
+    return [
+        WeightedCollection(support, weights)
+        for support, weights in weight_polytope_vertices(all_masks, n)
+    ]
+
+
+def admissible_systems(collection, family, db: MbcDatabase, pool=None):
+    """Lazily yields every admissible system: one admissible collection per
+    member, in lexicographic product order over the per-member lists."""
+    n = db.n
+    if pool is None:
+        pool = association_pool(db, family, n)
+    lists = [
+        admissible_collections(S, collection, n, family, pool) for S in collection
+    ]
+    for combo in product(*lists):
+        yield dict(zip(collection, combo))

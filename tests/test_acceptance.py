@@ -22,7 +22,6 @@ from mbc import (
     WeightedCollection,
     coalition_mask,
     is_balanced_collection,
-    mbc_via_vertices,
     peleg,
 )
 from mbc.generate import (
@@ -30,7 +29,6 @@ from mbc.generate import (
     apply_case2,
     apply_case3,
     apply_case4,
-    brute_force_mbcs,
 )
 from mbc.linalg import RatMatrix, UNIQUE, rank, solve_unique
 from mbc.model import full_mask, members
@@ -56,6 +54,7 @@ from conftest import (
     make_four_player,
     make_studeny_kratochvil,
 )
+from oracles import brute_force_mbcs, mbc_via_vertices
 
 F = Fraction
 

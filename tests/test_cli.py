@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from conftest import make_biswas
-from mbc import WeightedCollection
+from mbc import MbcDatabase, WeightedCollection
 from mbc.cli import main
 
 FOUR_PLAYER = (
@@ -192,6 +193,10 @@ def test_analyze_does_not_build_every_collection(tmp_path, capsys, monkeypatch,
     # of all 200,214 rows would bring back the time and memory it costs
     db_path = tmp_path / "mbc6.db"
     db6.save(db_path)
+    # the n = 6 file as the benchmark's gen6 workload records it
+    assert hashlib.sha256(db_path.read_bytes()).hexdigest() == (
+        "d94dd788e7a979495a80f97c275735d2a1bcc8c5804323cde945b5e4abe2aecc")
+    assert MbcDatabase.load(db_path).rows == db6.rows
     game_path = tmp_path / "sk.game"
     game_path.write_text(sk_game.to_text())
     built = []

@@ -23,11 +23,10 @@ from mbc.generate import (
     apply_case2,
     apply_case3,
     apply_case4,
-    brute_force_mbcs,
-    is_minimal_balanced,
 )
 from mbc.linalg import RatMatrix, rank
 from mbc.model import full_mask, members
+from oracles import brute_force_mbcs, is_minimal_balanced
 
 F = Fraction
 
@@ -230,6 +229,101 @@ def test_database_load_reduces_rows(tmp_path, db4):
     assert MbcDatabase.load(path).rows == db4.rows
 
 
+LOAD_ERRORS = {
+    "malformed": "malformed MBCDB line",
+    "denominator": "zero denominator",
+    "increasing": "coalitions are not strictly increasing",
+    "range": "coalition out of range for n=4",
+    "positive": "weights must be positive",
+    "sums": "player weight sums are not all 1",
+}
+
+
+@pytest.mark.parametrize(
+    "new,first",
+    [
+        ("1:1/1 2:1/0 4:1/1 8 1/1", "malformed"),
+        ("2:1/1 1:1/0 4:1/1 8:1/1", "denominator"),
+        ("1:1/1 2:1/1 ff:1/1 4:1/1", "increasing"),
+        ("1:1/1 2:1/1 8:0/1 4:1/1", "increasing"),
+        ("1:1/1 2:1/1 4:1/1 ff:0/1", "range"),
+        ("1:1/1 2:1/1 4:0/1 8:1/1", "positive"),
+    ],
+)
+def test_database_load_reports_first_fault(tmp_path, db4, new, first):
+    # check order: syntax, zero denominator, increasing, range, positive, sums
+    path, lineno = _probe(tmp_path, db4, "1:1/1 2:1/1 4:1/1 8:1/1", new)
+    with pytest.raises(ValueError) as info:
+        MbcDatabase.load(path)
+    assert str(info.value) == f"MBCDB line {lineno} {new!r}: {LOAD_ERRORS[first]}"
+
+
+def _hybrid_line(db):
+    """A line made of the first item of one row and the other items of a
+    second row with the same weights: every item and the weight row are
+    read on earlier lines, the masks increase, and the row is unbalanced."""
+    by_weights = {}
+    for masks, nums, den in db.rows:
+        by_weights.setdefault((nums, den), []).append(masks)
+    for (nums, den), group in by_weights.items():
+        for first, rest in combinations(group, 2):
+            masks = (first[0],) + rest[1:]
+            if masks[0] < masks[1] and not is_balanced_collection(masks, db):
+                return WeightedCollection.from_row(masks, nums, den).format_line()
+    raise AssertionError("no hybrid row")
+
+
+@pytest.mark.parametrize(
+    "fault,problem",
+    [
+        (lambda db, items: " ".join(items[::-1]), "increasing"),
+        (lambda db, items: " ".join(items[:-1]), "sums"),
+        (lambda db, items: _hybrid_line(db), "sums"),
+    ],
+    ids=["reversed", "dropped", "hybrid"],
+)
+def test_database_load_rejects_bad_row_of_known_items(tmp_path, db4, fault, problem):
+    # every item and weight text of the bad line was read on earlier lines
+    db4.save(tmp_path / "db")
+    lines = (tmp_path / "db").read_text().splitlines()
+    source = next(line for line in lines[1:] if line.count(" ") >= 2)
+    new = fault(db4, source.split())
+    path, lineno = _probe(tmp_path, db4, lines[-1], new)
+    known = {item for line in lines[1:lineno - 1] for item in line.split()}
+    assert known.issuperset(new.split())
+    with pytest.raises(ValueError) as info:
+        MbcDatabase.load(path)
+    assert str(info.value) == f"MBCDB line {lineno} {new!r}: {LOAD_ERRORS[problem]}"
+
+
+def test_database_load_reduces_weights_on_any_line(tmp_path, db4):
+    # every other line is written unreduced (2/4 for 1/2, 3/3 for 1/1), so
+    # each weight row is read both in its canonical and a scaled form
+    path = tmp_path / "scaled.db"
+    db4.save(path)
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines), 2):
+        k = 2 if i % 4 == 1 else 3
+        lines[i] = " ".join(
+            f"{mask}:{k * int(num)}/{k * int(den)}"
+            for mask, num, den in (item.replace("/", ":").split(":")
+                                   for item in lines[i].split())
+        )
+    assert any("2/4" in line for line in lines) and any("3/3" in line for line in lines)
+    path.write_text("\n".join(lines) + "\n")
+    assert MbcDatabase.load(path).rows == db4.rows
+
+
+def test_database_load_accepts_uppercase_hex_and_tabs(tmp_path, db4):
+    path = tmp_path / "upper.db"
+    db4.save(path)
+    lines = path.read_text().splitlines()
+    lines[1:] = [line.upper().replace(" ", "\t") for line in lines[1:]]
+    assert any(c in "ABCDEF" for c in "".join(lines[1:]))
+    path.write_text("\n".join(lines) + "\n")
+    assert MbcDatabase.load(path).rows == db4.rows
+
+
 def test_database_load_rejects_bad_headers(tmp_path):
     bad = tmp_path / "bad.db"
     bad.write_text("MBCDB 2 n=3 count=0\n")
@@ -248,6 +342,16 @@ def test_streaming_generation_matches_in_memory(tmp_path, db5):
     assert MbcDatabase.load(out) == db5
     direct = tmp_path / "direct5.db"
     db5.save(direct)
+    assert out.read_bytes() == direct.read_bytes()
+
+
+def test_restricted_streaming_matches_in_memory_bytes(tmp_path):
+    system = [0b01111, 0b11110]
+    out = tmp_path / "stream.db"
+    count = peleg_stream(5, out, set_system=system, shard_lines=50)
+    direct = tmp_path / "direct.db"
+    peleg(5, set_system=system).save(direct)
+    assert count == len(direct.read_text().splitlines()) - 1 > 50
     assert out.read_bytes() == direct.read_bytes()
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mbc import Game, mbc_via_vertices, peleg
+from mbc import Game, peleg
 from mbc.polytope import (
     INFEASIBLE,
     UNBOUNDED,
@@ -17,7 +17,7 @@ from mbc.polytope import (
     weight_polytope_vertices,
 )
 from conftest import make_additive, make_three_player_tight
-from oracles import tight_points_reference
+from oracles import mbc_via_vertices, tight_points_reference
 
 F = Fraction
 

@@ -15,7 +15,6 @@ from mbc.stability import (
     UNKNOWN,
     StabilityCaps,
     admissible_collections,
-    admissible_systems,
     associated_mbcs,
     association_pool,
     c_value,
@@ -28,6 +27,7 @@ from mbc.stability import (
 )
 from conftest import make_additive, make_biswas, make_three_player_tight
 from oracles import (
+    admissible_systems,
     brute_nested_system_satisfied,
     minimal_balanced_sets_reference,
     nested_clause_reference,
