@@ -40,7 +40,7 @@ from .model import (
     full_mask,
     members,
 )
-from . import linalg, polytope
+from . import linalg
 from .linalg import _echelon
 
 DEFAULT_PLAYER_LIMIT = 7
@@ -555,13 +555,10 @@ def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000
 # checks and conversions
 
 
-def check_minimal_balanced(masks, n: int):
-    """Classify a collection of coalitions.
-
-    Returns (MINIMAL, weights) when the balancing weight system exists, is
-    unique and strictly positive; (BALANCED_NOT_MINIMAL, None) when positive
-    weight systems exist but are not unique; (NOT_BALANCED, None) otherwise.
-    """
+def _checked_masks(masks, n: int) -> tuple[int, ...]:
+    """The coalitions of a nonempty collection on n players, sorted; raises
+    ValueError for an empty collection, a coalition outside 1..2^n-1 or a
+    repeated coalition."""
     masks = tuple(masks)
     if not masks:
         raise ValueError("empty collection")
@@ -571,33 +568,43 @@ def check_minimal_balanced(masks, n: int):
             raise ValueError(f"coalition {m:#x} out of range for n={n}")
     if len(set(masks)) != len(masks):
         raise ValueError("duplicate coalitions")
-    masks = tuple(sorted(masks))
+    return tuple(sorted(masks))
 
-    matrix = linalg.RatMatrix.from_collection(masks, n)
-    status, solution = linalg.solve_unique(matrix, [1] * n)
-    if status == linalg.UNIQUE:
-        if all(x > 0 for x in solution):
-            return MINIMAL, tuple(solution)
+
+def check_minimal_balanced(masks, n: int):
+    """Classify a collection of coalitions.
+
+    Returns (MINIMAL, weights) when the balancing weight system exists, is
+    unique and strictly positive; (BALANCED_NOT_MINIMAL, None) when positive
+    weight systems exist but are not unique; (NOT_BALANCED, None) otherwise.
+    The minimal balanced subcollections are the minimal balanced subsets of
+    the characteristic vectors (`linalg.minimal_balanced_sets`): the
+    collection is minimal when it is one of them, which one pass along the
+    search's path through all of them decides (`linalg.whole_set_weights`),
+    and balanced when they cover every member, which needs the whole search
+    only when the characteristic vectors are dependent.
+    """
+    masks = _checked_masks(masks, n)
+    vectors = [[(m >> i) & 1 for i in range(n)] for m in masks]
+    independent, weights = linalg.whole_set_weights(vectors, n)
+    if weights is not None:
+        return MINIMAL, weights
+    if independent:
+        # the unique solution is not positive, or there is none
         return NOT_BALANCED, None
-    if status == linalg.NO_SOLUTION:
-        return NOT_BALANCED, None
-    # solutions form an affine family: positive ones exist iff the vertices
-    # of the weight polytope jointly cover every member
-    vertices = polytope.weight_polytope_vertices(masks, n)
     covered = set()
-    for support, _ in vertices:
-        covered.update(support)
-    if covered == set(masks):
+    for indices, _ in linalg.minimal_balanced_sets(vectors, n):
+        covered.update(indices)
+    if covered == set(range(len(masks))):
         return BALANCED_NOT_MINIMAL, None
     return NOT_BALANCED, None
 
 
 def is_balanced_collection(masks, db: MbcDatabase) -> bool:
     """A collection is balanced iff it equals the union of the minimal
-    balanced collections it contains."""
-    target = frozenset(masks)
-    if not target:
-        return False
+    balanced collections it contains.  Raises ValueError on the inputs
+    `check_minimal_balanced` rejects."""
+    target = frozenset(_checked_masks(masks, db.n))
     covered: set[int] = set()
     for row_masks, _, _ in db.rows:
         if covered >= target:

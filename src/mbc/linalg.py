@@ -5,6 +5,17 @@ rank decisions, unique-solution tests and kernels feed equality-sensitive
 combinatorics, so no floating point appears anywhere.  Elimination clears
 denominators first and then runs fraction-free integer row reduction with
 per-row gcd normalization to keep intermediate entries small.
+
+Two decisions over the weight polytope P = {w >= 0 : Σ_j w_j·v_j = 1} of
+finitely many nonnegative vectors v_j live here.  `vertex_clause` decides
+a linear program over P by a fraction-free simplex.
+`minimal_balanced_sets` lists the vertex supports of P, the minimal
+balanced subsets, by a depth-first search over linearly independent
+subsets in integers; on characteristic vectors these are the minimal
+balanced collections, so `generate.check_minimal_balanced` classifies a
+collection with it too.  `whole_set_weights` walks the one path of that
+search that can reach the whole set, which decides in one elimination pass
+whether the whole set is minimal balanced.
 """
 
 from __future__ import annotations
@@ -232,6 +243,156 @@ def _pivot(tab, basis, d: int, r: int, s: int) -> int:
         tab[:] = [[-x for x in row] for row in tab]
         p = -p
     return p
+
+
+def minimal_balanced_sets(vectors, n: int):
+    """All minimal balanced subsets of a finite vector set.
+
+    Returns (indices, weights) pairs, indices referring to the input order.
+    Depth-first growth of linearly independent subsets; as soon as a subset
+    spans the all-ones vector it is tested and the branch is cut, because a
+    strict superset would force zero weights and cannot be minimal.
+
+    The search runs in integers: every vector is scaled once by a positive
+    factor to a primitive integer vector (rescaling keeps minimal
+    balancedness, and the weights rescale with it), residuals and the
+    all-ones target are kept fraction-free, and Fraction weights are built
+    only for accepted subsets.
+    """
+    vectors = _checked_vectors(vectors, n)
+    rows, scales = _integer_rows(vectors, n)
+    m = len(rows)
+    results = []
+
+    def dfs(start, chosen, basis, target):
+        depth = len(chosen)
+        if not any(target[:n]):
+            weights = _positive_weights(target, n, depth)
+            if weights is not None:
+                results.append((tuple(chosen), tuple(
+                    w * scales[j] for w, j in zip(weights, chosen))))
+            return
+        if depth == n:
+            return
+        for j in range(start, m):
+            step = _extend(basis, target, rows[j][depth], n)
+            if step is None:
+                continue
+            piv, residual, new_target = step
+            chosen.append(j)
+            basis.append((piv, residual))
+            dfs(j + 1, chosen, basis, new_target)
+            basis.pop()
+            chosen.pop()
+
+    dfs(0, [], [], _ones_row(n))
+    return results
+
+
+def _checked_vectors(vectors, n: int):
+    """The vectors as Fraction tuples, after the input checks of
+    `minimal_balanced_sets`."""
+    vectors = [tuple(Fraction(x) for x in vec) for vec in vectors]
+    for vec in vectors:
+        if len(vec) != n:
+            raise ValueError("vector dimension mismatch")
+        if all(x == 0 for x in vec):
+            raise ValueError("zero vector in a balanced-set universe")
+        if any(x < 0 for x in vec):
+            raise ValueError("balanced-set vectors must be nonnegative")
+    return vectors
+
+
+# The integer rows of the search have width 2n + 1: [vector (n) |
+# coefficients on the chosen vectors, by depth (n) | multiple of the all-ones
+# vector (1)].  Every row thus records how it is combined from the chosen
+# vectors and the all-ones vector, and eliminating the target down to zero
+# leaves the weights in its coefficient slots: no solve at the leaves.
+
+
+def _integer_rows(vectors, n: int):
+    """rows[j][d] is vector j, scaled to a primitive integer vector, entering
+    at depth d; scales[j] is its positive scale factor."""
+    rows, scales = [], []
+    for vec in vectors:
+        ints, scale = primitive(vec)
+        rows.append([ints + [0] * d + [1] + [0] * (n - d) for d in range(n)])
+        scales.append(scale)
+    return rows, scales
+
+
+def _ones_row(n: int) -> list[int]:
+    return [1] * n + [0] * n + [1]
+
+
+def _extend(basis, target, row, n: int):
+    """Reduce a row against the basis of (pivot, row) pairs.  None when it
+    depends on the basis, else (pivot, residual, target reduced by the
+    residual).  Each row is a nonzero multiple of its Fraction counterpart,
+    so pivots and zero tests are those of exact rational elimination."""
+    for piv, b in basis:
+        x = row[piv]
+        if x:
+            p = b[piv]
+            row = [p * u - x * v for u, v in zip(row, b)]
+    for piv in range(n):
+        if row[piv]:
+            break
+    else:
+        return None
+    _reduce_row(row)
+    x = target[piv]
+    if x:
+        r = row[piv]
+        target = [r * t - x * v for t, v in zip(target, row)]
+        _reduce_row(target)
+    return piv, row, target
+
+
+def _positive_weights(target, n: int, depth: int):
+    """Weights of the chosen vectors in the all-ones vector, read from a
+    target reduced to zero (alpha·1 + Σ coef·vector = 0), as Fractions;
+    None when some weight is not positive."""
+    alpha = target[-1]
+    coefs = target[n:n + depth]
+    if all(c * alpha < 0 for c in coefs):
+        return [Fraction(-c, alpha) for c in coefs]
+    return None
+
+
+def whole_set_weights(vectors, n: int):
+    """(independent, weights): the one path of `minimal_balanced_sets` that
+    can reach the whole vector set, taking the vectors in input order.
+
+    independent is False, with weights None, when the vectors are linearly
+    dependent.  Otherwise the system Σ_j w_j·v_j = 1 has at most one
+    solution, and weights is it when it is strictly positive (the whole set
+    is minimal balanced), else None.  One elimination pass; raises
+    ValueError on the inputs `minimal_balanced_sets` rejects."""
+    vectors = _checked_vectors(vectors, n)
+    if len(vectors) > n:
+        return False, None
+    rows, scales = _integer_rows(vectors, n)
+    basis, target = [], _ones_row(n)
+    for depth, row in enumerate(rows):
+        step = _extend(basis, target, row[depth], n)
+        if step is None:
+            return False, None
+        piv, residual, target = step
+        basis.append((piv, residual))
+    if any(target[:n]):
+        return True, None
+    weights = _positive_weights(target, n, len(rows))
+    if weights is None:
+        return True, None
+    return True, tuple(w * s for w, s in zip(weights, scales))
+
+
+def is_minimal_balanced_set(vectors, n: int) -> bool:
+    """Whether the whole vector set is one of its own minimal balanced
+    subsets.  Raises ValueError on the inputs `minimal_balanced_sets`
+    rejects."""
+    return whole_set_weights(vectors, n)[1] is not None
 
 
 def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:

@@ -1,7 +1,7 @@
 """Brute-force exact vertex enumeration for small polyhedra.
 
 This is the independent oracle side of the library: cores, subgame cores and
-weight polytopes are small enough that enumerating candidate tight subsets
+family polytopes are small enough that enumerating candidate tight subsets
 and solving exactly beats any clever pivoting, and it produces certificates
 that can be re-substituted into every constraint.  Feasibility questions
 (including strict inequalities, needed for region nonemptiness) go through a
@@ -306,30 +306,3 @@ def _min_reduced(reduced, objective, base_value, d):
         sum(c * w for c, w in zip(objective, vec)) for vec in span_basis
     )
     return _min_reduced(new_reduced, new_obj, base_value, len(span_basis))
-
-
-# ---------------------------------------------------------------------------
-# weight polytopes: vertices correspond to minimal balanced (sub)collections
-
-
-def weight_polytope_vertices(masks, n: int):
-    """Vertices of {w >= 0 : sum_S w_S 1^S = 1^N} over the given coalitions.
-
-    Returns (support, weights) pairs; each support is a minimal balanced
-    collection contained in `masks` and the weights are its unique balancing
-    system.  Basic solutions with non-positive entries are not vertices and
-    are skipped; duplicate supports cannot occur.
-    """
-    masks = tuple(sorted(masks))
-    ones = [1] * n
-    out = []
-    for size in range(1, min(n, len(masks)) + 1):
-        for combo in combinations(masks, size):
-            matrix = [
-                [(m >> i) & 1 for m in combo] for i in range(n)
-            ]
-            status, solution = linalg.solve_unique(matrix, ones)
-            if status == linalg.UNIQUE and all(x > 0 for x in solution):
-                out.append((combo, tuple(solution)))
-    out.sort()
-    return out

@@ -453,7 +453,6 @@ def _family_unbounded(system: LinearSystem) -> bool:
 @dataclass
 class FeasibleCollectionReport:
     collection: tuple[int, ...]
-    feasible: bool
     blocking: bool
     has_min_extendable: bool
 
@@ -597,7 +596,6 @@ def feasibility_survey(game: Game, db: MbcDatabase, family,
         reports.append(
             FeasibleCollectionReport(
                 collection=combo,
-                feasible=True,
                 blocking=is_blocking(combo, game.n),
                 has_min_extendable=has_min_extendable(combo, game, extendable_cache),
             )

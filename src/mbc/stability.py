@@ -21,10 +21,10 @@ collection by the positive factor s that makes it a primitive integer
 vector, which divides its weight by s, so its a-value is multiplied by s
 (and every a-value by one common denominator).
 
-`minimal_balanced_sets` still lists the minimal balanced subsets, by a
-depth-first search over linearly independent subsets that prunes above any
-subset already spanning the all-ones vector (no strict superset can be
-minimal).
+The search that lists the minimal balanced subsets themselves
+(`minimal_balanced_sets`) lives in `linalg`, next to the programs over the
+same polytope; this module imports `is_minimal_balanced_set` from there,
+where the acceptance tests look for it.
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ from math import lcm
 
 from . import linalg, props
 from .generate import MbcDatabase
+from .linalg import is_minimal_balanced_set
 from .model import (
     Game,
     WeightedCollection,
@@ -205,144 +206,6 @@ def omega_base(collection, family, game: Game):
         if vec not in table or val > table[vec]:
             table[vec] = val
     return table, complement_sources
-
-
-# ---------------------------------------------------------------------------
-# minimal balanced sets
-
-
-def minimal_balanced_sets(vectors, n: int):
-    """All minimal balanced subsets of a finite vector set.
-
-    Returns (indices, weights) pairs, indices referring to the input order.
-    Depth-first growth of linearly independent subsets; as soon as a subset
-    spans the all-ones vector it is tested and the branch is cut, because a
-    strict superset would force zero weights and cannot be minimal.
-
-    The search runs in integers: every vector is scaled once by a positive
-    factor to a primitive integer vector (rescaling keeps minimal
-    balancedness, and the weights rescale with it), residuals and the
-    all-ones target are kept fraction-free, and Fraction weights are built
-    only for accepted subsets.
-    """
-    vectors = _checked_vectors(vectors, n)
-    rows, scales = _integer_rows(vectors, n)
-    m = len(rows)
-    results = []
-
-    def dfs(start, chosen, basis, target):
-        depth = len(chosen)
-        if not any(target[:n]):
-            weights = _positive_weights(target, n, depth)
-            if weights is not None:
-                results.append((tuple(chosen), tuple(
-                    w * scales[j] for w, j in zip(weights, chosen))))
-            return
-        if depth == n:
-            return
-        for j in range(start, m):
-            step = _extend(basis, target, rows[j][depth], n)
-            if step is None:
-                continue
-            piv, residual, new_target = step
-            chosen.append(j)
-            basis.append((piv, residual))
-            dfs(j + 1, chosen, basis, new_target)
-            basis.pop()
-            chosen.pop()
-
-    dfs(0, [], [], _ones_row(n))
-    return results
-
-
-def _checked_vectors(vectors, n: int):
-    """The vectors as Fraction tuples, after the input checks shared by
-    `minimal_balanced_sets` and `is_minimal_balanced_set`."""
-    vectors = [tuple(Fraction(x) for x in vec) for vec in vectors]
-    for vec in vectors:
-        if len(vec) != n:
-            raise ValueError("vector dimension mismatch")
-        if all(x == 0 for x in vec):
-            raise ValueError("zero vector in a balanced-set universe")
-        if any(x < 0 for x in vec):
-            raise ValueError("balanced-set vectors must be nonnegative")
-    return vectors
-
-
-# The integer rows of the search have width 2n + 1: [vector (n) |
-# coefficients on the chosen vectors, by depth (n) | multiple of the all-ones
-# vector (1)].  Every row thus records how it is combined from the chosen
-# vectors and the all-ones vector, and eliminating the target down to zero
-# leaves the weights in its coefficient slots: no solve at the leaves.
-
-
-def _integer_rows(vectors, n: int):
-    """rows[j][d] is vector j, scaled to a primitive integer vector, entering
-    at depth d; scales[j] is its positive scale factor."""
-    rows, scales = [], []
-    for vec in vectors:
-        ints, scale = linalg.primitive(vec)
-        rows.append([ints + [0] * d + [1] + [0] * (n - d) for d in range(n)])
-        scales.append(scale)
-    return rows, scales
-
-
-def _ones_row(n: int) -> list[int]:
-    return [1] * n + [0] * n + [1]
-
-
-def _extend(basis, target, row, n: int):
-    """Reduce a row against the basis of (pivot, row) pairs.  None when it
-    depends on the basis, else (pivot, residual, target reduced by the
-    residual).  Each row is a nonzero multiple of its Fraction counterpart,
-    so pivots and zero tests are those of exact rational elimination."""
-    for piv, b in basis:
-        x = row[piv]
-        if x:
-            p = b[piv]
-            row = [p * u - x * v for u, v in zip(row, b)]
-    for piv in range(n):
-        if row[piv]:
-            break
-    else:
-        return None
-    linalg._reduce_row(row)
-    x = target[piv]
-    if x:
-        r = row[piv]
-        target = [r * t - x * v for t, v in zip(target, row)]
-        linalg._reduce_row(target)
-    return piv, row, target
-
-
-def _positive_weights(target, n: int, depth: int):
-    """Weights of the chosen vectors in the all-ones vector, read from a
-    target reduced to zero (alpha·1 + Σ coef·vector = 0), as Fractions;
-    None when some weight is not positive."""
-    alpha = target[-1]
-    coefs = target[n:n + depth]
-    if all(c * alpha < 0 for c in coefs):
-        return [Fraction(-c, alpha) for c in coefs]
-    return None
-
-
-def is_minimal_balanced_set(vectors, n: int) -> bool:
-    """Direct test: the column system has a unique, strictly positive
-    solution against the all-ones vector.  Raises ValueError on the inputs
-    `minimal_balanced_sets` rejects."""
-    vectors = _checked_vectors(vectors, n)
-    if len(vectors) > n:
-        return False  # dependent columns
-    rows, _ = _integer_rows(vectors, n)
-    basis, target = [], _ones_row(n)
-    for depth, row in enumerate(rows):
-        step = _extend(basis, target, row[depth], n)
-        if step is None:
-            return False
-        piv, residual, target = step
-        basis.append((piv, residual))
-    return (not any(target[:n])
-            and _positive_weights(target, n, len(rows)) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,29 +9,31 @@ for minimal balanced sets, kept as the reference for the integer one, and
 `nested_system_reference` is the earlier nested-stage decision (list the
 minimal balanced subsets of Omega, then test ψ and B0 set by set), kept as
 the reference for the linear programs that replace it.  The generator is
-checked against `brute_force_mbcs` (every subcollection solved on its own)
-and `mbc_via_vertices` (the vertices of the full weight polytope).
+checked against `brute_force_mbcs` (every subcollection classified on its
+own) and `mbc_via_vertices` (the vertices of the full weight polytope).
+Both stay independent of the library's search for minimal balanced sets:
+`weight_polytope_vertices` solves every subcollection of at most n
+coalitions with `solve_unique`, and `check_minimal_balanced_reference`, the
+earlier classification of one collection (`solve_unique`, then those
+vertices), classifies each subcollection for `brute_force_mbcs` and
+`is_minimal_balanced` and is the reference for `check_minimal_balanced`.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from mbc import Game, WeightedCollection, linalg
-from mbc.generate import MINIMAL, MbcDatabase, check_minimal_balanced
+from mbc.generate import (
+    BALANCED_NOT_MINIMAL,
+    MINIMAL,
+    NOT_BALANCED,
+    MbcDatabase,
+)
+from mbc.linalg import minimal_balanced_sets
 from mbc.model import complement, full_mask, members
-from mbc.polytope import (
-    LinearSystem,
-    enumerate_vertices,
-    system_feasible,
-    weight_polytope_vertices,
-)
+from mbc.polytope import LinearSystem, enumerate_vertices, system_feasible
 from mbc.props import derived_vS
-from mbc.stability import (
-    admissible_collections,
-    association_pool,
-    minimal_balanced_sets,
-    omega_base,
-)
+from mbc.stability import admissible_collections, association_pool, omega_base
 
 
 def region_nonempty(collection, family, game: Game) -> bool:
@@ -245,7 +247,7 @@ def nested_system_reference(collection, family, game: Game, patterns) -> bool:
 
 
 def is_minimal_balanced(wc: WeightedCollection, n: int) -> bool:
-    status, weights = check_minimal_balanced(wc.coalitions, n)
+    status, weights = check_minimal_balanced_reference(wc.coalitions, n)
     return status == MINIMAL and weights == wc.weights
 
 
@@ -258,11 +260,34 @@ def brute_force_mbcs(n: int) -> list[WeightedCollection]:
     found = []
     for size in range(1, n + 1):
         for combo in combinations(all_masks, size):
-            status, weights = check_minimal_balanced(combo, n)
+            status, weights = check_minimal_balanced_reference(combo, n)
             if status == MINIMAL:
                 found.append(WeightedCollection(combo, weights))
     found.sort(key=lambda wc: wc.coalitions)
     return found
+
+
+def weight_polytope_vertices(masks, n: int):
+    """Vertices of {w >= 0 : sum_S w_S 1^S = 1^N} over the given coalitions.
+
+    Returns (support, weights) pairs; each support is a minimal balanced
+    collection contained in `masks` and the weights are its unique balancing
+    system.  Basic solutions with non-positive entries are not vertices and
+    are skipped; duplicate supports cannot occur.
+    """
+    masks = tuple(sorted(masks))
+    ones = [1] * n
+    out = []
+    for size in range(1, min(n, len(masks)) + 1):
+        for combo in combinations(masks, size):
+            matrix = [
+                [(m >> i) & 1 for m in combo] for i in range(n)
+            ]
+            status, solution = linalg.solve_unique(matrix, ones)
+            if status == linalg.UNIQUE and all(x > 0 for x in solution):
+                out.append((combo, tuple(solution)))
+    out.sort()
+    return out
 
 
 def mbc_via_vertices(n: int, cap: int = 4) -> list[WeightedCollection]:
@@ -275,6 +300,28 @@ def mbc_via_vertices(n: int, cap: int = 4) -> list[WeightedCollection]:
         WeightedCollection(support, weights)
         for support, weights in weight_polytope_vertices(all_masks, n)
     ]
+
+
+def check_minimal_balanced_reference(masks, n: int):
+    """The earlier classification of a valid collection: one `solve_unique`
+    on the whole collection, and only when its solutions form an affine
+    family, the vertices of its weight polytope, which must jointly cover
+    every member."""
+    masks = tuple(sorted(masks))
+    matrix = linalg.RatMatrix.from_collection(masks, n)
+    status, solution = linalg.solve_unique(matrix, [1] * n)
+    if status == linalg.UNIQUE:
+        if all(x > 0 for x in solution):
+            return MINIMAL, tuple(solution)
+        return NOT_BALANCED, None
+    if status == linalg.NO_SOLUTION:
+        return NOT_BALANCED, None
+    covered = set()
+    for support, _ in weight_polytope_vertices(masks, n):
+        covered.update(support)
+    if covered == set(masks):
+        return BALANCED_NOT_MINIMAL, None
+    return NOT_BALANCED, None
 
 
 def admissible_systems(collection, family, db: MbcDatabase, pool=None):

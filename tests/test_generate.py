@@ -1,32 +1,33 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
 
-from mbc import (
+from mbc.generate import (
     BALANCED_NOT_MINIMAL,
     MINIMAL,
     NOT_BALANCED,
     MbcDatabase,
-    WeightedCollection,
     add_new_player,
+    apply_case1,
+    apply_case2,
+    apply_case3,
+    apply_case4,
     check_minimal_balanced,
-    coalition_mask,
     is_balanced_collection,
     peleg,
     peleg_stream,
     to_regular_hypergraph,
 )
-from mbc.generate import (
-    apply_case1,
-    apply_case2,
-    apply_case3,
-    apply_case4,
-)
 from mbc.linalg import RatMatrix, rank
-from mbc.model import full_mask, members
-from oracles import brute_force_mbcs, is_minimal_balanced
+from mbc.model import WeightedCollection, coalition_mask, full_mask, members
+from oracles import (
+    brute_force_mbcs,
+    check_minimal_balanced_reference,
+    is_minimal_balanced,
+)
 
 F = Fraction
 
@@ -438,6 +439,34 @@ def test_check_minimal_balanced_errors():
         check_minimal_balanced([1, 1], 3)
 
 
+def _assert_classified_as_reference(masks, n):
+    got = check_minimal_balanced(masks, n)
+    assert got == check_minimal_balanced_reference(masks, n), (masks, n)
+    if got[1] is not None:
+        assert all(type(w) is Fraction for w in got[1])
+
+
+def test_check_minimal_balanced_matches_reference_small():
+    # every subcollection of at most 4 coalitions, n <= 4
+    for n in range(1, 5):
+        all_masks = range(1, full_mask(n) + 1)
+        for size in range(1, 5):
+            for combo in combinations(all_masks, size):
+                _assert_classified_as_reference(combo, n)
+
+
+def test_check_minimal_balanced_matches_reference_random():
+    # seeded random collections of 1..9 coalitions, in random order
+    rng = random.Random(8)
+    statuses = set()
+    for n in (5, 6):
+        for _ in range(150):
+            masks = rng.sample(range(1, full_mask(n) + 1), rng.randint(1, 9))
+            _assert_classified_as_reference(masks, n)
+            statuses.add(check_minimal_balanced(masks, n)[0])
+    assert statuses == {MINIMAL, BALANCED_NOT_MINIMAL, NOT_BALANCED}
+
+
 def test_check_against_brute_force_families():
     # every subcollection of the 3-player power set is classified correctly:
     # balanced iff it is a union of the minimal balanced collections inside
@@ -458,6 +487,16 @@ def test_is_balanced_collection_examples(db3):
     assert is_balanced_collection([0b001, 0b010, 0b100, 0b111], db3)
     assert not is_balanced_collection([0b011, 0b101, 0b001], db3)
     assert is_balanced_collection([0b111], db3)
+
+
+def test_is_balanced_collection_checks_input(db3):
+    # the checks of check_minimal_balanced: a repeated coalition, coalitions
+    # outside 1..2^n-1, and the empty collection
+    for masks in ([7, 7], [0b1000], [0, 7], []):
+        with pytest.raises(ValueError):
+            check_minimal_balanced(masks, 3)
+        with pytest.raises(ValueError):
+            is_balanced_collection(masks, db3)
 
 
 def test_unbalanced_witness_vectors(db3, db4):

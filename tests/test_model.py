@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from mbc import (
+from mbc.model import (
     Game,
     GameFormatError,
     WeightedCollection,
     coalition_key,
     coalition_mask,
     complement,
+    format_value,
+    full_mask,
+    members,
     parse_coalition_key,
     parse_game,
+    parse_number,
 )
-from mbc.model import format_value, full_mask, members, parse_number
 
 
 def test_members_and_mask_roundtrip():

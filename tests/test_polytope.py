@@ -14,10 +14,13 @@ from mbc.polytope import (
     enumerate_vertices,
     min_over,
     system_feasible,
-    weight_polytope_vertices,
 )
 from conftest import make_additive, make_three_player_tight
-from oracles import mbc_via_vertices, tight_points_reference
+from oracles import (
+    mbc_via_vertices,
+    tight_points_reference,
+    weight_polytope_vertices,
+)
 
 F = Fraction
 

@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 
 from mbc import Game, WeightedCollection, coalition_mask, linalg, stability
-from mbc.generate import check_minimal_balanced, MINIMAL
+from mbc.generate import MINIMAL, NOT_BALANCED, check_minimal_balanced
+from mbc.linalg import is_minimal_balanced_set, minimal_balanced_sets
 from mbc.model import full_mask
 from mbc.props import FeasibilityOracle, feasible_collections, sve_family
 from mbc.stability import (
@@ -19,8 +20,6 @@ from mbc.stability import (
     association_pool,
     c_value,
     is_core_stable,
-    is_minimal_balanced_set,
-    minimal_balanced_sets,
     nested_balancedness_ok,
     omega_base,
     z_vector,
@@ -29,6 +28,7 @@ from conftest import make_additive, make_biswas, make_three_player_tight
 from oracles import (
     admissible_systems,
     brute_nested_system_satisfied,
+    check_minimal_balanced_reference,
     minimal_balanced_sets_reference,
     nested_clause_reference,
     nested_system_reference,
@@ -199,7 +199,7 @@ def test_minimal_balanced_sets_match_collections():
         expected = set()
         for r in range(1, n + 1):
             for combo in combinations(universe, r):
-                if check_minimal_balanced(combo, n)[0] == MINIMAL:
+                if check_minimal_balanced_reference(combo, n)[0] == MINIMAL:
                     expected.add(combo)
         assert got == expected
 
@@ -315,6 +315,31 @@ def test_is_minimal_balanced_set_matches_fraction_solve():
             status, weights = linalg.solve_unique(cols, [1] * n)
             expected = status == linalg.UNIQUE and all(w > 0 for w in weights)
             assert is_minimal_balanced_set(vectors, n) == expected
+            # the one pass agrees with the search on the whole set's weights
+            whole = tuple(range(len(vectors)))
+            found = next((weights for indices, weights
+                          in minimal_balanced_sets(vectors, n)
+                          if indices == whole), None)
+            assert linalg.whole_set_weights(vectors, n) == (
+                linalg.rank(cols) == len(vectors), found)
+
+
+def test_whole_set_answers_without_search(monkeypatch):
+    # more vectors than their dimension, or independent ones, are decided by
+    # the one pass: the search (here made to fail) is never run
+    def no_search(vectors, n):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(linalg, "minimal_balanced_sets", no_search)
+    # the six unit vectors first, so that no prefix of 6 is dependent
+    masks = [1 << i for i in range(6)]
+    masks += [m for m in range(1, 64) if m not in masks][:34]
+    vectors = [tuple((m >> i) & 1 for i in range(6)) for m in masks]
+    assert linalg.whole_set_weights(vectors, 6) == (False, None)
+    assert not is_minimal_balanced_set(vectors, 6)
+    assert check_minimal_balanced([0b011, 0b101, 0b110], 3) == (
+        MINIMAL, (F(1, 2),) * 3)
+    assert check_minimal_balanced([0b001, 0b011], 3) == (NOT_BALANCED, None)
 
 
 # ---------------------------------------------------------------------------
