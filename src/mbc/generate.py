@@ -16,9 +16,12 @@ collections on 1..n:
           gives it total weight 1.
 
 Every rule emits only minimal balanced collections and together they are
-exhaustive, so after deduplication the output is the complete set.  The
-generator and the database work on integer rows (masks, numerators,
-denominator); fractions only materialize at the API boundary.
+exhaustive, so after deduplication the output is the complete set.  Each
+rule is coded once: the single-step helpers `apply_case1..4` run the
+generator's own rule code on one parent or pair and return the child it
+emits with the requested coalitions.  The generator and the database work
+on integer rows (masks, numerators, denominator); fractions only
+materialize at the API boundary.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ def _rank01(masks, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the four construction rules, shared by the bulk generator and the public
-# single-step helpers
+# the four construction rules: `_children_123` and `_children_4` emit every
+# child of one parent or pair; the public single-step helpers pick one of
+# those children by its coalitions
 
 
 def apply_case1(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
@@ -81,34 +85,18 @@ def apply_case1(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
     them and the weight system is unchanged.  `picked` holds 0-based member
     positions."""
     masks, nums, den = wc.to_row()
-    picked = sorted(set(picked))
-    if sum(nums[i] for i in picked) != den:
-        raise ValueError("case 1 needs the picked weights to sum to exactly 1")
-    p_bit = 1 << (p - 1)
-    _require_new_player(masks, p_bit)
-    entries = [
-        ((m | p_bit) if i in picked else m, nums[i]) for i, m in enumerate(masks)
-    ]
-    entries.sort()
-    return WeightedCollection.from_row([m for m, _ in entries], [x for _, x in entries], den)
+    p_bit, targets = _moved(masks, picked, p)
+    return _emitted(partial(_children_123, masks, nums, den, p_bit), targets,
+                    "case 1 needs the picked weights to sum to exactly 1")
 
 
 def apply_case2(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
     """Case 2: the picked weights sum to s < 1; the new player joins them and
     the singleton {p} enters with weight 1-s."""
     masks, nums, den = wc.to_row()
-    picked = sorted(set(picked))
-    s = sum(nums[i] for i in picked)
-    if s >= den:
-        raise ValueError("case 2 needs the picked weights to sum below 1")
-    p_bit = 1 << (p - 1)
-    _require_new_player(masks, p_bit)
-    entries = [
-        ((m | p_bit) if i in picked else m, nums[i]) for i, m in enumerate(masks)
-    ]
-    entries.append((p_bit, den - s))
-    entries.sort()
-    return WeightedCollection.from_row([m for m, _ in entries], [x for _, x in entries], den)
+    p_bit, targets = _moved(masks, picked, p)
+    return _emitted(partial(_children_123, masks, nums, den, p_bit), targets + [p_bit],
+                    "case 2 needs the picked weights to sum below 1")
 
 
 def apply_case3(wc: WeightedCollection, picked, split, p: int) -> WeightedCollection:
@@ -116,24 +104,12 @@ def apply_case3(wc: WeightedCollection, picked, split, p: int) -> WeightedCollec
     non-picked member at position `split` is duplicated into S u {p} with
     weight 1-s, keeping S with the weight remainder."""
     masks, nums, den = wc.to_row()
-    picked = sorted(set(picked))
+    picked = set(picked)
     if split in picked:
         raise ValueError("the split member must not be picked")
-    s = sum(nums[i] for i in picked)
-    rem = den - s
-    if not 0 < rem < nums[split]:
-        raise ValueError("case 3 needs 1 > sum of picked weights > 1 - split weight")
-    p_bit = 1 << (p - 1)
-    _require_new_player(masks, p_bit)
-    entries = [
-        ((m | p_bit) if i in picked else m, nums[i])
-        for i, m in enumerate(masks)
-        if i != split
-    ]
-    entries.append((masks[split] | p_bit, rem))
-    entries.append((masks[split], nums[split] - rem))
-    entries.sort()
-    return WeightedCollection.from_row([m for m, _ in entries], [x for _, x in entries], den)
+    p_bit, targets = _moved(masks, picked | {split}, p)
+    return _emitted(partial(_children_123, masks, nums, den, p_bit), targets + [masks[split]],
+                    "case 3 needs 1 > sum of picked weights > 1 - split weight")
 
 
 def apply_case4(first: WeightedCollection, second: WeightedCollection, picked,
@@ -143,42 +119,48 @@ def apply_case4(first: WeightedCollection, second: WeightedCollection, picked,
     union members and the weights interpolate the two systems at the unique
     point giving the new player total weight 1.  `picked` indexes the sorted
     union."""
-    masks_a, nums_a, den_a = first.to_row()
-    masks_b, nums_b, den_b = second.to_row()
-    union_masks = sorted(set(masks_a) | set(masks_b))
-    k = len(union_masks)
-    n_old = max(union_masks).bit_length()
     if first.coalitions == second.coalitions:
         raise ValueError("case 4 needs two distinct collections")
-    if _rank01(union_masks, n_old) != k - 1:
+    n_old = max(first.coalitions + second.coalitions).bit_length()
+    pair = _merged_pair(_pair_form(first.to_row()), _pair_form(second.to_row()), n_old)
+    if pair is None:
         raise ValueError("case 4 needs characteristic rank exactly |union| - 1")
-    L = lcm(den_a, den_b)
-    pos_a = {m: i for i, m in enumerate(masks_a)}
-    pos_b = {m: i for i, m in enumerate(masks_b)}
-    mu = [nums_a[pos_a[m]] * (L // den_a) if m in pos_a else 0 for m in union_masks]
-    nu = [nums_b[pos_b[m]] * (L // den_b) if m in pos_b else 0 for m in union_masks]
-    picked = sorted(set(picked))
-    a = L - sum(mu[i] for i in picked)
-    b = sum(nu[i] for i in picked) - sum(mu[i] for i in picked)
-    if not (0 < a < b or b < a < 0):
-        raise ValueError("case 4 needs the interpolation parameter inside ]0,1[")
+    union_masks, mu, nu, L = pair
+    p_bit, targets = _moved(union_masks, picked, p)
+    return _emitted(partial(_children_4, union_masks, mu, nu, L, p_bit), targets,
+                    "case 4 needs the interpolation parameter inside ]0,1[")
+
+
+def _moved(masks, picked, p: int) -> tuple[int, list[int]]:
+    """The new player's bit, and the masks with the new player added at the
+    picked positions; raises ValueError for a position outside the
+    collection or a new player already in it."""
+    picked = set(picked)
+    if not picked <= set(range(len(masks))):
+        raise ValueError(f"member positions must lie in 0..{len(masks) - 1}")
     p_bit = 1 << p - 1
-    _require_new_player(union_masks, p_bit)
-    entries = []
-    for i, m in enumerate(union_masks):
-        num = b * mu[i] + a * (nu[i] - mu[i])
-        entries.append(((m | p_bit) if i in picked else m, num))
-    den = L * b
-    if den < 0:
-        den = -den
-        entries = [(m, -x) for m, x in entries]
-    entries.sort()
-    return WeightedCollection.from_row([m for m, _ in entries], [x for _, x in entries], den)
-
-
-def _require_new_player(masks, p_bit: int) -> None:
     if any(m & p_bit for m in masks):
         raise ValueError("the new player already appears in the collection")
+    return p_bit, [(m | p_bit) if i in picked else m for i, m in enumerate(masks)]
+
+
+def _emitted(children, targets, message: str) -> WeightedCollection:
+    """The child with coalitions `targets` among those `children(emit)`
+    emits; raises ValueError(message) when there is none.  Different rules
+    and subsets give children with different coalitions, so the coalitions
+    name one child."""
+    targets = sorted(targets)
+    found = []
+
+    def emit(entries, den):
+        entries.sort()
+        if [m for m, _ in entries] == targets:
+            found.append(WeightedCollection.from_row(*zip(*entries), den))
+
+    children(emit)
+    if not found:
+        raise ValueError(message)
+    return found[0]
 
 
 def _children_123(masks, nums, den, p_bit, emit):
@@ -233,6 +215,39 @@ def _children_4(masks, mu, nu, L, p_bit, emit):
         emit(child, den)
 
 
+def _pair_form(row: Row):
+    """A parent as case 4 reads it: its coalitions as the bits m-1 of one
+    integer, its weight numerators by coalition, and its denominator."""
+    masks, nums, den = row
+    cover = 0
+    for m in masks:
+        cover |= 1 << (m - 1)
+    return cover, dict(zip(masks, nums)), den
+
+
+def _merged_pair(a, b, n_old: int):
+    """The arguments of `_children_4` before the new player's bit for two
+    parents in `_pair_form`: the sorted union of their coalitions and both
+    weight systems extended by zeros to it over the common denominator L.
+    None when the union's characteristic rank on n_old players is not one
+    below its size."""
+    union_masks = []
+    u = a[0] | b[0]
+    while u:
+        low = u & -u
+        union_masks.append(low.bit_length())
+        u ^= low
+    if _rank01(union_masks, n_old) != len(union_masks) - 1:
+        return None
+    (_, weights_a, den_a), (_, weights_b, den_b) = a, b
+    L = lcm(den_a, den_b)
+    fa = L // den_a
+    fb = L // den_b
+    mu = [weights_a.get(m, 0) * fa for m in union_masks]
+    nu = [weights_b.get(m, 0) * fb for m in union_masks]
+    return union_masks, mu, nu, L
+
+
 def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
                     sink=None) -> list[Row]:
     """One induction step: all minimal balanced collections on n_old+1 players
@@ -273,40 +288,17 @@ def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
 
     # case 4 over unordered pairs; the two orderings of a pair generate the
     # same children, so one suffices
-    n_parents = len(parents)
-    cmasks = [0] * n_parents
-    for idx, (masks, _, _) in enumerate(parents):
-        cm = 0
-        for m in masks:
-            cm |= 1 << (m - 1)
-        cmasks[idx] = cm
-    pos = [{m: i for i, m in enumerate(masks)} for masks, _, _ in parents]
+    forms = [_pair_form(row) for row in parents]
+    covers = [cover for cover, _, _ in forms]
     size_limit = n_old + 1
-    for ia in range(n_parents):
-        ca = cmasks[ia]
-        masks_a, nums_a, den_a = parents[ia]
-        pos_a = pos[ia]
-        for ib in range(ia + 1, n_parents):
-            union = ca | cmasks[ib]
-            k = union.bit_count()
-            if k > size_limit:
+    for ia, a in enumerate(forms):
+        ca = a[0]
+        for ib in range(ia + 1, len(forms)):
+            if (ca | covers[ib]).bit_count() > size_limit:
                 continue
-            union_masks = []
-            u = union
-            while u:
-                low = u & -u
-                union_masks.append(low.bit_length())
-                u ^= low
-            if _rank01(union_masks, n_old) != k - 1:
-                continue
-            masks_b, nums_b, den_b = parents[ib]
-            pos_b = pos[ib]
-            L = lcm(den_a, den_b)
-            fa = L // den_a
-            fb = L // den_b
-            mu = [nums_a[pos_a[m]] * fa if m in pos_a else 0 for m in union_masks]
-            nu = [nums_b[pos_b[m]] * fb if m in pos_b else 0 for m in union_masks]
-            _children_4(union_masks, mu, nu, L, p_bit, emit)
+            pair = _merged_pair(a, forms[ib], n_old)
+            if pair is not None:
+                _children_4(*pair, p_bit, emit)
     return [(masks, nums, den) for masks, (nums, den) in sorted(out.items())]
 
 
@@ -341,17 +333,13 @@ class MbcDatabase:
         i = bisect_left(self.rows, key, key=lambda row: row[0])
         return i < len(self.rows) and self.rows[i][0] == key
 
-    def header(self) -> str:
-        tail = " restricted" if self.restricted else ""
-        return f"MBCDB 1 n={self.n} count={len(self.rows)}{tail}"
-
     def save(self, path) -> None:
         with open(path, "w") as fh:
             self.dump(fh)
 
     def dump(self, fh) -> None:
         write = LineCodec().write
-        fh.write(self.header() + "\n")
+        fh.write(_header(self.n, len(self.rows), self.restricted) + "\n")
         for line in sorted(write(*row) for row in self.rows):
             fh.write(line + "\n")
 
@@ -408,6 +396,12 @@ class MbcDatabase:
             if a[0] == b[0]:
                 raise ValueError(f"MBCDB lists a collection twice: {codec.write(*b)!r}")
         return cls(n, tuple(rows), restricted)
+
+
+def _header(n: int, count: int, restricted: bool) -> str:
+    """The first line of an MBCDB file, without its newline."""
+    tail = " restricted" if restricted else ""
+    return f"MBCDB 1 n={n} count={count}{tail}"
 
 
 def _lanes(width: int, mask: int) -> int:
@@ -536,9 +530,8 @@ def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000
                         previous = line
             for fh in files:
                 fh.close()
-            tail = " restricted" if set_system is not None else ""
             with open(out_path, "w") as out:
-                out.write(f"MBCDB 1 n={n} count={count}{tail}\n")
+                out.write(_header(n, count, allowed is not None) + "\n")
                 with open(body_path) as body:
                     for line in body:
                         out.write(line)

@@ -291,17 +291,7 @@ def reduced_game(game: Game, keep: int, fixed: dict[int, Fraction]) -> Game:
     keep_players = members(keep)
     relabel = {p: i for i, p in enumerate(keep_players)}
 
-    # z(Q) for all submasks of the outside set, in increasing mask order
-    zsum: dict[int, Fraction] = {0: Fraction(0)}
-    q = 0
-    while True:
-        if q:
-            low = q & -q
-            zsum[q] = zsum[q ^ low] + fixed[low.bit_length()]
-        q = (q - outside) & outside
-        if q == 0:
-            break
-
+    zsum = _payoff_sums(outside, fixed)
     m = len(keep_players)
     values: dict[int, Fraction] = {}
     grand = game.grand_value()
@@ -321,19 +311,29 @@ def reduced_game(game: Game, keep: int, fixed: dict[int, Fraction]) -> Game:
         if t == keep:
             val = grand - total_fixed
         else:
-            best = None
-            q = 0
-            while True:
-                cand = game.value(t | q) - zsum[q]
-                if best is None or cand > best:
-                    best = cand
-                q = (q - outside) & outside
-                if q == 0:
-                    break
-            val = best
+            val = _max_excess(game, t, zsum)
         if val != 0:
             values[new_mask] = val
     return Game(m, values)
+
+
+def _payoff_sums(outside: int, fixed: dict[int, Fraction]) -> dict[int, Fraction]:
+    """x(Q) for every submask Q of `outside` under the pinned payoffs, in
+    increasing mask order."""
+    zsum: dict[int, Fraction] = {0: Fraction(0)}
+    q = 0
+    while True:
+        q = (q - outside) & outside
+        if q == 0:
+            return zsum
+        low = q & -q
+        zsum[q] = zsum[q ^ low] + fixed[low.bit_length()]
+
+
+def _max_excess(game: Game, t: int, zsum: dict[int, Fraction]) -> Fraction:
+    """The reduced-game excess of T: max over the Q of `zsum` of
+    v(T u Q) - x(Q)."""
+    return max(game.value(t | q) - z for q, z in zsum.items())
 
 
 @lru_cache(maxsize=None)
@@ -368,29 +368,12 @@ def is_extendable(S: int, game: Game) -> bool:
         fixed = {p: vertex[i] for i, p in enumerate(keep_players)}
         level = game.grand_value() - sum(fixed.values())
         reduced = reduced_game(game, outside, fixed)
-        top = _recruitment_value(game, outside, S, fixed)
+        top = _max_excess(game, outside, _payoff_sums(S, fixed))
         values = reduced.with_value(full_mask(m), top)
         scaled, _ = _scale([values.value(mask) for mask in range(1 << m)] + [level])
         if _first_violated(db_small.rows, scaled[:-1], scaled[-1]) is not None:
             return False
     return True
-
-
-def _recruitment_value(game: Game, T: int, inside: int, fixed: dict) -> Fraction:
-    """max over Q inside of v(T u Q) - x(Q) for the pinned payoffs."""
-    best = None
-    q = 0
-    while True:
-        cost = sum(
-            (fixed[p] for p in members(q)), Fraction(0)
-        )
-        candidate = game.value(T | q) - cost
-        if best is None or candidate > best:
-            best = candidate
-        q = (q - inside) & inside
-        if q == 0:
-            break
-    return best
 
 
 # ---------------------------------------------------------------------------

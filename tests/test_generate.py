@@ -127,6 +127,59 @@ def test_worked_examples_land_in_the_databases(db3, db5):
     assert db3.contains(last.coalitions)
 
 
+def test_case_positions_checked():
+    # a negative position would wrap in the weight sums but match no member
+    singles = wc([(0b01, F(1)), (0b10, F(1))])
+    pair = wc([(0b11, F(1))])
+    for call in (
+        lambda: apply_case1(BASE, [-4, 3], 5),
+        lambda: apply_case1(BASE, [0, 4], 5),
+        lambda: apply_case2(BASE, [-1], 5),
+        lambda: apply_case2(BASE, [4], 5),
+        lambda: apply_case3(BASE, [-4], 1, 5),
+        lambda: apply_case3(BASE, [0, 1], -1, 5),
+        lambda: apply_case3(BASE, [0, 1], 4, 5),
+        lambda: apply_case4(singles, pair, [-1, 0], 3),
+        lambda: apply_case4(singles, pair, [0, 3], 3),
+    ):
+        with pytest.raises(ValueError, match="positions"):
+            call()
+
+
+def _helper_children(parents, p):
+    """Every collection the single-step helpers return for one step."""
+    found = set()
+
+    def keep(helper, *args):
+        try:
+            found.add(helper(*args))
+        except ValueError:
+            pass
+
+    for parent in parents:
+        k = len(parent.coalitions)
+        for r in range(k + 1):
+            for picked in combinations(range(k), r):
+                keep(apply_case1, parent, picked, p)
+                keep(apply_case2, parent, picked, p)
+                for split in range(k):
+                    keep(apply_case3, parent, picked, split, p)
+    for first, second in combinations(parents, 2):
+        union = set(first.coalitions) | set(second.coalitions)
+        if len(union) > p:
+            continue
+        for r in range(len(union) + 1):
+            for picked in combinations(range(len(union)), r):
+                keep(apply_case4, first, second, picked, p)
+    return found
+
+
+@pytest.mark.parametrize("n_old", [1, 2, 3, 4])
+def test_single_step_helpers_reproduce_the_induction_step(n_old):
+    got = _helper_children(list(peleg(n_old)), n_old + 1)
+    assert got == set(peleg(n_old + 1))
+
+
 # ---------------------------------------------------------------------------
 # generation
 
