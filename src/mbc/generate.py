@@ -574,8 +574,11 @@ def check_minimal_balanced(masks, n: int):
     the characteristic vectors (`linalg.minimal_balanced_sets`): the
     collection is minimal when it is one of them, which one pass along the
     search's path through all of them decides (`linalg.whole_set_weights`),
-    and balanced when they cover every member, which needs the whole search
-    only when the characteristic vectors are dependent.
+    and balanced when they cover every member.  Only dependent
+    characteristic vectors need the second test, and it needs no search: a
+    member lies in a minimal balanced subcollection iff some vertex of the
+    weight polytope gives it positive weight, one `linalg.vertex_clause`
+    program per member.
     """
     masks = _checked_masks(masks, n)
     vectors = [[(m >> i) & 1 for i in range(n)] for m in masks]
@@ -585,10 +588,9 @@ def check_minimal_balanced(masks, n: int):
     if independent:
         # the unique solution is not positive, or there is none
         return NOT_BALANCED, None
-    covered = set()
-    for indices, _ in linalg.minimal_balanced_sets(vectors, n):
-        covered.update(indices)
-    if covered == set(range(len(masks))):
+    zeros = [0] * len(vectors)
+    if all(linalg.vertex_clause(vectors, zeros, 0, [k == j for k in range(len(vectors))])
+           for j in range(len(vectors))):
         return BALANCED_NOT_MINIMAL, None
     return NOT_BALANCED, None
 

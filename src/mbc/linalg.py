@@ -12,10 +12,11 @@ a linear program over P by a fraction-free simplex.
 `minimal_balanced_sets` lists the vertex supports of P, the minimal
 balanced subsets, by a depth-first search over linearly independent
 subsets in integers; on characteristic vectors these are the minimal
-balanced collections, so `generate.check_minimal_balanced` classifies a
-collection with it too.  `whole_set_weights` walks the one path of that
+balanced collections.  `whole_set_weights` walks the one path of that
 search that can reach the whole set, which decides in one elimination pass
-whether the whole set is minimal balanced.
+whether the whole set is minimal balanced.  `generate.check_minimal_balanced`
+classifies a collection with that pass and, for dependent characteristic
+vectors, with one `vertex_clause` program per member.
 """
 
 from __future__ import annotations
@@ -482,11 +483,3 @@ def solve_unique(matrix, b) -> tuple[str, tuple[Fraction, ...] | None]:
     if basis:
         return NON_UNIQUE, None
     return UNIQUE, x0
-
-
-def null_space(matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : A x = 0} (the right kernel, vectors indexed by columns)."""
-    rows = _as_rows(matrix)
-    if not rows:
-        return []
-    return solve_affine(rows, [0] * len(rows), len(rows[0]))[1]

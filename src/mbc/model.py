@@ -358,7 +358,7 @@ def parse_game(text: str | bytes) -> Game:
     unknown = set(payload) - {"n", "values"}
     if unknown:
         raise GameFormatError(f"unknown fields {sorted(unknown)}")
-    if "n" not in payload or not isinstance(payload["n"], int):
+    if not isinstance(payload.get("n"), int) or isinstance(payload["n"], bool):
         raise GameFormatError("missing or non-integer field 'n'")
     n = payload["n"]
     if not 1 <= n <= PLAYER_CAP:
@@ -369,7 +369,7 @@ def parse_game(text: str | bytes) -> Game:
     values: dict[int, Fraction] = {}
     for key, raw in raw_values.items():
         mask = parse_coalition_key(key, n)
-        if isinstance(raw, int):
+        if isinstance(raw, int) and not isinstance(raw, bool):
             value = Fraction(raw)
         elif isinstance(raw, str):
             value = parse_number(raw)

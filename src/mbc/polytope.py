@@ -1,11 +1,12 @@
-"""Brute-force exact vertex enumeration for small polyhedra.
+"""Exact vertex enumeration for small polyhedra.
 
-This is the independent oracle side of the library: cores, subgame cores and
-family polytopes are small enough that enumerating candidate tight subsets
-and solving exactly beats any clever pivoting, and it produces certificates
-that can be re-substituted into every constraint.  Feasibility questions
-(including strict inequalities, needed for region nonemptiness) go through a
-small Fourier-Motzkin eliminator.
+`enumerate_vertices` lists the vertices of a `LinearSystem` by solving every
+candidate set of tight inequalities exactly.  The library calls it on
+subgame cores (`props.is_extendable`) and on family polytopes
+(`props.is_core_describing`); both are small enough that the enumeration
+beats any clever pivoting, and every vertex it returns can be re-substituted
+into each constraint.  Whether a family polytope is bounded is decided by
+balancedness in `props`, not here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from . import linalg
 from .model import full_mask, members
 
 DEFAULT_DIM_CAP = 8
-_FM_ROW_LIMIT = 200_000
 
 
 class DimensionCapError(ValueError):
@@ -28,11 +28,6 @@ class DimensionCapError(ValueError):
 
 class UnboundedPolytopeError(ValueError):
     """An operation that needs a bounded polytope met an unbounded one."""
-
-
-VALUE = "value"
-UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
 
 
 @dataclass
@@ -105,17 +100,6 @@ def _reduce_ineqs(ineqs, x0, basis):
     return reduced
 
 
-def _dedup_sorted(points):
-    seen = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    out.sort()
-    return out
-
-
 def enumerate_vertices(system: LinearSystem, dim_cap: int = DEFAULT_DIM_CAP):
     """All vertices, exactly.  Every returned point satisfies each constraint
     and makes some maximal independent subset of them tight; the list is
@@ -168,141 +152,3 @@ def _tight_points(reduced, d):
         if all(sum(c * x for c, x in zip(a, nums)) >= b * den for a, b in rows):
             points.append(tuple(Fraction(x, den) for x in nums))
     return points
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin feasibility (with strict-inequality tracking)
-
-
-def _normalize_row(coeffs, rhs, strict):
-    scale = None
-    for c in coeffs:
-        if c != 0:
-            scale = abs(c)
-            break
-    if scale is None:
-        return None  # constant row, handled by caller
-    return tuple(c / scale for c in coeffs), rhs / scale, strict
-
-
-def _fm_feasible(rows, n_vars: int) -> bool:
-    """rows: (coeffs, rhs, strict) meaning a.y >= b, or a.y > b when strict."""
-    work = []
-    for coeffs, rhs, strict in rows:
-        if all(c == 0 for c in coeffs):
-            if rhs > 0 or (strict and rhs == 0):
-                return False
-            continue
-        work.append((tuple(coeffs), rhs, strict))
-    for var in range(n_vars):
-        lowers, uppers, rest = [], [], []
-        for coeffs, rhs, strict in work:
-            c = coeffs[var]
-            if c > 0:
-                lowers.append((coeffs, rhs, strict, c))
-            elif c < 0:
-                uppers.append((coeffs, rhs, strict, c))
-            else:
-                rest.append((coeffs, rhs, strict))
-        new_rows = {}
-        for lc, lb, ls, la in lowers:
-            for uc, ub, us, ua in uppers:
-                # y_var >= (lb - l.y')/la and y_var <= (ub - u.y')/ua combine
-                coeffs = tuple(
-                    lci * (-ua) + uci * la if i != var else Fraction(0)
-                    for i, (lci, uci) in enumerate(zip(lc, uc))
-                )
-                rhs = lb * (-ua) + ub * la
-                strict = ls or us
-                if all(c == 0 for c in coeffs):
-                    if rhs > 0 or (strict and rhs == 0):
-                        return False
-                    continue
-                norm = _normalize_row(coeffs, rhs, strict)
-                key = norm[:2]
-                if key in new_rows:
-                    new_rows[key] = new_rows[key] or norm[2]
-                else:
-                    new_rows[key] = norm[2]
-        work = rest + [(c, r, s) for (c, r), s in new_rows.items()]
-        if len(work) > _FM_ROW_LIMIT:
-            raise DimensionCapError("Fourier-Motzkin row blow-up")
-    return True
-
-
-def system_feasible(system: LinearSystem, strict_ineqs=()) -> bool:
-    """Exact feasibility of eqs + ineqs + strict inequalities a.x > b."""
-    hull = system.affine_hull()
-    if hull is None:
-        return False
-    x0, basis = hull
-    rows = []
-    for coeffs, rhs in system.ineqs:
-        shifted = rhs - sum(c * x for c, x in zip(coeffs, x0))
-        projected = tuple(sum(c * w for c, w in zip(coeffs, vec)) for vec in basis)
-        rows.append((projected, shifted, False))
-    for coeffs, rhs in strict_ineqs:
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        rhs = Fraction(rhs)
-        shifted = rhs - sum(c * x for c, x in zip(coeffs, x0))
-        projected = tuple(sum(c * w for c, w in zip(coeffs, vec)) for vec in basis)
-        rows.append((projected, shifted, True))
-    return _fm_feasible(rows, len(basis))
-
-
-def min_over(system: LinearSystem, objective, dim_cap: int = DEFAULT_DIM_CAP):
-    """Exact minimum of objective.x over the system.
-
-    Returns (VALUE, minimum), (UNBOUNDED, None) or (INFEASIBLE, None).
-    Recession directions are detected exactly from the constraint matrix.
-    """
-    objective = tuple(Fraction(c) for c in objective)
-    hull = system.affine_hull()
-    if hull is None:
-        return INFEASIBLE, None
-    x0, basis = hull
-    if len(basis) > dim_cap:
-        raise DimensionCapError(f"{len(basis)} free variables exceed the cap {dim_cap}")
-    reduced = _reduce_ineqs(system.ineqs, x0, basis)
-    if reduced is None:
-        return INFEASIBLE, None
-    base_value = sum(c * x for c, x in zip(objective, x0))
-    proj_obj = tuple(
-        sum(c * w for c, w in zip(objective, vec)) for vec in basis
-    )
-    return _min_reduced(reduced, proj_obj, base_value, len(basis))
-
-
-def _min_reduced(reduced, objective, base_value, d):
-    if d == 0:
-        return VALUE, base_value
-    if not _fm_feasible([(c, r, False) for c, r in reduced], d):
-        return INFEASIBLE, None
-    if any(objective):
-        cone = [(c, Fraction(0), False) for c, _ in reduced]
-        cone.append((tuple(-c for c in objective), Fraction(1), False))
-        if _fm_feasible(cone, d):
-            return UNBOUNDED, None
-    else:
-        return VALUE, base_value
-
-    points = _tight_points(reduced, d)
-    if points:
-        best = min(sum(c * yj for c, yj in zip(objective, y)) for y in points)
-        return VALUE, base_value + best
-    # no vertex: quotient out the lineality space and retry in lower dimension
-    normals = [c for c, _ in reduced]
-    lineality = linalg.null_space(normals)
-    if not lineality:
-        return INFEASIBLE, None  # pointed and feasible would have a vertex
-    rows = linalg._int_rows(normals)
-    rows, pivots = linalg._echelon(rows)
-    span_basis = [tuple(Fraction(x) for x in rows[r]) for r in range(len(pivots))]
-    new_reduced = [
-        (tuple(sum(c * w for c, w in zip(coeffs, vec)) for vec in span_basis), rhs)
-        for coeffs, rhs in reduced
-    ]
-    new_obj = tuple(
-        sum(c * w for c, w in zip(objective, vec)) for vec in span_basis
-    )
-    return _min_reduced(new_reduced, new_obj, base_value, len(span_basis))

@@ -21,15 +21,21 @@ from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
-from . import polytope
-from .generate import MbcDatabase, peleg
+from . import linalg
+from .generate import NOT_BALANCED, MbcDatabase, check_minimal_balanced, peleg
 from .model import Game, WeightedCollection, complement, full_mask, members
-from .polytope import LinearSystem, enumerate_vertices
+from .polytope import LinearSystem, UnboundedPolytopeError, enumerate_vertices
 
 
 class UnbalancedGameError(ValueError):
     """Raised when an operation requiring a nonempty core meets a game
     without one."""
+
+
+def _check_coalition(S: int, n: int) -> None:
+    """Raise ValueError unless S is a coalition of n players, 1..2^n - 1."""
+    if not 0 < S <= full_mask(n):
+        raise ValueError(f"coalition {S:#x} out of range for n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +72,7 @@ class DerivedGame:
 
 def derived_vS(game: Game, S: int) -> DerivedGame:
     """The game differing from `game` only at S^c, where it takes v(N)-v(S)."""
-    if S == 0:
-        raise ValueError("empty coalition")
+    _check_coalition(S, game.n)
     comp = complement(S, game.n)
     if comp == 0:
         return DerivedGame(game, {})
@@ -79,8 +84,7 @@ def derived_vSS(game: Game, collection) -> DerivedGame:
     base values carried by the complements."""
     overrides = {}
     for S in collection:
-        if S == 0:
-            raise ValueError("empty coalition")
+        _check_coalition(S, game.n)
         comp = complement(S, game.n)
         if comp:
             overrides[comp] = game.grand_value() - game.value(S)
@@ -207,8 +211,7 @@ def balancedness_witness(game, db: MbcDatabase):
 
 def is_exact(S: int, game: Game, index: BalancedIndex) -> bool:
     """S is exact iff the derived game v^S keeps a nonempty core."""
-    if S == 0:
-        raise ValueError("empty coalition")
+    _check_coalition(S, game.n)
     index.require_balanced()
     comp = complement(S, game.n)
     if comp == 0:
@@ -234,11 +237,9 @@ def is_strictly_vital_exact(S: int, game: Game, index: BalancedIndex) -> bool:
     """S admits a core element tight on S and strictly slack on every proper
     nonempty subset of S.  Checked through the effective set of v^S: no tight
     collection of v^S may contain a proper subset of S (S itself excluded)."""
-    if S == 0:
-        raise ValueError("empty coalition")
+    _check_coalition(S, game.n)
     index.require_balanced()
-    n = index.game.n
-    comp = complement(S, n)
+    comp = complement(S, game.n)
     if not is_exact(S, game, index):
         return False
     if comp == 0:
@@ -282,8 +283,7 @@ def reduced_game(game: Game, keep: int, fixed: dict[int, Fraction]) -> Game:
     """Davis-Maschler reduced game on the players of `keep`, with the payoff
     of every outside player pinned by `fixed`.  Players are relabelled
     1..|keep| in ascending order."""
-    if keep == 0:
-        raise ValueError("empty coalition")
+    _check_coalition(keep, game.n)
     n = game.n
     outside = complement(keep, n)
     if set(fixed) != set(members(outside)):
@@ -352,9 +352,8 @@ def is_extendable(S: int, game: Game) -> bool:
     value of S^c on both sides would make its collection vacuous and lose the
     constraint the extension must respect.
     """
-    if S == 0:
-        raise ValueError("empty coalition")
     n = game.n
+    _check_coalition(S, n)
     if S == full_mask(n):
         return True
     vertices = enumerate_vertices(LinearSystem.subgame_core(game, S))
@@ -382,16 +381,18 @@ def is_extendable(S: int, game: Game) -> bool:
 
 def is_core_describing(family, game: Game) -> bool:
     """True iff the family's constraints alone already cut out the core:
-    every missing coalition's constraint is implied."""
+    every missing coalition's constraint is implied.  Raises
+    UnboundedPolytopeError when the family polytope is unbounded."""
     family = set(family)
     n = game.n
+    for S in family:
+        _check_coalition(S, n)
     singles = all((1 << i) in family for i in range(n))
-    system = LinearSystem.family_polytope(game, sorted(family))
-    if not singles and _family_unbounded(system):
-        raise polytope.UnboundedPolytopeError(
+    if not singles and not _family_bounded(family, n):
+        raise UnboundedPolytopeError(
             "family polytope is unbounded; singletons are missing"
         )
-    vertices = enumerate_vertices(system)
+    vertices = enumerate_vertices(LinearSystem.family_polytope(game, sorted(family)))
     if not vertices:
         # the family polytope contains the core, which is nonempty for the
         # intended (balanced) callers, so this means an empty core
@@ -409,24 +410,21 @@ def is_core_describing(family, game: Game) -> bool:
     return True
 
 
-def _family_unbounded(system: LinearSystem) -> bool:
-    hull = system.affine_hull()
-    if hull is None:
+def _family_bounded(family, n: int) -> bool:
+    """Is every polytope {x : x(N) = c, x(S) >= b_S for S in family} bounded?
+
+    Its recession cone {y : y(N) = 0, y(S) >= 0 for S in family} is {0}
+    exactly when (a) no y in the cone has some y(S) > 0, which by Stiemke's
+    lemma means the family is balanced (every member lies in a balanced
+    subcollection; the empty family counts as balanced), and (b) no nonzero
+    y has y(N) = 0 and every y(S) = 0, which means the characteristic
+    vectors of the family together with 1_N span R^n.  A family holding
+    every singleton passes both."""
+    family = sorted(family)
+    vectors = [[(m >> i) & 1 for i in range(n)] for m in (*family, full_mask(n))]
+    if linalg.rank(vectors) < n:
         return False
-    x0, basis = hull
-    rows = []
-    for coeffs, _ in system.ineqs:
-        rows.append(
-            (tuple(sum(c * w for c, w in zip(coeffs, vec)) for vec in basis), Fraction(0), False)
-        )
-    d = len(basis)
-    for i in range(d):
-        unit = tuple(Fraction(1) if j == i else Fraction(0) for j in range(d))
-        for direction in (unit, tuple(-u for u in unit)):
-            probe = rows + [(direction, Fraction(1), False)]
-            if polytope._fm_feasible(probe, d):
-                return True
-    return False
+    return not family or check_minimal_balanced(family, n)[0] != NOT_BALANCED
 
 
 # ---------------------------------------------------------------------------

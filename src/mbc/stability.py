@@ -44,6 +44,7 @@ from .model import (
     complement,
     members,
 )
+from .polytope import DimensionCapError
 
 STABLE = "Stable"
 NOT_STABLE = "NotStable"
@@ -391,7 +392,7 @@ def is_core_stable(game: Game, db: MbcDatabase,
 
     try:
         describing = props.is_core_describing(family, game)
-    except props.polytope.DimensionCapError:
+    except DimensionCapError:
         mark("core-describing")
         return StabilityReport(
             UNKNOWN, "core-describing",
@@ -421,7 +422,7 @@ def is_core_stable(game: Game, db: MbcDatabase,
     try:
         survivors = [c for c in feasible
                      if not props.has_min_extendable(c, game, extendable_cache)]
-    except props.polytope.DimensionCapError:
+    except DimensionCapError:
         mark("weak-extendability")
         return StabilityReport(
             UNKNOWN, "weak-extendability",

@@ -2,8 +2,12 @@
 
 These deliberately avoid the code paths they check: feasibility goes through
 a strict-inequality Fourier-Motzkin probe on the region itself, extendability
-through exact feasibility of the pinned core system, and the nested stability
-condition through plain combinations plus a direct solve per subset.
+through exact feasibility of the pinned core system, the boundedness of a
+family polytope through Fourier-Motzkin probes of its recession cone
+(`family_unbounded_reference`, the library's test before it decided
+boundedness by balancedness), and the nested stability condition through
+plain combinations plus a direct solve per subset.  The Fourier-Motzkin
+eliminator (`system_feasible`) lives only here; the library does not use it.
 `minimal_balanced_sets_reference` is the library's earlier Fraction search
 for minimal balanced sets, kept as the reference for the integer one, and
 `nested_system_reference` is the earlier nested-stage decision (list the
@@ -31,9 +35,110 @@ from mbc.generate import (
 )
 from mbc.linalg import minimal_balanced_sets
 from mbc.model import complement, full_mask, members
-from mbc.polytope import LinearSystem, enumerate_vertices, system_feasible
+from mbc.polytope import LinearSystem, enumerate_vertices
 from mbc.props import derived_vS
 from mbc.stability import admissible_collections, association_pool, omega_base
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin feasibility (with strict-inequality tracking)
+
+
+def _normalize_row(coeffs, rhs, strict):
+    scale = None
+    for c in coeffs:
+        if c != 0:
+            scale = abs(c)
+            break
+    if scale is None:
+        return None  # constant row, handled by caller
+    return tuple(c / scale for c in coeffs), rhs / scale, strict
+
+
+def _fm_feasible(rows, n_vars: int) -> bool:
+    """rows: (coeffs, rhs, strict) meaning a.y >= b, or a.y > b when strict."""
+    work = []
+    for coeffs, rhs, strict in rows:
+        if all(c == 0 for c in coeffs):
+            if rhs > 0 or (strict and rhs == 0):
+                return False
+            continue
+        work.append((tuple(coeffs), rhs, strict))
+    for var in range(n_vars):
+        lowers, uppers, rest = [], [], []
+        for coeffs, rhs, strict in work:
+            c = coeffs[var]
+            if c > 0:
+                lowers.append((coeffs, rhs, strict, c))
+            elif c < 0:
+                uppers.append((coeffs, rhs, strict, c))
+            else:
+                rest.append((coeffs, rhs, strict))
+        new_rows = {}
+        for lc, lb, ls, la in lowers:
+            for uc, ub, us, ua in uppers:
+                # y_var >= (lb - l.y')/la and y_var <= (ub - u.y')/ua combine
+                coeffs = tuple(
+                    lci * (-ua) + uci * la if i != var else Fraction(0)
+                    for i, (lci, uci) in enumerate(zip(lc, uc))
+                )
+                rhs = lb * (-ua) + ub * la
+                strict = ls or us
+                if all(c == 0 for c in coeffs):
+                    if rhs > 0 or (strict and rhs == 0):
+                        return False
+                    continue
+                norm = _normalize_row(coeffs, rhs, strict)
+                key = norm[:2]
+                if key in new_rows:
+                    new_rows[key] = new_rows[key] or norm[2]
+                else:
+                    new_rows[key] = norm[2]
+        work = rest + [(c, r, s) for (c, r), s in new_rows.items()]
+    return True
+
+
+def _hull_rows(hull, rows, strict: bool):
+    """Rows a.x >= b (a.x > b when strict) rewritten over the free
+    coordinates of an affine hull x0 + span(basis)."""
+    x0, basis = hull
+    out = []
+    for coeffs, rhs in rows:
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        shifted = Fraction(rhs) - sum(c * x for c, x in zip(coeffs, x0))
+        projected = tuple(sum(c * w for c, w in zip(coeffs, vec)) for vec in basis)
+        out.append((projected, shifted, strict))
+    return out
+
+
+def system_feasible(system: LinearSystem, strict_ineqs=()) -> bool:
+    """Exact feasibility of eqs + ineqs + strict inequalities a.x > b."""
+    hull = system.affine_hull()
+    if hull is None:
+        return False
+    rows = _hull_rows(hull, system.ineqs, False) + _hull_rows(hull, strict_ineqs, True)
+    return _fm_feasible(rows, len(hull[1]))
+
+
+def family_unbounded_reference(system: LinearSystem) -> bool:
+    """Does the recession cone of the system's polyhedron hold a nonzero
+    direction?  Probes y_i >= 1 and y_i <= -1 for each free coordinate of
+    the affine hull, each by Fourier-Motzkin over the homogeneous rows."""
+    hull = system.affine_hull()
+    if hull is None:
+        return False
+    d = len(hull[1])
+    cone = [(c, Fraction(0), False) for c, _, _ in _hull_rows(hull, system.ineqs, False)]
+    for i in range(d):
+        unit = tuple(Fraction(int(j == i)) for j in range(d))
+        for direction in (unit, tuple(-u for u in unit)):
+            if _fm_feasible(cone + [(direction, Fraction(1), False)], d):
+                return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# regions, extendability and the nested condition
 
 
 def region_nonempty(collection, family, game: Game) -> bool:

@@ -177,6 +177,25 @@ def test_stable_biswas_report_bytes(tmp_path, capsys):
     assert stdout == BISWAS_STABLE_REPORT
 
 
+# sha256 of the `analyze` report with every check, as printed when this test
+# was written: a change to any result or to the JSON layout shows here.
+ANALYZE_ALL_CHECKS = "core,exact,effective,sve,extendable,feasible"
+ANALYZE_REPORT_SHA256 = {
+    "four": "9d7f662b5da061ebc34ceb6adf41165a099e777f99bd6fbeecf2dd816d57882a",
+    "biswas": "149a4d72fb2f5a0bc13838842037fff398cf9cd168b21808194287bdbf4fee87",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(ANALYZE_REPORT_SHA256))
+def test_analyze_report_bytes(fixture, tmp_path, capsys):
+    path = tmp_path / f"{fixture}.game"
+    path.write_text(FOUR_PLAYER if fixture == "four" else make_biswas().to_text())
+    code, stdout, _ = run_main(capsys, ["analyze", str(path), "-c", ANALYZE_ALL_CHECKS])
+    assert code == 0
+    digest = hashlib.sha256(stdout.encode()).hexdigest()
+    assert digest == ANALYZE_REPORT_SHA256[fixture]
+
+
 def test_console_script_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "mbc.cli", "gen", "-n", "2", "-o", "-"],

@@ -109,6 +109,9 @@ def test_parse_game_accepts_integers_and_rationals():
         '{"n":3,"values":{"1":0.5}}',         # bare float
         '{"n":3,"values":{},"extra":1}',      # unknown field
         '{"values":{}}',                      # missing n
+        '{"n":true,"values":{"1":"1"}}',      # boolean n
+        '{"n":3,"values":{"1":true}}',        # boolean value
+        '{"n":3,"values":{"1":false}}',       # boolean zero value
         '[1,2]',                              # not an object
         'nonsense',
     ],

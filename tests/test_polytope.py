@@ -5,19 +5,15 @@ import pytest
 
 from mbc import Game, peleg
 from mbc.polytope import (
-    INFEASIBLE,
-    UNBOUNDED,
-    VALUE,
     DimensionCapError,
     LinearSystem,
     _tight_points,
     enumerate_vertices,
-    min_over,
-    system_feasible,
 )
 from conftest import make_additive, make_three_player_tight
 from oracles import (
     mbc_via_vertices,
+    system_feasible,
     tight_points_reference,
     weight_polytope_vertices,
 )
@@ -82,45 +78,6 @@ def test_dimension_cap():
     assert enumerate_vertices(system, dim_cap=9) == [tuple([F(0)] * 9)]
 
 
-def test_min_over_balanced_game_lp():
-    # min x(N) subject to x(S) >= v(S) for every nonempty S equals v(N)
-    # exactly when the game is balanced
-    game = make_three_player_tight()
-    system = LinearSystem(3)
-    for mask in range(1, 8):
-        system.add_ineq([(mask >> i) & 1 for i in range(3)], game.value(mask))
-    assert min_over(system, [1, 1, 1]) == (VALUE, F(3, 2))
-
-
-def test_min_over_core_coordinate():
-    system = LinearSystem.core(make_three_player_tight())
-    assert min_over(system, [1, 0, 0]) == (VALUE, F(1, 2))
-
-
-def test_min_over_zero_objective():
-    system = LinearSystem(2)
-    system.add_ineq([1, 0], 0)
-    assert min_over(system, [0, 0]) == (VALUE, F(0))
-
-
-def test_min_over_unbounded_and_infeasible():
-    system = LinearSystem(2)
-    system.add_ineq([-1, 0], 0)  # x <= 0
-    assert min_over(system, [1, 0]) == (UNBOUNDED, None)
-    empty = LinearSystem(1)
-    empty.add_ineq([1], 1)
-    empty.add_ineq([-1], 0)
-    assert min_over(empty, [1]) == (INFEASIBLE, None)
-
-
-def test_min_over_quotients_lineality():
-    # a halfspace slab with a free second coordinate has no vertex, but the
-    # objective ignores the free direction
-    system = LinearSystem(2)
-    system.add_ineq([1, 0], 3)
-    assert min_over(system, [1, 0]) == (VALUE, F(3))
-
-
 def test_feasibility_with_strict_rows():
     system = LinearSystem(2)
     system.add_eq([1, 1], 1)
@@ -169,14 +126,8 @@ def test_bondareva_shapley_vs_vertex_oracle_random():
         bs = is_balanced_game(game, db)
         vertices = enumerate_vertices(LinearSystem.core(game))
         assert bs == bool(vertices)
-        # the LP route agrees as well: the minimal efficient total over the
-        # coalition constraints meets the grand value exactly when balanced
-        lp = LinearSystem(4)
-        for mask in range(1, 16):
-            lp.add_ineq([(mask >> i) & 1 for i in range(4)], game.value(mask))
-        status, lowest = min_over(lp, [1, 1, 1, 1])
-        assert status == VALUE
-        assert bs == (lowest == game.value(15))
+        # Fourier-Motzkin elimination of the core system agrees as well
+        assert bs == system_feasible(LinearSystem.core(game))
 
 
 def test_tight_points_match_fraction_loop():

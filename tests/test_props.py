@@ -5,8 +5,9 @@ import pytest
 
 from mbc import Game, coalition_mask, peleg
 from mbc.model import full_mask
-from mbc.polytope import LinearSystem, VALUE, enumerate_vertices, min_over
+from mbc.polytope import LinearSystem, UnboundedPolytopeError, enumerate_vertices
 from mbc.props import (
+    _family_bounded,
     BalancedIndex,
     FeasibilityOracle,
     UnbalancedGameError,
@@ -29,7 +30,7 @@ from mbc.props import (
     sve_family,
 )
 from conftest import make_additive, make_biswas, make_three_player_tight
-from oracles import extendable_direct, region_nonempty
+from oracles import extendable_direct, family_unbounded_reference, region_nonempty
 
 F = Fraction
 
@@ -192,15 +193,29 @@ def test_exactness_matches_vertex_oracle_random(db4):
         game = Game(4, {**values, 15: level})
         assert is_balanced_game(game, db4)
         index = BalancedIndex(game, db4)
-        system = LinearSystem.core(game)
+        # the core is bounded and nonempty, so min x(S) over it is attained
+        # at a vertex
+        vertices = enumerate_vertices(LinearSystem.core(game))
         exact = set(exact_coalitions(game, db4, index))
         for S in range(1, 16):
-            status, lowest = min_over(system, [(S >> i) & 1 for i in range(4)])
-            assert status == VALUE
+            lowest = min(sum(x for i, x in enumerate(v) if S >> i & 1) for v in vertices)
             assert (S in exact) == (lowest == game.value(S))
             assert (S in exact) == is_exact(S, game, index)
             checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("S", [-1, 0, 8])
+def test_coalition_predicates_reject_masks_out_of_range(S):
+    game = Game(3, {7: F(1)})
+    index = BalancedIndex(game, peleg(3))
+    for predicate in (lambda: is_exact(S, game, index),
+                      lambda: is_strictly_vital_exact(S, game, index),
+                      lambda: is_extendable(S, game),
+                      lambda: is_core_describing([0b001, 0b010, 0b100, S], game),
+                      lambda: is_core_describing([0b011, S], game)):
+        with pytest.raises(ValueError, match="out of range"):
+            predicate()
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +287,54 @@ def test_core_describing_four_player_sve(db4, game4):
 
 def test_core_describing_unbounded_error():
     game = make_three_player_tight()
-    from mbc.polytope import UnboundedPolytopeError
-
     with pytest.raises(UnboundedPolytopeError):
         is_core_describing([0b011], game)
+
+
+def _all_families(n):
+    coalitions = range(1, full_mask(n) + 1)
+    for bits in range(1 << len(coalitions)):
+        yield tuple(S for i, S in enumerate(coalitions) if bits >> i & 1)
+
+
+def _random_families(n, count, seed):
+    # at most 20 coalitions: larger families are almost all bounded, and the
+    # Fourier-Motzkin probe slows down with every row
+    rng = random.Random(seed)
+    top = full_mask(n)
+    for _ in range(count):
+        size = rng.randint(0, min(top, 20))
+        yield tuple(sorted(rng.sample(range(1, top + 1), size)))
+
+
+def test_family_boundedness_matches_fourier_motzkin_probe():
+    # every family for n <= 3 (the empty family and families holding N
+    # among them) and 250 seeded families each for n = 4 and 5: balanced and
+    # spanning together with 1_N exactly when the recession cone is {0}
+    families = [(n, family) for n in (1, 2, 3) for family in _all_families(n)]
+    families += [(n, family) for n in (4, 5) for family in _random_families(n, 250, n)]
+    outcomes = set()
+    for n, family in families:
+        system = LinearSystem.family_polytope(Game(n, {}), family)
+        bounded = _family_bounded(family, n)
+        assert bounded == (not family_unbounded_reference(system)), (n, family)
+        outcomes.add((n, bounded))
+    # with one player every family polytope is a point
+    assert outcomes == {(1, True)} | {(n, b) for n in (2, 3, 4, 5) for b in (True, False)}
+
+
+def test_core_describing_raises_exactly_on_unbounded_families():
+    game = make_three_player_tight()
+    raised = 0
+    for family in _all_families(3):
+        system = LinearSystem.family_polytope(game, family)
+        if family_unbounded_reference(system):
+            raised += 1
+            with pytest.raises(UnboundedPolytopeError):
+                is_core_describing(family, game)
+        else:
+            assert is_core_describing(family, game) in (True, False)
+    assert 0 < raised < 128
 
 
 # ---------------------------------------------------------------------------
