@@ -470,18 +470,6 @@ def peleg(n: int, set_system=None, player_limit: int = DEFAULT_PLAYER_LIMIT) -> 
     return MbcDatabase(n, tuple(_rows_on(n, allowed)), allowed is not None)
 
 
-def add_new_player(db: MbcDatabase, p: int) -> MbcDatabase:
-    """One induction step on an existing database; p must be the next player."""
-    if 1 <= p <= db.n:
-        raise ValueError(f"player {p} is already in the set")
-    if p != db.n + 1:
-        raise ValueError(f"players must stay contiguous; expected p={db.n + 1}")
-    if p > PLAYER_CAP:
-        raise ValueError(f"player cap {PLAYER_CAP} exceeded")
-    rows = _add_player_raw(list(db.rows), db.n, None)
-    return MbcDatabase(db.n + 1, tuple(rows), db.restricted)
-
-
 def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000,
                  tmp_dir=None, player_limit: int = DEFAULT_PLAYER_LIMIT) -> int:
     """Like `peleg`, but the final induction step streams to disk.
@@ -545,7 +533,7 @@ def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# checks and conversions
+# classifying one collection
 
 
 def _checked_masks(masks, n: int) -> tuple[int, ...]:
@@ -596,21 +584,7 @@ def check_minimal_balanced(masks, n: int):
 
 
 def is_balanced_collection(masks, db: MbcDatabase) -> bool:
-    """A collection is balanced iff it equals the union of the minimal
-    balanced collections it contains.  Raises ValueError on the inputs
-    `check_minimal_balanced` rejects."""
-    target = frozenset(_checked_masks(masks, db.n))
-    covered: set[int] = set()
-    for row_masks, _, _ in db.rows:
-        if covered >= target:
-            break
-        if target.issuperset(row_masks):
-            covered.update(row_masks)
-    return covered == target
-
-
-def to_regular_hypergraph(wc: WeightedCollection) -> tuple[int, tuple[int, ...]]:
-    """Depth and integer multiplicities of a minimal balanced collection seen
-    as a regular hypergraph: the depth is the common per-vertex degree."""
-    _, multiplicities, depth = wc.to_row()
-    return depth, multiplicities
+    """Is the collection balanced?  Only `db.n` is read: the collection is
+    classified by `check_minimal_balanced`, which raises ValueError on an
+    empty collection, a repeated coalition or one outside 1..2^n-1."""
+    return check_minimal_balanced(masks, db.n)[0] != NOT_BALANCED

@@ -32,7 +32,10 @@ def full_mask(n: int) -> int:
 
 
 def members(mask: int) -> list[int]:
-    """Players of a coalition, ascending, 1-based."""
+    """Players of a coalition, ascending, 1-based.  A negative mask raises
+    ValueError: it has infinitely many bits set."""
+    if mask < 0:
+        raise ValueError(f"coalition mask {mask} is negative")
     out = []
     i = 1
     while mask:
@@ -58,18 +61,6 @@ def complement(mask: int, n: int) -> int:
 def coalition_key(mask: int) -> str:
     """Render a coalition in game-file syntax, e.g. ``"1,3,5"``."""
     return ",".join(str(p) for p in members(mask))
-
-
-def coalition_payoff(allocation, mask: int) -> Fraction:
-    """x(S): the total an allocation hands to a coalition."""
-    total = Fraction(0)
-    i = 0
-    while mask:
-        if mask & 1:
-            total += allocation[i]
-        mask >>= 1
-        i += 1
-    return total
 
 
 _KEY_RE = re.compile(r"^[1-9][0-9]*(,[1-9][0-9]*)*$")
@@ -152,9 +143,6 @@ class WeightedCollection:
     def items(self):
         return zip(self.coalitions, self.weights)
 
-    def masks(self) -> frozenset[int]:
-        return frozenset(self.coalitions)
-
     def player_sums(self, n: int) -> list[Fraction]:
         """Per-player weight totals; all equal 1 iff the collection is balanced
         with these weights."""
@@ -175,15 +163,6 @@ class WeightedCollection:
         den = lcm(*(w.denominator for w in self.weights))
         return self.coalitions, tuple(w.numerator * (den // w.denominator)
                                       for w in self.weights), den
-
-    def format_line(self) -> str:
-        """One MBCDB line: space-separated ``<hex-mask>:<num>/<den>`` items."""
-        return LineCodec().write(*self.to_row())
-
-    @classmethod
-    def parse_line(cls, line: str) -> "WeightedCollection":
-        masks, nums, den, _ = LineCodec().read(line)
-        return cls.from_row(masks, nums, den)
 
     def to_payload(self) -> dict:
         """The report form: coalition keys and canonical weights."""

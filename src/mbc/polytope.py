@@ -19,11 +19,11 @@ from math import gcd
 from . import linalg
 from .model import full_mask, members
 
-DEFAULT_DIM_CAP = 8
+DIM_CAP = 8
 
 
 class DimensionCapError(ValueError):
-    """The number of free variables exceeds the configured cap."""
+    """The number of free variables exceeds `DIM_CAP`."""
 
 
 class UnboundedPolytopeError(ValueError):
@@ -100,18 +100,19 @@ def _reduce_ineqs(ineqs, x0, basis):
     return reduced
 
 
-def enumerate_vertices(system: LinearSystem, dim_cap: int = DEFAULT_DIM_CAP):
+def enumerate_vertices(system: LinearSystem):
     """All vertices, exactly.  Every returned point satisfies each constraint
     and makes some maximal independent subset of them tight; the list is
     deduplicated and sorted.  Empty output means no vertex (for a bounded
-    polytope: empty polytope)."""
+    polytope: empty polytope).  Raises DimensionCapError when the equalities
+    leave more than DIM_CAP free coordinates."""
     hull = system.affine_hull()
     if hull is None:
         return []
     x0, basis = hull
     d = len(basis)
-    if d > dim_cap:
-        raise DimensionCapError(f"{d} free variables exceed the cap {dim_cap}")
+    if d > DIM_CAP:
+        raise DimensionCapError(f"{d} free variables exceed the cap {DIM_CAP}")
     reduced = _reduce_ineqs(system.ineqs, x0, basis)
     if reduced is None:
         return []

@@ -39,59 +39,6 @@ def _check_coalition(S: int, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# derived games
-
-
-@dataclass(frozen=True)
-class DerivedGame:
-    """A game that differs from its base only on an explicit override set."""
-
-    base: Game
-    overrides: dict  # mask -> Fraction
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def value(self, mask: int) -> Fraction:
-        if mask in self.overrides:
-            return self.overrides[mask]
-        return self.base.value(mask)
-
-    def grand_value(self) -> Fraction:
-        return self.value(full_mask(self.n))
-
-    def to_game(self) -> Game:
-        values = {
-            mask: self.value(mask)
-            for mask in range(1, full_mask(self.n) + 1)
-            if self.value(mask) != 0
-        }
-        return Game(self.n, values)
-
-
-def derived_vS(game: Game, S: int) -> DerivedGame:
-    """The game differing from `game` only at S^c, where it takes v(N)-v(S)."""
-    _check_coalition(S, game.n)
-    comp = complement(S, game.n)
-    if comp == 0:
-        return DerivedGame(game, {})
-    return DerivedGame(game, {comp: game.grand_value() - game.value(S)})
-
-
-def derived_vSS(game: Game, collection) -> DerivedGame:
-    """v^S applied for every S of a collection; the overrides win over any
-    base values carried by the complements."""
-    overrides = {}
-    for S in collection:
-        _check_coalition(S, game.n)
-        comp = complement(S, game.n)
-        if comp:
-            overrides[comp] = game.grand_value() - game.value(S)
-    return DerivedGame(game, overrides)
-
-
-# ---------------------------------------------------------------------------
 # integer scans
 
 
@@ -155,7 +102,7 @@ class BalancedIndex:
 
     def witness(self):
         """The first collection violating the core-nonemptiness inequality,
-        the one `balancedness_witness` returns, or None when balanced."""
+        or None when balanced."""
         for i, s in enumerate(self.slack):
             if s < 0:
                 return WeightedCollection.from_row(*self.db.rows[i])
@@ -197,16 +144,9 @@ def is_balanced_game(game, db: MbcDatabase) -> bool:
     """Bondareva-Shapley: the core is nonempty iff no minimal balanced
     collection pushes the weighted value sum above v(N).  Stops at the first
     violation."""
-    return balancedness_witness(game, db) is None
-
-
-def balancedness_witness(game, db: MbcDatabase):
-    """The first collection violating the core-nonemptiness inequality, or
-    None when the game is balanced."""
     _require_same_n(game, db)
     V, _ = _scaled_game(game)
-    i = _first_violated(db.rows, V, V[full_mask(game.n)])
-    return None if i is None else WeightedCollection.from_row(*db.rows[i])
+    return _first_violated(db.rows, V, V[full_mask(game.n)]) is None
 
 
 def is_exact(S: int, game: Game, index: BalancedIndex) -> bool:
@@ -517,19 +457,6 @@ class FeasibilityOracle:
             if total > level or (touches and total == level):
                 return idx
         return None
-
-
-def is_feasible(collection, family, game: Game, db: MbcDatabase,
-                oracle: FeasibilityOracle | None = None) -> bool:
-    """Is the region where exactly these family constraints are violated
-    nonempty?  The empty collection is feasible precisely for balanced games
-    (its region is the core)."""
-    family_set = set(family)
-    if any(S not in family_set for S in collection):
-        raise ValueError("collection must be a subset of the family")
-    if oracle is None:
-        oracle = FeasibilityOracle(game, db, family)
-    return oracle.feasible(collection)
 
 
 def is_blocking(collection, n: int) -> bool:

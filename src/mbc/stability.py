@@ -96,14 +96,10 @@ def _render_masks(masks) -> list[str]:
 # association and admissibility
 
 
-def associated_mbcs(S: int, family, db: MbcDatabase) -> list[WeightedCollection]:
-    """Collections associated with S: they contain a singleton of S and live
-    inside {singletons of S} + {S^c} + {family members not inside S}."""
-    return associated_collections(
-        S, db.n, family, association_pool(db, (*family, S), db.n))
-
-
 def associated_collections(S: int, n: int, family, pool) -> list[WeightedCollection]:
+    """Collections of the pool associated with S: they contain a singleton
+    of S and live inside {singletons of S} + {S^c} + {family members not
+    inside S}."""
     singles = _singletons_of(S)
     comp = complement(S, n)
     allowed = set(singles)
@@ -168,16 +164,16 @@ def z_vector(S: int, wc: WeightedCollection, n: int) -> tuple[Fraction, ...]:
 
 def c_value(S: int, wc: WeightedCollection, game: Game) -> Fraction:
     """v(N) minus the non-singleton part of the association inequality,
-    evaluated on the derived game v^S."""
-    derived = props.derived_vS(game, S)
+    evaluated on the derived game v^S: v^S(T) is v(N) - v(S) when T = S^c
+    and v(T) otherwise."""
+    grand = game.grand_value()
+    comp = complement(S, game.n)
     singles = _singletons_of(S)
     total = Fraction(0)
     for T, w in wc.items():
         if T not in singles:
-            v = derived.value(T)
-            if v:
-                total += w * v
-    return game.grand_value() - total
+            total += w * (grand - game.value(S) if T == comp else game.value(T))
+    return grand - total
 
 
 def omega_base(collection, family, game: Game):

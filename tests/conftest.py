@@ -1,8 +1,23 @@
+import tempfile
 from fractions import Fraction
 
 import pytest
 
 ACCEPTANCE_RESULTS = []
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants of the source files under
+    ./.hypothesis while it collects the property tests; point it at a
+    directory that is removed when the session ends, so a run leaves
+    nothing in the tree."""
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    home = tempfile.TemporaryDirectory(prefix="mbc-hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 def pytest_terminal_summary(terminalreporter):

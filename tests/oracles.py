@@ -21,6 +21,8 @@ coalitions with `solve_unique`, and `check_minimal_balanced_reference`, the
 earlier classification of one collection (`solve_unique`, then those
 vertices), classifies each subcollection for `brute_force_mbcs` and
 `is_minimal_balanced` and is the reference for `check_minimal_balanced`.
+`balanced_union_reference`, the library's earlier balancedness test, decides
+whether a collection is balanced from the database alone.
 """
 
 from fractions import Fraction
@@ -36,7 +38,6 @@ from mbc.generate import (
 from mbc.linalg import minimal_balanced_sets
 from mbc.model import complement, full_mask, members
 from mbc.polytope import LinearSystem, enumerate_vertices
-from mbc.props import derived_vS
 from mbc.stability import admissible_collections, association_pool, omega_base
 
 
@@ -209,11 +210,13 @@ def brute_nested_system_satisfied(game: Game, family, collection, system) -> boo
             elif kind == "B":
                 vals.append(game.value(src))
             else:
-                vs = derived_vS(game, src)
+                # v^S: v(N) - v(S) on the complement of S, v elsewhere
+                comp = complement(src, n)
                 total = Fraction(0)
                 for mask, w in system[src].items():
                     if not (mask.bit_count() == 1 and mask & src):
-                        total += w * vs.value(mask)
+                        value = grand - game.value(src) if mask == comp else game.value(mask)
+                        total += w * value
                 vals.append(grand - total)
         a_table[vec] = max(vals)
 
@@ -427,6 +430,17 @@ def check_minimal_balanced_reference(masks, n: int):
     if covered == set(masks):
         return BALANCED_NOT_MINIMAL, None
     return NOT_BALANCED, None
+
+
+def balanced_union_reference(masks, db: MbcDatabase) -> bool:
+    """A collection is balanced iff it equals the union of the minimal
+    balanced collections of the database that it contains."""
+    target = frozenset(masks)
+    covered: set[int] = set()
+    for row_masks, _, _ in db.rows:
+        if target.issuperset(row_masks):
+            covered.update(row_masks)
+    return covered == target
 
 
 def admissible_systems(collection, family, db: MbcDatabase, pool=None):

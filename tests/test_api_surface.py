@@ -1,0 +1,49 @@
+"""The library ships only what callers use.
+
+Every public module-level function and class of `src/mbc` must be referenced
+in `src/mbc` outside its own definition (in its module or another one),
+exported by `mbc/__init__.py`, or imported by `tests/test_acceptance.py`.
+A name that only tests call belongs in `tests/oracles.py`, or nowhere."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import mbc
+
+SRC = Path(mbc.__file__).resolve().parent
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+
+def _names(nodes) -> set[str]:
+    """Every name, attribute and imported name used inside the nodes."""
+    out = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
+    return out
+
+
+def test_every_public_definition_has_a_caller():
+    modules = {path.stem: ast.parse(path.read_text()).body
+               for path in sorted(SRC.glob("*.py"))}
+    exported = _names(modules.pop("__init__"))
+    accepted = _names([ast.parse(ACCEPTANCE.read_text())])
+    statements = [node for body in modules.values() for node in body]
+    used = {id(node): _names([node]) for node in statements}
+    # in how many top-level statements of src/mbc each name appears
+    statements_using = Counter(name for names in used.values() for name in names)
+    unused = []
+    for stem, body in modules.items():
+        for node in body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                elsewhere = statements_using[node.name] - (node.name in used[id(node)])
+                if not elsewhere and node.name not in exported | accepted:
+                    unused.append(f"{stem}.{node.name}")
+    assert unused == []

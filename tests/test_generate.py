@@ -10,7 +10,6 @@ from mbc.generate import (
     MINIMAL,
     NOT_BALANCED,
     MbcDatabase,
-    add_new_player,
     apply_case1,
     apply_case2,
     apply_case3,
@@ -19,11 +18,11 @@ from mbc.generate import (
     is_balanced_collection,
     peleg,
     peleg_stream,
-    to_regular_hypergraph,
 )
 from mbc.linalg import RatMatrix, rank
-from mbc.model import WeightedCollection, coalition_mask, full_mask, members
+from mbc.model import LineCodec, WeightedCollection, coalition_mask, full_mask, members
 from oracles import (
+    balanced_union_reference,
     brute_force_mbcs,
     check_minimal_balanced_reference,
     is_minimal_balanced,
@@ -203,15 +202,6 @@ def test_peleg_three_lists_all_six():
     }
 
 
-def test_add_new_player_matches_peleg(db4, db5):
-    assert [w for w in add_new_player(peleg(3), 4)] == list(db4)
-    assert add_new_player(db4, 5).rows == db5.rows
-    with pytest.raises(ValueError):
-        add_new_player(db4, 3)
-    with pytest.raises(ValueError):
-        add_new_player(db4, 6)
-
-
 def test_generation_deterministic_bytes(tmp_path):
     paths = []
     for run in (1, 2):
@@ -323,7 +313,7 @@ def _hybrid_line(db):
         for first, rest in combinations(group, 2):
             masks = (first[0],) + rest[1:]
             if masks[0] < masks[1] and not is_balanced_collection(masks, db):
-                return WeightedCollection.from_row(masks, nums, den).format_line()
+                return LineCodec().write(masks, nums, den)
     raise AssertionError("no hybrid row")
 
 
@@ -527,11 +517,8 @@ def test_check_against_brute_force_families():
     for r in range(1, 8):
         for combo in combinations(range(1, 8), r):
             status, _ = check_minimal_balanced(combo, 3)
-            balanced = is_balanced_collection(combo, db)
-            if status == NOT_BALANCED:
-                assert not balanced
-            else:
-                assert balanced
+            balanced = balanced_union_reference(combo, db)
+            assert (status != NOT_BALANCED) == balanced
             minimal = db.contains(combo)
             assert (status == MINIMAL) == minimal
 
@@ -567,28 +554,6 @@ def test_unbalanced_witness_vectors(db3, db4):
         for mask in collection:
             assert sum(y[p - 1] for p in members(mask)) > 0
         assert not is_balanced_collection(collection, db)
-
-
-# ---------------------------------------------------------------------------
-# hypergraph view
-
-
-def test_hypergraph_examples():
-    anti = wc([(0b011, F(1, 2)), (0b101, F(1, 2)), (0b110, F(1, 2))])
-    assert to_regular_hypergraph(anti) == (2, (1, 1, 1))
-    partition = wc([(0b0011, F(1)), (0b1100, F(1))])
-    assert to_regular_hypergraph(partition) == (1, (1, 1))
-    assert to_regular_hypergraph(BASE) == (3, (1, 1, 1, 2))
-
-
-def test_hypergraph_degree_invariant(db4):
-    for collection in db4:
-        depth, mult = to_regular_hypergraph(collection)
-        degrees = [0] * 4
-        for mask, m in zip(collection.coalitions, mult):
-            for p in members(mask):
-                degrees[p - 1] += m
-        assert all(d == depth for d in degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mbc
 from mbc.model import (
     Game,
     GameFormatError,
+    LineCodec,
     WeightedCollection,
     coalition_key,
     coalition_mask,
@@ -159,9 +164,11 @@ def test_weighted_collection_line_roundtrip():
         (3, 5, 9, 14),
         (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)),
     )
-    line = wc.format_line()
+    codec = LineCodec()
+    line = codec.write(*wc.to_row())
     assert line == "3:1/3 5:1/3 9:1/3 e:2/3"
-    assert WeightedCollection.parse_line(line) == wc
+    masks, nums, den, _ = codec.read(line)
+    assert WeightedCollection.from_row(masks, nums, den) == wc
     assert wc.player_sums(4) == [Fraction(1)] * 4
 
 
@@ -178,9 +185,32 @@ def test_format_value():
     assert format_value(Fraction(4)) == "4"
 
 
-def test_coalition_payoff():
-    from mbc.model import coalition_payoff
-    x = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-    assert coalition_payoff(x, 0b101) == Fraction(2, 3)
-    assert coalition_payoff(x, 0b111) == 1
-    assert coalition_payoff(x, 0) == 0
+NEGATIVE_MASK_PROBE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from mbc.model import Game, coalition_key
+from mbc.polytope import LinearSystem
+game = Game(3, {7: 1})
+for name, call in (("coalition_key", lambda: coalition_key(-1)),
+                   ("subgame", lambda: game.subgame(-1)),
+                   ("subgame_core", lambda: LinearSystem.subgame_core(game, -1))):
+    try:
+        call()
+    except ValueError as exc:
+        print(name, "ValueError", exc)
+"""
+
+
+def test_negative_masks_rejected_before_looping():
+    # members(-1) would shift forever (-1 >> 1 == -1) and fill memory, so the
+    # three entry points run in a child process with a memory limit and a
+    # timeout: a regression fails here instead of hanging the suite
+    src = Path(mbc.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", NEGATIVE_MASK_PROBE],
+                            capture_output=True, text=True, timeout=60,
+                            env={"PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        f"{name} ValueError coalition mask -1 is negative"
+        for name in ("coalition_key", "subgame", "subgame_core")
+    ]

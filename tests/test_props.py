@@ -11,9 +11,6 @@ from mbc.props import (
     BalancedIndex,
     FeasibilityOracle,
     UnbalancedGameError,
-    balancedness_witness,
-    derived_vS,
-    derived_vSS,
     effective_set,
     exact_coalitions,
     feasibility_survey,
@@ -23,13 +20,12 @@ from mbc.props import (
     is_core_describing,
     is_exact,
     is_extendable,
-    is_feasible,
     is_strictly_vital_exact,
     minimal_members,
     reduced_game,
     sve_family,
 )
-from conftest import make_additive, make_biswas, make_three_player_tight
+from conftest import make_additive, make_three_player_tight
 from oracles import extendable_direct, family_unbounded_reference, region_nonempty
 
 F = Fraction
@@ -46,7 +42,7 @@ def test_four_player_fixture_balanced(db4, game4):
 def test_three_player_overdemanding_unbalanced(db3):
     game = Game(3, {0b011: F(1), 0b101: F(1), 0b110: F(1), 0b111: F(1)})
     assert not is_balanced_game(game, db3)
-    witness = balancedness_witness(game, db3)
+    witness = BalancedIndex(game, db3).witness()
     assert witness.coalitions == (0b011, 0b101, 0b110)
 
 
@@ -64,42 +60,21 @@ def test_index_witness_is_the_first_violated_collection(db4):
         values[full_mask(4)] = F(rng.randint(1, 8))
         game = Game(4, values)
         witness = BalancedIndex(game, db4).witness()
-        assert witness == balancedness_witness(game, db4)
+        first = None
+        for wc in db4.collections:
+            if sum(w * game.value(m) for m, w in wc.items()) > game.grand_value():
+                first = wc
+                break
+        assert witness == first
+        assert is_balanced_game(game, db4) == (first is None)
         unbalanced += witness is not None
     assert 0 < unbalanced < 60
 
 
 def test_balancedness_needs_matching_n(db3, game4):
-    for check in (is_balanced_game, balancedness_witness, BalancedIndex):
+    for check in (is_balanced_game, BalancedIndex):
         with pytest.raises(ValueError, match="n=4.*n=3"):
             check(game4, db3)
-
-
-# ---------------------------------------------------------------------------
-# derived games
-
-
-def test_derived_vS_examples(game4):
-    derived = derived_vS(game4, coalition_mask([1]))
-    assert derived.value(coalition_mask([2, 3, 4])) == F(1)
-    same = derived_vS(game4, full_mask(4))
-    assert same.value(0b1111) == game4.grand_value()
-    assert same.overrides == {}
-
-    biswas = make_biswas()
-    derived = derived_vS(biswas, coalition_mask([2, 3]))
-    assert derived.value(coalition_mask([1, 4, 5])) == F(2)
-
-
-def test_derived_vSS_override_wins():
-    game = make_biswas()
-    collection = [coalition_mask([1, 3, 4]), coalition_mask([1, 3, 5])]
-    derived = derived_vSS(game, collection)
-    # {2,5} is the complement of {1,3,4}: the override replaces its value
-    assert derived.value(coalition_mask([2, 5])) == game.grand_value() - F(2)
-    assert derived.value(coalition_mask([2, 4])) == game.value(coalition_mask([2, 4]))
-    with pytest.raises(ValueError):
-        derived_vS(game, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +149,10 @@ def test_sve_implies_exact_and_exact_implies_derived_balanced(db4, game4):
         if S != full_mask(4) and is_strictly_vital_exact(S, game4, index):
             assert exact
         if exact and S != full_mask(4):
-            assert is_balanced_game(derived_vS(game4, S).to_game(), db4)
+            # v^S: v(N) - v(S) on the complement of S
+            derived = game4.with_value(full_mask(4) ^ S,
+                                       game4.grand_value() - game4.value(S))
+            assert is_balanced_game(derived, db4)
 
 
 def test_exactness_matches_vertex_oracle_random(db4):
@@ -343,20 +321,20 @@ def test_core_describing_raises_exactly_on_unbounded_families():
 
 def test_empty_collection_feasible(db4, game4):
     family = sve_family(game4, db4)
-    assert is_feasible((), family, game4, db4)
+    assert FeasibilityOracle(game4, db4, family).feasible(())
 
 
 def test_blocking_pair_feasible(db4, game4):
     family = sve_family(game4, db4)
     pair = (coalition_mask([1, 2, 3]), coalition_mask([1, 3, 4]))
-    assert is_feasible(pair, family, game4, db4)
+    assert FeasibilityOracle(game4, db4, family).feasible(pair)
     assert is_blocking(pair, 4)
 
 
 def test_collection_outside_family_rejected(db4, game4):
     family = sve_family(game4, db4)
     with pytest.raises(ValueError):
-        is_feasible((coalition_mask([1, 2]),), family, game4, db4)
+        FeasibilityOracle(game4, db4, family).feasible((coalition_mask([1, 2]),))
 
 
 def test_feasible_collections_contain_no_balanced_subcollection(db4, game4):
@@ -367,7 +345,7 @@ def test_feasible_collections_contain_no_balanced_subcollection(db4, game4):
     for collection in found:
         member_set = set(collection)
         for wc in db4:
-            assert not wc.masks() <= member_set
+            assert not set(wc.coalitions) <= member_set
 
 
 def test_feasibility_matches_region_probe_random(db4):

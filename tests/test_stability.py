@@ -16,7 +16,7 @@ from mbc.stability import (
     UNKNOWN,
     StabilityCaps,
     admissible_collections,
-    associated_mbcs,
+    associated_collections,
     association_pool,
     c_value,
     is_core_stable,
@@ -48,18 +48,22 @@ def wc(pairs):
 # association and admissibility
 
 
+def associated(S, family, db):
+    return associated_collections(
+        S, db.n, family, association_pool(db, (*family, S), db.n))
+
+
 def test_association_example(db4):
     family = tuple(range(1, 16))
     collection = wc([(0b0001, 1), (0b0010, 1), (0b1100, 1)])
     S = coalition_mask([1, 2])
-    associated = associated_mbcs(S, family, db4)
-    assert collection in associated
+    assert collection in associated(S, family, db4)
     # the same collection is associated with {1,2,3} as well
-    assert collection in associated_mbcs(coalition_mask([1, 2, 3]), family, db4)
+    assert collection in associated(coalition_mask([1, 2, 3]), family, db4)
     # {N} is never associated: it contains no singleton
     grand = wc([(0b1111, 1)])
     for S in family:
-        assert grand not in associated_mbcs(S, family, db4)
+        assert grand not in associated(S, family, db4)
 
 
 def test_admissibility_example(db4):
@@ -72,7 +76,7 @@ def test_admissibility_example(db4):
     # second clause: dropping S's singletons leaves nothing touching the
     # collection or its complements
     partition = wc([(0b0001, 1), (0b1000, 1), (0b0110, 1)])
-    assert partition in associated_mbcs(S, family, db4)
+    assert partition in associated(S, family, db4)
     assert partition in admissible
 
 
