@@ -1,10 +1,11 @@
 """Exact dense linear algebra over the rationals.
 
 Everything here is small (a handful of rows and columns) but must be exact:
-rank decisions, unique-solution tests and kernels feed equality-sensitive
-combinatorics, so no floating point appears anywhere.  Elimination clears
-denominators first and then runs fraction-free integer row reduction with
-per-row gcd normalization to keep intermediate entries small.
+rank decisions and unique-solution tests feed equality-sensitive
+combinatorics, so no floating point appears anywhere.  No kernel or affine
+hull is built: a solve returns the one solution or none.  Elimination
+clears denominators first and then runs fraction-free integer row reduction
+with per-row gcd normalization to keep intermediate entries small.
 
 Two decisions over the weight polytope P = {w >= 0 : Σ_j w_j·v_j = 1} of
 finitely many nonnegative vectors v_j live here.  `vertex_clause` decides
@@ -43,18 +44,6 @@ class RatMatrix:
         if any(len(r) != width for r in self.rows):
             raise ValueError("ragged rows")
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0])
-
-    @classmethod
-    def from_rows(cls, rows) -> "RatMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
-
     @classmethod
     def from_columns(cls, columns) -> "RatMatrix":
         cols = [tuple(Fraction(x) for x in col) for col in columns]
@@ -68,9 +57,6 @@ class RatMatrix:
             [[1 if mask >> i & 1 else 0 for i in range(n)] for mask in masks]
         )
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
-
 
 def _as_rows(matrix) -> list[list[Fraction]]:
     rows = matrix.rows if isinstance(matrix, RatMatrix) else matrix
@@ -78,7 +64,7 @@ def _as_rows(matrix) -> list[list[Fraction]]:
 
 
 def _int_rows(matrix) -> list[list[int]]:
-    """Clear denominators row by row (rank and kernels are unaffected)."""
+    """Clear denominators row by row (rank and solutions are unaffected)."""
     out = []
     for row in _as_rows(matrix):
         scale = 1
@@ -434,52 +420,23 @@ def rank(matrix) -> int:
     return len(pivots)
 
 
-def solve_affine(rows, rhs, n_cols: int):
-    """The solutions of rows·x = rhs as x0 + span(basis), exactly.
-
-    None when the system is inconsistent.  Otherwise x0 is the solution with
-    every free column at 0, and the basis has one vector per free column, in
-    column order: 1 at that column, 0 at the other free columns.  With no
-    rows every column is free."""
-    aug, pivots = _echelon(_int_rows([[*row, b] for row, b in zip(rows, rhs)]))
-    if n_cols in pivots:
-        return None
-
-    def back_substitute(x, with_rhs):
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            row = aug[r]
-            acc = Fraction(row[n_cols]) if with_rhs else Fraction(0)
-            for j in range(c + 1, n_cols):
-                if x[j]:
-                    acc -= row[j] * x[j]
-            x[c] = acc / row[c]
-        return tuple(x)
-
-    x0 = back_substitute([Fraction(0)] * n_cols, True)
-    basis = []
-    for free in range(n_cols):
-        if free not in pivots:
-            unit = [Fraction(0)] * n_cols
-            unit[free] = Fraction(1)
-            basis.append(back_substitute(unit, False))
-    return x0, basis
-
-
 def solve_unique(matrix, b) -> tuple[str, tuple[Fraction, ...] | None]:
     """Solve A x = b demanding uniqueness.
 
     Returns (UNIQUE, x) iff rank(A) = #cols = rank([A b]); (NO_SOLUTION, None)
     when the system is inconsistent; (NON_UNIQUE, None) when solutions form an
-    affine family.
+    affine family.  Both ranks come from one echelon form of [A b], whose
+    pivots left of the last column are those of A; the unique solution is
+    then solved from that form in integers.
     """
     rows = _as_rows(matrix)
     if len(b) != len(rows):
         raise ValueError("right-hand side has wrong length")
-    solution = solve_affine(rows, b, len(rows[0]) if rows else 0)
-    if solution is None:
+    n_cols = len(rows[0]) if rows else 0
+    aug, pivots = _echelon(_int_rows([[*row, x] for row, x in zip(rows, b)]))
+    if n_cols in pivots:
         return NO_SOLUTION, None
-    x0, basis = solution
-    if basis:
+    if len(pivots) < n_cols:
         return NON_UNIQUE, None
-    return UNIQUE, x0
+    nums, den = solve_int([row[:-1] for row in aug], [row[-1] for row in aug], n_cols)
+    return UNIQUE, tuple(Fraction(x, den) for x in nums)

@@ -63,13 +63,13 @@ def coalition_key(mask: int) -> str:
     return ",".join(str(p) for p in members(mask))
 
 
-_KEY_RE = re.compile(r"^[1-9][0-9]*(,[1-9][0-9]*)*$")
+_KEY_RE = re.compile(r"[1-9][0-9]*(,[1-9][0-9]*)*")
 
 
 def parse_coalition_key(key: str, n: int) -> int:
     """Parse ``"1,3,5"`` into a bitmask, enforcing the file-format rules:
     strictly increasing player indices within 1..n."""
-    if not _KEY_RE.match(key):
+    if not _KEY_RE.fullmatch(key):
         raise GameFormatError(f"malformed coalition key {key!r}")
     players = [int(p) for p in key.split(",")]
     prev = 0

@@ -1,23 +1,23 @@
-"""Exact vertex enumeration for small polyhedra.
+"""Exact vertex enumeration for the one polytope form of the library.
 
-`enumerate_vertices` lists the vertices of a `LinearSystem` by solving every
-candidate set of tight inequalities exactly.  The library calls it on
-subgame cores (`props.is_extendable`) and on family polytopes
-(`props.is_core_describing`); both are small enough that the enumeration
-beats any clever pivoting, and every vertex it returns can be re-substituted
-into each constraint.  Whether a family polytope is bounded is decided by
-balancedness in `props`, not here.
+Every polytope here is {x in Q^n : x(N) = c, x(S) >= b_S for each (S, b_S)
+in a row list}: a core, a subgame core (`props.is_extendable`) or a family
+polytope (`props.is_core_describing`).  `enumerate_vertices` lists its
+vertices by solving every candidate set of tight rows in integers; both
+callers are small enough that the enumeration beats any clever pivoting,
+and every vertex it returns satisfies each row.  Whether a family polytope
+is bounded is decided by balancedness in `props`, not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
-from .model import full_mask, members
+from .model import full_mask
 
 DIM_CAP = 8
 
@@ -30,116 +30,60 @@ class UnboundedPolytopeError(ValueError):
     """An operation that needs a bounded polytope met an unbounded one."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearSystem:
-    """Equalities a.x = b and inequalities a.x >= b over n_vars variables."""
+    """{x in Q^n : x(N) = grand, x(S) >= b for each (S, b) in rows}, with S
+    a coalition mask."""
 
-    n_vars: int
-    eqs: list[tuple[tuple[Fraction, ...], Fraction]] = field(default_factory=list)
-    ineqs: list[tuple[tuple[Fraction, ...], Fraction]] = field(default_factory=list)
-
-    def add_eq(self, coeffs, rhs):
-        self.eqs.append((tuple(Fraction(c) for c in coeffs), Fraction(rhs)))
-
-    def add_ineq(self, coeffs, rhs):
-        self.ineqs.append((tuple(Fraction(c) for c in coeffs), Fraction(rhs)))
-
-    def affine_hull(self):
-        """The solutions of the equalities as x0 + span(basis), or None when
-        they are inconsistent (see `linalg.solve_affine`)."""
-        return linalg.solve_affine([a for a, _ in self.eqs],
-                                   [b for _, b in self.eqs], self.n_vars)
+    n: int
+    grand: Fraction
+    rows: tuple[tuple[int, Fraction], ...]
 
     @classmethod
     def core(cls, game) -> "LinearSystem":
         """C(N,v): x(S) >= v(S) for every proper nonempty S, x(N) = v(N)."""
-        n = game.n
-        ls = cls(n)
-        ls.add_eq([1] * n, game.grand_value())
-        for mask in range(1, full_mask(n)):
-            ls.add_ineq([(mask >> i) & 1 for i in range(n)], game.value(mask))
-        return ls
+        return cls.family_polytope(game, range(1, full_mask(game.n)))
 
     @classmethod
     def subgame_core(cls, game, keep_mask: int) -> "LinearSystem":
         """C(S,v) in the coordinates of S's players taken in ascending order."""
-        players = members(keep_mask)
-        m = len(players)
-        sub = game.subgame(keep_mask)
-        ls = cls(m)
-        ls.add_eq([1] * m, sub.grand_value())
-        for mask in range(1, full_mask(m)):
-            ls.add_ineq([(mask >> i) & 1 for i in range(m)], sub.value(mask))
-        return ls
+        return cls.core(game.subgame(keep_mask))
 
     @classmethod
     def family_polytope(cls, game, family) -> "LinearSystem":
         """{x in X(N,v) : x(S) >= v(S) for S in family}."""
-        n = game.n
-        ls = cls(n)
-        ls.add_eq([1] * n, game.grand_value())
-        for mask in family:
-            ls.add_ineq([(mask >> i) & 1 for i in range(n)], game.value(mask))
-        return ls
-
-
-def _reduce_ineqs(ineqs, x0, basis):
-    """Rewrite a.x >= b in the free coordinates.  Returns None when some
-    inequality is violated identically on the affine hull."""
-    reduced = []
-    for coeffs, rhs in ineqs:
-        shifted = rhs - sum(c * x for c, x in zip(coeffs, x0))
-        projected = tuple(
-            sum(c * w for c, w in zip(coeffs, vec)) for vec in basis
-        )
-        if all(p == 0 for p in projected):
-            if shifted > 0:
-                return None
-            continue
-        reduced.append((projected, shifted))
-    return reduced
+        return cls(game.n, game.grand_value(),
+                   tuple((mask, game.value(mask)) for mask in family))
 
 
 def enumerate_vertices(system: LinearSystem):
-    """All vertices, exactly.  Every returned point satisfies each constraint
-    and makes some maximal independent subset of them tight; the list is
-    deduplicated and sorted.  Empty output means no vertex (for a bounded
-    polytope: empty polytope).  Raises DimensionCapError when the equalities
-    leave more than DIM_CAP free coordinates."""
-    hull = system.affine_hull()
-    if hull is None:
-        return []
-    x0, basis = hull
-    d = len(basis)
+    """All vertices, exactly, deduplicated and sorted.  Every returned point
+    satisfies each row and makes n - 1 rows with independent coefficients
+    tight.  Empty output means no vertex (for a bounded polytope: empty
+    polytope).  Raises DimensionCapError when n - 1 exceeds DIM_CAP.
+
+    The right-hand sides are scaled once to integers by their common
+    denominator D, and x_1 = G - Σ_{j>1} x_j is substituted (G = D·c), so
+    row S reads Σ_{j>1} (s_j - s_1)·x_j >= D·b_S - s_1·G with integer
+    coefficients; the solves and the checks are integer."""
+    n, d = system.n, system.n - 1
     if d > DIM_CAP:
         raise DimensionCapError(f"{d} free variables exceed the cap {DIM_CAP}")
-    reduced = _reduce_ineqs(system.ineqs, x0, basis)
-    if reduced is None:
-        return []
-
-    def lift(y):
-        return tuple(
-            x0[i] + sum(vec[i] * yj for vec, yj in zip(basis, y))
-            for i in range(system.n_vars)
-        )
-
-    if d == 0:
-        return [lift(())]
-
-    return sorted({lift(y) for y in _tight_points(reduced, d)})
-
-
-def _tight_points(reduced, d):
-    """Every point where d independent reduced inequalities a.y >= b are
-    tight and all of them hold, each once, in the order first found.  Each
-    inequality is scaled once by a positive factor to integers, which keeps
-    >=; the d-by-d solves and the checks are integer."""
+    scale = lcm(system.grand.denominator, *(b.denominator for _, b in system.rows))
+    G = system.grand.numerator * (scale // system.grand.denominator)
     rows = []
-    for coeffs, rhs in reduced:
-        ints, _ = linalg.primitive((*coeffs, rhs))
-        rows.append((ints[:-1], ints[-1]))
+    for mask, b in system.rows:
+        s1 = mask & 1
+        coeffs = [(mask >> j & 1) - s1 for j in range(1, n)]
+        rhs = b.numerator * (scale // b.denominator) - s1 * G
+        if any(coeffs):
+            rows.append((coeffs, rhs))
+        elif rhs > 0:
+            return []
+    if d == 0:
+        return [(Fraction(system.grand),)]
     seen = set()
-    points = []
+    vertices = []
     for tight in combinations(rows, d):
         solution = linalg.solve_int([a for a, _ in tight], [b for _, b in tight], d)
         if solution is None:
@@ -151,5 +95,6 @@ def _tight_points(reduced, d):
             continue
         seen.add(key)
         if all(sum(c * x for c, x in zip(a, nums)) >= b * den for a, b in rows):
-            points.append(tuple(Fraction(x, den) for x in nums))
-    return points
+            vertices.append(tuple(Fraction(x, den * scale)
+                                  for x in (G * den - sum(nums), *nums)))
+    return sorted(vertices)

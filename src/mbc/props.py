@@ -2,11 +2,12 @@
 
 Everything here reduces to weighted-sum tests over the minimal balanced
 collections of the player set: core nonemptiness, exactness, effectiveness,
-strict vital-exactness, feasibility of collections, extendability via
-reduced games.  Since the database does not depend on the game, it is built
-once and scanned with per-game indexes; derived games only ever move one
-value (the complement of the studied coalition), so the index adjusts sums
-incrementally instead of rescanning.
+strict vital-exactness, feasibility of collections.  Extendability asks the
+same question of reduced games on fewer players, by linear programs over
+the weight polytope instead of a database.  Since the database does not
+depend on the game, it is built once and scanned with per-game indexes;
+derived games only ever move one value (the complement of the studied
+coalition), so the index adjusts sums incrementally instead of rescanning.
 
 The scans are integer arithmetic: a game is scaled once to a common
 denominator D, and for a database row (masks, nums, den) the inequality
@@ -17,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
 from . import linalg
-from .generate import NOT_BALANCED, MbcDatabase, check_minimal_balanced, peleg
+from .generate import NOT_BALANCED, MbcDatabase, check_minimal_balanced
 from .model import Game, WeightedCollection, complement, full_mask, members
 from .polytope import LinearSystem, UnboundedPolytopeError, enumerate_vertices
 
@@ -276,11 +276,6 @@ def _max_excess(game: Game, t: int, zsum: dict[int, Fraction]) -> Fraction:
     return max(game.value(t | q) - z for q, z in zsum.items())
 
 
-@lru_cache(maxsize=None)
-def _small_db(m: int) -> MbcDatabase:
-    return peleg(m)
-
-
 def is_extendable(S: int, game: Game) -> bool:
     """Every subgame-core allocation on S extends to a full core element iff
     every vertex of C(S,v) induces a balanced reduced game on S^c.  An empty
@@ -290,7 +285,11 @@ def is_extendable(S: int, game: Game) -> bool:
     value max over Q of v(T u Q) - x(Q), S^c itself included, and the sums
     compare against the fixed level v(N) - x(S); using the plain reduced-game
     value of S^c on both sides would make its collection vacuous and lose the
-    constraint the extension must respect.
+    constraint the extension must respect.  The minimal balanced
+    collections on S^c are the vertices of the weight polytope of all its
+    coalitions, so one `linalg.vertex_clause` program per subgame-core
+    vertex decides whether some collection sums above the level, with no
+    database.
     """
     n = game.n
     _check_coalition(S, n)
@@ -301,7 +300,7 @@ def is_extendable(S: int, game: Game) -> bool:
         return True
     outside = complement(S, n)
     m = len(members(outside))
-    db_small = _small_db(m)
+    columns = [[(mask >> i) & 1 for i in range(m)] for mask in range(1, 1 << m)]
     keep_players = members(S)
     for vertex in vertices:
         fixed = {p: vertex[i] for i, p in enumerate(keep_players)}
@@ -309,8 +308,8 @@ def is_extendable(S: int, game: Game) -> bool:
         reduced = reduced_game(game, outside, fixed)
         top = _max_excess(game, outside, _payoff_sums(S, fixed))
         values = reduced.with_value(full_mask(m), top)
-        scaled, _ = _scale([values.value(mask) for mask in range(1 << m)] + [level])
-        if _first_violated(db_small.rows, scaled[:-1], scaled[-1]) is not None:
+        scaled, _ = _scale([values.value(mask) for mask in range(1, 1 << m)] + [level])
+        if linalg.vertex_clause(columns, scaled[:-1], scaled[-1], [False] * len(columns)):
             return False
     return True
 

@@ -8,6 +8,10 @@ family polytope through Fourier-Motzkin probes of its recession cone
 boundedness by balancedness), and the nested stability condition through
 plain combinations plus a direct solve per subset.  The Fourier-Motzkin
 eliminator (`system_feasible`) lives only here; the library does not use it.
+These probes take a `LinearSystem` {x(N) = c, x(S) >= b} and substitute
+x_1 = c - Σ_{j>1} x_j themselves.  `vertices_reference` is the vertex loop
+in Fractions, one `solve_unique` per candidate set of tight rows, kept as
+the reference for the library's integer loop.
 `minimal_balanced_sets_reference` is the library's earlier Fraction search
 for minimal balanced sets, kept as the reference for the integer one, and
 `nested_system_reference` is the earlier nested-stage decision (list the
@@ -99,43 +103,61 @@ def _fm_feasible(rows, n_vars: int) -> bool:
     return True
 
 
-def _hull_rows(hull, rows, strict: bool):
-    """Rows a.x >= b (a.x > b when strict) rewritten over the free
-    coordinates of an affine hull x0 + span(basis)."""
-    x0, basis = hull
+def _substituted_rows(system: LinearSystem, strict_ineqs=()):
+    """The system's rows x(S) >= b, and the strict rows a.x > b, over
+    x_2..x_n after substituting x_1 = c - Σ_{j>1} x_j: (coeffs, rhs, strict)
+    with a.x >= b becoming Σ_{j>1} (a_j - a_1)·x_j >= b - a_1·c."""
+    n = system.n
+    rows = [([(S >> i) & 1 for i in range(n)], b, False) for S, b in system.rows]
+    rows += [(coeffs, rhs, True) for coeffs, rhs in strict_ineqs]
     out = []
-    for coeffs, rhs in rows:
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        shifted = Fraction(rhs) - sum(c * x for c, x in zip(coeffs, x0))
-        projected = tuple(sum(c * w for c, w in zip(coeffs, vec)) for vec in basis)
-        out.append((projected, shifted, strict))
+    for coeffs, rhs, strict in rows:
+        a1 = Fraction(coeffs[0])
+        out.append((tuple(Fraction(a) - a1 for a in coeffs[1:]),
+                    Fraction(rhs) - a1 * Fraction(system.grand), strict))
     return out
 
 
 def system_feasible(system: LinearSystem, strict_ineqs=()) -> bool:
-    """Exact feasibility of eqs + ineqs + strict inequalities a.x > b."""
-    hull = system.affine_hull()
-    if hull is None:
-        return False
-    rows = _hull_rows(hull, system.ineqs, False) + _hull_rows(hull, strict_ineqs, True)
-    return _fm_feasible(rows, len(hull[1]))
+    """Exact feasibility of the system together with strict inequalities
+    a.x > b, given as (a, b) over all n coordinates."""
+    return _fm_feasible(_substituted_rows(system, strict_ineqs), system.n - 1)
 
 
 def family_unbounded_reference(system: LinearSystem) -> bool:
     """Does the recession cone of the system's polyhedron hold a nonzero
-    direction?  Probes y_i >= 1 and y_i <= -1 for each free coordinate of
-    the affine hull, each by Fourier-Motzkin over the homogeneous rows."""
-    hull = system.affine_hull()
-    if hull is None:
-        return False
-    d = len(hull[1])
-    cone = [(c, Fraction(0), False) for c, _, _ in _hull_rows(hull, system.ineqs, False)]
+    direction?  Probes y_i >= 1 and y_i <= -1 for each of x_2..x_n after
+    the substitution, each by Fourier-Motzkin over the homogeneous rows."""
+    d = system.n - 1
+    cone = [(c, Fraction(0), False) for c, _, _ in _substituted_rows(system)]
     for i in range(d):
         unit = tuple(Fraction(int(j == i)) for j in range(d))
         for direction in (unit, tuple(-u for u in unit)):
             if _fm_feasible(cone + [(direction, Fraction(1), False)], d):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the vertex loop in Fractions
+
+
+def vertices_reference(system: LinearSystem):
+    """The vertex loop in Fractions: every (n-1)-subset of rows, with the
+    efficiency row, solved by `solve_unique`, keeping the points that
+    satisfy every row; deduplicated and sorted."""
+    n = system.n
+    points = set()
+    for tight in combinations(system.rows, n - 1):
+        matrix = [[1] * n] + [[(S >> i) & 1 for i in range(n)] for S, _ in tight]
+        rhs = [system.grand] + [b for _, b in tight]
+        status, x = linalg.solve_unique(matrix, rhs)
+        if status == linalg.UNIQUE and all(
+            sum(xi for i, xi in enumerate(x) if S >> i & 1) >= b
+            for S, b in system.rows
+        ):
+            points.add(x)
+    return sorted(points)
 
 
 # ---------------------------------------------------------------------------
@@ -146,33 +168,35 @@ def region_nonempty(collection, family, game: Game) -> bool:
     """Is there a preimputation strictly violating exactly the collection's
     constraints within the family?"""
     n = game.n
-    system = LinearSystem(n)
-    system.add_eq([1] * n, game.grand_value())
-    strict = []
     s_set = set(collection)
-    for T in family:
-        coeffs = [(T >> i) & 1 for i in range(n)]
-        if T in s_set:
-            strict.append(([-c for c in coeffs], -game.value(T)))
-        else:
-            system.add_ineq(coeffs, game.value(T))
+    system = LinearSystem.family_polytope(
+        game, [T for T in family if T not in s_set])
+    strict = [([-((T >> i) & 1) for i in range(n)], -game.value(T))
+              for T in family if T in s_set]
     return system_feasible(system, strict)
 
 
 def extendable_direct(S: int, game: Game) -> bool:
     """Every vertex of the subgame core extends to a full core element,
-    checked by exact feasibility of the pinned system."""
-    if S == full_mask(game.n):
+    checked by exact feasibility of the pinned core system, written over
+    the players of S^c: x(S^c) = v(N) - x(S) and x(T minus S) >= v(T) -
+    x(T and S) for every proper coalition T."""
+    n = game.n
+    if S == full_mask(n):
         return True
-    vertices = enumerate_vertices(LinearSystem.subgame_core(game, S))
-    core = LinearSystem.core(game)
-    players = members(S)
-    for vertex in vertices:
-        pinned = LinearSystem(game.n, list(core.eqs), list(core.ineqs))
-        for i, p in enumerate(players):
-            coeffs = [Fraction(0)] * game.n
-            coeffs[p - 1] = Fraction(1)
-            pinned.add_eq(coeffs, vertex[i])
+    inside, outside = members(S), members(complement(S, n))
+
+    def on_outside(T):
+        return sum(1 << i for i, p in enumerate(outside) if T >> (p - 1) & 1)
+
+    for vertex in enumerate_vertices(LinearSystem.subgame_core(game, S)):
+        def x_of(T):
+            return sum(x for p, x in zip(inside, vertex) if T >> (p - 1) & 1)
+
+        pinned = LinearSystem(
+            len(outside), game.grand_value() - x_of(S),
+            tuple((on_outside(T), game.value(T) - x_of(T))
+                  for T in range(1, full_mask(n))))
         if not system_feasible(pinned):
             return False
     return True
@@ -302,23 +326,6 @@ def minimal_balanced_sets_reference(vectors, n: int):
 
     dfs(0, [], [], list(ones))
     return results
-
-
-def tight_points_reference(reduced, d):
-    """The vertex loop over reduced inequalities a.y >= b in Fractions: one
-    `solve_unique` per d-subset, then every inequality checked."""
-    points = []
-    for tight in combinations(range(len(reduced)), d):
-        rows = [reduced[i][0] for i in tight]
-        rhs = [reduced[i][1] for i in tight]
-        status, y = linalg.solve_unique(rows, rhs)
-        if status != linalg.UNIQUE:
-            continue
-        if all(
-            sum(c * yj for c, yj in zip(coeffs, y)) >= b for coeffs, b in reduced
-        ):
-            points.append(y)
-    return points
 
 
 def nested_clause_reference(vectors, a_values, b0, grand) -> bool:

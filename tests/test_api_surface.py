@@ -3,7 +3,9 @@
 Every public module-level function and class of `src/mbc` must be referenced
 in `src/mbc` outside its own definition (in its module or another one),
 exported by `mbc/__init__.py`, or imported by `tests/test_acceptance.py`.
-A name that only tests call belongs in `tests/oracles.py`, or nowhere."""
+Every public method of a public class must appear as an attribute use in
+`src/mbc` outside its own body, or in `tests/test_acceptance.py`.  A name
+that only tests call belongs in `tests/oracles.py`, or nowhere."""
 
 import ast
 from collections import Counter
@@ -46,4 +48,26 @@ def test_every_public_definition_has_a_caller():
                 elsewhere = statements_using[node.name] - (node.name in used[id(node)])
                 if not elsewhere and node.name not in exported | accepted:
                     unused.append(f"{stem}.{node.name}")
+    assert unused == []
+
+
+def _attributes(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def test_every_public_method_has_a_caller():
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py"))}
+    used = sum((_attributes(tree) for tree in modules.values()), Counter())
+    accepted = _attributes(ast.parse(ACCEPTANCE.read_text()))
+    unused = []
+    for stem, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and used[node.name] == _attributes(node)[node.name]
+                        and node.name not in accepted):
+                    unused.append(f"{stem}.{cls.name}.{node.name}")
     assert unused == []

@@ -15,7 +15,6 @@ from mbc.linalg import (
     RatMatrix,
     primitive,
     rank,
-    solve_affine,
     solve_int,
     solve_unique,
     vertex_clause,
@@ -75,16 +74,6 @@ def test_solve_unique_three_way_contract():
         status, solution = solve_unique(m, b)
         r = rank(m)
         r_aug = rank([row + [bb] for row, bb in zip(m, b)])
-        affine = solve_affine(m, b, cols)
-        assert (affine is None) == (r_aug > r)
-        if affine is not None:
-            x0, basis = affine
-            assert len(basis) == cols - r
-            assert [sum(c * x for c, x in zip(row, x0)) for row in m] == b
-            assert all(
-                sum(c * x for c, x in zip(row, vec)) == 0
-                for vec in basis for row in m
-            )
         if status == UNIQUE:
             assert r == cols == r_aug
             assert [
@@ -95,39 +84,6 @@ def test_solve_unique_three_way_contract():
         else:
             assert status == NON_UNIQUE
             assert r < cols and r_aug == r
-
-
-def _kernel(rows):
-    """Basis of {x : A x = 0}: the homogeneous affine solution's basis."""
-    return solve_affine(rows, [0] * len(rows), len(rows[0]))[1]
-
-
-def test_kernel_left_orientation_fixture():
-    # remove {1,2,4,5} from {{3,4,5},{1,2,4,5},{2,3},{1,3}} on five players:
-    # the complement of the remaining column span is two-dimensional
-    remaining = RatMatrix.from_collection([0b11100, 0b00110, 0b00101], 5)
-    basis = _kernel(list(zip(*remaining.rows)))
-    assert len(basis) == 2
-    for y in basis:
-        for j in range(remaining.n_cols):
-            assert sum(a * b for a, b in zip(y, remaining.column(j))) == 0
-    # the span is exactly {(-t, -t, t, s, -t-s)}
-    expected = [(-1, -1, 1, 0, -1), (0, 0, 0, 1, -1)]
-    stacked = [list(map(F, v)) for v in expected]
-    for y in basis:
-        assert rank(stacked + [list(y)]) == 2
-    for v in expected:
-        assert rank([list(y) for y in basis] + [list(map(F, v))]) == 2
-
-
-def test_kernel_full_rank_empty_and_duplicate_column():
-    square = RatMatrix.from_rows([[1, 0], [0, 1]])
-    assert _kernel(square.rows) == []
-    duplicated = RatMatrix.from_columns([(1,), (1,)])
-    basis = _kernel(duplicated.rows)
-    assert len(basis) == 1
-    y = basis[0]
-    assert y[0] * 1 + y[1] * 1 == 0 and y != (0, 0)
 
 
 def test_primitive_scales_positively():

@@ -109,6 +109,7 @@ def test_parse_game_accepts_integers_and_rationals():
         '{"n":3,"values":{"0":"1"}}',         # player index 0
         '{"n":3,"values":{"4":"1"}}',         # player out of range
         '{"n":3,"values":{"1,1":"1"}}',       # repeated player
+        '{"n":2,"values":{"1,2\\n":"1"}}',    # trailing newline in a key
         '{"n":3,"values":{"1":"1x"}}',        # unparsable number
         '{"n":3,"values":{"1":"1","1":"2"}}', # duplicate key
         '{"n":3,"values":{"1":0.5}}',         # bare float
@@ -177,6 +178,8 @@ def test_parse_coalition_key_errors():
         parse_coalition_key("", 3)
     with pytest.raises(GameFormatError):
         parse_coalition_key("1,,2", 3)
+    with pytest.raises(GameFormatError):
+        parse_coalition_key("1,2\n", 3)  # `$` would match before the newline
     assert parse_coalition_key("1,3", 3) == 0b101
 
 

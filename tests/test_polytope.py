@@ -4,17 +4,11 @@ from fractions import Fraction
 import pytest
 
 from mbc import Game, peleg
-from mbc.polytope import (
-    DimensionCapError,
-    LinearSystem,
-    _tight_points,
-    enumerate_vertices,
-)
+from mbc.polytope import DimensionCapError, LinearSystem, enumerate_vertices
 from conftest import make_additive, make_three_player_tight
 from oracles import (
     mbc_via_vertices,
     system_feasible,
-    tight_points_reference,
     weight_polytope_vertices,
 )
 
@@ -38,54 +32,29 @@ def test_vertices_satisfy_constraints_resubstitution():
     vertices = enumerate_vertices(system)
     assert vertices
     for x in vertices:
-        for coeffs, rhs in system.eqs:
-            assert sum(c * v for c, v in zip(coeffs, x)) == rhs
-        for coeffs, rhs in system.ineqs:
-            assert sum(c * v for c, v in zip(coeffs, x)) >= rhs
-
-
-def test_weight_polytope_for_two_players_has_two_vertices():
-    # the full weight polytope on two players: its vertices are the grand
-    # coalition alone and the partition into singletons
-    system = LinearSystem(3)
-    system.add_eq([1, 0, 1], 1)  # player 1 in {1} and {1,2}
-    system.add_eq([0, 1, 1], 1)  # player 2 in {2} and {1,2}
-    for i in range(3):
-        coeffs = [0, 0, 0]
-        coeffs[i] = 1
-        system.add_ineq(coeffs, 0)
-    vertices = enumerate_vertices(system)
-    assert vertices == [(F(0), F(0), F(1)), (F(1), F(1), F(0))]
+        assert sum(x) == system.grand
+        for S, b in system.rows:
+            assert sum(xi for i, xi in enumerate(x) if S >> i & 1) >= b
 
 
 def test_empty_polytope_has_no_vertices():
-    system = LinearSystem(2)
-    system.add_eq([1, 1], 1)
-    system.add_ineq([1, 0], 1)
-    system.add_ineq([0, 1], 1)  # x+y=1 with x,y >= 1 is empty
+    # x1 + x2 = 1 with x1, x2 >= 1 is empty
+    system = LinearSystem(2, F(1), ((0b01, F(1)), (0b10, F(1))))
     assert enumerate_vertices(system) == []
     assert not system_feasible(system)
 
 
 def test_dimension_cap():
-    system = LinearSystem(9)
-    for i in range(9):
-        coeffs = [0] * 9
-        coeffs[i] = 1
-        system.add_ineq(coeffs, 0)
     with pytest.raises(DimensionCapError):
-        enumerate_vertices(system)
+        enumerate_vertices(LinearSystem.core(Game(10, {})))
 
 
 def test_feasibility_with_strict_rows():
-    system = LinearSystem(2)
-    system.add_eq([1, 1], 1)
-    system.add_ineq([1, 0], 0)
-    # x >= 0, x+y = 1, and strictly y > 1 forces x < 0: infeasible
+    system = LinearSystem(2, F(1), ((0b01, F(0)),))
+    # x1 >= 0, x1 + x2 = 1, and strictly x2 > 1 forces x1 < 0: infeasible
     assert not system_feasible(system, [((0, 1), 1)])
     # non-strict version is feasible at the single point (0, 1)
-    system2 = LinearSystem(2, list(system.eqs), list(system.ineqs))
-    system2.add_ineq([0, 1], 1)
+    system2 = LinearSystem(2, F(1), (*system.rows, (0b10, F(1))))
     assert system_feasible(system2)
 
 
@@ -127,19 +96,3 @@ def test_bondareva_shapley_vs_vertex_oracle_random():
         assert bs == bool(vertices)
         # Fourier-Motzkin elimination of the core system agrees as well
         assert bs == system_feasible(LinearSystem.core(game))
-
-
-def test_tight_points_match_fraction_loop():
-    rng = random.Random(29)
-    found = 0
-    for _ in range(200):
-        d = rng.randint(1, 3)
-        reduced = [
-            (tuple(F(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(d)),
-             F(rng.randint(-5, 5), rng.randint(1, 9)))
-            for _ in range(rng.randint(d, d + 4))
-        ]
-        got = _tight_points(reduced, d)
-        assert got == list(dict.fromkeys(tight_points_reference(reduced, d)))
-        found += len(got)
-    assert found > 50
