@@ -10,18 +10,27 @@ collections on 1..n:
           them, and add the singleton {p} with weight 1-s;
   case 3: as case 2, but instead of {p} add S u {p} for some non-picked
           member S with weight above 1-s, splitting S's weight;
-  case 4: take the union of two distinct collections whose combined
-          characteristic matrix has rank k-1, and transfer the new player
-          into the unique convex combination of the two weight systems that
-          gives it total weight 1.
+  case 4: take the union U of two distinct collections A, B whose
+          characteristic matrix has rank |U|-1, with weights mu, nu
+          extended by zeros to U over a common denominator L, and put the
+          new player into the members of some I.  That gives a child
+          exactly when L lies strictly between mu(I) and nu(I), one test
+          per subset; its weights are alpha*mu + beta*nu over
+          L*(alpha+beta), with alpha = |nu(I) - L| and beta = |L - mu(I)|.
+          A minimal balanced collection has independent characteristic
+          vectors and mu - nu is in the kernel of U's, so
+          max(|A|, |B|) <= rank <= |U|-1: only a union two or more larger
+          than both parents needs a rank test.
 
 Every rule emits only minimal balanced collections and together they are
 exhaustive, so after deduplication the output is the complete set.  Each
 rule is coded once: the single-step helpers `apply_case1..4` run the
 generator's own rule code on one parent or pair and return the child it
-emits with the requested coalitions.  The generator and the database work
-on integer rows (masks, numerators, denominator); fractions only
-materialize at the API boundary.
+emits with the requested coalitions.  The new player's bit lies above every
+old mask, so each rule emits its children with their masks already in
+increasing order.  The generator and the database work on integer rows
+(masks, numerators, denominator); fractions only materialize at the API
+boundary.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import gcd, lcm
-from operator import lt, mul
+from operator import itemgetter, lt, mul
 
 from .model import (
     PLAYER_CAP,
@@ -47,6 +56,9 @@ from . import linalg
 from .linalg import _echelon
 
 DEFAULT_PLAYER_LIMIT = 7
+# The generator keys its rows by bytes(masks), so every mask must fit one
+# byte.  No count is known beyond n = 7, and an n = 8 run is out of reach.
+MAX_PLAYERS = 8
 
 MINIMAL = "minimal"
 BALANCED_NOT_MINIMAL = "balanced_not_minimal"
@@ -59,9 +71,10 @@ NOT_BALANCED = "not_balanced"
 Row = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-def _subset_sums(nums) -> list[int]:
-    """sums[I] = sum of nums[i] over the set bits of I, for all I < 2^k."""
-    sums = [0]
+def _subset_sums(nums, start: int = 0) -> list[int]:
+    """sums[I] = start + the sum of nums[i] over the set bits of I, for all
+    I < 2^k."""
+    sums = [start]
     for w in nums:
         sums += [s + w for s in sums]
     return sums
@@ -74,10 +87,35 @@ def _rank01(masks, n: int) -> int:
     return len(pivots)
 
 
+def _getter(indices):
+    """itemgetter(*indices), returning a tuple for any number of indices."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple([seq[i] for i in indices])
+
+
+def _orders(k: int) -> list[tuple]:
+    """For each subset I of k members (a bitmask), the getters that put a
+    child's entries in increasing mask order.  The new player's bit is above
+    every old mask, so a child lists the unpicked members in parent order,
+    then {p} when present, then the picked members with p added.  `order`
+    and `one` give all k members of a k-sequence and of the 2k-sequence
+    (*masks, *masks with p); `low` and `high` give the unpicked and the
+    picked members of a k-sequence."""
+    tables = []
+    for I in range(1 << k):
+        low = [i for i in range(k) if not (I >> i) & 1]
+        high = [i for i in range(k) if (I >> i) & 1]
+        tables.append((_getter(low + high), _getter(low + [k + i for i in high]),
+                       _getter(low), _getter(high)))
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # the four construction rules: `_children_123` and `_children_4` emit every
-# child of one parent or pair; the public single-step helpers pick one of
-# those children by its coalitions
+# child of one parent or pair as emit(masks, nums, den), masks strictly
+# increasing; the public single-step helpers pick one of those children by
+# its coalitions
 
 
 def apply_case1(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
@@ -86,8 +124,8 @@ def apply_case1(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
     positions."""
     masks, nums, den = wc.to_row()
     p_bit, targets = _moved(masks, picked, p)
-    return _emitted(partial(_children_123, masks, nums, den, p_bit), targets,
-                    "case 1 needs the picked weights to sum to exactly 1")
+    return _emitted(partial(_children_123, masks, nums, den, p_bit, _orders(len(masks))),
+                    targets, "case 1 needs the picked weights to sum to exactly 1")
 
 
 def apply_case2(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
@@ -95,8 +133,8 @@ def apply_case2(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
     the singleton {p} enters with weight 1-s."""
     masks, nums, den = wc.to_row()
     p_bit, targets = _moved(masks, picked, p)
-    return _emitted(partial(_children_123, masks, nums, den, p_bit), targets + [p_bit],
-                    "case 2 needs the picked weights to sum below 1")
+    return _emitted(partial(_children_123, masks, nums, den, p_bit, _orders(len(masks))),
+                    targets + [p_bit], "case 2 needs the picked weights to sum below 1")
 
 
 def apply_case3(wc: WeightedCollection, picked, split, p: int) -> WeightedCollection:
@@ -108,7 +146,8 @@ def apply_case3(wc: WeightedCollection, picked, split, p: int) -> WeightedCollec
     if split in picked:
         raise ValueError("the split member must not be picked")
     p_bit, targets = _moved(masks, picked | {split}, p)
-    return _emitted(partial(_children_123, masks, nums, den, p_bit), targets + [masks[split]],
+    return _emitted(partial(_children_123, masks, nums, den, p_bit, _orders(len(masks))),
+                    targets + [masks[split]],
                     "case 3 needs 1 > sum of picked weights > 1 - split weight")
 
 
@@ -127,8 +166,9 @@ def apply_case4(first: WeightedCollection, second: WeightedCollection, picked,
         raise ValueError("case 4 needs characteristic rank exactly |union| - 1")
     union_masks, mu, nu, L = pair
     p_bit, targets = _moved(union_masks, picked, p)
-    return _emitted(partial(_children_4, union_masks, mu, nu, L, p_bit), targets,
-                    "case 4 needs the interpolation parameter inside ]0,1[")
+    return _emitted(partial(_children_4, union_masks, mu, nu, L, p_bit,
+                            _orders(len(union_masks))),
+                    targets, "case 4 needs the interpolation parameter inside ]0,1[")
 
 
 def _moved(masks, picked, p: int) -> tuple[int, list[int]]:
@@ -149,13 +189,12 @@ def _emitted(children, targets, message: str) -> WeightedCollection:
     emits; raises ValueError(message) when there is none.  Different rules
     and subsets give children with different coalitions, so the coalitions
     name one child."""
-    targets = sorted(targets)
+    targets = tuple(sorted(targets))
     found = []
 
-    def emit(entries, den):
-        entries.sort()
-        if [m for m, _ in entries] == targets:
-            found.append(WeightedCollection.from_row(*zip(*entries), den))
+    def emit(masks, nums, den):
+        if masks == targets:
+            found.append(WeightedCollection.from_row(masks, nums, den))
 
     children(emit)
     if not found:
@@ -163,56 +202,47 @@ def _emitted(children, targets, message: str) -> WeightedCollection:
     return found[0]
 
 
-def _children_123(masks, nums, den, p_bit, emit):
-    k = len(masks)
-    sums = _subset_sums(nums)
-    for I in range(1 << k):
-        s = sums[I]
+def _children_123(masks, nums, den, p_bit, orders, emit):
+    """Cases 1-3 for one parent; `orders` is `_orders(len(masks))`."""
+    with_p = [m | p_bit for m in masks]
+    ext = (*masks, *with_p)
+    for I, s in enumerate(_subset_sums(nums)):
         if s > den:
             continue
-        base = [
-            ((m | p_bit) if (I >> i) & 1 else m, nums[i])
-            for i, m in enumerate(masks)
-        ]
+        order, one, low, high = orders[I]
         if s == den:
-            emit(base, den)
+            emit(one(ext), order(nums), den)
             continue
         rem = den - s
-        emit(base + [(p_bit, rem)], den)
-        for d in range(k):
-            if not (I >> d) & 1 and nums[d] > rem:
-                child = [pair for i, pair in enumerate(base) if i != d]
-                child.append((masks[d] | p_bit, rem))
-                child.append((masks[d], nums[d] - rem))
-                emit(child, den)
+        emit(low(masks) + (p_bit,) + high(with_p), low(nums) + (rem,) + high(nums), den)
+        for d, x in enumerate(nums):
+            if not (I >> d) & 1 and x > rem:
+                # S stays unpicked with weight x - rem and S u {p} joins
+                # the picked members with weight rem
+                _, _, _, high_d = orders[I | 1 << d]
+                kept, moved = list(nums), list(nums)
+                kept[d] = x - rem
+                moved[d] = rem
+                emit(low(masks) + high_d(with_p), low(kept) + high_d(moved), den)
 
 
-def _children_4(masks, mu, nu, L, p_bit, emit):
+def _children_4(masks, mu, nu, L, p_bit, orders, emit):
     """Case 4 for one merged pair: mu, nu are the two weight systems extended
-    by zeros to the union, as integers over the common denominator L."""
-    k = len(masks)
-    smu = _subset_sums(mu)
-    snu = _subset_sums(nu)
-    for I in range(1, 1 << k):
-        a = L - smu[I]
-        b = snu[I] - smu[I]
-        if b > 0:
-            if not 0 < a < b:
-                continue
-        elif b < 0:
-            if not b < a < 0:
-                continue
-        else:
-            continue
-        child = []
-        for i, m in enumerate(masks):
-            num = b * mu[i] + a * (nu[i] - mu[i])
-            child.append(((m | p_bit) if (I >> i) & 1 else m, num))
-        den = L * b
-        if den < 0:
-            den = -den
-            child = [(m, -x) for m, x in child]
-        emit(child, den)
+    by zeros to the union, as integers over the common denominator L, and
+    `orders` is `_orders(len(masks))`.  The subset I gives a child when
+    mu(I) - L and nu(I) - L have opposite signs, with weights
+    alpha*mu + beta*nu over L*(alpha+beta), alpha = |nu(I) - L| and
+    beta = |mu(I) - L| (see the module docstring)."""
+    ext = (*masks, *[m | p_bit for m in masks])
+    below_mu = _subset_sums(mu, -L)
+    below_nu = _subset_sums(nu, -L)
+    for I, s, t in [(I, s, t) for I, s, t in zip(range(len(below_mu)), below_mu, below_nu)
+                    if s * t < 0]:
+        alpha = abs(t)
+        beta = abs(s)
+        order, one, _, _ = orders[I]
+        emit(one(ext), order([alpha * x + beta * y for x, y in zip(mu, nu)]),
+             L * (alpha + beta))
 
 
 def _pair_form(row: Row):
@@ -231,15 +261,12 @@ def _merged_pair(a, b, n_old: int):
     weight systems extended by zeros to it over the common denominator L.
     None when the union's characteristic rank on n_old players is not one
     below its size."""
-    union_masks = []
-    u = a[0] | b[0]
-    while u:
-        low = u & -u
-        union_masks.append(low.bit_length())
-        u ^= low
-    if _rank01(union_masks, n_old) != len(union_masks) - 1:
-        return None
     (_, weights_a, den_a), (_, weights_b, den_b) = a, b
+    union_masks = sorted(weights_a.keys() | weights_b.keys())
+    # max(|A|, |B|) <= rank <= |union| - 1 (see the module docstring)
+    size = len(union_masks)
+    if size > max(len(weights_a), len(weights_b)) + 1 and _rank01(union_masks, n_old) != size - 1:
+        return None
     L = lcm(den_a, den_b)
     fa = L // den_a
     fb = L // den_b
@@ -255,36 +282,34 @@ def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
     minimal balanced collection are determined by its coalitions, so rows
     are deduplicated on the masks).  When `sink` is given, MBCDB lines are
     pushed there instead (streaming mode) and the returned list is empty.
+    Rows are keyed by bytes(masks), which sorts like the masks while every
+    mask fits one byte (n_old < MAX_PLAYERS).
     """
     p_bit = 1 << n_old
-    out: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    out: dict[bytes, Row] = {}
+    orders = _Memo(_orders)
 
     if sink is None:
-        def emit(entries, den):
-            entries.sort()
-            masks = tuple(m for m, _ in entries)
-            if masks in out:
+        def emit(masks, nums, den):
+            key = bytes(masks)
+            if key in out:
                 return
-            if allowed is not None and not all(m in allowed for m in masks):
+            if allowed is not None and not allowed.issuperset(masks):
                 return
-            nums = tuple(x for _, x in entries)
             g = gcd(den, *nums)
             if g > 1:
                 den //= g
-                nums = tuple(x // g for x in nums)
-            out[masks] = (nums, den)
+                nums = tuple([x // g for x in nums])
+            out[key] = (masks, nums, den)
     else:
         write = LineCodec().write
 
-        def emit(entries, den):
-            entries.sort()
-            if allowed is not None and not all(m in allowed for m, _ in entries):
-                return
-            masks, nums = zip(*entries)
-            sink(write(masks, nums, den))
+        def emit(masks, nums, den):
+            if allowed is None or allowed.issuperset(masks):
+                sink(write(masks, nums, den))
 
     for masks, nums, den in parents:
-        _children_123(masks, nums, den, p_bit, emit)
+        _children_123(masks, nums, den, p_bit, orders[len(masks)], emit)
 
     # case 4 over unordered pairs; the two orderings of a pair generate the
     # same children, so one suffices
@@ -298,8 +323,8 @@ def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
                 continue
             pair = _merged_pair(a, forms[ib], n_old)
             if pair is not None:
-                _children_4(*pair, p_bit, emit)
-    return [(masks, nums, den) for masks, (nums, den) in sorted(out.items())]
+                _children_4(*pair, p_bit, orders[len(pair[0])], emit)
+    return [out[key] for key in sorted(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +470,9 @@ def _restriction(n: int, set_system, player_limit: int) -> set[int] | None:
         raise ValueError("n must be at least 1")
     if n > player_limit:
         raise ValueError(f"n={n} exceeds the configured limit {player_limit}")
+    if n > MAX_PLAYERS:
+        raise ValueError(f"n={n} exceeds the generator's {MAX_PLAYERS} players: "
+                         "masks must fit one byte")
     if set_system is None:
         return None
     _validate_set_system(set_system, n)

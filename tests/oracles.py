@@ -27,10 +27,14 @@ vertices), classifies each subcollection for `brute_force_mbcs` and
 `is_minimal_balanced` and is the reference for `check_minimal_balanced`.
 `balanced_union_reference`, the library's earlier balancedness test, decides
 whether a collection is balanced from the database alone.
+`merged_pair_reference` and `children_4_reference` are the generator's
+earlier case-4 steps: a rank test on every size-filtered pair, and the a/b
+sign test per subset with the child's entries sorted afterwards.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 from mbc import Game, WeightedCollection, linalg
 from mbc.generate import (
@@ -461,3 +465,47 @@ def admissible_systems(collection, family, db: MbcDatabase, pool=None):
     ]
     for combo in product(*lists):
         yield dict(zip(collection, combo))
+
+
+# ---------------------------------------------------------------------------
+# the generator's earlier case-4 steps
+
+
+def merged_pair_reference(a, b, n_old: int):
+    """`generate._merged_pair` with a rank test on every pair: the sorted
+    union of two parents in `_pair_form` and both weight systems over the
+    common denominator L, or None when the union's rank is not one below
+    its size."""
+    (_, weights_a, den_a), (_, weights_b, den_b) = a, b
+    union = sorted(set(weights_a) | set(weights_b))
+    if linalg.rank(linalg.RatMatrix.from_collection(union, n_old)) != len(union) - 1:
+        return None
+    L = lcm(den_a, den_b)
+    mu = [weights_a.get(m, 0) * (L // den_a) for m in union]
+    nu = [weights_b.get(m, 0) * (L // den_b) for m in union]
+    return union, mu, nu, L
+
+
+def children_4_reference(masks, mu, nu, L, p_bit):
+    """The case-4 children of one merged pair as canonical rows, in subset
+    order: with a = L - mu(I) and b = nu(I) - mu(I), the subset I gives a
+    child when 0 < a < b or b < a < 0, with weights b*mu + a*(nu - mu)
+    over L*b, signs flipped when b < 0."""
+    children = []
+    for I in range(1, 1 << len(masks)):
+        picked = [i for i in range(len(masks)) if (I >> i) & 1]
+        a = L - sum(mu[i] for i in picked)
+        b = sum(nu[i] for i in picked) - sum(mu[i] for i in picked)
+        if not (0 < a < b or b < a < 0):
+            continue
+        entries = [((m | p_bit) if i in picked else m, b * mu[i] + a * (nu[i] - mu[i]))
+                   for i, m in enumerate(masks)]
+        den = L * b
+        if den < 0:
+            den = -den
+            entries = [(m, -x) for m, x in entries]
+        entries.sort()
+        child_masks, nums = zip(*entries)
+        g = gcd(den, *nums)
+        children.append((child_masks, tuple(x // g for x in nums), den // g))
+    return children

@@ -10,6 +10,11 @@ from mbc.generate import (
     MINIMAL,
     NOT_BALANCED,
     MbcDatabase,
+    _children_4,
+    _merged_pair,
+    _orders,
+    _pair_form,
+    _rank01,
     apply_case1,
     apply_case2,
     apply_case3,
@@ -25,7 +30,9 @@ from oracles import (
     balanced_union_reference,
     brute_force_mbcs,
     check_minimal_balanced_reference,
+    children_4_reference,
     is_minimal_balanced,
+    merged_pair_reference,
 )
 
 F = Fraction
@@ -177,6 +184,62 @@ def _helper_children(parents, p):
 def test_single_step_helpers_reproduce_the_induction_step(n_old):
     got = _helper_children(list(peleg(n_old)), n_old + 1)
     assert got == set(peleg(n_old + 1))
+
+
+# ---------------------------------------------------------------------------
+# case 4 pair by pair
+
+
+def _size_filtered_pairs(n_old):
+    """The parent pairs the induction step from n_old players passes to
+    `_merged_pair`: their union has at most n_old + 1 coalitions."""
+    forms = [_pair_form(row) for row in peleg(n_old).rows]
+    return [(a, b) for a, b in combinations(forms, 2)
+            if (a[0] | b[0]).bit_count() <= n_old + 1]
+
+
+# size-filtered pairs, and those whose union has one coalition more than the
+# larger parent, by n_old
+FILTERED_PAIRS = {1: (0, 0), 2: (1, 1), 3: (14, 11), 4: (372, 273), 5: (34871, 24271)}
+
+
+@pytest.mark.parametrize("n_old", [1, 2, 3, 4, 5])
+def test_rank_shortcut_holds_on_size_filtered_pairs(n_old):
+    # independent parents with mu - nu in the kernel of the union give
+    # rank |union| - 1 whenever the union has one coalition more than the
+    # larger parent, without a rank test
+    pairs = _size_filtered_pairs(n_old)
+    shortcut = 0
+    for a, b in pairs:
+        union = sorted(a[1].keys() | b[1].keys())
+        if len(union) == max(len(a[1]), len(b[1])) + 1:
+            assert _rank01(union, n_old) == len(union) - 1
+            shortcut += 1
+        assert _merged_pair(a, b, n_old) == merged_pair_reference(a, b, n_old)
+    assert (len(pairs), shortcut) == FILTERED_PAIRS[n_old]
+
+
+@pytest.mark.parametrize("n_old", [2, 3, 4, 5])
+def test_case4_children_match_sign_test_reference(n_old):
+    merged = [pair for pair in (_merged_pair(a, b, n_old)
+                                for a, b in _size_filtered_pairs(n_old))
+              if pair is not None]
+    if n_old == 5:
+        merged = random.Random(14).sample(merged, 2000)
+    p_bit = 1 << n_old
+    emitted = 0
+    for union, mu, nu, L in merged:
+        got = []
+
+        def emit(masks, nums, den):
+            assert all(x < y for x, y in zip(masks, masks[1:]))
+            g = gcd(den, *nums)
+            got.append((masks, tuple(x // g for x in nums), den // g))
+
+        _children_4(union, mu, nu, L, p_bit, _orders(len(union)), emit)
+        assert got == children_4_reference(union, mu, nu, L, p_bit)
+        emitted += len(got)
+    assert emitted >= len(merged) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +460,16 @@ def test_restricted_streaming_matches_in_memory_bytes(tmp_path):
     peleg(5, set_system=system).save(direct)
     assert count == len(direct.read_text().splitlines()) - 1 > 50
     assert out.read_bytes() == direct.read_bytes()
+
+
+def test_generation_is_limited_to_masks_of_one_byte(tmp_path):
+    # rows are keyed by the bytes of their masks
+    with pytest.raises(ValueError, match="one byte"):
+        peleg(9, player_limit=9)
+    out = tmp_path / "mbc9.db"
+    with pytest.raises(ValueError, match="one byte"):
+        peleg_stream(9, out, player_limit=9)
+    assert not out.exists()
 
 
 def test_peleg_argument_errors():
