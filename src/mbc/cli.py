@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from . import generate, props, stability
+from . import props, stability
 from .generate import MbcDatabase, peleg, peleg_stream
 from .model import (
     Game,
@@ -59,14 +59,12 @@ def cmd_generate(args) -> int:
     if n >= 7 and args.output == "-":
         raise CliError("n >= 7 streams shards to disk; give a file path")
     started = time.monotonic()
-    if args.output != "-" and n >= 7:
-        count = peleg_stream(n, args.output, set_system=set_system,
-                             player_limit=max(n, generate.DEFAULT_PLAYER_LIMIT))
+    if n >= 7:
+        count = peleg_stream(n, args.output, set_system=set_system)
         elapsed = time.monotonic() - started
         print(f"n={n} count={count}")
     else:
-        db = peleg(n, set_system=set_system,
-                   player_limit=max(n, generate.DEFAULT_PLAYER_LIMIT))
+        db = peleg(n, set_system=set_system)
         elapsed = time.monotonic() - started
         if args.output == "-":
             db.dump(sys.stdout)
@@ -259,10 +257,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,7 +55,6 @@ from .model import (
 from . import linalg
 from .linalg import _echelon
 
-DEFAULT_PLAYER_LIMIT = 7
 # The generator keys its rows by bytes(masks), so every mask must fit one
 # byte.  No count is known beyond n = 7, and an n = 8 run is out of reach.
 MAX_PLAYERS = 8
@@ -463,13 +462,11 @@ def _validate_set_system(set_system, n: int) -> tuple[int, ...]:
     return masks
 
 
-def _restriction(n: int, set_system, player_limit: int) -> set[int] | None:
+def _restriction(n: int, set_system) -> set[int] | None:
     """Checks the arguments of a generation on 1..n; returns the masks a
     restricted run may keep, or None when it is unrestricted."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > player_limit:
-        raise ValueError(f"n={n} exceeds the configured limit {player_limit}")
     if n > MAX_PLAYERS:
         raise ValueError(f"n={n} exceeds the generator's {MAX_PLAYERS} players: "
                          "masks must fit one byte")
@@ -488,18 +485,18 @@ def _rows_on(players: int, allowed: set[int] | None) -> list[Row]:
     return rows
 
 
-def peleg(n: int, set_system=None, player_limit: int = DEFAULT_PLAYER_LIMIT) -> MbcDatabase:
+def peleg(n: int, set_system=None) -> MbcDatabase:
     """All minimal balanced collections on 1..n, by induction from n=1.
 
     With `set_system`, collections whose coalitions do not all fit inside
     some element of the system are discarded as soon as they appear.
     """
-    allowed = _restriction(n, set_system, player_limit)
+    allowed = _restriction(n, set_system)
     return MbcDatabase(n, tuple(_rows_on(n, allowed)), allowed is not None)
 
 
 def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000,
-                 tmp_dir=None, player_limit: int = DEFAULT_PLAYER_LIMIT) -> int:
+                 tmp_dir=None) -> int:
     """Like `peleg`, but the final induction step streams to disk.
 
     Collections on n-1 players are generated in memory; the children are
@@ -509,7 +506,7 @@ def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000
     """
     if n < 2:
         raise ValueError("streaming generation needs n >= 2")
-    allowed = _restriction(n, set_system, player_limit)
+    allowed = _restriction(n, set_system)
     base = _rows_on(n - 1, allowed)
 
     shards: list[str] = []

@@ -281,14 +281,6 @@ class Game:
     def grand_value(self) -> Fraction:
         return self.value(full_mask(self.n))
 
-    def with_value(self, mask: int, value: Fraction) -> "Game":
-        values = dict(self.values)
-        if value == 0:
-            values.pop(mask, None)
-        else:
-            values[mask] = value
-        return Game(self.n, values)
-
     def subgame(self, keep_mask: int) -> "Game":
         """Restriction to the players of `keep_mask`, relabelled 1..|S| in
         ascending player order."""

@@ -216,54 +216,16 @@ def exact_coalitions(game: Game, db: MbcDatabase, index: BalancedIndex | None = 
 
 
 # ---------------------------------------------------------------------------
-# reduced games and extendability
+# extendability
 
 
-def reduced_game(game: Game, keep: int, fixed: dict[int, Fraction]) -> Game:
-    """Davis-Maschler reduced game on the players of `keep`, with the payoff
-    of every outside player pinned by `fixed`.  Players are relabelled
-    1..|keep| in ascending order."""
-    _check_coalition(keep, game.n)
-    n = game.n
-    outside = complement(keep, n)
-    if set(fixed) != set(members(outside)):
-        raise ValueError("fixed payoffs must cover exactly the outside players")
-    keep_players = members(keep)
-    relabel = {p: i for i, p in enumerate(keep_players)}
-
-    zsum = _payoff_sums(outside, fixed)
-    m = len(keep_players)
-    values: dict[int, Fraction] = {}
-    grand = game.grand_value()
-    total_fixed = zsum[outside]
-
-    t = 0
-    while True:
-        t = (t - keep) & keep
-        if t == 0:
-            break
-        new_mask = 0
-        tm = t
-        while tm:
-            low = tm & -tm
-            new_mask |= 1 << relabel[low.bit_length()]
-            tm ^= low
-        if t == keep:
-            val = grand - total_fixed
-        else:
-            val = _max_excess(game, t, zsum)
-        if val != 0:
-            values[new_mask] = val
-    return Game(m, values)
-
-
-def _payoff_sums(outside: int, fixed: dict[int, Fraction]) -> dict[int, Fraction]:
-    """x(Q) for every submask Q of `outside` under the pinned payoffs, in
-    increasing mask order."""
+def _payoff_sums(S: int, fixed: dict[int, Fraction]) -> dict[int, Fraction]:
+    """x(Q) for every submask Q of S under the pinned payoffs, in increasing
+    mask order."""
     zsum: dict[int, Fraction] = {0: Fraction(0)}
     q = 0
     while True:
-        q = (q - outside) & outside
+        q = (q - S) & S
         if q == 0:
             return zsum
         low = q & -q
@@ -299,16 +261,14 @@ def is_extendable(S: int, game: Game) -> bool:
     if not vertices:
         return True
     outside = complement(S, n)
-    m = len(members(outside))
-    columns = [[(mask >> i) & 1 for i in range(m)] for mask in range(1, 1 << m)]
+    players = members(outside)
+    coalitions = [t for t in range(1, outside + 1) if t & ~outside == 0]
+    columns = [[(t >> (p - 1)) & 1 for p in players] for t in coalitions]
     keep_players = members(S)
     for vertex in vertices:
-        fixed = {p: vertex[i] for i, p in enumerate(keep_players)}
-        level = game.grand_value() - sum(fixed.values())
-        reduced = reduced_game(game, outside, fixed)
-        top = _max_excess(game, outside, _payoff_sums(S, fixed))
-        values = reduced.with_value(full_mask(m), top)
-        scaled, _ = _scale([values.value(mask) for mask in range(1, 1 << m)] + [level])
+        zsum = _payoff_sums(S, dict(zip(keep_players, vertex)))
+        costs = [_max_excess(game, t, zsum) for t in coalitions]
+        scaled, _ = _scale([*costs, game.grand_value() - zsum[S]])
         if linalg.vertex_clause(columns, scaled[:-1], scaled[-1], [False] * len(columns)):
             return False
     return True

@@ -16,10 +16,18 @@ system (some minimal balanced subset with ψ = Σ w_v·a_v above v(N), or at
 v(N) with a vector of B0 in its support) is decided by linear programs over
 P, with no listing of subsets: maximise ψ, and when the maximum is exactly
 v(N), maximise the B0 weight over the optimal face (`linalg.vertex_clause`).
-The programs run in integers: each vector is scaled once per feasible
-collection by the positive factor s that makes it a primitive integer
-vector, which divides its weight by s, so its a-value is multiplied by s
-(and every a-value by one common denominator).
+The programs run in integers at the game's one scale, with no pass over
+Omega to clear denominators.  The game is scaled once to V = v·D and
+G = v(N)·D (`props._scaled_game`), and the association pool, the
+associated and the admissible collections are database rows.  An Omega
+vector u/s with a-value a (u an integer vector, s > 0) is the entry
+(u, s, k): the column u with the cost k = a·D·s, since its weight on u is
+w/s.  A complement vector is (1_{S^c}, 1, G − V[S]), a family vector
+(1_T, 1, V[T]), and the pattern z^S of a row (masks, nums, den) holds S's
+singleton numerators over den, with k = den·G − Σ x_T·V^S[T] over the
+other members.  Two entries are the same vector when their (u, s) agree
+over the gcd, and a₁ > a₂ exactly when k₁·s₂ > k₂·s₁.  A
+`WeightedCollection` is built only for the witness of a failing system.
 
 The search that lists the minimal balanced subsets themselves
 (`minimal_balanced_sets`) lives in `linalg`, next to the programs over the
@@ -30,9 +38,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd
 
 from . import linalg, props
 from .generate import MbcDatabase
@@ -42,6 +49,7 @@ from .model import (
     WeightedCollection,
     coalition_key,
     complement,
+    full_mask,
     members,
 )
 from .polytope import DimensionCapError
@@ -80,10 +88,6 @@ class StabilityReport:
         return payload
 
 
-def _char_vector(mask: int, n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction((mask >> i) & 1) for i in range(n))
-
-
 def _singletons_of(S: int) -> frozenset[int]:
     return frozenset(1 << (p - 1) for p in members(S))
 
@@ -96,188 +100,134 @@ def _render_masks(masks) -> list[str]:
 # association and admissibility
 
 
-def associated_collections(S: int, n: int, family, pool) -> list[WeightedCollection]:
-    """Collections of the pool associated with S: they contain a singleton
-    of S and live inside {singletons of S} + {S^c} + {family members not
-    inside S}."""
+def associated_collections(S: int, n: int, family, pool) -> list:
+    """Rows of the pool associated with S: they contain a singleton of S
+    and live inside {singletons of S} + {S^c} + {family members not inside
+    S}."""
     singles = _singletons_of(S)
-    comp = complement(S, n)
     allowed = set(singles)
-    allowed.add(comp)
+    allowed.add(complement(S, n))
     allowed.update(T for T in family if T & ~S)
     allowed.discard(0)
     out = []
-    for wc in pool:
-        has_single = False
-        ok = True
-        for T in wc.coalitions:
-            if T not in allowed:
-                ok = False
-                break
-            if T in singles:
-                has_single = True
-        if ok and has_single:
-            out.append(wc)
+    for row in pool:
+        if allowed.issuperset(row[0]) and not singles.isdisjoint(row[0]):
+            out.append(row)
     return out
 
 
-def admissible_collections(S: int, collection, n: int, family, pool):
-    """Associated collections that are admissible for the feasible collection:
+def admissible_collections(S: int, collection, n: int, family, pool) -> list:
+    """Associated rows that are admissible for the feasible collection:
     after dropping S's singletons, they either meet the collection or avoid
     its complements entirely."""
     s_set = set(collection)
     comp_set = {complement(T, n) for T in collection}
     singles = _singletons_of(S)
     out = []
-    for wc in associated_collections(S, n, family, pool):
-        star = [T for T in wc.coalitions if T not in singles]
+    for row in associated_collections(S, n, family, pool):
+        star = [T for T in row[0] if T not in singles]
         if any(T in s_set for T in star) or not any(T in comp_set for T in star):
-            out.append(wc)
+            out.append(row)
     return out
 
 
-def association_pool(db: MbcDatabase, family, n: int) -> list[WeightedCollection]:
-    """Database entries that can ever be associated with a member of the
+def association_pool(db: MbcDatabase, family, n: int) -> list:
+    """Database rows that can ever be associated with a member of the
     family: all members must be singletons, family members, or complements
     of family members."""
     universe = {1 << i for i in range(n)}
     universe.update(family)
     universe.update(complement(T, n) for T in family)
     universe.discard(0)
-    return [WeightedCollection.from_row(*row) for row in db.rows
-            if universe.issuperset(row[0])]
+    return [row for row in db.rows if universe.issuperset(row[0])]
 
 
 # ---------------------------------------------------------------------------
 # Omega and the a-values
 
 
-def z_vector(S: int, wc: WeightedCollection, n: int) -> tuple[Fraction, ...]:
-    """The singleton-weight pattern of an associated collection: coordinate
-    j carries the weight of {j} when j is in S and {j} is a member, else 0."""
-    coords = [Fraction(0)] * n
-    for mask, w in wc.items():
-        if mask & S and mask.bit_count() == 1:
-            coords[mask.bit_length() - 1] = w
-    return tuple(coords)
+def _vector_key(column, s: int):
+    """The vector column/s in lowest terms."""
+    g = gcd(s, *column)
+    return tuple(x // g for x in column), s // g
 
 
-def c_value(S: int, wc: WeightedCollection, game: Game) -> Fraction:
-    """v(N) minus the non-singleton part of the association inequality,
-    evaluated on the derived game v^S: v^S(T) is v(N) - v(S) when T = S^c
-    and v(T) otherwise."""
-    grand = game.grand_value()
-    comp = complement(S, game.n)
-    singles = _singletons_of(S)
-    total = Fraction(0)
-    for T, w in wc.items():
-        if T not in singles:
-            total += w * (grand - game.value(S) if T == comp else game.value(T))
-    return grand - total
+def _keep_largest(table: dict, key, entry) -> None:
+    """Store the entry (u, s, k) under the vector key unless the stored one
+    has an a-value at least as large."""
+    old = table.get(key)
+    if old is None or entry[2] * old[1] > old[2] * entry[1]:
+        table[key] = entry
 
 
-def omega_base(collection, family, game: Game):
+def omega_pattern(S: int, row, V, G: int, n: int):
+    """The pattern z^S of an associated row (masks, nums, den) and its
+    a-value c, as the entry (u, den, k): u holds the numerators of S's
+    singletons, and k = den·G − Σ x_T·V^S[T] over the other members, where
+    v^S is v with v^S(S^c) = v(N) − v(S)."""
+    comp = complement(S, n)
+    u = [0] * n
+    k = row[2] * G
+    for T, x in zip(row[0], row[1]):
+        if T & S and T & (T - 1) == 0:
+            u[T.bit_length() - 1] = x
+        else:
+            k -= x * (G - V[S] if T == comp else V[T])
+    return tuple(u), row[2], k
+
+
+def omega_base(collection, family, V, G: int, n: int):
     """The part of Omega that every admissible system of a feasible
-    collection shares, with its a-values: the complement of each member S,
-    with a = v(N) - v(S), and each family member T outside the collection,
-    with a = v(T).  A vector generated more than once keeps its largest
-    a-value; a system's patterns z^S, with a = c_value, merge in the same
-    way.  Returns (a-value table, the members each complement vector comes
-    from)."""
-    n = game.n
-    grand = game.grand_value()
-    complement_sources: dict = {}
+    collection shares, as {vector key: (u, s, k)}: the complement of each
+    member S, with a = v(N) − v(S), and each family member T outside the
+    collection, with a = v(T).  A vector generated more than once keeps its
+    largest a-value; a system's patterns merge in the same way.  Also
+    returns the k at which each complement vector is in B0: its largest
+    v(N) − v(S)."""
     table: dict = {}
+    b0: dict = {}
     for S in collection:
-        vec = _char_vector(complement(S, n), n)
-        complement_sources.setdefault(vec, []).append(S)
-        val = grand - game.value(S)
-        if vec not in table or val > table[vec]:
-            table[vec] = val
+        u = tuple((complement(S, n) >> i) & 1 for i in range(n))
+        k = G - V[S]
+        _keep_largest(table, (u, 1), (u, 1, k))
+        b0[u, 1] = max(k, b0.get((u, 1), k))
     s_set = set(collection)
     for T in family:
-        if T in s_set:
-            continue
-        vec = _char_vector(T, n)
-        val = game.value(T)
-        if vec not in table or val > table[vec]:
-            table[vec] = val
-    return table, complement_sources
+        if T not in s_set:
+            u = tuple((T >> i) & 1 for i in range(n))
+            _keep_largest(table, (u, 1), (u, 1, V[T]))
+    return table, b0
 
 
 # ---------------------------------------------------------------------------
 # the nested condition
 
 
-def _lp_data(vectors, terms, grand):
-    """Integer LP data for rational Omega vectors: (columns, costs, bound).
-    Vector j becomes the primitive integer vector s_j·vector, s_j > 0; each
-    (j, a-value) term becomes the integer D·s_j·a for one common D; the
-    bound is D·v(N).  Scaling a column by s_j divides its weight by s_j, so
-    its a-value is multiplied by s_j: ψ over the columns is D·ψ."""
-    scaled = [linalg.primitive(vec) for vec in vectors]
-    weighted = [a * scaled[j][1] for j, a in terms]
-    den = lcm(grand.denominator, *(x.denominator for x in weighted))
-    return ([ints for ints, _ in scaled],
-            [x.numerator * (den // x.denominator) for x in weighted],
-            grand.numerator * (den // grand.denominator))
-
-
-def _omega_lp(collection, family, game: Game, choice_lists):
-    """Omega of one feasible collection as integer LP data, scaled once for
-    all its systems: (omega, choice lists), each choice (z, c, wc) extended
-    by its column and its cost.  omega holds the columns, the costs of the
-    shared vectors, the cost at which each complement vector is in B0 (its
-    largest v(N) - v(S)), and the bound."""
-    base_table, sources = omega_base(collection, family, game)
-    grand = game.grand_value()
-    vectors = list(base_table)
-    ids = {vec: j for j, vec in enumerate(vectors)}
-    terms = list(enumerate(base_table.values()))
-    for order in choice_lists:
-        for z, c, _ in order:
-            if z not in ids:
-                ids[z] = len(vectors)
-                vectors.append(z)
-            terms.append((ids[z], c))
-    b0_values = {ids[vec]: max(grand - game.value(S) for S in members_of)
-                 for vec, members_of in sources.items()}
-    terms.extend(b0_values.items())
-    columns, costs, bound = _lp_data(vectors, terms, grand)
-    costs = iter(costs)
-    base_costs = {j: next(costs) for j in range(len(base_table))}
-    choice_lists = [[(z, c, wc, ids[z], next(costs)) for z, c, wc in order]
-                    for order in choice_lists]
-    b0_costs = {j: next(costs) for j in b0_values}
-    return (columns, base_costs, b0_costs, bound), choice_lists
-
-
-def _nested_for_system(omega, combo, diagnostics) -> bool:
+def _nested_for_system(base, b0, bound: int, combo, diagnostics) -> bool:
     """The two existential clauses of the stability theorem for one system:
     some minimal balanced subset of Omega with ψ above v(N), or one meeting
     B0 with ψ = v(N), decided by `linalg.vertex_clause`.  Omega is the
-    shared vectors plus the system's patterns z^S, a vector generated more
-    than once keeping its largest cost.  A complement vector is in B0 when
-    its a-value is v(N) - v(S) for a member S it comes from; the diagnostic
-    counts the vectors where the shortcut (a complement vector that is no
-    pattern) disagrees with that definition."""
-    columns, base_costs, b0_costs, bound = omega
-    costs = dict(base_costs)
+    shared vectors plus the system's patterns (key, u, s, k, row).  A
+    complement vector is in B0 when its a-value is v(N) − v(S) for a member
+    S it comes from; the diagnostic counts the vectors where the shortcut
+    (a complement vector that is no pattern) disagrees with that
+    definition."""
+    table = dict(base)
     patterns = set()
-    for _, _, _, j, cost in combo:
-        patterns.add(j)
-        if j not in costs or cost > costs[j]:
-            costs[j] = cost
+    for key, u, s, k, _ in combo:
+        patterns.add(key)
+        _keep_largest(table, key, (u, s, k))
     marked = []
-    for j, cost in costs.items():
-        in_b0 = b0_costs.get(j) == cost
-        if in_b0 != (j in b0_costs and j not in patterns):
+    for key, (_, s, k) in table.items():
+        in_b0 = key in b0 and k == b0[key] * s
+        if in_b0 != (key in b0 and key not in patterns):
             diagnostics["b0_definition_disagreements"] = (
                 diagnostics.get("b0_definition_disagreements", 0) + 1
             )
         marked.append(in_b0)
-    return linalg.vertex_clause([columns[j] for j in costs],
-                                list(costs.values()), bound, marked)
+    entries = table.values()
+    return linalg.vertex_clause([u for u, _, _ in entries],
+                                [k for _, _, k in entries], bound, marked)
 
 
 def nested_balancedness_ok(collection, family, db, game: Game,
@@ -287,8 +237,8 @@ def nested_balancedness_ok(collection, family, db, game: Game,
 
     Returns ("ok", None), ("fail", witness) with the first failing system in
     enumeration order, or ("capped", info) when resource caps were hit.
-    Systems agreeing on every singleton pattern and association bound are
-    checked once: the condition only depends on those.
+    Systems agreeing on every pattern z^S and its a-value c are checked
+    once: the condition only depends on those.
     """
     if caps is None:
         caps = StabilityCaps()
@@ -298,17 +248,20 @@ def nested_balancedness_ok(collection, family, db, game: Game,
     if diagnostics is None:
         diagnostics = {}
 
+    V, _ = props._scaled_game(game)
+    G = V[full_mask(n)]
     choice_lists = []
     for S in collection:
-        admissible = admissible_collections(S, collection, n, family, pool)
-        seen = {}
+        seen = set()
         order = []
-        for wc in admissible:
-            z = z_vector(S, wc, n)
-            c = c_value(S, wc, game)
-            if (z, c) not in seen:
-                seen[(z, c)] = wc
-                order.append((z, c, wc))
+        for row in admissible_collections(S, collection, n, family, pool):
+            u, s, k = omega_pattern(S, row, V, G, n)
+            key = _vector_key(u, s)
+            h = gcd(k, s)
+            z_and_c = (key, k // h, s // h)  # z^S and c·D in lowest terms
+            if z_and_c not in seen:
+                seen.add(z_and_c)
+                order.append((key, u, s, k, row))
         if not order:
             return "ok", None  # empty product: vacuously satisfied
         choice_lists.append(order)
@@ -319,22 +272,21 @@ def nested_balancedness_ok(collection, family, db, game: Game,
     if caps.max_systems is not None and total > caps.max_systems:
         return "capped", {"reason": "system-cap", "systems": total}
 
-    omega, choice_lists = _omega_lp(collection, family, game, choice_lists)
-
+    base, b0 = omega_base(collection, family, V, G, n)
     checked = 0
     for combo in product(*choice_lists):
         if deadline is not None and checked % 32 == 0 and time.monotonic() > deadline:
             return "capped", {"reason": "time-cap", "systems": total}
         checked += 1
-        if not _nested_for_system(omega, combo, diagnostics):
+        if not _nested_for_system(base, b0, G, combo, diagnostics):
             witness = {
                 "collection": _render_masks(collection),
                 "system": [
                     {
                         "coalition": coalition_key(S),
-                        "collection": wc.to_payload(),
+                        "collection": WeightedCollection.from_row(*row).to_payload(),
                     }
-                    for S, (_, _, wc, _, _) in zip(collection, combo)
+                    for S, (*_, row) in zip(collection, combo)
                 ],
             }
             return "fail", witness

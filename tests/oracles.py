@@ -16,7 +16,10 @@ the reference for the library's integer loop.
 for minimal balanced sets, kept as the reference for the integer one, and
 `nested_system_reference` is the earlier nested-stage decision (list the
 minimal balanced subsets of Omega, then test ψ and B0 set by set), kept as
-the reference for the linear programs that replace it.  The generator is
+the reference for the linear programs that replace it; it and
+`brute_nested_system_satisfied` build Omega, its a-values and B0 in
+Fractions from their definitions (`omega_reference`), not with the
+library's integer entries.  The generator is
 checked against `brute_force_mbcs` (every subcollection classified on its
 own) and `mbc_via_vertices` (the vertices of the full weight polytope).
 Both stay independent of the library's search for minimal balanced sets:
@@ -46,7 +49,7 @@ from mbc.generate import (
 from mbc.linalg import minimal_balanced_sets
 from mbc.model import complement, full_mask, members
 from mbc.polytope import LinearSystem, enumerate_vertices
-from mbc.stability import admissible_collections, association_pool, omega_base
+from mbc.stability import admissible_collections, association_pool
 
 
 # ---------------------------------------------------------------------------
@@ -206,52 +209,54 @@ def extendable_direct(S: int, game: Game) -> bool:
     return True
 
 
+def omega_reference(game: Game, family, collection, system):
+    """Omega of one admissible system, from the definitions in Fractions:
+    {vector: largest a-value} and the set B0.  `system` maps each member S
+    of the collection to its admissible database row.  The vectors are the
+    complement of each S (a = v(N) - v(S)), each family member T outside
+    the collection (a = v(T)) and each pattern z^S, the weights of S's
+    singletons (a = v(N) minus the other members' weighted values under
+    v^S, which is v(N) - v(S) on S^c and v elsewhere).  A complement vector
+    is in B0 when its a-value is v(N) - v(S) for a member S it comes from."""
+    n = game.n
+    grand = game.grand_value()
+    a_values: dict = {}
+    b0_values: dict = {}
+
+    def char(mask):
+        return tuple(Fraction((mask >> i) & 1) for i in range(n))
+
+    def add(vec, a):
+        a_values[vec] = max(a, a_values.get(vec, a))
+
+    for S in collection:
+        vec, a = char(complement(S, n)), grand - game.value(S)
+        add(vec, a)
+        b0_values.setdefault(vec, []).append(a)
+    for T in family:
+        if T not in collection:
+            add(char(T), game.value(T))
+    for S in collection:
+        comp = complement(S, n)
+        z = [Fraction(0)] * n
+        c = grand
+        for mask, w in WeightedCollection.from_row(*system[S]).items():
+            if mask.bit_count() == 1 and mask & S:
+                z[mask.bit_length() - 1] = w
+            else:
+                c -= w * (grand - game.value(S) if mask == comp else game.value(mask))
+        add(tuple(z), c)
+    b0 = {vec for vec, values in b0_values.items() if a_values[vec] in values}
+    return a_values, b0
+
+
 def brute_nested_system_satisfied(game: Game, family, collection, system) -> bool:
     """The stability theorem's condition for one admissible system, computed
     from the definitions with exhaustive subset enumeration."""
     n = game.n
     grand = game.grand_value()
-    provenance: dict = {}
-
-    def add(vec, kind, src):
-        provenance.setdefault(vec, []).append((kind, src))
-
-    for S in collection:
-        comp = complement(S, n)
-        add(tuple(Fraction((comp >> i) & 1) for i in range(n)), "A", S)
-    for T in family:
-        if T not in collection:
-            add(tuple(Fraction((T >> i) & 1) for i in range(n)), "B", T)
-    for S in collection:
-        z = [Fraction(0)] * n
-        for mask, w in system[S].items():
-            if mask.bit_count() == 1 and mask & S:
-                z[mask.bit_length() - 1] = w
-        add(tuple(z), "C", S)
-
-    a_table = {}
-    for vec, sources in provenance.items():
-        vals = []
-        for kind, src in sources:
-            if kind == "A":
-                vals.append(grand - game.value(src))
-            elif kind == "B":
-                vals.append(game.value(src))
-            else:
-                # v^S: v(N) - v(S) on the complement of S, v elsewhere
-                comp = complement(src, n)
-                total = Fraction(0)
-                for mask, w in system[src].items():
-                    if not (mask.bit_count() == 1 and mask & src):
-                        value = grand - game.value(src) if mask == comp else game.value(mask)
-                        total += w * value
-                vals.append(grand - total)
-        a_table[vec] = max(vals)
-
+    a_table, b0 = omega_reference(game, family, collection, system)
     vectors = sorted(a_table)
-    omega_a = {
-        vec for vec in vectors if any(k == "A" for k, _ in provenance[vec])
-    }
     for r in range(1, n + 1):
         for Z in combinations(vectors, r):
             cols = [[vec[i] for vec in Z] for i in range(n)]
@@ -261,14 +266,7 @@ def brute_nested_system_satisfied(game: Game, family, collection, system) -> boo
             psi = sum(
                 (w * a_table[vec] for w, vec in zip(weights, Z)), Fraction(0)
             )
-            in_b0 = any(
-                vec in omega_a
-                and any(
-                    k == "A" and a_table[vec] == grand - game.value(src)
-                    for k, src in provenance[vec]
-                )
-                for vec in Z
-            )
+            in_b0 = any(vec in b0 for vec in Z)
             if (in_b0 and psi >= grand) or (not in_b0 and psi > grand):
                 return True
     return False
@@ -344,21 +342,14 @@ def nested_clause_reference(vectors, a_values, b0, grand) -> bool:
     return False
 
 
-def nested_system_reference(collection, family, game: Game, patterns) -> bool:
-    """One admissible system, given by its (z^S, c) patterns, decided in
-    Fractions: Omega merged as a dict of vectors keeping each one's largest
-    a-value, B0 by its definition (a complement vector whose a-value is
-    v(N) - v(S) for a member S it comes from), then the enumeration."""
-    grand = game.grand_value()
-    a_table, sources = omega_base(collection, family, game)
-    for z, c in patterns:
-        if z not in a_table or c > a_table[z]:
-            a_table[z] = c
+def nested_system_reference(collection, family, game: Game, system) -> bool:
+    """One admissible system decided in Fractions: Omega, its a-values and
+    B0 from `omega_reference`, then the enumeration of `minimal_balanced_sets`."""
+    a_table, b0 = omega_reference(game, family, collection, system)
     vectors = sorted(a_table)
-    b0 = [any(a_table[vec] == grand - game.value(S)
-              for S in sources.get(vec, ())) for vec in vectors]
     return nested_clause_reference(
-        vectors, [a_table[vec] for vec in vectors], b0, grand)
+        vectors, [a_table[vec] for vec in vectors],
+        [vec in b0 for vec in vectors], game.grand_value())
 
 
 # ---------------------------------------------------------------------------

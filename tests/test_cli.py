@@ -196,6 +196,27 @@ def test_analyze_report_bytes(fixture, tmp_path, capsys):
     assert digest == ANALYZE_REPORT_SHA256[fixture]
 
 
+def test_stable_builds_collections_only_for_its_witness(tmp_path, capsys,
+                                                        monkeypatch):
+    # the nested stage works on database rows: the two collections of the
+    # failing system are the only ones built
+    path = tmp_path / "biswas.game"
+    path.write_text(make_biswas().to_text())
+    built = []
+    post_init = WeightedCollection.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(WeightedCollection, "__post_init__", counting)
+    code, stdout, _ = run_main(capsys, ["stable", str(path)])
+    assert code == 0
+    system = json.loads(stdout)["witness"]["system"]
+    assert [wc.to_payload() for wc in built] == [
+        entry["collection"] for entry in system]
+
+
 def test_console_script_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "mbc.cli", "gen", "-n", "2", "-o", "-"],

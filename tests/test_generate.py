@@ -465,18 +465,16 @@ def test_restricted_streaming_matches_in_memory_bytes(tmp_path):
 def test_generation_is_limited_to_masks_of_one_byte(tmp_path):
     # rows are keyed by the bytes of their masks
     with pytest.raises(ValueError, match="one byte"):
-        peleg(9, player_limit=9)
+        peleg(9)
     out = tmp_path / "mbc9.db"
     with pytest.raises(ValueError, match="one byte"):
-        peleg_stream(9, out, player_limit=9)
+        peleg_stream(9, out)
     assert not out.exists()
 
 
 def test_peleg_argument_errors():
     with pytest.raises(ValueError):
         peleg(0)
-    with pytest.raises(ValueError):
-        peleg(8)  # above the default limit
     with pytest.raises(ValueError):
         peleg(3, set_system=[0b011])  # does not cover player 3
 

@@ -22,7 +22,6 @@ from mbc.props import (
     is_extendable,
     is_strictly_vital_exact,
     minimal_members,
-    reduced_game,
     sve_family,
 )
 from conftest import make_additive, make_three_player_tight
@@ -150,8 +149,8 @@ def test_sve_implies_exact_and_exact_implies_derived_balanced(db4, game4):
             assert exact
         if exact and S != full_mask(4):
             # v^S: v(N) - v(S) on the complement of S
-            derived = game4.with_value(full_mask(4) ^ S,
-                                       game4.grand_value() - game4.value(S))
+            derived = Game(4, {**game4.values, full_mask(4) ^ S:
+                                   game4.grand_value() - game4.value(S)})
             assert is_balanced_game(derived, db4)
 
 
@@ -197,32 +196,7 @@ def test_coalition_predicates_reject_masks_out_of_range(S):
 
 
 # ---------------------------------------------------------------------------
-# reduced games and extendability
-
-
-def test_reduced_game_additive_restriction(db3):
-    game = make_additive([1, 2, 4])
-    keep = coalition_mask([1, 3])
-    reduced = reduced_game(game, keep, {2: F(2)})
-    assert reduced.n == 2
-    assert reduced.value(0b11) == 5
-    assert reduced.value(0b01) == 1
-    assert reduced.value(0b10) == 4
-
-
-def test_reduced_game_full_set_is_identity():
-    game = make_three_player_tight()
-    reduced = reduced_game(game, full_mask(3), {})
-    assert reduced.values == game.values
-
-
-def test_reduced_game_max_formula():
-    game = make_three_player_tight()
-    reduced = reduced_game(game, coalition_mask([1, 2]), {3: F(1, 2)})
-    assert reduced.value(0b11) == F(1)
-    assert reduced.value(0b01) == F(1, 2)  # max(v({1}), v({1,3}) - 1/2)
-    with pytest.raises(ValueError):
-        reduced_game(game, coalition_mask([1, 2]), {2: F(0)})
+# extendability
 
 
 def test_extendability_examples():
@@ -238,6 +212,32 @@ def test_extendability_matches_direct_oracle(db5, biswas_mod):
     family = sve_family(biswas_mod, peleg(5))
     for S in family:
         assert is_extendable(S, biswas_mod) == extendable_direct(S, biswas_mod)
+
+
+def _seeded_games(rng, n, db, count):
+    """Games on n players: random values in tenths, with v(N) at the level
+    of the tightest minimal balanced collection, above it or below it."""
+    for _ in range(count):
+        values = {m: F(rng.randint(0, 20), 10) for m in range(1, full_mask(n))
+                  if rng.random() < 0.7}
+        level = max(sum((F(x, den) * values.get(m, 0) for m, x in zip(masks, nums)), F(0))
+                    for masks, nums, den in db.rows if masks != (full_mask(n),))
+        values[full_mask(n)] = level + rng.choice([F(0), F(0), F(1, 10), F(-1, 10)])
+        yield Game(n, values)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_extendability_matches_direct_oracle_on_seeded_games(n):
+    # every proper coalition, so S^c carries its own excess max over Q of
+    # v(S^c u Q) - x(Q) against the level v(N) - x(S) in every game
+    rng = random.Random(40 + n)
+    seen = {True: 0, False: 0}
+    for game in _seeded_games(rng, n, peleg(n), 30):
+        for S in range(1, full_mask(n)):
+            verdict = is_extendable(S, game)
+            assert verdict == extendable_direct(S, game)
+            seen[verdict] += 1
+    assert seen[True] > 30 and seen[False] > 30
 
 
 def test_four_player_triples_not_extendable(game4):

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -9,7 +10,12 @@ from mbc import Game, WeightedCollection, coalition_mask, linalg, stability
 from mbc.generate import MINIMAL, NOT_BALANCED, check_minimal_balanced
 from mbc.linalg import is_minimal_balanced_set, minimal_balanced_sets
 from mbc.model import full_mask
-from mbc.props import FeasibilityOracle, feasible_collections, sve_family
+from mbc.props import (
+    FeasibilityOracle,
+    _scaled_game,
+    feasible_collections,
+    sve_family,
+)
 from mbc.stability import (
     NOT_STABLE,
     STABLE,
@@ -18,11 +24,10 @@ from mbc.stability import (
     admissible_collections,
     associated_collections,
     association_pool,
-    c_value,
     is_core_stable,
     nested_balancedness_ok,
     omega_base,
-    z_vector,
+    omega_pattern,
 )
 from conftest import make_additive, make_biswas, make_three_player_tight
 from oracles import (
@@ -57,13 +62,13 @@ def test_association_example(db4):
     family = tuple(range(1, 16))
     collection = wc([(0b0001, 1), (0b0010, 1), (0b1100, 1)])
     S = coalition_mask([1, 2])
-    assert collection in associated(S, family, db4)
+    assert collection.to_row() in associated(S, family, db4)
     # the same collection is associated with {1,2,3} as well
-    assert collection in associated(coalition_mask([1, 2, 3]), family, db4)
+    assert collection.to_row() in associated(coalition_mask([1, 2, 3]), family, db4)
     # {N} is never associated: it contains no singleton
     grand = wc([(0b1111, 1)])
     for S in family:
-        assert grand not in associated(S, family, db4)
+        assert grand.to_row() not in associated(S, family, db4)
 
 
 def test_admissibility_example(db4):
@@ -71,20 +76,20 @@ def test_admissibility_example(db4):
     S = coalition_mask([1, 4])
     collection = (coalition_mask([2, 3]), S)
     candidate = wc([(0b0011, F(1, 2)), (0b0101, F(1, 2)), (0b0110, F(1, 2)), (0b1000, 1)])
-    admissible = admissible_collections(S, collection, 4, family, db4.collections)
-    assert candidate in admissible
+    admissible = admissible_collections(S, collection, 4, family, db4.rows)
+    assert candidate.to_row() in admissible
     # second clause: dropping S's singletons leaves nothing touching the
     # collection or its complements
     partition = wc([(0b0001, 1), (0b1000, 1), (0b0110, 1)])
-    assert partition in associated(S, family, db4)
-    assert partition in admissible
+    assert partition.to_row() in associated(S, family, db4)
+    assert partition.to_row() in admissible
 
 
 def test_admissible_systems_product(db4):
     family = tuple(range(1, 16))
     collection = (coalition_mask([1, 2, 3]), coalition_mask([1, 2, 4]))
     lists = [
-        admissible_collections(S, collection, 4, family, db4.collections)
+        admissible_collections(S, collection, 4, family, db4.rows)
         for S in collection
     ]
     systems = list(admissible_systems(collection, family, db4))
@@ -96,20 +101,25 @@ def test_admissible_systems_product(db4):
 # Omega and the a-values
 
 
+def _a_value(entry, scale):
+    """The a-value of an Omega entry (u, s, k): k over D·s."""
+    _, s, k = entry
+    return F(k, scale * s)
+
+
 def test_shared_pattern_vector(db3, monkeypatch):
     # z^S of the collection {1},{2,3} is (1,0,0), the family vector of the
     # singleton {1}: Omega holds it once, with the larger of the two a-values
     S = coalition_mask([1, 2])
-    shared = wc([(0b001, 1), (0b110, 1)])
-    pattern = (F(1), F(0), F(0))
-    assert z_vector(S, shared, 3) == pattern
+    shared = wc([(0b001, 1), (0b110, 1)]).to_row()
+    pattern = (1, 0, 0)
     family = tuple(range(1, 7))
     systems = []
     nested, decide = stability._nested_for_system, linalg.vertex_clause
 
-    def record_system(omega, combo, diagnostics):
-        systems.append([z for z, *_ in combo])
-        nested(omega, combo, diagnostics)
+    def record_system(base, b0, bound, combo, diagnostics):
+        systems.append([u for _, u, *_ in combo])
+        nested(base, b0, bound, combo, diagnostics)
         return True
 
     def record_lp(columns, costs, bound, marked):
@@ -120,37 +130,88 @@ def test_shared_pattern_vector(db3, monkeypatch):
     monkeypatch.setattr(linalg, "vertex_clause", record_lp)
     for v1 in (F(1, 2), F(3, 2)):
         game = Game(3, {0b001: v1, 0b110: F(1), 0b111: F(2)})
-        c = c_value(S, shared, game)
-        assert c == F(1)
+        V, scale = _scaled_game(game)
+        entry = omega_pattern(S, shared, V, V[0b111], 3)
+        assert entry[:2] == (pattern, 1)
+        assert _a_value(entry, scale) == F(1)
         systems.clear()
         assert nested_balancedness_ok((S,), family, db3, game) == ("ok", None)
         merged = [s for s in systems if pattern in s[0]]
         assert merged
         for _, columns, costs, bound in merged:
-            assert columns.count([1, 0, 0]) == 1
-            cost = costs[columns.index([1, 0, 0])]
-            # costs are a-values times one common factor, bound/v(N)
-            assert F(cost, bound) * game.grand_value() == max(v1, c)
+            assert columns.count(pattern) == 1
+            cost = costs[columns.index(pattern)]
+            # costs are a-values times the game's scale D, bound = v(N)·D
+            assert F(cost, bound) * game.grand_value() == max(v1, F(1))
 
 
 def test_a_value_cases():
     game = Game(3, {0b011: F(1), 0b111: F(2), 0b100: F(1, 4), 0b101: F(1, 2)})
+    V, scale = _scaled_game(game)
     S = 0b011
     family = (S, 0b100, 0b101)
-    table, complement_sources = omega_base((S,), family, game)
-    assert table == {
+    table, b0 = omega_base((S,), family, V, V[0b111], 3)
+    assert {key: _a_value(entry, scale) for key, entry in table.items()} == {
         # the complement of S is also the family vector of {3}: the larger
         # of v(N) - v(S) and v({3})
-        (F(0), F(0), F(1)): max(game.grand_value() - game.value(S), F(1, 4)),
+        ((0, 0, 1), 1): max(game.grand_value() - game.value(S), F(1, 4)),
         # a family vector alone: a = v(T); S itself is in the collection
-        (F(1), F(0), F(1)): F(1, 2),
+        ((1, 0, 1), 1): F(1, 2),
     }
-    assert complement_sources == {(F(0), F(0), F(1)): [S]}
+    assert all(u == key[0] and s == 1 for key, (u, s, _) in table.items())
+    # the complement vector is in B0 at a = v(N) - v(S)
+    assert {key: F(k, scale) for key, k in b0.items()} == {((0, 0, 1), 1): F(1)}
     # pattern vector (1,1,0): v(N) minus the non-singleton part of the
     # sum, evaluated on the derived game, where {3} carries v(N) - v(S)
-    partition = wc([(0b001, 1), (0b010, 1), (0b100, 1)])
-    assert z_vector(S, partition, 3) == (F(1), F(1), F(0))
-    assert c_value(S, partition, game) == F(2) - (F(2) - F(1))
+    partition = wc([(0b001, 1), (0b010, 1), (0b100, 1)]).to_row()
+    entry = omega_pattern(S, partition, V, V[0b111], 3)
+    assert entry[:2] == ((1, 1, 0), 1)
+    assert _a_value(entry, scale) == F(2) - (F(2) - F(1))
+    # a pattern over den = 6 whose numerators share the factor 2 is the
+    # vector (1,2,0)/3, and its a-value is k over D·6
+    row = ((0b001, 0b010, 0b011, 0b100, 0b101, 0b110), (2, 4, 1, 2, 3, 1), 6)
+    u, s, k = omega_pattern(S, row, V, V[0b111], 3)
+    assert (u, s) == ((2, 4, 0), 6)
+    assert stability._vector_key(u, s) == ((1, 2, 0), 3)
+    assert F(k, scale * s) == F(2) - (F(1, 6) * 1 + F(2, 6) * (F(2) - F(1))
+                                      + F(3, 6) * F(1, 2))
+
+
+def test_b0_definition_per_vector():
+    # Omega = {(1,0), (0,1), (1,1)} with bound 2; (1,0) is a complement
+    # vector, in B0 while its a-value stays at 1 (its largest v(N) - v(S))
+    key = stability._vector_key
+    base = {key((1, 0), 1): ((1, 0), 1, 1), key((0, 1), 1): ((0, 1), 1, 1)}
+    b0 = {key((1, 0), 1): 1}
+
+    def pattern_of(u, s, k):
+        return (key(u, s), u, s, k, None)
+
+    diagnostics = {}
+    # a pattern z^S equal to (1,0) with c = 1: by the definition (1,0) is
+    # still in B0, so the vertex {(1,0), (0,1)} with ψ = 2 satisfies the
+    # clause; the shortcut (a complement vector that is no pattern) would
+    # leave B0 empty, and the disagreement is counted
+    assert stability._nested_for_system(
+        base, b0, 2, [pattern_of((1, 0), 1, 1)], diagnostics)
+    assert diagnostics == {"b0_definition_disagreements": 1}
+    # a larger c takes (1,0) out of B0 by both rules, and ψ = 4 > 2
+    assert stability._nested_for_system(
+        base, b0, 2, [pattern_of((1, 0), 1, 3)], diagnostics)
+    # the same two patterns written as (2,0)/2: a-values compare as k·s
+    # across the two forms, so c = 1 ties with the complement vector and
+    # c = 3 wins, with its own column (2,0) and cost 6
+    assert stability._nested_for_system(
+        base, b0, 2, [pattern_of((2, 0), 2, 2)], diagnostics)
+    assert diagnostics == {"b0_definition_disagreements": 2}
+    assert stability._nested_for_system(
+        base, b0, 2, [pattern_of((2, 0), 2, 6)], diagnostics)
+    # a pattern (1,1) of cost 1: ψ <= 2 everywhere, and (1,0) in B0 by both
+    assert stability._nested_for_system(
+        base, b0, 2, [pattern_of((1, 1), 1, 1)], diagnostics)
+    assert not stability._nested_for_system(
+        base, {}, 2, [pattern_of((1, 1), 1, 1)], diagnostics)
+    assert diagnostics == {"b0_definition_disagreements": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +443,16 @@ def test_nested_failure_verified_by_brute_force(db5, biswas):
             )
         )
         system[S] = next(
-            w
-            for w in admissible_collections(S, collection, 5, family, pool)
-            if w.coalitions == masks
+            row
+            for row in admissible_collections(S, collection, 5, family, pool)
+            if row[0] == masks
         )
     assert not brute_nested_system_satisfied(biswas, family, collection, system)
 
 
 def _record_systems(monkeypatch):
     """Every system the nested stage decides, as (collection, family, game,
-    its (z^S, c) patterns, the stage's verdict)."""
+    its rows by member, the stage's verdict)."""
     systems, context = [], []
     ok, nested = stability.nested_balancedness_ok, stability._nested_for_system
 
@@ -399,9 +460,11 @@ def _record_systems(monkeypatch):
         context[:] = [(collection, family, game)]
         return ok(collection, family, db, game, *args, **kwargs)
 
-    def nested_recording(omega, combo, diagnostics):
-        verdict = nested(omega, combo, diagnostics)
-        systems.append((*context[0], [(z, c) for z, c, *_ in combo], verdict))
+    def nested_recording(base, b0, bound, combo, diagnostics):
+        verdict = nested(base, b0, bound, combo, diagnostics)
+        collection = context[0][0]
+        system = {S: row for S, (*_, row) in zip(collection, combo)}
+        systems.append((*context[0], system, verdict))
         return verdict
 
     monkeypatch.setattr(stability, "nested_balancedness_ok", ok_recording)
@@ -423,40 +486,23 @@ def test_lp_matches_enumeration_on_fixture_systems(db4, game4, db5,
         report = is_core_stable(make_biswas(grand), db5)
         assert report.stage == "nested-balancedness"
     verdicts = {True: 0, False: 0}
-    for collection, family, game, patterns, verdict in systems:
+    for collection, family, game, system, verdict in systems:
         assert verdict == nested_system_reference(
-            collection, family, game, patterns)
+            collection, family, game, system)
         verdicts[verdict] += 1
     assert verdicts[True] > 100 and verdicts[False] >= 2
 
 
-def test_b0_definition_per_vector():
-    # Omega = {(1,0), (0,1), (1,1)} with bound 2; (1,0) is a complement
-    # vector, in B0 while its cost stays at 1 (its largest v(N) - v(S))
-    omega = ([[1, 0], [0, 1], [1, 1]], {0: 1, 1: 1}, {0: 1}, 2)
-    diagnostics = {}
-    # a pattern z^S equal to (1,0) with c = 1: by the definition (1,0) is
-    # still in B0, so the vertex {(1,0), (0,1)} with ψ = 2 satisfies the
-    # clause; the shortcut (a complement vector that is no pattern) would
-    # leave B0 empty, and the disagreement is counted
-    assert stability._nested_for_system(
-        omega, [(None, None, None, 0, 1)], diagnostics)
-    assert diagnostics == {"b0_definition_disagreements": 1}
-    # a larger c takes (1,0) out of B0 by both rules, and ψ = 4 > 2
-    assert stability._nested_for_system(
-        omega, [(None, None, None, 0, 3)], diagnostics)
-    # a pattern (1,1) of cost 1: ψ <= 2 everywhere, and (1,0) in B0 by both
-    assert stability._nested_for_system(
-        omega, [(None, None, None, 2, 1)], diagnostics)
-    assert not stability._nested_for_system(
-        (omega[0], omega[1], {}, 2), [(None, None, None, 2, 1)], diagnostics)
-    assert diagnostics == {"b0_definition_disagreements": 1}
-
-
 def _lp_decides(vectors, a_values, b0, grand):
-    columns, costs, bound = stability._lp_data(
-        vectors, list(enumerate(a_values)), grand)
-    return linalg.vertex_clause(columns, costs, bound, b0)
+    # vector j as the primitive integer column s_j·vector, whose weight is
+    # the vector's weight over s_j, so its cost is s_j·a_j; then every cost
+    # and v(N) over one common denominator
+    scaled = [linalg.primitive(vec) for vec in vectors]
+    costs = [s * a for (_, s), a in zip(scaled, a_values)]
+    den = lcm(grand.denominator, *(c.denominator for c in costs))
+    return linalg.vertex_clause([u for u, _ in scaled],
+                                [int(c * den) for c in costs],
+                                int(grand * den), b0)
 
 
 def test_lp_matches_enumeration_on_random_omegas():
@@ -540,7 +586,7 @@ def test_nested_vacuous_on_empty_admissible_product(db3):
     game = Game(3, {0b011: F(1), 0b111: F(2)})
     S = coalition_mask([1, 2])
     family = (S,)
-    assert admissible_collections(S, (S,), 3, family, db3.collections) == []
+    assert admissible_collections(S, (S,), 3, family, db3.rows) == []
     status, witness = nested_balancedness_ok(
         (S,), family, db3, game, StabilityCaps()
     )
