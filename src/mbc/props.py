@@ -7,7 +7,8 @@ same question of reduced games on fewer players, by linear programs over
 the weight polytope instead of a database.  Since the database does not
 depend on the game, it is built once and scanned with per-game indexes;
 derived games only ever move one value (the complement of the studied
-coalition), so the index adjusts sums incrementally instead of rescanning.
+coalition), so the index keeps per coalition how far that value may rise
+(its headroom) and decides a derived game without rescanning.
 
 The scans are integer arithmetic: a game is scaled once to a common
 denominator D, and for a database row (masks, nums, den) the inequality
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
+from operator import mul
 
 from . import linalg
 from .generate import NOT_BALANCED, MbcDatabase, check_minimal_balanced
@@ -75,28 +77,46 @@ def _require_same_n(game, db: MbcDatabase) -> None:
 
 class BalancedIndex:
     """Per-(game, database) slacks of the core-nonemptiness inequalities,
-    with a per-coalition index so that games differing from the base at a
-    single coalition are evaluated by adjusting only the affected rows.
+    with one headroom per coalition, so that a game differing from the base
+    at a single coalition is decided without a row scan.
 
     slack[i] = den·G - Σ nums·V for row i: the row is violated when it is
-    negative and tight when it is zero."""
+    negative and tight when it is zero.  The headroom of coalition m is the
+    least slack[i]/x over the rows i holding m with weight numerator x, kept
+    as the integer pair (hs[m], hx[m]) with 1/0 standing for +∞ (m lies in
+    no row); argmin[m] lists, ascending, the rows attaining it.  Raising
+    V[m] by p > 0 keeps every row satisfied iff p·hx[m] <= hs[m], and then
+    the rows it makes tight are exactly argmin[m] when equality holds."""
 
     def __init__(self, game: Game, db: MbcDatabase):
         _require_same_n(game, db)
         self.game = game
         self.db = db
-        V, self.scale = _scaled_game(game)
-        G = V[full_mask(game.n)]
+        V, _ = _scaled_game(game)
+        G = V[-1]
+        hs = [1] * len(V)
+        hx = [0] * len(V)
+        argmin: list[list[int]] = [[] for _ in V]
         slack = []
-        per: list[list[tuple[int, int]]] = [[] for _ in V]
-        for idx, (masks, nums, den) in enumerate(db.rows):
-            total = 0
+        for i, (masks, nums, den) in enumerate(db.rows):
+            s = den * G - sum(map(mul, nums, map(V.__getitem__, masks)))
+            slack.append(s)
             for m, x in zip(masks, nums):
-                total += x * V[m]
-                per[m].append((idx, x))
-            slack.append(den * G - total)
+                # compare s/x with hs[m]/hx[m] by cross-multiplying
+                lhs = s * hx[m]
+                rhs = hs[m] * x
+                if lhs < rhs:
+                    hs[m] = s
+                    hx[m] = x
+                    argmin[m] = [i]
+                elif lhs == rhs:
+                    argmin[m].append(i)
+        self.V = V
+        self.full = full_mask(game.n)
         self.slack = slack
-        self.per = per
+        self.hs = hs
+        self.hx = hx
+        self.argmin = argmin
         self.base_tight = [i for i, s in enumerate(slack) if s == 0]
         self.balanced = all(s >= 0 for s in slack)
 
@@ -112,32 +132,19 @@ class BalancedIndex:
         if not self.balanced:
             raise UnbalancedGameError("the game has an empty core")
 
-    def _scaled_delta(self, mask: int, new_value: Fraction) -> tuple[int, int]:
-        """(p, q) with p/q = (new_value - v(mask))·D, q > 0."""
-        delta = (new_value - self.game.value(mask)) * self.scale
-        return delta.numerator, delta.denominator
-
-    def tight_with_single_override(self, mask: int, new_value: Fraction):
-        """Indices of collections whose sum equals v(N) for the game with
-        v(mask) replaced by new_value, assuming the base game is balanced."""
-        p, q = self._scaled_delta(mask, new_value)
-        if p == 0:
-            return list(self.base_tight)
-        affected = self.per[mask]
-        affected_ids = {i for i, _ in affected}
-        out = [i for i in self.base_tight if i not in affected_ids]
-        slack = self.slack
-        out.extend(i for i, x in affected if x * p == q * slack[i])
-        out.sort()
-        return out
-
-    def balanced_with_single_override(self, mask: int, new_value: Fraction) -> bool:
+    def _require_for(self, game: Game, db: MbcDatabase | None = None) -> None:
+        """Raise ValueError unless the index was built for this game (and
+        this database, when given); then require a balanced base game."""
+        if (self.game is not game and self.game != game) or (
+                db is not None and self.db is not db):
+            raise ValueError("the index was built for another game or database")
         self.require_balanced()
-        p, q = self._scaled_delta(mask, new_value)
-        if p <= 0:
-            return True
-        slack = self.slack
-        return all(x * p <= q * slack[i] for i, x in self.per[mask])
+
+    def _rise(self, S: int) -> int:
+        """(v(N) - v(S) - v(S^c))·D: how far the derived game v^S raises
+        the scaled value of the complement of S.  Zero for S = N."""
+        V = self.V
+        return V[self.full] - V[S] - V[self.full ^ S]
 
 
 def is_balanced_game(game, db: MbcDatabase) -> bool:
@@ -150,15 +157,15 @@ def is_balanced_game(game, db: MbcDatabase) -> bool:
 
 
 def is_exact(S: int, game: Game, index: BalancedIndex) -> bool:
-    """S is exact iff the derived game v^S keeps a nonempty core."""
+    """S is exact iff the derived game v^S, which sets the complement of S
+    to v(N) - v(S), keeps a nonempty core: its rise p is at most the
+    complement's headroom.  N is exact (p = 0): any core element is
+    efficient."""
     _check_coalition(S, game.n)
-    index.require_balanced()
-    comp = complement(S, game.n)
-    if comp == 0:
-        return True  # N is exact: any core element is efficient
-    return index.balanced_with_single_override(
-        comp, game.grand_value() - game.value(S)
-    )
+    index._require_for(game)
+    p = index._rise(S)
+    comp = index.full ^ S
+    return p <= 0 or p * index.hx[comp] <= index.hs[comp]
 
 
 def effective_set(game: Game, db: MbcDatabase, index: BalancedIndex | None = None):
@@ -166,7 +173,7 @@ def effective_set(game: Game, db: MbcDatabase, index: BalancedIndex | None = Non
     balanced collections whose weighted sum meets v(N) exactly."""
     if index is None:
         index = BalancedIndex(game, db)
-    index.require_balanced()
+    index._require_for(game, db)
     out: set[int] = set()
     for i in index.base_tight:
         out.update(db.rows[i][0])
@@ -176,20 +183,24 @@ def effective_set(game: Game, db: MbcDatabase, index: BalancedIndex | None = Non
 def is_strictly_vital_exact(S: int, game: Game, index: BalancedIndex) -> bool:
     """S admits a core element tight on S and strictly slack on every proper
     nonempty subset of S.  Checked through the effective set of v^S: no tight
-    collection of v^S may contain a proper subset of S (S itself excluded)."""
-    _check_coalition(S, game.n)
-    index.require_balanced()
-    comp = complement(S, game.n)
+    collection of v^S may contain a proper subset of S (S itself excluded).
+
+    When v^S is balanced, its tight rows are the base-tight rows, less
+    those holding S^c when v^S lowers that value (p < 0), plus the argmin
+    rows of S^c when it raises it by exactly the headroom.  A base-tight
+    row cannot hold S^c when p > 0: that headroom is zero."""
     if not is_exact(S, game, index):
         return False
-    if comp == 0:
-        tight = index.base_tight
-    else:
-        tight = index.tight_with_single_override(
-            comp, game.grand_value() - game.value(S)
-        )
+    p = index._rise(S)
+    comp = index.full ^ S
+    rows = index.db.rows
+    tight = index.base_tight
+    if p < 0:
+        tight = (i for i in tight if comp not in rows[i][0])
+    elif p > 0 and p * index.hx[comp] == index.hs[comp]:
+        tight = chain(tight, index.argmin[comp])
     for i in tight:
-        for T in index.db.rows[i][0]:
+        for T in rows[i][0]:
             if T != S and T & ~S == 0:
                 return False
     return True
@@ -200,6 +211,7 @@ def sve_family(game: Game, db: MbcDatabase, index: BalancedIndex | None = None):
     is the core-describing family the stability pipeline works over."""
     if index is None:
         index = BalancedIndex(game, db)
+    index._require_for(game, db)
     return tuple(
         S
         for S in range(1, full_mask(game.n))
@@ -210,6 +222,7 @@ def sve_family(game: Game, db: MbcDatabase, index: BalancedIndex | None = None):
 def exact_coalitions(game: Game, db: MbcDatabase, index: BalancedIndex | None = None):
     if index is None:
         index = BalancedIndex(game, db)
+    index._require_for(game, db)
     return tuple(
         S for S in range(1, full_mask(game.n) + 1) if is_exact(S, game, index)
     )
@@ -367,7 +380,7 @@ class FeasibilityOracle:
             need = 0       # family bits that must be inside the queried collection
             pure = 0       # family bits that must stay outside it
             duals = []     # members present in the family together with their complement
-            terms = []     # (numerator, scaled delta, trigger_bit) per member
+            terms = []     # (numerator, scaled delta, trigger_bit) per family complement
             base = 0
             for T, x in zip(masks, nums):
                 fbit = self.findex.get(T)
@@ -381,10 +394,14 @@ class FeasibilityOracle:
                     pure |= fmask
                 else:
                     need |= cmask
-                terms.append((x, (G - V[comp]) - V[T], cmask))
+                if cmask:
+                    terms.append((x, (G - V[comp]) - V[T], cmask))
                 base += x * V[T]
+            level = den * G
+            if base + sum(max(0, x * delta) for x, delta, _ in terms) < level:
+                continue  # no collection can lift this entry to the level
             self.entries.append(
-                (need, pure, tuple(duals), base, den * G, tuple(terms), idx))
+                (need, pure, tuple(duals), base, level, tuple(terms), idx))
 
     def collection_mask(self, masks) -> int:
         bits = 0

@@ -33,6 +33,10 @@ whether a collection is balanced from the database alone.
 `merged_pair_reference` and `children_4_reference` are the generator's
 earlier case-4 steps: a rank test on every size-filtered pair, and the a/b
 sign test per subset with the child's entries sorted afterwards.
+`exact_reference`, `sve_reference` and `effective_reference` are the
+library's earlier per-row override scan, in Fractions: every row holding
+the complement of S is re-summed for the derived game v^S, where the
+library compares one headroom per coalition.
 """
 
 from fractions import Fraction
@@ -500,3 +504,61 @@ def children_4_reference(masks, mu, nu, L, p_bit):
         g = gcd(den, *nums)
         children.append((child_masks, tuple(x // g for x in nums), den // g))
     return children
+
+
+# ---------------------------------------------------------------------------
+# the earlier per-row override scan
+
+
+def row_slacks(game: Game, db: MbcDatabase):
+    """v(N) - Σ λ_T v(T) for every row of the database, in Fractions."""
+    grand = game.grand_value()
+    return [grand - sum(x * game.value(m) for m, x in zip(masks, nums)) / den
+            for masks, nums, den in db.rows]
+
+
+def override_tight_rows(game: Game, db: MbcDatabase, S: int, slacks):
+    """Indices of the rows tight for the derived game v^S (the complement
+    of S set to v(N) - v(S); v^N is v itself), ascending, or None when v^S
+    is unbalanced.  `slacks` are the `row_slacks` of v; every row holding
+    the complement is re-summed."""
+    comp = complement(S, game.n)
+    rise = game.grand_value() - game.value(S) - game.value(comp)
+    tight = []
+    for i, (masks, nums, den) in enumerate(db.rows):
+        slack = slacks[i]
+        if comp in masks:
+            slack -= Fraction(nums[masks.index(comp)], den) * rise
+        if slack < 0:
+            return None
+        if not slack:
+            tight.append(i)
+    return tight
+
+
+def exact_reference(game: Game, db: MbcDatabase):
+    """The coalitions S whose derived game v^S is balanced, ascending."""
+    slacks = row_slacks(game, db)
+    return tuple(S for S in range(1, full_mask(game.n) + 1)
+                 if override_tight_rows(game, db, S, slacks) is not None)
+
+
+def sve_reference(game: Game, db: MbcDatabase):
+    """The proper coalitions S with v^S balanced and no tight row of v^S
+    holding a proper subset of S, ascending."""
+    slacks = row_slacks(game, db)
+    out = []
+    for S in range(1, full_mask(game.n)):
+        tight = override_tight_rows(game, db, S, slacks)
+        if tight is not None and not any(
+                T != S and T & ~S == 0 for i in tight for T in db.rows[i][0]):
+            out.append(S)
+    return tuple(out)
+
+
+def effective_reference(game: Game, db: MbcDatabase):
+    """The union of the rows tight for v, or None when v is unbalanced."""
+    tight = override_tight_rows(game, db, full_mask(game.n), row_slacks(game, db))
+    if tight is None:
+        return None
+    return frozenset(T for i in tight for T in db.rows[i][0])

@@ -25,7 +25,14 @@ from mbc.props import (
     sve_family,
 )
 from conftest import make_additive, make_three_player_tight
-from oracles import extendable_direct, family_unbounded_reference, region_nonempty
+from oracles import (
+    effective_reference,
+    exact_reference,
+    extendable_direct,
+    family_unbounded_reference,
+    region_nonempty,
+    sve_reference,
+)
 
 F = Fraction
 
@@ -193,6 +200,107 @@ def test_coalition_predicates_reject_masks_out_of_range(S):
                       lambda: is_core_describing([0b011, S], game)):
         with pytest.raises(ValueError, match="out of range"):
             predicate()
+
+
+def _balanced_games(rng, n, db, count):
+    """Balanced games on n players, v(N) at the level of the tightest
+    minimal balanced collection or above it.  Most take values in {0, 1, 2},
+    so that several rows share a coalition's headroom; the rest take tenths
+    from -0.5 to 2, with some coalitions left at 0."""
+    full = full_mask(n)
+    for _ in range(count):
+        if rng.random() < 0.6:
+            values = {m: F(rng.randint(0, 2)) for m in range(1, full)}
+        else:
+            values = {m: F(rng.randint(-5, 20), 10) for m in range(1, full)
+                      if rng.random() < 0.7}
+        level = max(sum((F(x, den) * values.get(m, 0) for m, x in zip(masks, nums)), F(0))
+                    for masks, nums, den in db.rows if masks != (full,))
+        values[full] = level + rng.choice([F(0), F(0), F(0), F(1), F(1, 2)])
+        yield Game(n, values)
+
+
+@pytest.mark.parametrize("n, set_system, count", [
+    (2, None, 60),
+    (3, None, 80),
+    (4, None, 140),
+    (5, None, 20),
+    # without every complementary pair in the database, v^S may lower the
+    # complement's value, raise it by less than its headroom, or raise a
+    # coalition that lies in no row
+    (3, [0b011, 0b110], 30),
+    (4, [0b0111, 0b1100], 30),
+    (4, [0b0011, 0b0110, 0b1100, 0b1001], 30),
+    (5, [0b01111, 0b11100], 30),
+])
+def test_headroom_matches_override_scan_on_seeded_games(n, set_system, count):
+    db = peleg(n, set_system=set_system)
+    rng = random.Random(1600 + n + len(set_system or ()))
+    for game in _balanced_games(rng, n, db, count):
+        index = BalancedIndex(game, db)
+        assert index.balanced
+        assert exact_coalitions(game, db, index) == exact_reference(game, db)
+        assert sve_family(game, db, index) == sve_reference(game, db)
+        assert effective_set(game, db, index) == effective_reference(game, db)
+
+
+def test_coalition_in_no_row_has_infinite_headroom():
+    # the restricted rows are {1}, {2}, {3} and {1,2}, {3}: no row holds
+    # {1,3}, {2,3} or N, so raising any of them keeps the game balanced
+    db = peleg(3, set_system=[0b011, 0b100])
+    assert {m for masks, _, _ in db.rows for m in masks} == {0b001, 0b010, 0b011, 0b100}
+    game = Game(3, {0b010: F(-3), 0b011: F(2), 0b100: F(3), 0b111: F(5)})
+    index = BalancedIndex(game, db)
+    assert index.balanced
+    # v^{2} raises v(1,3) from 0 to 8 (the values are integers: D = 1)
+    assert index._rise(0b010) == 8
+    assert (index.hs[0b101], index.hx[0b101]) == (1, 0)
+    assert is_exact(0b010, game, index)
+    assert exact_coalitions(game, db, index) == exact_reference(game, db)
+    assert sve_family(game, db, index) == sve_reference(game, db)
+
+
+def test_override_above_headroom_is_not_exact(db3):
+    # {1,2} lies in {3},{1,2} with slack 1 and in {1,2},{1,3},{2,3} (weights
+    # 1/2) with slack 1/4: its headroom is 1/2
+    values = {0b101: F(3, 4), 0b110: F(3, 4), 0b111: F(1)}
+    game = Game(3, values)
+    index = BalancedIndex(game, db3)
+    # v^{3} raises v(1,2) by 1 > 1/2: no core element has x3 = 0
+    assert not is_exact(0b100, game, index)
+    assert not is_strictly_vital_exact(0b100, game, index)
+    assert not is_balanced_game(Game(3, {**values, 0b011: F(1)}), db3)
+    assert 0b100 not in exact_reference(game, db3)
+    # with v(3) = 1/2 the rise is exactly 1/2: both rows become tight
+    tied = Game(3, {**values, 0b100: F(1, 2)})
+    index = BalancedIndex(tied, db3)
+    assert is_exact(0b100, tied, index)
+    assert is_strictly_vital_exact(0b100, tied, index)
+    assert len(index.argmin[0b011]) == 2
+    derived = Game(3, {**tied.values, 0b011: F(1, 2)})
+    assert effective_set(derived, db3) == {0b011, 0b100, 0b101, 0b110, 0b111}
+    assert exact_coalitions(tied, db3, index) == exact_reference(tied, db3)
+    assert sve_family(tied, db3, index) == sve_reference(tied, db3)
+
+
+def test_index_for_another_game_or_database_is_rejected(db3):
+    g1 = Game(3, {0b111: F(1)})
+    g2 = Game(3, {0b011: F(1), 0b111: F(1)})
+    assert effective_set(g2, db3) == {0b011, 0b100, 0b111}
+    other_game = BalancedIndex(g1, db3)
+    other_db = BalancedIndex(g2, peleg(3))
+    for index in (other_game, other_db):
+        for call in (lambda: effective_set(g2, db3, index),
+                     lambda: sve_family(g2, db3, index),
+                     lambda: exact_coalitions(g2, db3, index)):
+            with pytest.raises(ValueError, match="another game or database"):
+                call()
+    for predicate in (is_exact, is_strictly_vital_exact):
+        with pytest.raises(ValueError, match="another game or database"):
+            predicate(0b100, g2, other_game)
+    # an equal game built separately is the same game
+    same = BalancedIndex(Game(3, dict(g2.values)), db3)
+    assert effective_set(g2, db3, same) == {0b011, 0b100, 0b111}
 
 
 # ---------------------------------------------------------------------------
