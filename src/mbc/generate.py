@@ -17,10 +17,28 @@ collections on 1..n:
           exactly when L lies strictly between mu(I) and nu(I), one test
           per subset; its weights are alpha*mu + beta*nu over
           L*(alpha+beta), with alpha = |nu(I) - L| and beta = |L - mu(I)|.
-          A minimal balanced collection has independent characteristic
-          vectors and mu - nu is in the kernel of U's, so
-          max(|A|, |B|) <= rank <= |U|-1: only a union two or more larger
-          than both parents needs a rank test.
+
+Case 4 makes all 2^|U| sign tests of a pair in a few whole-integer
+operations.  Lane I (w bits wide) of one integer X holds
+mu(I) + 2^(w-1) - L, built as the sum of mu_i times the lane mask of member
+i plus a constant per lane; Y holds nu the same way.  w leaves room for
+every lane value, so no lane borrows from or carries into the next: the
+top bit of lane I of X is set iff mu(I) >= L, and in X - ONE (ONE has a 1
+at the bottom of every lane) iff mu(I) > L.  So
+
+    ((X - ONE) & ~Y | (Y - ONE) & ~X) & TOP
+
+has the top bit of lane I set exactly when L lies strictly between mu(I)
+and nu(I), and its set bits, lowest first, are the children in subset
+order; alpha and beta are read back from the two lanes.
+
+Only some unions need a rank test.  A minimal balanced collection has
+independent characteristic vectors and mu - nu is a nonzero vector in the
+kernel of U's, so max(|A|, |B|) <= rank <= |U|-1: a union one larger than
+the larger parent passes untested.  Otherwise the rank over GF(2), from an
+xor basis of the masks, comes first: the rank over the rationals is at
+least the rank mod 2 (a minor that is odd is not zero), so a GF(2) rank of
+|U|-1 settles the test, and only a smaller one needs the rational rank.
 
 Every rule emits only minimal balanced collections and together they are
 exhaustive, so after deduplication the output is the complete set.  Each
@@ -30,7 +48,9 @@ emits with the requested coalitions.  The new player's bit lies above every
 old mask, so each rule emits its children with their masks already in
 increasing order.  The generator and the database work on integer rows
 (masks, numerators, denominator); fractions only materialize at the API
-boundary.
+boundary.  The rules emit canonical rows (see `Row`): a case 1-3 child of
+a canonical parent keeps every parent numerator or splits one into two
+parts, so no common factor appears, and case 4 divides out its own.
 """
 
 from __future__ import annotations
@@ -40,7 +60,8 @@ import os
 import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
+from itertools import starmap
 from math import gcd, lcm
 from operator import itemgetter, lt, mul
 
@@ -70,10 +91,9 @@ NOT_BALANCED = "not_balanced"
 Row = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-def _subset_sums(nums, start: int = 0) -> list[int]:
-    """sums[I] = start + the sum of nums[i] over the set bits of I, for all
-    I < 2^k."""
-    sums = [start]
+def _subset_sums(nums) -> list[int]:
+    """sums[I] = the sum of nums[i] over the set bits of I, for all I < 2^k."""
+    sums = [0]
     for w in nums:
         sums += [s + w for s in sums]
     return sums
@@ -84,6 +104,32 @@ def _rank01(masks, n: int) -> int:
     rows = [[(m >> i) & 1 for m in masks] for i in range(n)]
     _, pivots = _echelon(rows)
     return len(pivots)
+
+
+def _rank2(masks) -> int:
+    """Rank over GF(2) of the characteristic columns, by an xor basis: each
+    mask is reduced by the basis so far, and joins it when something is
+    left.  A basis entry has the top bits of all earlier entries clear, so
+    m ^ b < m exactly when m holds b's top bit, xoring b clears it, and no
+    later step sets it again."""
+    basis = []
+    for m in masks:
+        for b in basis:
+            if m ^ b < m:
+                m ^= b
+        if m:
+            basis.append(m)
+    return len(basis)
+
+
+def _bits(cover: int) -> list[int]:
+    """The positions, 1-based and ascending, of the set bits of cover."""
+    out = []
+    while cover:
+        low = cover & -cover
+        out.append(low.bit_length())
+        cover ^= low
+    return out
 
 
 def _getter(indices):
@@ -112,9 +158,9 @@ def _orders(k: int) -> list[tuple]:
 
 # ---------------------------------------------------------------------------
 # the four construction rules: `_children_123` and `_children_4` emit every
-# child of one parent or pair as emit(masks, nums, den), masks strictly
-# increasing; the public single-step helpers pick one of those children by
-# its coalitions
+# child of one parent or pair as emit(masks, nums, den), a canonical row with
+# masks strictly increasing; the public single-step helpers pick one of
+# those children by its coalitions
 
 
 def apply_case1(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
@@ -225,23 +271,49 @@ def _children_123(masks, nums, den, p_bit, orders, emit):
                 emit(low(masks) + high_d(with_p), low(kept) + high_d(moved), den)
 
 
+@lru_cache(maxsize=256)
+def _lane_tables(k: int, w: int) -> tuple[int, int, tuple[int, ...]]:
+    """(ONE, TOP, member lane masks) for 2^k lanes of w bits: ONE has bit 0
+    of every lane set, TOP bit w-1, and the mask of member i the bottom bit
+    of each lane I that holds i."""
+    lanes = range(1 << k)
+    one = sum(1 << I * w for I in lanes)
+    return one, one << w - 1, tuple(sum(1 << I * w for I in lanes if I >> i & 1)
+                                    for i in range(k))
+
+
 def _children_4(masks, mu, nu, L, p_bit, orders, emit):
     """Case 4 for one merged pair: mu, nu are the two weight systems extended
-    by zeros to the union, as integers over the common denominator L, and
-    `orders` is `_orders(len(masks))`.  The subset I gives a child when
-    mu(I) - L and nu(I) - L have opposite signs, with weights
-    alpha*mu + beta*nu over L*(alpha+beta), alpha = |nu(I) - L| and
-    beta = |mu(I) - L| (see the module docstring)."""
+    by zeros to the union, as nonnegative integers over the common
+    denominator L, and `orders` is `_orders(len(masks))`.  The subset I
+    gives a child when mu(I) - L and nu(I) - L have opposite signs, with
+    weights alpha*mu + beta*nu over L*(alpha+beta), alpha = |nu(I) - L| and
+    beta = |mu(I) - L|, emitted in lowest terms.  All subsets are tested at
+    once in w-bit lanes (see the module docstring): 2^(w-1) exceeds L and
+    every mu(I) and nu(I)."""
+    w = max(sum(mu), sum(nu), L).bit_length() + 2
+    one, top, lane_masks = _lane_tables(len(masks), w)
+    half = 1 << w - 1
+    lifted = (half - L) * one
+    X = sum(map(mul, mu, lane_masks)) + lifted
+    Y = sum(map(mul, nu, lane_masks)) + lifted
+    R = ((X - one) & ~Y | (Y - one) & ~X) & top
+    lane = (1 << w) - 1
     ext = (*masks, *[m | p_bit for m in masks])
-    below_mu = _subset_sums(mu, -L)
-    below_nu = _subset_sums(nu, -L)
-    for I, s, t in [(I, s, t) for I, s, t in zip(range(len(below_mu)), below_mu, below_nu)
-                    if s * t < 0]:
-        alpha = abs(t)
-        beta = abs(s)
-        order, one, _, _ = orders[I]
-        emit(one(ext), order([alpha * x + beta * y for x, y in zip(mu, nu)]),
-             L * (alpha + beta))
+    while R:
+        low = R & -R
+        R ^= low
+        at = low.bit_length() - w  # I*w
+        alpha = abs(((Y >> at) & lane) - half)
+        beta = abs(((X >> at) & lane) - half)
+        nums = [alpha * x + beta * y for x, y in zip(mu, nu)]
+        den = L * (alpha + beta)
+        g = gcd(den, *nums)
+        if g > 1:
+            den //= g
+            nums = [x // g for x in nums]
+        order, one_of, _, _ = orders[at // w]
+        emit(one_of(ext), order(nums), den)
 
 
 def _pair_form(row: Row):
@@ -260,11 +332,13 @@ def _merged_pair(a, b, n_old: int):
     weight systems extended by zeros to it over the common denominator L.
     None when the union's characteristic rank on n_old players is not one
     below its size."""
-    (_, weights_a, den_a), (_, weights_b, den_b) = a, b
-    union_masks = sorted(weights_a.keys() | weights_b.keys())
-    # max(|A|, |B|) <= rank <= |union| - 1 (see the module docstring)
+    (cover_a, weights_a, den_a), (cover_b, weights_b, den_b) = a, b
+    union_masks = _bits(cover_a | cover_b)
+    # max(|A|, |B|) <= rank <= |union| - 1 and rank >= the GF(2) rank (see
+    # the module docstring)
     size = len(union_masks)
-    if size > max(len(weights_a), len(weights_b)) + 1 and _rank01(union_masks, n_old) != size - 1:
+    if (size > max(len(weights_a), len(weights_b)) + 1 and _rank2(union_masks) != size - 1
+            and _rank01(union_masks, n_old) != size - 1):
         return None
     L = lcm(den_a, den_b)
     fa = L // den_a
@@ -290,16 +364,10 @@ def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
 
     if sink is None:
         def emit(masks, nums, den):
-            key = bytes(masks)
-            if key in out:
-                return
-            if allowed is not None and not allowed.issuperset(masks):
-                return
-            g = gcd(den, *nums)
-            if g > 1:
-                den //= g
-                nums = tuple([x // g for x in nums])
-            out[key] = (masks, nums, den)
+            # a minimal balanced collection has one weight system, so a
+            # collection emitted twice gives the same canonical row
+            if allowed is None or allowed.issuperset(masks):
+                out[bytes(masks)] = masks, nums, den
     else:
         write = LineCodec().write
 
@@ -364,7 +432,7 @@ class MbcDatabase:
     def dump(self, fh) -> None:
         write = LineCodec().write
         fh.write(_header(self.n, len(self.rows), self.restricted) + "\n")
-        for line in sorted(write(*row) for row in self.rows):
+        for line in sorted(starmap(write, self.rows)):
             fh.write(line + "\n")
 
     @classmethod

@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
 PLAYER_CAP = 32
 
@@ -213,27 +212,29 @@ def _canonical_weights(texts) -> tuple[tuple[int, ...], int, int]:
     return nums, den // g, sum(nums)
 
 
-def _weight_texts(key) -> tuple[str, ...]:
-    """(nums, den) -> the ``:num/den`` item tails, each in lowest terms."""
+def _line_template(key) -> str:
+    """(nums, den) -> the format string of a line with these weights: one
+    ``%x:num/den`` item per weight, each weight in lowest terms."""
     nums, den = key
-    tails = []
+    items = []
     for x in nums:
         g = gcd(x, den)
-        tails.append(f":{x // g}/{den // g}")
-    return tuple(tails)
+        items.append(f"%x:{x // g}/{den // g}")
+    return " ".join(items)
 
 
 class LineCodec:
     """Reads and writes MBCDB lines: space-separated ``<hex-mask>:<num>/<den>``
     items.  A database file repeats few distinct items and weight rows, so
-    the codec parses or formats each of them once and looks it up after
-    that.  Use one codec per file: its tables live as long as it does."""
+    the codec parses each item and weight row once and looks it up after
+    that; it writes a line by filling the masks into the printf template of
+    its weight row, made once per row.  Use one codec per file: its tables
+    live as long as it does."""
 
     def __init__(self):
         self._items = _Memo(_parse_item)
         self._weight_rows = _Memo(_canonical_weights)
-        self._hex = _Memo("{:x}".format)
-        self._tails = _Memo(_weight_texts)
+        self._templates = _Memo(_line_template)
 
     def read(self, line: str) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
         """One line -> (masks, nums, den, sum(nums)): the integer row over
@@ -247,8 +248,7 @@ class LineCodec:
 
     def write(self, masks, nums: tuple[int, ...], den: int) -> str:
         """The line of an integer row, each weight in lowest terms."""
-        return " ".join(map(add, map(self._hex.__getitem__, masks),
-                            self._tails[nums, den]))
+        return self._templates[nums, den] % tuple(masks)
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,18 @@ def _family_bounded(family, n: int) -> bool:
 # feasible collections
 
 
+def association_pool(db: MbcDatabase, family, n: int) -> list:
+    """The database rows, in database order, that can ever be associated
+    with a member of the family or defeat the feasibility of one of its
+    subcollections: all their members are singletons, family members, or
+    complements of family members."""
+    universe = {1 << i for i in range(n)}
+    universe.update(family)
+    universe.update(complement(T, n) for T in family)
+    universe.discard(0)
+    return [row for row in db.rows if universe.issuperset(row[0])]
+
+
 @dataclass
 class FeasibleCollectionReport:
     collection: tuple[int, ...]
@@ -373,8 +385,11 @@ class FeasibilityOracle:
         universe.discard(0)
         V, _ = _scaled_game(game)
         G = V[full_mask(self.n)]
+        # the one scan of the database; the nested stage reuses the pool
+        self.pool = association_pool(db, self.family, self.n)
         self.entries = []
-        for idx, (masks, nums, den) in enumerate(db.rows):
+        for row in self.pool:
+            masks, nums, den = row
             if not universe.issuperset(masks):
                 continue
             need = 0       # family bits that must be inside the queried collection
@@ -401,7 +416,7 @@ class FeasibilityOracle:
             if base + sum(max(0, x * delta) for x, delta, _ in terms) < level:
                 continue  # no collection can lift this entry to the level
             self.entries.append(
-                (need, pure, tuple(duals), base, level, tuple(terms), idx))
+                (need, pure, tuple(duals), base, level, tuple(terms), row))
 
     def collection_mask(self, masks) -> int:
         bits = 0
@@ -415,9 +430,9 @@ class FeasibilityOracle:
         return self.defeating_row(self.collection_mask(masks)) is None
 
     def defeating_row(self, smask: int):
-        """Index in `db.rows` of the first collection defeating feasibility
-        of the collection with family bitmask `smask`, or None."""
-        for need, pure, duals, base, level, terms, idx in self.entries:
+        """The first row of the database defeating feasibility of the
+        collection with family bitmask `smask`, or None."""
+        for need, pure, duals, base, level, terms, row in self.entries:
             if need & ~smask or pure & smask:
                 continue
             if duals and any(
@@ -431,7 +446,7 @@ class FeasibilityOracle:
                     touches = True
                     total += x * delta
             if total > level or (touches and total == level):
-                return idx
+                return row
         return None
 
 

@@ -19,8 +19,10 @@ v(N), maximise the B0 weight over the optimal face (`linalg.vertex_clause`).
 The programs run in integers at the game's one scale, with no pass over
 Omega to clear denominators.  The game is scaled once to V = v·D and
 G = v(N)·D (`props._scaled_game`), and the association pool, the
-associated and the admissible collections are database rows.  An Omega
-vector u/s with a-value a (u an integer vector, s > 0) is the entry
+associated and the admissible collections are database rows.  The pool is
+the one the feasibility oracle keeps from its scan of the database
+(`props.association_pool`), so `is_core_stable` scans the rows once.  An
+Omega vector u/s with a-value a (u an integer vector, s > 0) is the entry
 (u, s, k): the column u with the cost k = a·D·s, since its weight on u is
 w/s.  A complement vector is (1_{S^c}, 1, G − V[S]), a family vector
 (1_T, 1, V[T]), and the pattern z^S of a row (masks, nums, den) holds S's
@@ -53,6 +55,7 @@ from .model import (
     members,
 )
 from .polytope import DimensionCapError
+from .props import association_pool
 
 STABLE = "Stable"
 NOT_STABLE = "NotStable"
@@ -101,9 +104,9 @@ def _render_masks(masks) -> list[str]:
 
 
 def associated_collections(S: int, n: int, family, pool) -> list:
-    """Rows of the pool associated with S: they contain a singleton of S
-    and live inside {singletons of S} + {S^c} + {family members not inside
-    S}."""
+    """Rows of the pool (an `association_pool`) associated with S: they
+    contain a singleton of S and live inside {singletons of S} + {S^c} +
+    {family members not inside S}."""
     singles = _singletons_of(S)
     allowed = set(singles)
     allowed.add(complement(S, n))
@@ -129,17 +132,6 @@ def admissible_collections(S: int, collection, n: int, family, pool) -> list:
         if any(T in s_set for T in star) or not any(T in comp_set for T in star):
             out.append(row)
     return out
-
-
-def association_pool(db: MbcDatabase, family, n: int) -> list:
-    """Database rows that can ever be associated with a member of the
-    family: all members must be singletons, family members, or complements
-    of family members."""
-    universe = {1 << i for i in range(n)}
-    universe.update(family)
-    universe.update(complement(T, n) for T in family)
-    universe.discard(0)
-    return [row for row in db.rows if universe.issuperset(row[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +375,7 @@ def is_core_stable(game: Game, db: MbcDatabase,
             {"note": "every feasible collection has a minimal extendable member"},
             diagnostics, timings)
 
-    pool = association_pool(db, family, game.n)
+    pool = oracle.pool
     deadline = None
     if caps.time_limit is not None:
         deadline = time.monotonic() + caps.time_limit

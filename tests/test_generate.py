@@ -15,6 +15,7 @@ from mbc.generate import (
     _orders,
     _pair_form,
     _rank01,
+    _rank2,
     apply_case1,
     apply_case2,
     apply_case3,
@@ -201,22 +202,83 @@ def _size_filtered_pairs(n_old):
 # size-filtered pairs, and those whose union has one coalition more than the
 # larger parent, by n_old
 FILTERED_PAIRS = {1: (0, 0), 2: (1, 1), 3: (14, 11), 4: (372, 273), 5: (34871, 24271)}
+# the other size-filtered pairs, which need a rank test, and those of them
+# whose union has GF(2) rank |union| - 1, by n_old
+RANK_TESTS = {1: (0, 0), 2: (0, 0), 3: (3, 3), 4: (99, 87), 5: (10600, 5780)}
 
 
 @pytest.mark.parametrize("n_old", [1, 2, 3, 4, 5])
 def test_rank_shortcut_holds_on_size_filtered_pairs(n_old):
     # independent parents with mu - nu in the kernel of the union give
     # rank |union| - 1 whenever the union has one coalition more than the
-    # larger parent, without a rank test
+    # larger parent, without a rank test; the other unions try the GF(2)
+    # rank first, which is never above the rank over the rationals
     pairs = _size_filtered_pairs(n_old)
-    shortcut = 0
+    shortcut = tests = settled = 0
     for a, b in pairs:
         union = sorted(a[1].keys() | b[1].keys())
         if len(union) == max(len(a[1]), len(b[1])) + 1:
             assert _rank01(union, n_old) == len(union) - 1
             shortcut += 1
+        else:
+            tests += 1
+            assert _rank2(union) <= _rank01(union, n_old)
+            settled += _rank2(union) == len(union) - 1
         assert _merged_pair(a, b, n_old) == merged_pair_reference(a, b, n_old)
     assert (len(pairs), shortcut) == FILTERED_PAIRS[n_old]
+    assert (tests, settled) == RANK_TESTS[n_old]
+
+
+def test_rank_falls_back_when_the_gf2_rank_is_short():
+    # {1,2}, {1,3}, {2,3} are independent over the rationals but sum to
+    # zero mod 2, so this union's GF(2) rank is below |union| - 1 while its
+    # rational rank is |union| - 1: the rational test accepts the pair
+    a = _pair_form(((0b00011, 0b00101, 0b00110, 0b11000), (1, 1, 1, 2), 2))
+    b = _pair_form(((0b01111, 0b10111, 0b11000), (1, 1, 1), 2))
+    union = sorted(a[1].keys() | b[1].keys())
+    assert len(union) > max(len(a[1]), len(b[1])) + 1
+    assert _rank2(union) < _rank01(union, 5) == len(union) - 1
+    assert _merged_pair(a, b, 5) == merged_pair_reference(a, b, 5) is not None
+
+
+def _children_4_rows(masks, mu, nu, L, p_bit):
+    got = []
+    _children_4(masks, mu, nu, L, p_bit, _orders(len(masks)),
+                lambda *row: got.append(row))
+    return got
+
+
+def test_case4_ties_give_no_child():
+    # the singletons against the pair: mu(I) = L when I holds one
+    # singleton and nu(I) = L when I holds the pair, so only I = both
+    # singletons puts L strictly between mu(I) and nu(I)
+    masks, mu, nu = [0b01, 0b10, 0b11], [1, 1, 0], [0, 0, 1]
+    assert (_children_4_rows(masks, mu, nu, 1, 0b100)
+            == children_4_reference(masks, mu, nu, 1, 0b100)
+            == [((0b011, 0b101, 0b110), (1, 1, 1), 2)])
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_case4_lanes_match_reference_on_hand_made_pairs(k):
+    # small weights tie mu(I) or nu(I) with L often; scaled by 2^70 the
+    # same pairs need lanes wider than 64 bits and give the same children
+    rng = random.Random(k)
+    ties = emitted = 0
+    for _ in range(30):
+        masks = sorted(rng.sample(range(1, 128), k))
+        mu = [rng.randrange(4) for _ in masks]
+        nu = [rng.randrange(4) for _ in masks]
+        L = rng.randrange(1, 6)
+        for I in range(1 << k):
+            picked = [i for i in range(k) if I >> i & 1]
+            ties += L in (sum(mu[i] for i in picked), sum(nu[i] for i in picked))
+        got = _children_4_rows(masks, mu, nu, L, 128)
+        assert got == children_4_reference(masks, mu, nu, L, 128)
+        big = 1 << 70
+        assert _children_4_rows(masks, [x * big for x in mu], [y * big for y in nu],
+                                L * big, 128) == got
+        emitted += len(got)
+    assert ties > 0 and emitted > 0
 
 
 @pytest.mark.parametrize("n_old", [2, 3, 4, 5])

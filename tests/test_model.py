@@ -173,6 +173,27 @@ def test_weighted_collection_line_roundtrip():
     assert wc.player_sums(4) == [Fraction(1)] * 4
 
 
+@pytest.mark.parametrize(
+    "masks,nums,den,line,row",
+    [
+        # weights not in lowest terms are written reduced, each on its own
+        ((3, 5), (2, 4), 6, "3:1/3 5:2/3", ((3, 5), (1, 2), 3)),
+        ((1, 2, 4), (3, 3, 6), 6, "1:1/2 2:1/2 4:1/1", ((1, 2, 4), (1, 1, 2), 2)),
+        # masks above one byte, as n up to PLAYER_CAP allows
+        ((0xFF, 0x100, 0xFFFFFFFF), (1, 1, 2), 4, "ff:1/4 100:1/4 ffffffff:1/2",
+         ((0xFF, 0x100, 0xFFFFFFFF), (1, 1, 2), 4)),
+        # masks given as a list
+        ([0x1, 0x1FE], (5, 5), 5, "1:1/1 1fe:1/1", ((0x1, 0x1FE), (1, 1), 1)),
+    ],
+)
+def test_line_writer_round_trips(masks, nums, den, line, row):
+    codec = LineCodec()
+    for _ in range(2):  # the second write uses the stored template
+        assert codec.write(masks, nums, den) == line
+    assert codec.read(line) == (*row, sum(row[1]))
+    assert LineCodec().read(codec.write(*row)) == (*row, sum(row[1]))
+
+
 def test_parse_coalition_key_errors():
     with pytest.raises(GameFormatError):
         parse_coalition_key("", 3)
