@@ -563,14 +563,14 @@ def peleg(n: int, set_system=None) -> MbcDatabase:
     return MbcDatabase(n, tuple(_rows_on(n, allowed)), allowed is not None)
 
 
-def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000,
-                 tmp_dir=None) -> int:
+def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000) -> int:
     """Like `peleg`, but the final induction step streams to disk.
 
     Collections on n-1 players are generated in memory; the children are
     written to sorted shard files which are then merged with deduplication
     into the MBCDB file.  Returns the collection count.  This is the n=7
     path: the output does not fit comfortably in RAM as structured values.
+    The temporary files go where `tempfile` puts them (`TMPDIR`).
     """
     if n < 2:
         raise ValueError("streaming generation needs n >= 2")
@@ -583,7 +583,7 @@ def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000
     def flush():
         if not buffer:
             return
-        fd, path = tempfile.mkstemp(prefix="mbcshard", dir=tmp_dir)
+        fd, path = tempfile.mkstemp(prefix="mbcshard")
         with os.fdopen(fd, "w") as fh:
             for line in sorted(buffer):
                 fh.write(line + "\n")
@@ -599,7 +599,7 @@ def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000
         _add_player_raw(base, n - 1, allowed, sink=sink)
         flush()
         count = 0
-        body_fd, body_path = tempfile.mkstemp(prefix="mbcbody", dir=tmp_dir)
+        body_fd, body_path = tempfile.mkstemp(prefix="mbcbody")
         try:
             files = [open(path) for path in shards]
             with os.fdopen(body_fd, "w") as body:

@@ -1,12 +1,14 @@
 """Exact vertex enumeration for the one polytope form of the library.
 
 Every polytope here is {x in Q^n : x(N) = c, x(S) >= b_S for each (S, b_S)
-in a row list}: a core, a subgame core (`props.is_extendable`) or a family
-polytope (`props.is_core_describing`).  `enumerate_vertices` lists its
-vertices by solving every candidate set of tight rows in integers; both
-callers are small enough that the enumeration beats any clever pivoting,
-and every vertex it returns satisfies each row.  Whether a family polytope
-is bounded is decided by balancedness in `props`, not here.
+in a row list}: a core, a subgame core or a family polytope.
+`enumerate_vertices` lists its vertices by solving every candidate set of
+tight rows in integers, and every vertex it returns satisfies each row.
+Its one library caller is `props.is_extendable`, on subgame cores, which
+are small enough that the enumeration beats any clever pivoting.  Family
+polytopes are decided by balanced collections in `props`, with no vertex
+list: `is_core_describing` runs `linalg.vertex_clause` programs, and
+boundedness is balancedness of the family.
 """
 
 from __future__ import annotations

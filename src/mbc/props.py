@@ -3,8 +3,9 @@
 Everything here reduces to weighted-sum tests over the minimal balanced
 collections of the player set: core nonemptiness, exactness, effectiveness,
 strict vital-exactness, feasibility of collections.  Extendability asks the
-same question of reduced games on fewer players, by linear programs over
-the weight polytope instead of a database.  Since the database does not
+same question of reduced games on fewer players, and the core-describing
+gate of the balanced collections of a family plus one complement, both by
+linear programs over a weight polytope instead of a database.  Since the database does not
 depend on the game, it is built once and scanned with per-game indexes;
 derived games only ever move one value (the complement of the studied
 coalition), so the index keeps per coalition how far that value may rise
@@ -294,7 +295,11 @@ def is_extendable(S: int, game: Game) -> bool:
 def is_core_describing(family, game: Game) -> bool:
     """True iff the family's constraints alone already cut out the core:
     every missing coalition's constraint is implied.  Raises
-    UnboundedPolytopeError when the family polytope is unbounded."""
+    UnboundedPolytopeError when the family polytope is unbounded.  Decided
+    by balanced collections of the family, one `linalg.vertex_clause`
+    program each: the polytope is empty iff one sums above v(N), and a
+    missing x(T) >= v(T) is implied iff one holding T^c, valued
+    v(N) - v(T), reaches v(N) (LP duality over T^c's positive weight)."""
     family = set(family)
     n = game.n
     for S in family:
@@ -304,22 +309,21 @@ def is_core_describing(family, game: Game) -> bool:
         raise UnboundedPolytopeError(
             "family polytope is unbounded; singletons are missing"
         )
-    vertices = enumerate_vertices(LinearSystem.family_polytope(game, sorted(family)))
-    if not vertices:
+    V, _ = _scaled_game(game)
+    full = full_mask(n)
+    G = V[full]
+    order = sorted(family)
+    columns = [[(S >> i) & 1 for i in range(n)] for S in order]
+    costs = [V[S] for S in order]
+    if linalg.vertex_clause(columns, costs, G, [False] * len(columns)):
         # the family polytope contains the core, which is nonempty for the
         # intended (balanced) callers, so this means an empty core
         return False
-    for T in range(1, full_mask(n)):
-        if T in family:
-            continue
-        indicator = [(T >> i) & 1 for i in range(n)]
-        lowest = min(
-            sum(x for x, bit in zip(vertex, indicator) if bit)
-            for vertex in vertices
-        )
-        if lowest < game.value(T):
-            return False
-    return True
+    marks = [False] * len(columns) + [True]
+    return all(
+        linalg.vertex_clause(columns + [[(full ^ T) >> i & 1 for i in range(n)]],
+                             costs + [G - V[T]], G, marks)
+        for T in range(1, full) if T not in family)
 
 
 def _family_bounded(family, n: int) -> bool:
@@ -374,6 +378,7 @@ class FeasibilityOracle:
     """
 
     def __init__(self, game: Game, db: MbcDatabase, family):
+        _require_same_n(game, db)
         self.game = game
         self.db = db
         self.family = tuple(sorted(family))
@@ -388,8 +393,7 @@ class FeasibilityOracle:
         # the one scan of the database; the nested stage reuses the pool
         self.pool = association_pool(db, self.family, self.n)
         self.entries = []
-        for row in self.pool:
-            masks, nums, den = row
+        for masks, nums, den in self.pool:
             if not universe.issuperset(masks):
                 continue
             need = 0       # family bits that must be inside the queried collection
@@ -416,23 +420,17 @@ class FeasibilityOracle:
             if base + sum(max(0, x * delta) for x, delta, _ in terms) < level:
                 continue  # no collection can lift this entry to the level
             self.entries.append(
-                (need, pure, tuple(duals), base, level, tuple(terms), row))
+                (need, pure, tuple(duals), base, level, tuple(terms)))
 
-    def collection_mask(self, masks) -> int:
-        bits = 0
+    def feasible(self, masks) -> bool:
+        """No entry defeats the collection: none has an adjusted weighted
+        sum above v(N), or at v(N) with a violated complement in it."""
+        smask = 0
         for S in masks:
             if S not in self.findex:
                 raise ValueError("collection must be drawn from the family")
-            bits |= 1 << self.findex[S]
-        return bits
-
-    def feasible(self, masks) -> bool:
-        return self.defeating_row(self.collection_mask(masks)) is None
-
-    def defeating_row(self, smask: int):
-        """The first row of the database defeating feasibility of the
-        collection with family bitmask `smask`, or None."""
-        for need, pure, duals, base, level, terms, row in self.entries:
+            smask |= 1 << self.findex[S]
+        for need, pure, duals, base, level, terms in self.entries:
             if need & ~smask or pure & smask:
                 continue
             if duals and any(
@@ -446,8 +444,8 @@ class FeasibilityOracle:
                     touches = True
                     total += x * delta
             if total > level or (touches and total == level):
-                return row
-        return None
+                return False
+        return True
 
 
 def is_blocking(collection, n: int) -> bool:

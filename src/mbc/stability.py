@@ -6,7 +6,10 @@ surviving region checks a second-level balancedness condition over a finite
 vector set Omega built from admissible collection systems.  Cheap necessary
 and sufficient conditions run first: game balancedness, exactness of the
 singletons, the family being core-describing, blocking pairs, and the
-weak-extendability sufficient condition.
+weak-extendability sufficient condition.  The core-describing gate is
+decided by balanced-collection programs (`props.is_core_describing`), so
+only weak extendability, which lists subgame-core vertices, meets the
+dimension cap of the vertex loop.
 
 The second level generalizes balanced collections to balanced sets: finite
 sets of nonnegative vectors whose positive combinations reach the all-ones
@@ -232,6 +235,7 @@ def nested_balancedness_ok(collection, family, db, game: Game,
     Systems agreeing on every pattern z^S and its a-value c are checked
     once: the condition only depends on those.
     """
+    props._require_same_n(game, db)
     if caps is None:
         caps = StabilityCaps()
     n = game.n
@@ -330,13 +334,7 @@ def is_core_stable(game: Game, db: MbcDatabase,
     diagnostics["vital_exact_count"] = len(family)
     mark("vital-exactness")
 
-    try:
-        describing = props.is_core_describing(family, game)
-    except DimensionCapError:
-        mark("core-describing")
-        return StabilityReport(
-            UNKNOWN, "core-describing",
-            {"reason": "dimension-cap"}, diagnostics, timings)
+    describing = props.is_core_describing(family, game)
     mark("core-describing")
     if not describing:
         return StabilityReport(

@@ -11,7 +11,11 @@ eliminator (`system_feasible`) lives only here; the library does not use it.
 These probes take a `LinearSystem` {x(N) = c, x(S) >= b} and substitute
 x_1 = c - Σ_{j>1} x_j themselves.  `vertices_reference` is the vertex loop
 in Fractions, one `solve_unique` per candidate set of tight rows, kept as
-the reference for the library's integer loop.
+the reference for the library's integer loop.  `core_describing_reference`
+is the library's earlier core-describing test, the least x(T) over those
+vertices for each missing T, and `core_describing_definition` decides the
+same question by Fourier-Motzkin; both check the library's balanced
+collection programs.
 `minimal_balanced_sets_reference` is the library's earlier Fraction search
 for minimal balanced sets, kept as the reference for the integer one, and
 `nested_system_reference` is the earlier nested-stage decision (list the
@@ -169,6 +173,36 @@ def vertices_reference(system: LinearSystem):
         ):
             points.add(x)
     return sorted(points)
+
+
+def core_describing_reference(family, game: Game) -> bool:
+    """The library's earlier core-describing test for a bounded family
+    polytope: list its vertices with `enumerate_vertices` and compare each
+    missing coalition's least x(T) over them with v(T).  No vertex means
+    an empty polytope, which answers False."""
+    n = game.n
+    vertices = enumerate_vertices(LinearSystem.family_polytope(game, sorted(family)))
+    if not vertices:
+        return False
+    for T in range(1, full_mask(n)):
+        if T in family:
+            continue
+        lowest = min(sum(x for i, x in enumerate(v) if T >> i & 1) for v in vertices)
+        if lowest < game.value(T):
+            return False
+    return True
+
+
+def core_describing_definition(family, game: Game) -> bool:
+    """The definition, by Fourier-Motzkin: the family polytope is nonempty
+    and no missing coalition T has a point of it with x(T) < v(T)."""
+    n = game.n
+    system = LinearSystem.family_polytope(game, sorted(family))
+    if not system_feasible(system):
+        return False
+    return not any(
+        system_feasible(system, [([-(T >> i & 1) for i in range(n)], -game.value(T))])
+        for T in range(1, full_mask(n)) if T not in family)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from mbc.props import (
 )
 from conftest import make_additive, make_three_player_tight
 from oracles import (
+    core_describing_definition,
+    core_describing_reference,
     effective_reference,
     exact_reference,
     extendable_direct,
@@ -421,6 +423,67 @@ def test_core_describing_raises_exactly_on_unbounded_families():
         else:
             assert is_core_describing(family, game) in (True, False)
     assert 0 < raised < 128
+
+
+def _core_describing_cases(n, rng, db, count):
+    """Seeded (game, family) pairs on n players.  With a database: the sve
+    family of a balanced game, that family with N added, and a random
+    family of the same game.  Without one: random families of
+    near-additive games.  Half the random families hold every singleton;
+    the rest are often unbounded.  Each game also meets its singletons
+    plus a few random coalitions at v(N) one below the singletons' sum,
+    an empty polytope."""
+    full = full_mask(n)
+    if db is not None:
+        games = list(_balanced_games(rng, n, db, count))
+    else:
+        # near-additive games: a few coalitions rise above the additive
+        # value, so that a family misses a binding row only sometimes
+        games = []
+        for _ in range(count):
+            a = [F(rng.randint(-2, 6), rng.choice((1, 2))) for _ in range(n)]
+            values = {m: sum(a[i] for i in range(n) if m >> i & 1)
+                      + (1 if rng.random() < 0.02 else -rng.randint(0, 2))
+                      for m in range(1, full + 1)}
+            values.update({1 << i: a[i] for i in range(n)})
+            values[full] = sum(a) + rng.randint(0, 3)
+            games.append(Game(n, values))
+    singles = [1 << i for i in range(n)]
+    for game in games:
+        picks = rng.sample(range(1, full + 1), rng.randint(0, min(full, 9)))
+        if rng.random() < 0.5:
+            picks += singles
+        families = [sorted(set(picks))]
+        if db is not None:
+            sve = sve_family(game, db)
+            families += [sve, sorted({*sve, full})]
+        for family in families:
+            yield game, family
+        low = Game(n, {**game.values,
+                       full: sum(game.value(m) for m in singles) - 1})
+        yield low, sorted({*singles, *rng.sample(range(1, full), min(full - 1, 4))})
+
+
+@pytest.mark.parametrize("n, count", [(2, 15), (3, 20), (4, 20), (5, 12), (6, 40)])
+def test_core_describing_matches_definition_on_seeded_pairs(n, count):
+    # for n <= 5 against the definition by Fourier-Motzkin, for n = 6 against
+    # the earlier loop over the vertices of the family polytope; every pair
+    # raises on an unbounded family polytope, exactly as the recession-cone
+    # probe says
+    db = peleg(n) if n <= 5 else None
+    reference = core_describing_definition if n <= 5 else core_describing_reference
+    outcomes = []  # 348 pairs over the five values of n
+    for game, family in _core_describing_cases(n, random.Random(1800 + n), db, count):
+        system = LinearSystem.family_polytope(game, family)
+        if family_unbounded_reference(system):
+            with pytest.raises(UnboundedPolytopeError):
+                is_core_describing(family, game)
+            outcomes.append("unbounded")
+            continue
+        expected = reference(family, game)
+        assert is_core_describing(family, game) == expected, (n, game, family)
+        outcomes.append(expected)
+    assert {True, False, "unbounded"} <= set(outcomes)
 
 
 # ---------------------------------------------------------------------------

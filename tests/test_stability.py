@@ -13,6 +13,7 @@ from mbc.model import full_mask
 from mbc.props import (
     FeasibilityOracle,
     _scaled_game,
+    feasibility_survey,
     feasible_collections,
     sve_family,
 )
@@ -541,6 +542,16 @@ def test_nested_caps_yield_capped(db5, biswas):
     )
     assert status == "capped"
     assert info["reason"] == "system-cap" and info["systems"] > 1
+
+
+def test_database_on_other_players_is_rejected(db4, db5, biswas):
+    # the rows of a 4-player database say nothing about a 5-player game,
+    # yet scanning them gives an answer; both entry points must refuse
+    family = sve_family(biswas, db5)
+    with pytest.raises(ValueError, match="database has n=4"):
+        feasibility_survey(biswas, db4, family)
+    with pytest.raises(ValueError, match="database has n=4"):
+        nested_balancedness_ok((coalition_mask([1, 3, 4]),), family, db4, biswas)
 
 
 def test_core_stable_additive(db3):
