@@ -60,13 +60,13 @@ import os
 import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import starmap
 from math import gcd, lcm
 from operator import itemgetter, lt, mul
 
 from .model import (
-    PLAYER_CAP,
     LineCodec,
     WeightedCollection,
     _Memo,
@@ -437,10 +437,11 @@ class MbcDatabase:
 
     @classmethod
     def load(cls, path) -> "MbcDatabase":
-        """Read an MBCDB file, rejecting a row whose masks are not strictly
-        increasing inside 1..2^n-1, whose weights are not positive, or in
-        which some player's weights do not sum to exactly 1, and a
-        collection listed twice.  Minimality is not checked."""
+        """Read an MBCDB file, rejecting a header with n outside
+        1..MAX_PLAYERS, a row whose masks are not strictly increasing inside
+        1..2^n-1, whose weights are not positive, or in which some player's
+        weights do not sum to exactly 1, and a collection listed twice.
+        Minimality is not checked."""
         with open(path) as fh:
             header = fh.readline().strip()
             fields = header.split()
@@ -451,7 +452,7 @@ class MbcDatabase:
                 count = int(fields[3].removeprefix("count="))
             except ValueError as exc:
                 raise ValueError(f"bad MBCDB header: {header!r}") from exc
-            if not 1 <= n <= PLAYER_CAP:
+            if not 1 <= n <= MAX_PLAYERS:
                 raise ValueError(f"bad MBCDB header: n={n} out of range")
             restricted = "restricted" in fields[4:]
             top = full_mask(n)
@@ -651,24 +652,26 @@ def check_minimal_balanced(masks, n: int):
     Returns (MINIMAL, weights) when the balancing weight system exists, is
     unique and strictly positive; (BALANCED_NOT_MINIMAL, None) when positive
     weight systems exist but are not unique; (NOT_BALANCED, None) otherwise.
-    The minimal balanced subcollections are the minimal balanced subsets of
-    the characteristic vectors (`linalg.minimal_balanced_sets`): the
-    collection is minimal when it is one of them, which one pass along the
-    search's path through all of them decides (`linalg.whole_set_weights`),
-    and balanced when they cover every member.  Only dependent
-    characteristic vectors need the second test, and it needs no search: a
-    member lies in a minimal balanced subcollection iff some vertex of the
-    weight polytope gives it positive weight, one `linalg.vertex_clause`
-    program per member.
+    One integer solve of Σ_S w_S·1_S = 1_N (`linalg.solve_int`) decides
+    every case but one: a unique solution is the weight system, minimal
+    when it is strictly positive and not balanced otherwise, and no solution
+    means not balanced.  When the characteristic vectors are dependent, the
+    collection is balanced iff its minimal balanced subcollections cover
+    every member, and that needs no search: a member lies in one iff some
+    vertex of the weight polytope gives it positive weight, one
+    `linalg.vertex_clause` program per member.
     """
     masks = _checked_masks(masks, n)
-    vectors = [[(m >> i) & 1 for i in range(n)] for m in masks]
-    independent, weights = linalg.whole_set_weights(vectors, n)
-    if weights is not None:
-        return MINIMAL, weights
-    if independent:
-        # the unique solution is not positive, or there is none
+    status, solution = linalg.solve_int(
+        [[(m >> i) & 1 for m in masks] + [1] for i in range(n)], len(masks))
+    if status == linalg.UNIQUE:
+        nums, den = solution
+        if min(nums) > 0:
+            return MINIMAL, tuple(Fraction(x, den) for x in nums)
         return NOT_BALANCED, None
+    if status == linalg.NO_SOLUTION:
+        return NOT_BALANCED, None
+    vectors = [[(m >> i) & 1 for i in range(n)] for m in masks]
     zeros = [0] * len(vectors)
     if all(linalg.vertex_clause(vectors, zeros, 0, [k == j for k in range(len(vectors))])
            for j in range(len(vectors))):

@@ -7,17 +7,23 @@ hull is built: a solve returns the one solution or none.  Elimination
 clears denominators first and then runs fraction-free integer row reduction
 with per-row gcd normalization to keep intermediate entries small.
 
+That elimination is `_echelon`, behind every rank and unique solve:
+`rank` counts its pivots, and `solve_int` decides an integer system
+[A | b] three ways from one echelon form and back-substitutes the unique
+solution; `solve_unique` is its Fraction wrapper.  The depth-first search
+below keeps its own incremental step and the simplex its Bareiss pivot.
+
 Two decisions over the weight polytope P = {w >= 0 : Σ_j w_j·v_j = 1} of
 finitely many nonnegative vectors v_j live here.  `vertex_clause` decides
 a linear program over P by a fraction-free simplex.
 `minimal_balanced_sets` lists the vertex supports of P, the minimal
 balanced subsets, by a depth-first search over linearly independent
 subsets in integers; on characteristic vectors these are the minimal
-balanced collections.  `whole_set_weights` walks the one path of that
-search that can reach the whole set, which decides in one elimination pass
-whether the whole set is minimal balanced.  `generate.check_minimal_balanced`
-classifies a collection with that pass and, for dependent characteristic
-vectors, with one `vertex_clause` program per member.
+balanced collections.  The whole set is one of them exactly when the
+system Σ_j w_j·v_j = 1 has a unique, strictly positive solution, which
+`is_minimal_balanced_set` and `generate.check_minimal_balanced` decide
+with one solve; the latter classifies dependent characteristic vectors
+with one `vertex_clause` program per member.
 """
 
 from __future__ import annotations
@@ -94,35 +100,6 @@ def primitive(values) -> tuple[list[int], Fraction]:
     ints = [x.numerator * (den // x.denominator) for x in values]
     g = gcd(*ints) or 1
     return [x // g for x in ints], Fraction(den, g)
-
-
-def solve_int(rows, rhs, n_cols: int):
-    """The unique solution of the integer system rows·x = rhs.
-
-    Fraction-free Gauss-Jordan elimination: every updated row is divided by
-    its gcd, and no Fraction is built.  Returns (nums, den) with den > 0 and
-    x[j] = nums[j]/den, or None when the system has no solution or more than
-    one."""
-    aug = [[*row, b] for row, b in zip(rows, rhs)]
-    for c in range(n_cols):
-        for r in range(c, len(aug)):
-            if aug[r][c]:
-                break
-        else:
-            return None
-        aug[c], aug[r] = aug[r], aug[c]
-        pivot_row = aug[c]
-        p = pivot_row[c]
-        for i, row in enumerate(aug):
-            x = row[c]
-            if x and i != c:
-                row = [p * a - x * b for a, b in zip(row, pivot_row)]
-                _reduce_row(row)
-                aug[i] = row
-    if any(row[n_cols] for row in aug[n_cols:]):
-        return None
-    den = lcm(*(aug[c][c] for c in range(n_cols)))
-    return [aug[c][n_cols] * (den // aug[c][c]) for c in range(n_cols)], den
 
 
 def vertex_clause(columns, costs, bound: int, marked) -> bool:
@@ -347,39 +324,15 @@ def _positive_weights(target, n: int, depth: int):
     return None
 
 
-def whole_set_weights(vectors, n: int):
-    """(independent, weights): the one path of `minimal_balanced_sets` that
-    can reach the whole vector set, taking the vectors in input order.
-
-    independent is False, with weights None, when the vectors are linearly
-    dependent.  Otherwise the system Σ_j w_j·v_j = 1 has at most one
-    solution, and weights is it when it is strictly positive (the whole set
-    is minimal balanced), else None.  One elimination pass; raises
-    ValueError on the inputs `minimal_balanced_sets` rejects."""
-    vectors = _checked_vectors(vectors, n)
-    if len(vectors) > n:
-        return False, None
-    rows, scales = _integer_rows(vectors, n)
-    basis, target = [], _ones_row(n)
-    for depth, row in enumerate(rows):
-        step = _extend(basis, target, row[depth], n)
-        if step is None:
-            return False, None
-        piv, residual, target = step
-        basis.append((piv, residual))
-    if any(target[:n]):
-        return True, None
-    weights = _positive_weights(target, n, len(rows))
-    if weights is None:
-        return True, None
-    return True, tuple(w * s for w, s in zip(weights, scales))
-
-
 def is_minimal_balanced_set(vectors, n: int) -> bool:
     """Whether the whole vector set is one of its own minimal balanced
-    subsets.  Raises ValueError on the inputs `minimal_balanced_sets`
-    rejects."""
-    return whole_set_weights(vectors, n)[1] is not None
+    subsets: Σ_j w_j·v_j = 1 has one solution, and it is strictly positive.
+    Raises ValueError on the inputs `minimal_balanced_sets` rejects."""
+    vectors = _checked_vectors(vectors, n)
+    if not vectors:
+        return False
+    status, weights = solve_unique(list(zip(*vectors)), [1] * n)
+    return status == UNIQUE and min(weights) > 0
 
 
 def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -420,23 +373,48 @@ def rank(matrix) -> int:
     return len(pivots)
 
 
+def solve_int(aug: list[list[int]], n_cols: int):
+    """Solve the integer system [A | b], each row n_cols coefficients and a
+    right-hand side, demanding uniqueness; the rows are reduced in place.
+
+    One echelon form gives both ranks: a pivot in the b column means
+    (NO_SOLUTION, None), fewer than n_cols pivots (NON_UNIQUE, None).
+    Otherwise each column is cleared above its pivot, fraction-free, and
+    the result is (UNIQUE, (nums, den)) with den > 0 and x[j] = nums[j]/den.
+    No Fraction is built."""
+    rows, pivots = _echelon(aug)
+    if n_cols in pivots:
+        return NO_SOLUTION, None
+    if len(pivots) < n_cols:
+        return NON_UNIQUE, None
+    # pivots are 0..n_cols-1: row c has its pivot in column c
+    for c in range(n_cols - 1, 0, -1):
+        pivot_row = rows[c]
+        p = pivot_row[c]
+        for i in range(c):
+            x = rows[i][c]
+            if x:
+                row = [p * a - x * b for a, b in zip(rows[i], pivot_row)]
+                _reduce_row(row)
+                rows[i] = row
+    den = lcm(*(rows[c][c] for c in range(n_cols)))
+    return UNIQUE, ([rows[c][n_cols] * (den // rows[c][c]) for c in range(n_cols)], den)
+
+
 def solve_unique(matrix, b) -> tuple[str, tuple[Fraction, ...] | None]:
-    """Solve A x = b demanding uniqueness.
+    """Solve A x = b demanding uniqueness, in Fractions.
 
     Returns (UNIQUE, x) iff rank(A) = #cols = rank([A b]); (NO_SOLUTION, None)
     when the system is inconsistent; (NON_UNIQUE, None) when solutions form an
-    affine family.  Both ranks come from one echelon form of [A b], whose
-    pivots left of the last column are those of A; the unique solution is
-    then solved from that form in integers.
+    affine family.  `solve_int` on [A b] with its denominators cleared row
+    by row.
     """
     rows = _as_rows(matrix)
     if len(b) != len(rows):
         raise ValueError("right-hand side has wrong length")
     n_cols = len(rows[0]) if rows else 0
-    aug, pivots = _echelon(_int_rows([[*row, x] for row, x in zip(rows, b)]))
-    if n_cols in pivots:
-        return NO_SOLUTION, None
-    if len(pivots) < n_cols:
-        return NON_UNIQUE, None
-    nums, den = solve_int([row[:-1] for row in aug], [row[-1] for row in aug], n_cols)
+    status, solution = solve_int(_int_rows([[*row, x] for row, x in zip(rows, b)]), n_cols)
+    if status != UNIQUE:
+        return status, None
+    nums, den = solution
     return UNIQUE, tuple(Fraction(x, den) for x in nums)

@@ -87,8 +87,8 @@ def enumerate_vertices(system: LinearSystem):
     seen = set()
     vertices = []
     for tight in combinations(rows, d):
-        solution = linalg.solve_int([a for a, _ in tight], [b for _, b in tight], d)
-        if solution is None:
+        status, solution = linalg.solve_int([[*a, b] for a, b in tight], d)
+        if status != linalg.UNIQUE:
             continue
         nums, den = solution
         g = gcd(den, *nums)

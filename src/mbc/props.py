@@ -25,7 +25,7 @@ from math import lcm
 from operator import mul
 
 from . import linalg
-from .generate import NOT_BALANCED, MbcDatabase, check_minimal_balanced
+from .generate import NOT_BALANCED, MbcDatabase, _rank01, check_minimal_balanced
 from .model import Game, WeightedCollection, complement, full_mask, members
 from .polytope import LinearSystem, UnboundedPolytopeError, enumerate_vertices
 
@@ -337,8 +337,7 @@ def _family_bounded(family, n: int) -> bool:
     vectors of the family together with 1_N span R^n.  A family holding
     every singleton passes both."""
     family = sorted(family)
-    vectors = [[(m >> i) & 1 for i in range(n)] for m in (*family, full_mask(n))]
-    if linalg.rank(vectors) < n:
+    if _rank01((*family, full_mask(n)), n) < n:
         return False
     return not family or check_minimal_balanced(family, n)[0] != NOT_BALANCED
 

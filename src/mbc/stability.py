@@ -233,11 +233,15 @@ def nested_balancedness_ok(collection, family, db, game: Game,
     Returns ("ok", None), ("fail", witness) with the first failing system in
     enumeration order, or ("capped", info) when resource caps were hit.
     Systems agreeing on every pattern z^S and its a-value c are checked
-    once: the condition only depends on those.
+    once: the condition only depends on those.  The time cap ends at
+    `deadline` (a `time.monotonic()` value) when one is given, else
+    caps.time_limit seconds after the call.
     """
     props._require_same_n(game, db)
     if caps is None:
         caps = StabilityCaps()
+    if deadline is None and caps.time_limit is not None:
+        deadline = time.monotonic() + caps.time_limit
     n = game.n
     if pool is None:
         pool = association_pool(db, family, n)

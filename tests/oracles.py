@@ -10,14 +10,18 @@ plain combinations plus a direct solve per subset.  The Fourier-Motzkin
 eliminator (`system_feasible`) lives only here; the library does not use it.
 These probes take a `LinearSystem` {x(N) = c, x(S) >= b} and substitute
 x_1 = c - Σ_{j>1} x_j themselves.  `vertices_reference` is the vertex loop
-in Fractions, one `solve_unique` per candidate set of tight rows, kept as
-the reference for the library's integer loop.  `core_describing_reference`
-is the library's earlier core-describing test, the least x(T) over those
-vertices for each missing T, and `core_describing_definition` decides the
+in Fractions, one `solve_reference` per candidate set of tight rows, kept
+as the reference for the library's integer loop.  `solve_reference` is a
+textbook three-way Gauss-Jordan solve in Fractions, sharing no code with
+the library's one elimination, so it is the reference for `solve_int` and
+`solve_unique` and the solve of every reference below.
+`core_describing_reference` is the library's earlier core-describing test,
+the least x(T) over those vertices for each missing T, and `core_describing_definition` decides the
 same question by Fourier-Motzkin; both check the library's balanced
 collection programs.
 `minimal_balanced_sets_reference` is the library's earlier Fraction search
-for minimal balanced sets, kept as the reference for the integer one, and
+for minimal balanced sets (with a `solve_reference` per leaf), kept as
+the reference for the integer one, and
 `nested_system_reference` is the earlier nested-stage decision (list the
 minimal balanced subsets of Omega, then test ψ and B0 set by set), kept as
 the reference for the linear programs that replace it; it and
@@ -28,9 +32,9 @@ checked against `brute_force_mbcs` (every subcollection classified on its
 own) and `mbc_via_vertices` (the vertices of the full weight polytope).
 Both stay independent of the library's search for minimal balanced sets:
 `weight_polytope_vertices` solves every subcollection of at most n
-coalitions with `solve_unique`, and `check_minimal_balanced_reference`, the
-earlier classification of one collection (`solve_unique`, then those
-vertices), classifies each subcollection for `brute_force_mbcs` and
+coalitions with `solve_reference`, and `check_minimal_balanced_reference`,
+the earlier classification of one collection (`solve_reference`, then
+those vertices), classifies each subcollection for `brute_force_mbcs` and
 `is_minimal_balanced` and is the reference for `check_minimal_balanced`.
 `balanced_union_reference`, the library's earlier balancedness test, decides
 whether a collection is balanced from the database alone.
@@ -154,19 +158,45 @@ def family_unbounded_reference(system: LinearSystem) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the vertex loop in Fractions
+# linear systems and the vertex loop in Fractions
+
+
+def solve_reference(matrix, b):
+    """A x = b by Gauss-Jordan elimination in Fractions, every pivot row
+    scaled to 1: (UNIQUE, x), (NO_SOLUTION, None) when the b column holds a
+    pivot, or (NON_UNIQUE, None) when some column of A holds none.  A must
+    have at least one row."""
+    n_cols = len(matrix[0])
+    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(matrix, b)]
+    pivots = []
+    for c in range(n_cols + 1):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    if n_cols in pivots:
+        return linalg.NO_SOLUTION, None
+    if len(pivots) < n_cols:
+        return linalg.NON_UNIQUE, None
+    return linalg.UNIQUE, tuple(row[n_cols] for row in rows[:n_cols])
 
 
 def vertices_reference(system: LinearSystem):
     """The vertex loop in Fractions: every (n-1)-subset of rows, with the
-    efficiency row, solved by `solve_unique`, keeping the points that
+    efficiency row, solved by `solve_reference`, keeping the points that
     satisfy every row; deduplicated and sorted."""
     n = system.n
     points = set()
     for tight in combinations(system.rows, n - 1):
         matrix = [[1] * n] + [[(S >> i) & 1 for i in range(n)] for S, _ in tight]
         rhs = [system.grand] + [b for _, b in tight]
-        status, x = linalg.solve_unique(matrix, rhs)
+        status, x = solve_reference(matrix, rhs)
         if status == linalg.UNIQUE and all(
             sum(xi for i, xi in enumerate(x) if S >> i & 1) >= b
             for S, b in system.rows
@@ -298,7 +328,7 @@ def brute_nested_system_satisfied(game: Game, family, collection, system) -> boo
     for r in range(1, n + 1):
         for Z in combinations(vectors, r):
             cols = [[vec[i] for vec in Z] for i in range(n)]
-            status, weights = linalg.solve_unique(cols, [Fraction(1)] * n)
+            status, weights = solve_reference(cols, [Fraction(1)] * n)
             if status != linalg.UNIQUE or any(w <= 0 for w in weights):
                 continue
             psi = sum(
@@ -312,7 +342,7 @@ def brute_nested_system_satisfied(game: Game, family, collection, system) -> boo
 
 def minimal_balanced_sets_reference(vectors, n: int):
     """Minimal balanced subsets by the same depth-first search as the
-    library, with Fraction residuals and a `solve_unique` call per leaf."""
+    library, with Fraction residuals and a `solve_reference` call per leaf."""
     vectors = [tuple(Fraction(x) for x in vec) for vec in vectors]
     for vec in vectors:
         if len(vec) != n:
@@ -339,7 +369,7 @@ def minimal_balanced_sets_reference(vectors, n: int):
     def dfs(start, chosen, basis, target):
         if all(x == 0 for x in target):
             cols = [[vectors[j][i] for j in chosen] for i in range(n)]
-            status, weights = linalg.solve_unique(cols, ones)
+            status, weights = solve_reference(cols, ones)
             if status == linalg.UNIQUE and all(w > 0 for w in weights):
                 results.append((tuple(chosen), weights))
             return
@@ -431,7 +461,7 @@ def weight_polytope_vertices(masks, n: int):
             matrix = [
                 [(m >> i) & 1 for m in combo] for i in range(n)
             ]
-            status, solution = linalg.solve_unique(matrix, ones)
+            status, solution = solve_reference(matrix, ones)
             if status == linalg.UNIQUE and all(x > 0 for x in solution):
                 out.append((combo, tuple(solution)))
     out.sort()
@@ -451,13 +481,13 @@ def mbc_via_vertices(n: int, cap: int = 4) -> list[WeightedCollection]:
 
 
 def check_minimal_balanced_reference(masks, n: int):
-    """The earlier classification of a valid collection: one `solve_unique`
+    """The earlier classification of a valid collection: one `solve_reference`
     on the whole collection, and only when its solutions form an affine
     family, the vertices of its weight polytope, which must jointly cover
     every member."""
     masks = tuple(sorted(masks))
-    matrix = linalg.RatMatrix.from_collection(masks, n)
-    status, solution = linalg.solve_unique(matrix, [1] * n)
+    matrix = [[(m >> i) & 1 for m in masks] for i in range(n)]
+    status, solution = solve_reference(matrix, [1] * n)
     if status == linalg.UNIQUE:
         if all(x > 0 for x in solution):
             return MINIMAL, tuple(solution)

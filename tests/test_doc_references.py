@@ -1,0 +1,59 @@
+"""Every name the documentation points at exists.
+
+A reference is a backquoted `module.name` or `mbc.module.name` (call
+arguments after the name allowed) for one of the library modules below, in
+README.md or in a docstring of `src/mbc`.  A renamed or deleted function
+leaves such references behind; this test names each one.  ROADMAP.md and
+CHANGES.md are left out: they name benchmark metrics and earlier code."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import mbc
+
+SRC = Path(mbc.__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
+REFERENCE = re.compile(
+    r"`(?:mbc\.)?(generate|props|stability|linalg|polytope|model|cli)((?:\.\w+)+)")
+
+
+def _docstrings(path: Path) -> str:
+    tree = ast.parse(path.read_text())
+    nodes = [node for node in ast.walk(tree) if isinstance(
+        node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    return "\n".join(filter(None, map(ast.get_docstring, nodes)))
+
+
+def _unresolved(text: str) -> list[str]:
+    missing = []
+    for match in REFERENCE.finditer(text):
+        target = importlib.import_module(f"mbc.{match[1]}")
+        for attr in match[2].split(".")[1:]:
+            if not hasattr(target, attr):
+                missing.append(match[0].lstrip("`"))
+                break
+            target = getattr(target, attr)
+    return missing
+
+
+def test_reference_pattern():
+    text = ("`linalg.vertex_clause`, `mbc.model.LineCodec`, "
+            "`polytope.LinearSystem(n, grand, rows)`, `generate.MbcDatabase.load`, "
+            "`linalg.no_such_name`, `mbc.generate.MbcDatabase.no_such_method`, "
+            "`perfbench.run`")
+    assert [m[0] for m in REFERENCE.finditer(text)][:4] == [
+        "`linalg.vertex_clause", "`mbc.model.LineCodec",
+        "`polytope.LinearSystem", "`generate.MbcDatabase.load"]
+    assert _unresolved(text) == [
+        "linalg.no_such_name", "mbc.generate.MbcDatabase.no_such_method"]
+
+
+@pytest.mark.parametrize("name", ["README.md"] + sorted(
+    path.name for path in SRC.glob("*.py")))
+def test_doc_references_resolve(name):
+    text = README.read_text() if name == "README.md" else _docstrings(SRC / name)
+    assert _unresolved(text) == []

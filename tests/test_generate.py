@@ -501,6 +501,13 @@ def test_database_load_rejects_bad_headers(tmp_path):
     bad.write_text("MBCDB 1 n=3 count=5\n7:1/1\n")
     with pytest.raises(ValueError):
         MbcDatabase.load(bad)
+    # no generator writes more than MAX_PLAYERS players, and every analysis
+    # allocates 2^n values
+    bad.write_text("MBCDB 1 n=9 count=1\n1ff:1/1\n")
+    with pytest.raises(ValueError, match="bad MBCDB header: n=9"):
+        MbcDatabase.load(bad)
+    bad.write_text("MBCDB 1 n=8 count=1\nff:1/1\n")
+    assert MbcDatabase.load(bad).n == 8
 
 
 def test_streaming_generation_matches_in_memory(tmp_path, db5):

@@ -20,6 +20,8 @@ from mbc.linalg import (
     vertex_clause,
 )
 
+from oracles import solve_reference
+
 F = Fraction
 
 
@@ -92,27 +94,61 @@ def test_primitive_scales_positively():
     assert primitive([0, 0]) == ([0, 0], F(1))
 
 
-def test_solve_int_matches_solve_unique():
+def test_solve_int_matches_solve_unique(monkeypatch):
+    # both solves against the textbook Gauss-Jordan reference, on square,
+    # tall and wide systems, consistent or not, with negative pivots
+    pivots_seen = []
+    echelon = linalg._echelon
+
+    def recording(rows):
+        rows, pivots = echelon(rows)
+        pivots_seen.extend(rows[r][c] for r, c in enumerate(pivots))
+        return rows, pivots
+
+    monkeypatch.setattr(linalg, "_echelon", recording)
     rng = random.Random(17)
-    for _ in range(300):
-        n_rows = rng.randint(1, 5)
+    statuses = {UNIQUE: 0, NO_SOLUTION: 0, NON_UNIQUE: 0}
+    tall_unique = 0
+    for _ in range(600):
+        n_rows = rng.randint(1, 6)
         n_cols = rng.randint(1, 4)
-        rows = [[rng.randint(-2, 2) for _ in range(n_cols)] for _ in range(n_rows)]
-        rhs = [rng.randint(-2, 2) for _ in range(n_rows)]
-        if rng.random() < 0.3:  # a consistent system
+        rows = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)]
+        if n_rows > 1 and rng.random() < 0.2:  # a repeated equation
+            rows[-1] = [2 * a for a in rows[0]]
+        rhs = [rng.randint(-3, 3) for _ in range(n_rows)]
+        if rng.random() < 0.4:  # a consistent system
             x = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n_cols)]
             rhs = [sum(a * xj for a, xj in zip(row, x)) for row in rows]
             scale = lcm(*(b.denominator for b in rhs))
             rows = [[a * scale for a in row] for row in rows]
             rhs = [int(b * scale) for b in rhs]
-        status, expected = solve_unique(rows, rhs)
-        got = solve_int(rows, rhs, n_cols)
+        status, expected = solve_reference(rows, rhs)
+        statuses[status] += 1
+        tall_unique += status == UNIQUE and n_rows > n_cols
+        assert solve_unique(rows, rhs) == (status, expected)
+        assert solve_unique([[F(a, 3) for a in row] for row in rows],
+                            [F(b, 3) for b in rhs]) == (status, expected)
+        got_status, got = solve_int([[*row, b] for row, b in zip(rows, rhs)], n_cols)
+        assert got_status == status
         if status == UNIQUE:
             nums, den = got
             assert den > 0
             assert tuple(F(x, den) for x in nums) == expected
         else:
             assert got is None
+    assert min(statuses.values()) > 60 and tall_unique > 20
+    assert any(p < 0 for p in pivots_seen)
+
+
+def test_solve_int_edge_shapes():
+    # no unknowns: consistent exactly when every right-hand side is 0
+    assert solve_int([[0], [0]], 0) == (UNIQUE, ([], 1))
+    assert solve_int([[0], [2]], 0) == (NO_SOLUTION, None)
+    # a zero column leaves that unknown free; a lone negative pivot
+    assert solve_int([[0, 1, 3]], 2) == (NON_UNIQUE, None)
+    status, (nums, den) = solve_int([[-2, 3]], 1)
+    assert status == UNIQUE and den > 0 and F(nums[0], den) == F(-3, 2)
+    assert solve_unique([[0, 0], [0, 0]], [0, 1]) == (NO_SOLUTION, None)
 
 
 # ---------------------------------------------------------------------------
