@@ -437,11 +437,11 @@ class MbcDatabase:
 
     @classmethod
     def load(cls, path) -> "MbcDatabase":
-        """Read an MBCDB file, rejecting a header with n outside
-        1..MAX_PLAYERS, a row whose masks are not strictly increasing inside
-        1..2^n-1, whose weights are not positive, or in which some player's
-        weights do not sum to exactly 1, and a collection listed twice.
-        Minimality is not checked."""
+        """Read an MBCDB file, rejecting a header other than the one
+        `_header` writes or with n outside 1..MAX_PLAYERS, a row whose masks
+        are not strictly increasing inside 1..2^n-1, whose weights are not
+        positive, or in which some player's weights do not sum to exactly 1,
+        and a collection listed twice.  Minimality is not checked."""
         with open(path) as fh:
             header = fh.readline().strip()
             fields = header.split()
@@ -452,9 +452,11 @@ class MbcDatabase:
                 count = int(fields[3].removeprefix("count="))
             except ValueError as exc:
                 raise ValueError(f"bad MBCDB header: {header!r}") from exc
+            restricted = fields[4:] == ["restricted"]
+            if header != _header(n, count, restricted):
+                raise ValueError(f"bad MBCDB header: {header!r}")
             if not 1 <= n <= MAX_PLAYERS:
                 raise ValueError(f"bad MBCDB header: n={n} out of range")
-            restricted = "restricted" in fields[4:]
             top = full_mask(n)
             width = 0
             codec = LineCodec()

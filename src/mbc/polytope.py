@@ -6,9 +6,12 @@ in a row list}: a core, a subgame core or a family polytope.
 tight rows in integers, and every vertex it returns satisfies each row.
 Its one library caller is `props.is_extendable`, on subgame cores, which
 are small enough that the enumeration beats any clever pivoting.  Family
-polytopes are decided by balanced collections in `props`, with no vertex
-list: `is_core_describing` runs `linalg.vertex_clause` programs, and
-boundedness is balancedness of the family.
+polytopes, bounded or not, are decided by balanced collections in `props`,
+with no vertex list: `is_core_describing` runs `linalg.vertex_clause`
+programs.  `DIM_CAP` guards direct calls, such as `props.is_extendable`
+on a game of more than ten players; the stability pipeline and the CLI
+work with a database of at most `generate.MAX_PLAYERS` players, so they
+never meet it.
 """
 
 from __future__ import annotations
@@ -26,10 +29,6 @@ DIM_CAP = 8
 
 class DimensionCapError(ValueError):
     """The number of free variables exceeds `DIM_CAP`."""
-
-
-class UnboundedPolytopeError(ValueError):
-    """An operation that needs a bounded polytope met an unbounded one."""
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ from math import lcm
 from operator import mul
 
 from . import linalg
-from .generate import NOT_BALANCED, MbcDatabase, _rank01, check_minimal_balanced
+from .generate import MbcDatabase
 from .model import Game, WeightedCollection, complement, full_mask, members
-from .polytope import LinearSystem, UnboundedPolytopeError, enumerate_vertices
+from .polytope import LinearSystem, enumerate_vertices
 
 
 class UnbalancedGameError(ValueError):
@@ -294,21 +294,18 @@ def is_extendable(S: int, game: Game) -> bool:
 
 def is_core_describing(family, game: Game) -> bool:
     """True iff the family's constraints alone already cut out the core:
-    every missing coalition's constraint is implied.  Raises
-    UnboundedPolytopeError when the family polytope is unbounded.  Decided
-    by balanced collections of the family, one `linalg.vertex_clause`
-    program each: the polytope is empty iff one sums above v(N), and a
-    missing x(T) >= v(T) is implied iff one holding T^c, valued
-    v(N) - v(T), reaches v(N) (LP duality over T^c's positive weight)."""
+    the family polytope is nonempty and every missing coalition's
+    constraint is implied.  Decided by balanced collections of the family,
+    one `linalg.vertex_clause` program each, for any family: the polytope
+    is empty iff one sums above v(N), and a missing x(T) >= v(T) is implied
+    iff one holding T^c, valued v(N) - v(T), reaches v(N) (LP duality over
+    T^c's positive weight).  An unbounded family polytope answers False:
+    some x_i is unbounded below on it, so the row x_i >= v(i) is missing
+    and no program implies it."""
     family = set(family)
     n = game.n
     for S in family:
         _check_coalition(S, n)
-    singles = all((1 << i) in family for i in range(n))
-    if not singles and not _family_bounded(family, n):
-        raise UnboundedPolytopeError(
-            "family polytope is unbounded; singletons are missing"
-        )
     V, _ = _scaled_game(game)
     full = full_mask(n)
     G = V[full]
@@ -324,22 +321,6 @@ def is_core_describing(family, game: Game) -> bool:
         linalg.vertex_clause(columns + [[(full ^ T) >> i & 1 for i in range(n)]],
                              costs + [G - V[T]], G, marks)
         for T in range(1, full) if T not in family)
-
-
-def _family_bounded(family, n: int) -> bool:
-    """Is every polytope {x : x(N) = c, x(S) >= b_S for S in family} bounded?
-
-    Its recession cone {y : y(N) = 0, y(S) >= 0 for S in family} is {0}
-    exactly when (a) no y in the cone has some y(S) > 0, which by Stiemke's
-    lemma means the family is balanced (every member lies in a balanced
-    subcollection; the empty family counts as balanced), and (b) no nonzero
-    y has y(N) = 0 and every y(S) = 0, which means the characteristic
-    vectors of the family together with 1_N span R^n.  A family holding
-    every singleton passes both."""
-    family = sorted(family)
-    if _rank01((*family, full_mask(n)), n) < n:
-        return False
-    return not family or check_minimal_balanced(family, n)[0] != NOT_BALANCED
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ vector set Omega built from admissible collection systems.  Cheap necessary
 and sufficient conditions run first: game balancedness, exactness of the
 singletons, the family being core-describing, blocking pairs, and the
 weak-extendability sufficient condition.  The core-describing gate is
-decided by balanced-collection programs (`props.is_core_describing`), so
-only weak extendability, which lists subgame-core vertices, meets the
-dimension cap of the vertex loop.
+decided by balanced-collection programs (`props.is_core_describing`) and
+weak extendability lists the vertices of subgame cores of at most
+`generate.MAX_PLAYERS` - 1 players, so no stage meets the dimension cap of
+the vertex loop.
 
 The second level generalizes balanced collections to balanced sets: finite
 sets of nonnegative vectors whose positive combinations reach the all-ones
@@ -57,7 +58,6 @@ from .model import (
     full_mask,
     members,
 )
-from .polytope import DimensionCapError
 from .props import association_pool
 
 STABLE = "Stable"
@@ -361,14 +361,8 @@ def is_core_stable(game: Game, db: MbcDatabase,
             diagnostics, timings)
 
     extendable_cache: dict[int, bool] = {}
-    try:
-        survivors = [c for c in feasible
-                     if not props.has_min_extendable(c, game, extendable_cache)]
-    except DimensionCapError:
-        mark("weak-extendability")
-        return StabilityReport(
-            UNKNOWN, "weak-extendability",
-            {"reason": "dimension-cap"}, diagnostics, timings)
+    survivors = [c for c in feasible
+                 if not props.has_min_extendable(c, game, extendable_cache)]
     diagnostics["surviving_count"] = len(survivors)
     mark("weak-extendability")
     if not survivors:

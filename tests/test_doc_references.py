@@ -3,10 +3,14 @@
 A reference is a backquoted `module.name` or `mbc.module.name` (call
 arguments after the name allowed) for one of the library modules below, in
 README.md or in a docstring of `src/mbc`.  A renamed or deleted function
-leaves such references behind; this test names each one.  ROADMAP.md and
-CHANGES.md are left out: they name benchmark metrics and earlier code."""
+leaves such references behind; this test names each one.  A backquoted
+bare name ending in `Error` must be a builtin exception or an attribute of
+one of those modules, so a deleted exception type is caught without its
+module prefix.  ROADMAP.md and CHANGES.md are left out: they name benchmark
+metrics and earlier code."""
 
 import ast
+import builtins
 import importlib
 import re
 from pathlib import Path
@@ -17,8 +21,9 @@ import mbc
 
 SRC = Path(mbc.__file__).resolve().parent
 README = SRC.parents[1] / "README.md"
-REFERENCE = re.compile(
-    r"`(?:mbc\.)?(generate|props|stability|linalg|polytope|model|cli)((?:\.\w+)+)")
+MODULES = ("generate", "props", "stability", "linalg", "polytope", "model", "cli")
+REFERENCE = re.compile(rf"`(?:mbc\.)?({'|'.join(MODULES)})((?:\.\w+)+)")
+ERROR_NAME = re.compile(r"`(\w+Error)\b")
 
 
 def _docstrings(path: Path) -> str:
@@ -40,6 +45,13 @@ def _unresolved(text: str) -> list[str]:
     return missing
 
 
+def _unknown_errors(text: str) -> list[str]:
+    modules = [importlib.import_module(f"mbc.{name}") for name in MODULES]
+    return [name for name in ERROR_NAME.findall(text)
+            if not hasattr(builtins, name)
+            and not any(hasattr(module, name) for module in modules)]
+
+
 def test_reference_pattern():
     text = ("`linalg.vertex_clause`, `mbc.model.LineCodec`, "
             "`polytope.LinearSystem(n, grand, rows)`, `generate.MbcDatabase.load`, "
@@ -50,6 +62,11 @@ def test_reference_pattern():
         "`polytope.LinearSystem", "`generate.MbcDatabase.load"]
     assert _unresolved(text) == [
         "linalg.no_such_name", "mbc.generate.MbcDatabase.no_such_method"]
+    errors = ("`ValueError`, `DimensionCapError`, `GameFormatError`, "
+              "`NoSuchError` and `polytope.NoSuchError(...)`")
+    assert ERROR_NAME.findall(errors) == [
+        "ValueError", "DimensionCapError", "GameFormatError", "NoSuchError"]
+    assert _unknown_errors(errors) == ["NoSuchError"]
 
 
 @pytest.mark.parametrize("name", ["README.md"] + sorted(
@@ -57,3 +74,4 @@ def test_reference_pattern():
 def test_doc_references_resolve(name):
     text = README.read_text() if name == "README.md" else _docstrings(SRC / name)
     assert _unresolved(text) == []
+    assert _unknown_errors(text) == []

@@ -510,6 +510,26 @@ def test_database_load_rejects_bad_headers(tmp_path):
     assert MbcDatabase.load(bad).n == 8
 
 
+@pytest.mark.parametrize("header", [
+    "MBCDB 1 4 2",
+    "MBCDB 1 n=2 count=2 foo",
+    "MBCDB 1 n=2 count=2 extra restricted",
+    "MBCDB 1 n=2 count=2 restricted restricted",
+])
+def test_database_load_accepts_only_written_headers(tmp_path, header):
+    # each of these once loaded; only "MBCDB 1 n=<n> count=<k>" and an
+    # optional " restricted" are ever written
+    path = tmp_path / "mbc2.db"
+    peleg(2).save(path)
+    body = path.read_text().split("\n", 1)[1]
+    for good in ("MBCDB 1 n=2 count=2", "MBCDB 1 n=2 count=2 restricted"):
+        path.write_text(f"{good}\n{body}")
+        assert MbcDatabase.load(path).restricted == good.endswith("restricted")
+    path.write_text(f"{header}\n{body}")
+    with pytest.raises(ValueError, match="bad MBCDB header"):
+        MbcDatabase.load(path)
+
+
 def test_streaming_generation_matches_in_memory(tmp_path, db5):
     out = tmp_path / "mbc5.db"
     count = peleg_stream(5, out, shard_lines=200)  # force several shards

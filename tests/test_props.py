@@ -5,9 +5,8 @@ import pytest
 
 from mbc import Game, coalition_mask, peleg
 from mbc.model import full_mask
-from mbc.polytope import LinearSystem, UnboundedPolytopeError, enumerate_vertices
+from mbc.polytope import LinearSystem, enumerate_vertices
 from mbc.props import (
-    _family_bounded,
     BalancedIndex,
     FeasibilityOracle,
     UnbalancedGameError,
@@ -246,6 +245,26 @@ def test_headroom_matches_override_scan_on_seeded_games(n, set_system, count):
         assert effective_set(game, db, index) == effective_reference(game, db)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_singletons_are_strictly_vital_exact(n):
+    # a singleton has no proper nonempty subset, so it is strictly
+    # vital-exact exactly when it is exact; once every singleton is exact,
+    # as `is_core_stable` checks before its core-describing gate, the
+    # family holds every singleton and its polytope is bounded
+    db = peleg(n)
+    singles = {1 << i for i in range(n)}
+    reached = 0
+    for game in _balanced_games(random.Random(2000 + n), n, db, 60):
+        index = BalancedIndex(game, db)
+        family = set(sve_family(game, db, index))
+        for S in singles:
+            assert (S in family) == is_exact(S, game, index)
+        if all(is_exact(S, game, index) for S in singles):
+            reached += 1
+            assert singles <= family
+    assert 0 < reached < 60
+
+
 def test_coalition_in_no_row_has_infinite_headroom():
     # the restricted rows are {1}, {2}, {3} and {1,2}, {3}: no row holds
     # {1,3}, {2,3} or N, so raising any of them keeps the game balanced
@@ -373,10 +392,10 @@ def test_core_describing_four_player_sve(db4, game4):
     assert is_core_describing(sve_family(game4, db4), game4)
 
 
-def test_core_describing_unbounded_error():
+def test_core_describing_unbounded_family_is_false():
+    # x(N) = v(N) and x_1 + x_2 >= v(12) leave x_1 - x_2 free
     game = make_three_player_tight()
-    with pytest.raises(UnboundedPolytopeError):
-        is_core_describing([0b011], game)
+    assert not is_core_describing([0b011], game)
 
 
 def _all_families(n):
@@ -385,44 +404,18 @@ def _all_families(n):
         yield tuple(S for i, S in enumerate(coalitions) if bits >> i & 1)
 
 
-def _random_families(n, count, seed):
-    # at most 20 coalitions: larger families are almost all bounded, and the
-    # Fourier-Motzkin probe slows down with every row
-    rng = random.Random(seed)
-    top = full_mask(n)
-    for _ in range(count):
-        size = rng.randint(0, min(top, 20))
-        yield tuple(sorted(rng.sample(range(1, top + 1), size)))
-
-
-def test_family_boundedness_matches_fourier_motzkin_probe():
-    # every family for n <= 3 (the empty family and families holding N
-    # among them) and 250 seeded families each for n = 4 and 5: balanced and
-    # spanning together with 1_N exactly when the recession cone is {0}
-    families = [(n, family) for n in (1, 2, 3) for family in _all_families(n)]
-    families += [(n, family) for n in (4, 5) for family in _random_families(n, 250, n)]
-    outcomes = set()
-    for n, family in families:
-        system = LinearSystem.family_polytope(Game(n, {}), family)
-        bounded = _family_bounded(family, n)
-        assert bounded == (not family_unbounded_reference(system)), (n, family)
-        outcomes.add((n, bounded))
-    # with one player every family polytope is a point
-    assert outcomes == {(1, True)} | {(n, b) for n in (2, 3, 4, 5) for b in (True, False)}
-
-
-def test_core_describing_raises_exactly_on_unbounded_families():
+def test_core_describing_matches_definition_on_every_three_player_family():
+    # the empty family and families holding N among them; every unbounded
+    # family polytope answers False
     game = make_three_player_tight()
-    raised = 0
+    unbounded = 0
     for family in _all_families(3):
-        system = LinearSystem.family_polytope(game, family)
-        if family_unbounded_reference(system):
-            raised += 1
-            with pytest.raises(UnboundedPolytopeError):
-                is_core_describing(family, game)
-        else:
-            assert is_core_describing(family, game) in (True, False)
-    assert 0 < raised < 128
+        verdict = is_core_describing(family, game)
+        assert verdict == core_describing_definition(family, game), family
+        if family_unbounded_reference(LinearSystem.family_polytope(game, family)):
+            unbounded += 1
+            assert not verdict, family
+    assert 0 < unbounded < 128
 
 
 def _core_describing_cases(n, rng, db, count):
@@ -466,23 +459,22 @@ def _core_describing_cases(n, rng, db, count):
 
 @pytest.mark.parametrize("n, count", [(2, 15), (3, 20), (4, 20), (5, 12), (6, 40)])
 def test_core_describing_matches_definition_on_seeded_pairs(n, count):
-    # for n <= 5 against the definition by Fourier-Motzkin, for n = 6 against
-    # the earlier loop over the vertices of the family polytope; every pair
-    # raises on an unbounded family polytope, exactly as the recession-cone
-    # probe says
+    # for n <= 5 against the definition by Fourier-Motzkin, unbounded family
+    # polytopes included; for n = 6 against the earlier loop over the
+    # vertices of the family polytope, which needs a bounded one, and an
+    # unbounded one (as the recession-cone probe says) must answer False
     db = peleg(n) if n <= 5 else None
-    reference = core_describing_definition if n <= 5 else core_describing_reference
     outcomes = []  # 348 pairs over the five values of n
     for game, family in _core_describing_cases(n, random.Random(1800 + n), db, count):
-        system = LinearSystem.family_polytope(game, family)
-        if family_unbounded_reference(system):
-            with pytest.raises(UnboundedPolytopeError):
-                is_core_describing(family, game)
-            outcomes.append("unbounded")
-            continue
-        expected = reference(family, game)
-        assert is_core_describing(family, game) == expected, (n, game, family)
-        outcomes.append(expected)
+        verdict = is_core_describing(family, game)
+        unbounded = family_unbounded_reference(LinearSystem.family_polytope(game, family))
+        if unbounded:
+            assert not verdict, (n, game, family)
+        if n <= 5:
+            assert verdict == core_describing_definition(family, game), (n, game, family)
+        elif not unbounded:
+            assert verdict == core_describing_reference(family, game), (n, game, family)
+        outcomes.append("unbounded" if unbounded else verdict)
     assert {True, False, "unbounded"} <= set(outcomes)
 
 
