@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import props, stability
-from .generate import MbcDatabase, peleg, peleg_stream
+from .generate import MbcDatabase, peleg, peleg_stream, restriction
 from .model import (
     Game,
     GameFormatError,
@@ -47,8 +47,6 @@ def _parse_set_system(text: str, n: int):
 
 def cmd_generate(args) -> int:
     n = args.players
-    if n < 1:
-        raise CliError("n must be at least 1")
     if n >= 7 and not args.allow_long:
         raise CliError(
             f"n={n} is a long-running generation; pass --allow-long to confirm"
@@ -56,22 +54,23 @@ def cmd_generate(args) -> int:
     set_system = None
     if args.restrict:
         set_system = _parse_set_system(args.restrict, n)
-    if n >= 7 and args.output == "-":
-        raise CliError("n >= 7 streams shards to disk; give a file path")
+    # checked before -o is opened, so a refusal leaves an existing file as it
+    # was; -o is opened before the generation, so a bad path fails at once
+    restriction(n, set_system)
     started = time.monotonic()
-    if n >= 7:
-        count = peleg_stream(n, args.output, set_system=set_system)
-        elapsed = time.monotonic() - started
-        print(f"n={n} count={count}")
+    if args.output == "-":
+        count = peleg_stream(n, sys.stdout, set_system=set_system)
+        report = sys.stderr
     else:
-        db = peleg(n, set_system=set_system)
-        elapsed = time.monotonic() - started
-        if args.output == "-":
-            db.dump(sys.stdout)
-            print(f"n={n} count={len(db)}", file=sys.stderr)
-        else:
-            db.save(args.output)
-            print(f"n={n} count={len(db)}")
+        try:
+            out = open(args.output, "w")
+        except OSError as exc:
+            raise CliError(f"cannot write database: {exc}") from exc
+        with out:
+            count = peleg_stream(n, out, set_system=set_system)
+        report = sys.stdout
+    elapsed = time.monotonic() - started
+    print(f"n={n} count={count}", file=report)
     if args.timings:
         print(f"elapsed={elapsed:.3f}s", file=sys.stderr)
     return 0
@@ -203,12 +202,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stable(args) -> int:
-    game = _load_game(args.game)
-    db = _load_db(args, game)
     caps = stability.StabilityCaps(
         max_systems=args.max_systems,
         time_limit=args.time_limit,
     )
+    game = _load_game(args.game)
+    db = _load_db(args, game)
     report = stability.is_core_stable(game, db, caps)
     payload = {"game": game.digest(), "n": game.n}
     payload.update(report.to_payload(with_timings=args.timings))

@@ -41,8 +41,23 @@ least the rank mod 2 (a minor that is odd is not zero), so a GF(2) rank of
 |U|-1 settles the test, and only a smaller one needs the rational rank.
 
 Every rule emits only minimal balanced collections and together they are
-exhaustive, so after deduplication the output is the complete set.  Each
-rule is coded once: the single-step helpers `apply_case1..4` run the
+exhaustive, and each collection is emitted exactly once, because the child
+names the rule, the parent or pair and the choice that made it.  Let p be
+the new player and remove p from a child's members to get its projection.
+A case-2 child holds {p}; a case-3 child holds both S and S u {p}, for its
+split member S and no other; case-1 and case-4 children hold neither.  A
+case-1 child projects onto its parent, which is minimal balanced, and a
+case-4 child onto the union U, whose characteristic vectors are dependent.
+So the child gives the rule, and then its parent (the projection, with {p}
+dropped or S u {p} folded into S), or its pair: the weight systems on U
+form a segment, whose two endpoints are the only minimal balanced
+collections inside U.  The picked members are those holding p.  The
+generator visits each parent, unordered pair, subset and split member once,
+so no child is emitted twice (the generation raises if one is).  A
+restriction only filters the children: the allowed masks are closed under
+taking subsets, so a kept child's parent or pair was kept the step before.
+
+Each rule is coded once: the single-step helpers `apply_case1..4` run the
 generator's own rule code on one parent or pair and return the child it
 emits with the requested coalitions.  The new player's bit lies above every
 old mask, so each rule emits its children with their masks already in
@@ -56,13 +71,11 @@ parts, so no common factor appears, and case 4 divides out its own.
 from __future__ import annotations
 
 import heapq
-import os
 import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import starmap
 from math import gcd, lcm
 from operator import itemgetter, lt, mul
 
@@ -76,8 +89,8 @@ from .model import (
 from . import linalg
 from .linalg import _echelon
 
-# The generator keys its rows by bytes(masks), so every mask must fit one
-# byte.  No count is known beyond n = 7, and an n = 8 run is out of reach.
+# The most players a database holds: every analysis allocates 2^n values,
+# no count is known beyond n = 7, and an n = 8 run is out of reach.
 MAX_PLAYERS = 8
 
 MINIMAL = "minimal"
@@ -349,31 +362,20 @@ def _merged_pair(a, b, n_old: int):
 
 
 def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
-                    sink=None) -> list[Row]:
-    """One induction step: all minimal balanced collections on n_old+1 players
-    from those on n_old, as canonical rows sorted by masks (the weights of a
-    minimal balanced collection are determined by its coalitions, so rows
-    are deduplicated on the masks).  When `sink` is given, MBCDB lines are
-    pushed there instead (streaming mode) and the returned list is empty.
-    Rows are keyed by bytes(masks), which sorts like the masks while every
-    mask fits one byte (n_old < MAX_PLAYERS).
-    """
+                    emit) -> None:
+    """One induction step: calls emit(masks, nums, den) once for each minimal
+    balanced collection on n_old+1 players, from the canonical rows of those
+    on n_old, in no particular order (see the module docstring for why no
+    collection comes twice).  With `allowed`, only collections whose masks
+    all lie in it are emitted."""
     p_bit = 1 << n_old
-    out: dict[bytes, Row] = {}
     orders = _Memo(_orders)
-
-    if sink is None:
-        def emit(masks, nums, den):
-            # a minimal balanced collection has one weight system, so a
-            # collection emitted twice gives the same canonical row
-            if allowed is None or allowed.issuperset(masks):
-                out[bytes(masks)] = masks, nums, den
-    else:
-        write = LineCodec().write
+    if allowed is not None:
+        emit_any = emit
 
         def emit(masks, nums, den):
-            if allowed is None or allowed.issuperset(masks):
-                sink(write(masks, nums, den))
+            if allowed.issuperset(masks):
+                emit_any(masks, nums, den)
 
     for masks, nums, den in parents:
         _children_123(masks, nums, den, p_bit, orders[len(masks)], emit)
@@ -391,7 +393,6 @@ def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
             pair = _merged_pair(a, forms[ib], n_old)
             if pair is not None:
                 _children_4(*pair, p_bit, orders[len(pair[0])], emit)
-    return [out[key] for key in sorted(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +427,12 @@ class MbcDatabase:
         return i < len(self.rows) and self.rows[i][0] == key
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            self.dump(fh)
-
-    def dump(self, fh) -> None:
+        """Write the rows as an MBCDB file, byte for byte what `peleg_stream`
+        writes for the same collections."""
         write = LineCodec().write
-        fh.write(_header(self.n, len(self.rows), self.restricted) + "\n")
-        for line in sorted(starmap(write, self.rows)):
-            fh.write(line + "\n")
+        with open(path, "w") as fh:
+            _write_db(fh, _header(self.n, len(self.rows), self.restricted),
+                      sorted(write(*row) + "\n" for row in self.rows))
 
     @classmethod
     def load(cls, path) -> "MbcDatabase":
@@ -459,8 +458,7 @@ class MbcDatabase:
                 raise ValueError(f"bad MBCDB header: n={n} out of range")
             top = full_mask(n)
             width = 0
-            codec = LineCodec()
-            read = codec.read
+            read = LineCodec().read
             rows = []
             for lineno, line in enumerate(fh, 2):
                 if line.isspace():
@@ -487,16 +485,34 @@ class MbcDatabase:
                 f"MBCDB count mismatch: header says {count}, file has {len(rows)}"
             )
         rows.sort()
-        for a, b in zip(rows, rows[1:]):
-            if a[0] == b[0]:
-                raise ValueError(f"MBCDB lists a collection twice: {codec.write(*b)!r}")
+        _check_once(rows, "MBCDB lists a collection twice")
         return cls(n, tuple(rows), restricted)
+
+
+def _check_once(rows: list[Row], message: str) -> None:
+    """Raises ValueError with the message and the first of the sorted rows
+    whose masks equal those of the row before it."""
+    for a, b in zip(rows, rows[1:]):
+        if a[0] == b[0]:
+            raise ValueError(f"{message}: {LineCodec().write(*b)!r}")
 
 
 def _header(n: int, count: int, restricted: bool) -> str:
     """The first line of an MBCDB file, without its newline."""
     tail = " restricted" if restricted else ""
     return f"MBCDB 1 n={n} count={count}{tail}"
+
+
+def _write_db(out, header: str, lines) -> None:
+    """Write the header and the lines, sorted and each ending in a newline;
+    raises ValueError, naming the line, when a line comes twice."""
+    out.write(header + "\n")
+    previous = None
+    for line in lines:
+        if line == previous:
+            raise ValueError(f"MBCDB line {line.rstrip()!r} written twice")
+        out.write(line)
+        previous = line
 
 
 def _lanes(width: int, mask: int) -> int:
@@ -533,14 +549,14 @@ def _validate_set_system(set_system, n: int) -> tuple[int, ...]:
     return masks
 
 
-def _restriction(n: int, set_system) -> set[int] | None:
-    """Checks the arguments of a generation on 1..n; returns the masks a
-    restricted run may keep, or None when it is unrestricted."""
+def restriction(n: int, set_system=None) -> set[int] | None:
+    """Checks n (1..MAX_PLAYERS) and the set system of a generation on 1..n,
+    raising ValueError; returns the masks a restricted run may keep, or
+    None when it is unrestricted."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_PLAYERS:
-        raise ValueError(f"n={n} exceeds the generator's {MAX_PLAYERS} players: "
-                         "masks must fit one byte")
+        raise ValueError(f"n={n} exceeds the {MAX_PLAYERS} players a database holds")
     if set_system is None:
         return None
     _validate_set_system(set_system, n)
@@ -548,83 +564,59 @@ def _restriction(n: int, set_system) -> set[int] | None:
 
 
 def _rows_on(players: int, allowed: set[int] | None) -> list[Row]:
-    rows: list[Row] = [((1,), (1,), 1)]
-    if allowed is not None:
-        rows = [row for row in rows if all(m in allowed for m in row[0])]
-    for i in range(1, players):
-        rows = _add_player_raw(rows, i, allowed)
+    """The canonical rows on 1..players, sorted by masks, by induction from
+    the empty collection on no players (case 2 turns it into {{1}})."""
+    rows: list[Row] = [((), (), 1)]
+    for n_old in range(players):
+        children: list[Row] = []
+        _add_player_raw(rows, n_old, allowed, lambda *row: children.append(row))
+        children.sort()
+        _check_once(children, "a collection is emitted twice")
+        rows = children
     return rows
 
 
 def peleg(n: int, set_system=None) -> MbcDatabase:
-    """All minimal balanced collections on 1..n, by induction from n=1.
+    """All minimal balanced collections on 1..n, by induction on the players.
 
     With `set_system`, collections whose coalitions do not all fit inside
     some element of the system are discarded as soon as they appear.
     """
-    allowed = _restriction(n, set_system)
+    allowed = restriction(n, set_system)
     return MbcDatabase(n, tuple(_rows_on(n, allowed)), allowed is not None)
 
 
-def peleg_stream(n: int, out_path, set_system=None, shard_lines: int = 1_000_000) -> int:
-    """Like `peleg`, but the final induction step streams to disk.
+def peleg_stream(n: int, out, set_system=None, shard_lines: int = 1_000_000) -> int:
+    """Like `peleg`, but writes the MBCDB file to the open text file `out`
+    and returns the collection count.  The last step's children become
+    lines as they are emitted, each once, so the header comes first; every
+    `shard_lines` lines are sorted into a temporary file (under `TMPDIR`)
+    and the shards are merged with the lines left in memory.  A collection
+    emitted twice, at any step, raises ValueError."""
+    allowed = restriction(n, set_system)
+    write = LineCodec().write
+    shards = []
+    lines: list[str] = []
 
-    Collections on n-1 players are generated in memory; the children are
-    written to sorted shard files which are then merged with deduplication
-    into the MBCDB file.  Returns the collection count.  This is the n=7
-    path: the output does not fit comfortably in RAM as structured values.
-    The temporary files go where `tempfile` puts them (`TMPDIR`).
-    """
-    if n < 2:
-        raise ValueError("streaming generation needs n >= 2")
-    allowed = _restriction(n, set_system)
-    base = _rows_on(n - 1, allowed)
-
-    shards: list[str] = []
-    buffer: set[str] = set()
-
-    def flush():
-        if not buffer:
-            return
-        fd, path = tempfile.mkstemp(prefix="mbcshard")
-        with os.fdopen(fd, "w") as fh:
-            for line in sorted(buffer):
-                fh.write(line + "\n")
-        shards.append(path)
-        buffer.clear()
-
-    def sink(line: str):
-        buffer.add(line)
-        if len(buffer) >= shard_lines:
-            flush()
+    def emit(masks, nums, den):
+        lines.append(write(masks, nums, den) + "\n")
+        if len(lines) == shard_lines:
+            lines.sort()
+            shard = tempfile.TemporaryFile("w+", prefix="mbcshard")
+            shards.append(shard)
+            shard.writelines(lines)
+            shard.seek(0)
+            lines.clear()
 
     try:
-        _add_player_raw(base, n - 1, allowed, sink=sink)
-        flush()
-        count = 0
-        body_fd, body_path = tempfile.mkstemp(prefix="mbcbody")
-        try:
-            files = [open(path) for path in shards]
-            with os.fdopen(body_fd, "w") as body:
-                previous = None
-                for line in heapq.merge(*files):
-                    if line != previous:
-                        body.write(line)
-                        count += 1
-                        previous = line
-            for fh in files:
-                fh.close()
-            with open(out_path, "w") as out:
-                out.write(_header(n, count, allowed is not None) + "\n")
-                with open(body_path) as body:
-                    for line in body:
-                        out.write(line)
-        finally:
-            os.unlink(body_path)
+        _add_player_raw(_rows_on(n - 1, allowed), n - 1, allowed, emit)
+        count = shard_lines * len(shards) + len(lines)
+        lines.sort()
+        _write_db(out, _header(n, count, allowed is not None),
+                  heapq.merge(*shards, lines))
     finally:
-        for path in shards:
-            if os.path.exists(path):
-                os.unlink(path)
+        for shard in shards:
+            shard.close()
     return count
 
 

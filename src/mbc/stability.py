@@ -68,10 +68,18 @@ UNKNOWN = "Unknown"
 @dataclass
 class StabilityCaps:
     """Resource limits for the nested stage.  Exceeding them yields an
-    Unknown verdict rather than silent truncation."""
+    Unknown verdict rather than silent truncation.  None switches a cap
+    off; a negative cap or a NaN time limit raises ValueError."""
 
     max_systems: int | None = 20_000
     time_limit: float | None = 600.0
+
+    def __post_init__(self):
+        if self.max_systems is not None and self.max_systems < 0:
+            raise ValueError(f"max_systems must be at least 0, not {self.max_systems}")
+        # `not t >= 0` also holds for NaN, which no deadline comparison passes
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError(f"time_limit must be at least 0, not {self.time_limit}")
 
 
 @dataclass

@@ -19,6 +19,7 @@ from random import Random
 
 from mbc import (
     Game,
+    MbcDatabase,
     WeightedCollection,
     coalition_mask,
     is_balanced_collection,
@@ -29,6 +30,7 @@ from mbc.generate import (
     apply_case2,
     apply_case3,
     apply_case4,
+    peleg_stream,
 )
 from mbc.linalg import RatMatrix, UNIQUE, rank, solve_unique
 from mbc.model import full_mask, members
@@ -81,8 +83,9 @@ def keyset(masks):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_generation_counts():
-    with criterion(1, "collection counts 1,2,6,42,1292,200214 within budget"):
+def test_criterion_1_generation_counts(tmp_path):
+    with criterion(1, "collection counts 1,2,6,42,1292,200214 within budget; "
+                      "saved file = streamed file, loaded back"):
         start = time.monotonic()
         for n, expected in ((1, 1), (2, 2), (3, 6), (4, 42), (5, 1292)):
             assert len(peleg(n)) == expected
@@ -92,6 +95,14 @@ def test_criterion_1_generation_counts():
         assert len(peleg(6)) == 200214
         big = time.monotonic() - start
         assert big < 300.0, f"n=6 took {big:.1f}s"
+        saved, streamed = tmp_path / "saved.db", tmp_path / "streamed.db"
+        for n in (1, 2, 3, 4, 5):
+            db = peleg(n)
+            db.save(saved)
+            with open(streamed, "w") as fh:
+                assert peleg_stream(n, fh) == len(db)
+            assert saved.read_bytes() == streamed.read_bytes()
+            assert MbcDatabase.load(saved).rows == db.rows
 
 
 def test_criterion_2_oracle_equivalence():

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import make_biswas
-from mbc import MbcDatabase, WeightedCollection
+from mbc import MbcDatabase, WeightedCollection, cli, generate, stability
 from mbc.cli import main
 
 FOUR_PLAYER = (
@@ -63,6 +63,62 @@ def test_gen_refuses_long_without_flag(capsys):
     code, _, stderr = run_main(capsys, ["gen", "-n", "7", "-o", "x.db"])
     assert code == 1
     assert "allow-long" in stderr
+
+
+def test_gen_one_player(tmp_path, capsys):
+    out = tmp_path / "mbc1.db"
+    code, stdout, _ = run_main(capsys, ["gen", "-n", "1", "-o", str(out)])
+    assert code == 0 and stdout == "n=1 count=1\n"
+    assert out.read_text() == "MBCDB 1 n=1 count=1\n1:1/1\n"
+    code, stdout, stderr = run_main(capsys, ["gen", "-n", "1", "-o", "-"])
+    assert code == 0 and stderr == "n=1 count=1\n"
+    assert stdout == "MBCDB 1 n=1 count=1\n1:1/1\n"
+
+
+@pytest.mark.parametrize("argv", [["-n", "5"], ["-n", "3", "--restrict", "1,2;2,3;1,3"]])
+def test_gen_stdout_matches_file(tmp_path, capsys, argv):
+    out = tmp_path / "out.db"
+    assert run_main(capsys, ["gen", *argv, "-o", str(out)])[0] == 0
+    code, stdout, _ = run_main(capsys, ["gen", *argv, "-o", "-"])
+    assert code == 0 and stdout == out.read_text()
+
+
+def test_gen_streams_to_stdout_for_every_n(capsys, monkeypatch):
+    # n >= 7 takes the one writer too, so "-o -" is no longer refused there
+    calls = []
+
+    def fake(n, out, set_system=None):
+        calls.append((n, out))
+        return 0
+
+    monkeypatch.setattr(cli, "peleg_stream", fake)
+    code, _, stderr = run_main(capsys, ["gen", "-n", "7", "--allow-long", "-o", "-"])
+    assert code == 0 and stderr == "n=7 count=0\n"
+    assert calls == [(7, sys.stdout)]
+
+
+def test_gen_fails_on_unwritable_output_before_generating(tmp_path, capsys, monkeypatch):
+    def no_generation(*args):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(generate, "_rows_on", no_generation)
+    target = tmp_path / "missing" / "x.db"
+    code, _, stderr = run_main(capsys, ["gen", "-n", "7", "--allow-long", "-o", str(target)])
+    assert code == 1
+    assert "cannot write database" in stderr and not target.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["-n", "0"], "n must be at least 1"),
+    (["-n", "9", "--allow-long"], "n=9 exceeds"),
+    (["-n", "3", "--restrict", "1,2"], "set system does not cover"),
+])
+def test_gen_refusal_leaves_an_existing_output_as_it_was(tmp_path, capsys, argv, message):
+    out = tmp_path / "mbc.db"
+    out.write_text("MBCDB 1 n=1 count=1\n1:1/1\n")
+    code, stdout, stderr = run_main(capsys, ["gen", *argv, "-o", str(out)])
+    assert code == 1 and stdout == "" and message in stderr
+    assert out.read_text() == "MBCDB 1 n=1 count=1\n1:1/1\n"
 
 
 def test_analyze_core_and_sve(game_file, tmp_path, capsys):
@@ -139,6 +195,24 @@ def test_stable_additive_game(tmp_path, capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["verdict"] == "Stable"
+
+
+@pytest.mark.parametrize("option,value,caps", [
+    ("--time-limit", "nan", {"time_limit": float("nan")}),
+    ("--time-limit", "-1", {"time_limit": -1.0}),
+    ("--max-systems", "-3", {"max_systems": -3}),
+])
+def test_stable_rejects_bad_caps(tmp_path, capsys, option, value, caps):
+    # a NaN time limit once switched the cap off, and a negative cap gave
+    # Unknown on every run; zero caps stay allowed
+    with pytest.raises(ValueError, match="must be at least 0"):
+        stability.StabilityCaps(**caps)
+    stability.StabilityCaps(max_systems=0, time_limit=0.0)
+    path = tmp_path / "biswas.game"
+    path.write_text(make_biswas().to_text())
+    code, stdout, stderr = run_main(capsys, ["stable", str(path), option, value])
+    assert code == 1 and stdout == ""
+    assert "must be at least 0" in stderr
 
 
 def test_stable_exit_zero_on_unknown(game_file, tmp_path, capsys):
@@ -232,7 +306,8 @@ def test_analyze_does_not_build_every_collection(tmp_path, capsys, monkeypatch,
     # the scans read the integer rows; building the WeightedCollection view
     # of all 200,214 rows would bring back the time and memory it costs
     db_path = tmp_path / "mbc6.db"
-    db6.save(db_path)
+    with open(db_path, "w") as out:
+        generate.peleg_stream(6, out)
     # the n = 6 file as the benchmark's gen6 workload records it
     assert hashlib.sha256(db_path.read_bytes()).hexdigest() == (
         "d94dd788e7a979495a80f97c275735d2a1bcc8c5804323cde945b5e4abe2aecc")

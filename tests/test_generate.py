@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,11 +6,14 @@ from math import gcd
 
 import pytest
 
+from mbc import generate
 from mbc.generate import (
     BALANCED_NOT_MINIMAL,
     MINIMAL,
     NOT_BALANCED,
     MbcDatabase,
+    _add_player_raw,
+    _allowed_masks,
     _children_4,
     _merged_pair,
     _orders,
@@ -309,6 +313,14 @@ def test_case4_children_match_sign_test_reference(n_old):
 
 EXPECTED_COUNTS = {1: 1, 2: 2, 3: 6, 4: 42, 5: 1292}
 
+RESTRICTED_SYSTEMS = [
+    (3, [0b011, 0b110]),
+    (3, [0b111]),
+    (4, [0b0111, 0b1100, 0b1010]),
+    (4, [0b1111]),
+    (4, [0b0011, 0b1100]),
+]
+
 
 @pytest.mark.parametrize("n,count", sorted(EXPECTED_COUNTS.items()))
 def test_counts(n, count):
@@ -327,11 +339,17 @@ def test_peleg_three_lists_all_six():
     }
 
 
+def _stream(path, n, set_system=None, **kwargs) -> int:
+    """Write the database on n players to path with `peleg_stream`."""
+    with open(path, "w") as out:
+        return peleg_stream(n, out, set_system=set_system, **kwargs)
+
+
 def test_generation_deterministic_bytes(tmp_path):
     paths = []
     for run in (1, 2):
         path = tmp_path / f"run{run}.db"
-        peleg(4).save(path)
+        _stream(path, 4)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
 
@@ -342,6 +360,9 @@ def test_database_save_load_roundtrip(tmp_path, db4):
     text = path.read_text().splitlines()
     assert text[0] == "MBCDB 1 n=4 count=42"
     assert text[1:] == sorted(text[1:])
+    streamed = tmp_path / "streamed4.db"
+    _stream(streamed, 4)
+    assert path.read_bytes() == streamed.read_bytes()
     loaded = MbcDatabase.load(path)
     assert loaded.n == 4 and list(loaded) == list(db4)
     assert loaded == db4
@@ -349,17 +370,17 @@ def test_database_save_load_roundtrip(tmp_path, db4):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_database_rows_roundtrip(tmp_path, n):
-    db = peleg(n)
     path = tmp_path / f"mbc{n}.db"
-    db.save(path)
-    assert MbcDatabase.load(path).rows == db.rows
+    assert _stream(path, n) == len(peleg(n))
+    assert MbcDatabase.load(path).rows == peleg(n).rows
 
 
 def _probe(tmp_path, db, old, new):
-    """Save db with the row `old` replaced by `new`; returns the path and
-    the probed row's file line number."""
+    """Write the generated database on db.n players with the row `old`
+    replaced by `new`; returns the path and the probed row's file line
+    number."""
     path = tmp_path / "probe.db"
-    db.save(path)
+    _stream(path, db.n)
     lines = path.read_text().splitlines()
     lineno = lines.index(old) + 1
     lines[lineno - 1] = new
@@ -453,7 +474,7 @@ def _hybrid_line(db):
 )
 def test_database_load_rejects_bad_row_of_known_items(tmp_path, db4, fault, problem):
     # every item and weight text of the bad line was read on earlier lines
-    db4.save(tmp_path / "db")
+    _stream(tmp_path / "db", 4)
     lines = (tmp_path / "db").read_text().splitlines()
     source = next(line for line in lines[1:] if line.count(" ") >= 2)
     new = fault(db4, source.split())
@@ -469,7 +490,7 @@ def test_database_load_reduces_weights_on_any_line(tmp_path, db4):
     # every other line is written unreduced (2/4 for 1/2, 3/3 for 1/1), so
     # each weight row is read both in its canonical and a scaled form
     path = tmp_path / "scaled.db"
-    db4.save(path)
+    _stream(path, 4)
     lines = path.read_text().splitlines()
     for i in range(1, len(lines), 2):
         k = 2 if i % 4 == 1 else 3
@@ -485,7 +506,7 @@ def test_database_load_reduces_weights_on_any_line(tmp_path, db4):
 
 def test_database_load_accepts_uppercase_hex_and_tabs(tmp_path, db4):
     path = tmp_path / "upper.db"
-    db4.save(path)
+    _stream(path, 4)
     lines = path.read_text().splitlines()
     lines[1:] = [line.upper().replace(" ", "\t") for line in lines[1:]]
     assert any(c in "ABCDEF" for c in "".join(lines[1:]))
@@ -520,7 +541,7 @@ def test_database_load_accepts_only_written_headers(tmp_path, header):
     # each of these once loaded; only "MBCDB 1 n=<n> count=<k>" and an
     # optional " restricted" are ever written
     path = tmp_path / "mbc2.db"
-    peleg(2).save(path)
+    _stream(path, 2)
     body = path.read_text().split("\n", 1)[1]
     for good in ("MBCDB 1 n=2 count=2", "MBCDB 1 n=2 count=2 restricted"):
         path.write_text(f"{good}\n{body}")
@@ -531,34 +552,80 @@ def test_database_load_accepts_only_written_headers(tmp_path, header):
 
 
 def test_streaming_generation_matches_in_memory(tmp_path, db5):
+    # several shards merged give the bytes of one in-memory pass
     out = tmp_path / "mbc5.db"
-    count = peleg_stream(5, out, shard_lines=200)  # force several shards
+    count = _stream(out, 5, shard_lines=200)
     assert count == 1292
     assert list(MbcDatabase.load(out)) == list(db5)
     assert MbcDatabase.load(out) == db5
     direct = tmp_path / "direct5.db"
-    db5.save(direct)
+    assert _stream(direct, 5) == count
     assert out.read_bytes() == direct.read_bytes()
 
 
 def test_restricted_streaming_matches_in_memory_bytes(tmp_path):
     system = [0b01111, 0b11110]
     out = tmp_path / "stream.db"
-    count = peleg_stream(5, out, set_system=system, shard_lines=50)
+    count = _stream(out, 5, system, shard_lines=50)
     direct = tmp_path / "direct.db"
-    peleg(5, set_system=system).save(direct)
+    assert _stream(direct, 5, system) == count
     assert count == len(direct.read_text().splitlines()) - 1 > 50
     assert out.read_bytes() == direct.read_bytes()
+    assert MbcDatabase.load(out).rows == peleg(5, set_system=system).rows
 
 
-def test_generation_is_limited_to_masks_of_one_byte(tmp_path):
-    # rows are keyed by the bytes of their masks
-    with pytest.raises(ValueError, match="one byte"):
+def test_generation_is_limited_to_max_players(tmp_path):
+    # a database holds at most MAX_PLAYERS players
+    with pytest.raises(ValueError, match="exceeds the 8 players"):
         peleg(9)
     out = tmp_path / "mbc9.db"
-    with pytest.raises(ValueError, match="one byte"):
-        peleg_stream(9, out)
-    assert not out.exists()
+    with pytest.raises(ValueError, match="exceeds the 8 players"):
+        _stream(out, 9)
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("n,system", [(5, None), *RESTRICTED_SYSTEMS])
+def test_each_collection_is_emitted_once(n, system):
+    # the contract the writer relies on: at every step up to 4 -> 5, and
+    # under restrictions, the emitted children are as many as the distinct ones
+    allowed = None if system is None else _allowed_masks(system, n)
+    rows = list(peleg(1).rows)
+    for n_old in range(1, n):
+        emitted = []
+        _add_player_raw(rows, n_old, allowed, lambda *row: emitted.append(row))
+        assert len(emitted) == len({masks for masks, _, _ in emitted})
+        rows = sorted(emitted)
+    assert rows == list(peleg(n, set_system=system).rows)
+
+
+def _emit_cases_123_twice_on_the_step_to_3(monkeypatch):
+    children_123 = generate._children_123
+
+    def twice(masks, nums, den, p_bit, orders, emit):
+        def emit_twice(*row):
+            emit(*row)
+            emit(*row)
+        children_123(masks, nums, den, p_bit, orders, emit_twice if p_bit == 4 else emit)
+
+    monkeypatch.setattr(generate, "_children_123", twice)
+
+
+@pytest.mark.parametrize("shard_lines", [1, 1_000_000])
+def test_streaming_refuses_a_collection_emitted_twice(tmp_path, monkeypatch, shard_lines):
+    _emit_cases_123_twice_on_the_step_to_3(monkeypatch)
+    with pytest.raises(ValueError, match=r"MBCDB line '1:1/1 2:1/1 4:1/1' written twice"):
+        _stream(tmp_path / "mbc3.db", 3, shard_lines=shard_lines)
+
+
+def test_peleg_refuses_a_collection_emitted_twice(monkeypatch):
+    # the in-memory rows feed `mbc analyze` without a file, and
+    # `MbcDatabase.contains` assumes their masks are distinct
+    _emit_cases_123_twice_on_the_step_to_3(monkeypatch)
+    with pytest.raises(ValueError, match=r"emitted twice: '1:1/1 2:1/1 4:1/1'"):
+        peleg(3)
+    # and the steps before the last one of a streamed run
+    with pytest.raises(ValueError, match=r"emitted twice: '1:1/1 2:1/1 4:1/1'"):
+        peleg_stream(4, io.StringIO())
 
 
 def test_peleg_argument_errors():
@@ -580,16 +647,7 @@ def restricted_reference(n, system):
     return keep
 
 
-@pytest.mark.parametrize(
-    "n,system",
-    [
-        (3, [0b011, 0b110]),
-        (3, [0b111]),
-        (4, [0b0111, 0b1100, 0b1010]),
-        (4, [0b1111]),
-        (4, [0b0011, 0b1100]),
-    ],
-)
+@pytest.mark.parametrize("n,system", RESTRICTED_SYSTEMS)
 def test_restricted_generation_matches_brute_force(n, system):
     got = list(peleg(n, set_system=system))
     assert got == restricted_reference(n, system)
@@ -599,10 +657,9 @@ def test_restricted_generation_matches_brute_force(n, system):
 
 
 def test_restricted_database_header(tmp_path):
-    db = peleg(3, set_system=[0b111])
-    assert db.restricted
+    assert peleg(3, set_system=[0b111]).restricted
     path = tmp_path / "r.db"
-    db.save(path)
+    _stream(path, 3, [0b111])
     assert path.read_text().startswith("MBCDB 1 n=3 count=")
     assert "restricted" in path.read_text().splitlines()[0]
     assert MbcDatabase.load(path).restricted
