@@ -98,14 +98,9 @@ def _load_db(args, game: Game) -> MbcDatabase:
                 path = candidate
     if path is not None:
         try:
-            db = MbcDatabase.load(path)
+            return MbcDatabase.load(path)
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot load database: {exc}") from exc
-        if db.n != game.n:
-            raise CliError(f"database has n={db.n}, game has n={game.n}")
-        if db.restricted:
-            raise CliError("analysis needs an unrestricted database")
-        return db
     if game.n > 6:
         raise CliError("no database given and in-memory generation is capped at n=6")
     return peleg(game.n)

@@ -135,16 +135,6 @@ def _rank2(masks) -> int:
     return len(basis)
 
 
-def _bits(cover: int) -> list[int]:
-    """The positions, 1-based and ascending, of the set bits of cover."""
-    out = []
-    while cover:
-        low = cover & -cover
-        out.append(low.bit_length())
-        cover ^= low
-    return out
-
-
 def _getter(indices):
     """itemgetter(*indices), returning a tuple for any number of indices."""
     if len(indices) > 1:
@@ -346,7 +336,7 @@ def _merged_pair(a, b, n_old: int):
     None when the union's characteristic rank on n_old players is not one
     below its size."""
     (cover_a, weights_a, den_a), (cover_b, weights_b, den_b) = a, b
-    union_masks = _bits(cover_a | cover_b)
+    union_masks = members(cover_a | cover_b)
     # max(|A|, |B|) <= rank <= |union| - 1 and rank >= the GF(2) rank (see
     # the module docstring)
     size = len(union_masks)

@@ -36,12 +36,10 @@ def members(mask: int) -> list[int]:
     if mask < 0:
         raise ValueError(f"coalition mask {mask} is negative")
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return out
 
 

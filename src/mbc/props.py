@@ -67,9 +67,14 @@ def _first_violated(rows, V, G):
     return None
 
 
-def _require_same_n(game, db: MbcDatabase) -> None:
+def _require_database(game, db: MbcDatabase) -> None:
+    """Raise ValueError unless db holds every minimal balanced collection on
+    the game's players: Bondareva-Shapley and the stability theorem range
+    over all of them, so a restricted database gives no verdict."""
     if game.n != db.n:
         raise ValueError(f"game has n={game.n}, database has n={db.n}")
+    if db.restricted:
+        raise ValueError("analysis needs an unrestricted database")
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +89,13 @@ class BalancedIndex:
     slack[i] = den·G - Σ nums·V for row i: the row is violated when it is
     negative and tight when it is zero.  The headroom of coalition m is the
     least slack[i]/x over the rows i holding m with weight numerator x, kept
-    as the integer pair (hs[m], hx[m]) with 1/0 standing for +∞ (m lies in
-    no row); argmin[m] lists, ascending, the rows attaining it.  Raising
+    as the integer pair (hs[m], hx[m]); the empty mask, in no row, keeps 1/0
+    for +∞.  argmin[m] lists, ascending, the rows attaining it.  Raising
     V[m] by p > 0 keeps every row satisfied iff p·hx[m] <= hs[m], and then
     the rows it makes tight are exactly argmin[m] when equality holds."""
 
     def __init__(self, game: Game, db: MbcDatabase):
-        _require_same_n(game, db)
+        _require_database(game, db)
         self.game = game
         self.db = db
         V, _ = _scaled_game(game)
@@ -152,7 +157,7 @@ def is_balanced_game(game, db: MbcDatabase) -> bool:
     """Bondareva-Shapley: the core is nonempty iff no minimal balanced
     collection pushes the weighted value sum above v(N).  Stops at the first
     violation."""
-    _require_same_n(game, db)
+    _require_database(game, db)
     V, _ = _scaled_game(game)
     return _first_violated(db.rows, V, V[full_mask(game.n)]) is None
 
@@ -160,13 +165,15 @@ def is_balanced_game(game, db: MbcDatabase) -> bool:
 def is_exact(S: int, game: Game, index: BalancedIndex) -> bool:
     """S is exact iff the derived game v^S, which sets the complement of S
     to v(N) - v(S), keeps a nonempty core: its rise p is at most the
-    complement's headroom.  N is exact (p = 0): any core element is
-    efficient."""
+    complement's headroom.  The rise p is never negative in a balanced
+    game: for a proper S it is the slack of the database row {S, S^c}.  N
+    is exact (p = 0, and the empty mask's headroom is +∞): any core
+    element is efficient."""
     _check_coalition(S, game.n)
     index._require_for(game)
     p = index._rise(S)
     comp = index.full ^ S
-    return p <= 0 or p * index.hx[comp] <= index.hs[comp]
+    return p * index.hx[comp] <= index.hs[comp]
 
 
 def effective_set(game: Game, db: MbcDatabase, index: BalancedIndex | None = None):
@@ -186,19 +193,17 @@ def is_strictly_vital_exact(S: int, game: Game, index: BalancedIndex) -> bool:
     nonempty subset of S.  Checked through the effective set of v^S: no tight
     collection of v^S may contain a proper subset of S (S itself excluded).
 
-    When v^S is balanced, its tight rows are the base-tight rows, less
-    those holding S^c when v^S lowers that value (p < 0), plus the argmin
-    rows of S^c when it raises it by exactly the headroom.  A base-tight
-    row cannot hold S^c when p > 0: that headroom is zero."""
+    When v^S is balanced, its tight rows are the base-tight rows plus the
+    argmin rows of S^c when v^S raises that value by exactly its headroom
+    (p >= 0, see `is_exact`).  A base-tight row cannot hold S^c when
+    p > 0: that headroom is zero."""
     if not is_exact(S, game, index):
         return False
     p = index._rise(S)
     comp = index.full ^ S
     rows = index.db.rows
     tight = index.base_tight
-    if p < 0:
-        tight = (i for i in tight if comp not in rows[i][0])
-    elif p > 0 and p * index.hx[comp] == index.hs[comp]:
+    if p > 0 and p * index.hx[comp] == index.hs[comp]:
         tight = chain(tight, index.argmin[comp])
     for i in tight:
         for T in rows[i][0]:
@@ -358,7 +363,7 @@ class FeasibilityOracle:
     """
 
     def __init__(self, game: Game, db: MbcDatabase, family):
-        _require_same_n(game, db)
+        _require_database(game, db)
         self.game = game
         self.db = db
         self.family = tuple(sorted(family))

@@ -69,7 +69,10 @@ UNKNOWN = "Unknown"
 class StabilityCaps:
     """Resource limits for the nested stage.  Exceeding them yields an
     Unknown verdict rather than silent truncation.  None switches a cap
-    off; a negative cap or a NaN time limit raises ValueError."""
+    off; a negative cap or a NaN time limit raises ValueError.  The
+    Unknown witness names the first surviving collection left undecided:
+    one over `max_systems`, or the one the deadline cut short, before or
+    during its systems; never one whose systems all passed."""
 
     max_systems: int | None = 20_000
     time_limit: float | None = 600.0
@@ -245,7 +248,7 @@ def nested_balancedness_ok(collection, family, db, game: Game,
     `deadline` (a `time.monotonic()` value) when one is given, else
     caps.time_limit seconds after the call.
     """
-    props._require_same_n(game, db)
+    props._require_database(game, db)
     if caps is None:
         caps = StabilityCaps()
     if deadline is None and caps.time_limit is not None:
@@ -310,7 +313,9 @@ def is_core_stable(game: Game, db: MbcDatabase,
     """Decide core stability, with every early exit of the staged procedure:
     balancedness, singleton exactness, the vital-exact family being
     core-describing, blocking pairs, weak extendability, then the nested
-    balancedness condition region by region."""
+    balancedness condition region by region.  The database must be the
+    unrestricted one on the game's players (ValueError otherwise, from
+    `props.BalancedIndex`)."""
     if caps is None:
         caps = StabilityCaps()
     timings: dict[str, float] = {}
@@ -393,13 +398,11 @@ def is_core_stable(game: Game, db: MbcDatabase,
             mark("nested-balancedness")
             return StabilityReport(
                 NOT_STABLE, "nested-balancedness", detail, diagnostics, timings)
-        if status == "capped" and capped_info is None:
-            capped_info = {"collection": _render_masks(collection), **detail}
-        if deadline is not None and time.monotonic() > deadline:
+        if status == "capped":
             if capped_info is None:
-                capped_info = {"collection": _render_masks(collection),
-                               "reason": "time-cap"}
-            break
+                capped_info = {"collection": _render_masks(collection), **detail}
+            if detail["reason"] == "time-cap":
+                break
     mark("nested-balancedness")
     if capped_info is not None:
         return StabilityReport(UNKNOWN, "nested-balancedness", capped_info,

@@ -149,6 +149,25 @@ def test_analyze_rejects_mismatched_db(game_file, tmp_path, capsys):
     assert "database has n=3" in stderr
 
 
+def test_stable_rejects_mismatched_db(game_file, tmp_path, capsys):
+    db = tmp_path / "mbc3.db"
+    run_main(capsys, ["gen", "-n", "3", "-o", str(db)])
+    code, stdout, stderr = run_main(capsys, ["stable", game_file, "-d", str(db)])
+    assert (code, stdout) == (1, "")
+    assert "database has n=3" in stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "stable"])
+def test_analysis_rejects_restricted_db(command, tmp_path, capsys):
+    game = tmp_path / "additive.game"
+    game.write_text(ADDITIVE3)
+    db = tmp_path / "r.db"
+    run_main(capsys, ["gen", "-n", "3", "-o", str(db), "--restrict", "1,2;2,3"])
+    code, stdout, stderr = run_main(capsys, [command, str(game), "-d", str(db)])
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: analysis needs an unrestricted database\n"
+
+
 def test_analyze_missing_game_file(capsys, tmp_path):
     code, _, stderr = run_main(capsys, ["analyze", str(tmp_path / "none.game")])
     assert code == 1

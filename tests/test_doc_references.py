@@ -7,17 +7,21 @@ leaves such references behind; this test names each one.  A backquoted
 bare name ending in `Error` must be a builtin exception or an attribute of
 one of those modules, so a deleted exception type is caught without its
 module prefix.  ROADMAP.md and CHANGES.md are left out: they name benchmark
-metrics and earlier code."""
+metrics and earlier code.  Every `mbc …` line of the README's CLI block
+must parse with the CLI's own parser, so a renamed or dropped flag fails
+here too."""
 
 import ast
 import builtins
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import mbc
+from mbc import cli
 
 SRC = Path(mbc.__file__).resolve().parent
 README = SRC.parents[1] / "README.md"
@@ -75,3 +79,23 @@ def test_doc_references_resolve(name):
     text = README.read_text() if name == "README.md" else _docstrings(SRC / name)
     assert _unresolved(text) == []
     assert _unknown_errors(text) == []
+
+
+def _readme_cli_lines() -> list[str]:
+    """The `mbc …` lines of the first sh block after the README's CLI
+    heading."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("mbc ")]
+
+
+def test_readme_cli_block_has_commands():
+    assert len(_readme_cli_lines()) >= 6
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_line_parses(line):
+    try:
+        cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+    except SystemExit:
+        pytest.fail(f"the README's CLI line does not parse: {line}")

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from mbc import Game, coalition_mask, peleg
+from mbc import Game, MbcDatabase, coalition_mask, peleg, stability
+from mbc.generate import peleg_stream
 from mbc.model import full_mask
 from mbc.polytope import LinearSystem, enumerate_vertices
 from mbc.props import (
@@ -82,6 +83,44 @@ def test_balancedness_needs_matching_n(db3, game4):
     for check in (is_balanced_game, BalancedIndex):
         with pytest.raises(ValueError, match="n=4.*n=3"):
             check(game4, db3)
+
+
+# Read from the database restricted to its set system, each game would get
+# a verdict that the complete database contradicts: the first is Stable at
+# weak-extendability but would be NotStable at blocking, the second has an
+# empty core but would pass balancedness and stop at core-describing.
+RESTRICTED_CASES = [
+    ([0b011, 0b110], Game(3, {0b001: F(1), 0b011: F(5, 2), 0b100: F(3, 2),
+                              0b101: F(3), 0b110: F(3, 2), 0b111: F(6)}),
+     "weak-extendability"),
+    ([0b011, 0b100], Game(3, {0b011: F(1), 0b101: F(1), 0b110: F(1), 0b111: F(1)}),
+     "balancedness"),
+]
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["peleg", "loaded"])
+@pytest.mark.parametrize("system, game, stage", RESTRICTED_CASES, ids=["stable", "empty-core"])
+def test_analysis_refuses_a_restricted_database(system, game, stage, loaded, tmp_path):
+    db = peleg(3, set_system=system)
+    if loaded:
+        path = tmp_path / "r.db"
+        with open(path, "w") as out:
+            peleg_stream(3, out, set_system=system)
+        db = MbcDatabase.load(path)
+    assert db.restricted
+    family = (0b011,)
+    for call in (lambda: BalancedIndex(game, db),
+                 lambda: is_balanced_game(game, db),
+                 lambda: effective_set(game, db),
+                 lambda: sve_family(game, db),
+                 lambda: exact_coalitions(game, db),
+                 lambda: FeasibilityOracle(game, db, family),
+                 lambda: feasibility_survey(game, db, family),
+                 lambda: stability.nested_balancedness_ok(family, family, db, game),
+                 lambda: stability.is_core_stable(game, db)):
+        with pytest.raises(ValueError, match="analysis needs an unrestricted database"):
+            call()
+    assert stability.is_core_stable(game, peleg(3)).stage == stage
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +265,6 @@ def _balanced_games(rng, n, db, count):
     (3, None, 80),
     (4, None, 140),
     (5, None, 20),
-    # without every complementary pair in the database, v^S may lower the
-    # complement's value, raise it by less than its headroom, or raise a
-    # coalition that lies in no row
-    (3, [0b011, 0b110], 30),
-    (4, [0b0111, 0b1100], 30),
-    (4, [0b0011, 0b0110, 0b1100, 0b1001], 30),
-    (5, [0b01111, 0b11100], 30),
 ])
 def test_headroom_matches_override_scan_on_seeded_games(n, set_system, count):
     db = peleg(n, set_system=set_system)
@@ -263,22 +295,6 @@ def test_exact_singletons_are_strictly_vital_exact(n):
             reached += 1
             assert singles <= family
     assert 0 < reached < 60
-
-
-def test_coalition_in_no_row_has_infinite_headroom():
-    # the restricted rows are {1}, {2}, {3} and {1,2}, {3}: no row holds
-    # {1,3}, {2,3} or N, so raising any of them keeps the game balanced
-    db = peleg(3, set_system=[0b011, 0b100])
-    assert {m for masks, _, _ in db.rows for m in masks} == {0b001, 0b010, 0b011, 0b100}
-    game = Game(3, {0b010: F(-3), 0b011: F(2), 0b100: F(3), 0b111: F(5)})
-    index = BalancedIndex(game, db)
-    assert index.balanced
-    # v^{2} raises v(1,3) from 0 to 8 (the values are integers: D = 1)
-    assert index._rise(0b010) == 8
-    assert (index.hs[0b101], index.hx[0b101]) == (1, 0)
-    assert is_exact(0b010, game, index)
-    assert exact_coalitions(game, db, index) == exact_reference(game, db)
-    assert sve_family(game, db, index) == sve_reference(game, db)
 
 
 def test_override_above_headroom_is_not_exact(db3):

@@ -556,6 +556,38 @@ def test_nested_time_limit_holds_without_deadline(db5, biswas_mod, monkeypatch):
     assert info["reason"] == "time-cap" and info["systems"] >= 1
 
 
+def test_time_cap_names_the_first_survivor_left_unchecked(db5, biswas, monkeypatch):
+    # the clock jumps past the deadline each time a survivor's nested check
+    # returns: the survivor that returned "ok" is decided, and the next one
+    # is cut short before its first system
+    clock = [0.0]
+    monkeypatch.setattr(stability.time, "monotonic", lambda: clock[0])
+    checked = []
+    nested = stability.nested_balancedness_ok
+
+    def then_jump(collection, *args, **kwargs):
+        result = nested(collection, *args, **kwargs)
+        checked.append((collection, result[0]))
+        clock[0] += 1000.0
+        return result
+
+    monkeypatch.setattr(stability, "nested_balancedness_ok", then_jump)
+    report = is_core_stable(biswas, db5, StabilityCaps(max_systems=None, time_limit=10.0))
+    assert checked == [((0b01101,), "ok"), ((0b10101,), "capped")]
+    assert (report.verdict, report.stage) == (UNKNOWN, "nested-balancedness")
+    assert report.witness == {"collection": ["1,3,5"], "reason": "time-cap", "systems": 5}
+
+    # every survivor decided before its own deadline check: the verdict
+    # stands however late the last one returns
+    def ok_then_jump(*args, **kwargs):
+        clock[0] += 1000.0
+        return "ok", None
+
+    monkeypatch.setattr(stability, "nested_balancedness_ok", ok_then_jump)
+    report = is_core_stable(biswas, db5, StabilityCaps(max_systems=None, time_limit=10.0))
+    assert (report.verdict, report.stage) == (STABLE, "nested-balancedness")
+
+
 def test_database_on_other_players_is_rejected(db4, db5, biswas):
     # the rows of a 4-player database say nothing about a 5-player game,
     # yet scanning them gives an answer; both entry points must refuse
