@@ -35,13 +35,13 @@ class CliError(Exception):
 
 
 def _parse_set_system(text: str, n: int):
+    """The coalitions of a semicolon-separated list; `restriction` refuses
+    an empty one."""
     masks = []
     for part in text.split(";"):
         part = part.strip()
         if part:
             masks.append(parse_coalition_key(part, n))
-    if not masks:
-        raise CliError("empty set system")
     return masks
 
 
@@ -52,7 +52,7 @@ def cmd_generate(args) -> int:
             f"n={n} is a long-running generation; pass --allow-long to confirm"
         )
     set_system = None
-    if args.restrict:
+    if args.restrict is not None:
         set_system = _parse_set_system(args.restrict, n)
     # checked before -o is opened, so a refusal leaves an existing file as it
     # was; -o is opened before the generation, so a bad path fails at once
@@ -132,11 +132,15 @@ def cmd_analyze(args) -> int:
     }
     timings = {}
     balanced = index.balanced
-    family = None
     extendable_cache: dict[int, bool] = {}
+    # a check's time runs from the end of the one before, so the first
+    # check also carries the family that sve, extendable and feasible share
+    started = time.monotonic()
+    family = None
+    if balanced and not {"sve", "extendable", "feasible"}.isdisjoint(checks):
+        family = props.sve_family(game, db, index)
 
     for check in checks:
-        started = time.monotonic()
         if check == "core":
             witness = None if balanced else index.witness().to_payload()
             report["results"]["core"] = {
@@ -154,12 +158,8 @@ def cmd_analyze(args) -> int:
                 "coalitions": _mask_list(props.effective_set(game, db, index))
             }
         elif check == "sve":
-            if family is None:
-                family = props.sve_family(game, db, index)
             report["results"]["sve"] = {"coalitions": _mask_list(family)}
         elif check == "extendable":
-            if family is None:
-                family = props.sve_family(game, db, index)
             for S in family:
                 if S not in extendable_cache:
                     extendable_cache[S] = props.is_extendable(S, game)
@@ -170,8 +170,6 @@ def cmd_analyze(args) -> int:
                 ),
             }
         elif check == "feasible":
-            if family is None:
-                family = props.sve_family(game, db, index)
             survey = props.feasibility_survey(game, db, family, extendable_cache)
             report["results"]["feasible"] = {
                 "family": _mask_list(family),
@@ -188,7 +186,9 @@ def cmd_analyze(args) -> int:
                     1 for r in survey if not r.has_min_extendable
                 ),
             }
-        timings[check] = round(time.monotonic() - started, 6)
+        now = time.monotonic()
+        timings[check] = round(now - started, 6)
+        started = now
     if args.timings:
         report["timings"] = timings
     json.dump(report, sys.stdout)

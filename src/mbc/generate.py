@@ -83,6 +83,7 @@ from .model import (
     LineCodec,
     WeightedCollection,
     _Memo,
+    check_coalition,
     full_mask,
     members,
 )
@@ -576,11 +577,15 @@ def peleg(n: int, set_system=None) -> MbcDatabase:
     return MbcDatabase(n, tuple(_rows_on(n, allowed)), allowed is not None)
 
 
-def peleg_stream(n: int, out, set_system=None, shard_lines: int = 1_000_000) -> int:
+# lines `peleg_stream` holds in memory before it sorts them into a shard
+SHARD_LINES = 1_000_000
+
+
+def peleg_stream(n: int, out, set_system=None) -> int:
     """Like `peleg`, but writes the MBCDB file to the open text file `out`
     and returns the collection count.  The last step's children become
     lines as they are emitted, each once, so the header comes first; every
-    `shard_lines` lines are sorted into a temporary file (under `TMPDIR`)
+    `SHARD_LINES` lines are sorted into a temporary file (under `TMPDIR`)
     and the shards are merged with the lines left in memory.  A collection
     emitted twice, at any step, raises ValueError."""
     allowed = restriction(n, set_system)
@@ -590,7 +595,7 @@ def peleg_stream(n: int, out, set_system=None, shard_lines: int = 1_000_000) -> 
 
     def emit(masks, nums, den):
         lines.append(write(masks, nums, den) + "\n")
-        if len(lines) == shard_lines:
+        if len(lines) == SHARD_LINES:
             lines.sort()
             shard = tempfile.TemporaryFile("w+", prefix="mbcshard")
             shards.append(shard)
@@ -600,7 +605,7 @@ def peleg_stream(n: int, out, set_system=None, shard_lines: int = 1_000_000) -> 
 
     try:
         _add_player_raw(_rows_on(n - 1, allowed), n - 1, allowed, emit)
-        count = shard_lines * len(shards) + len(lines)
+        count = SHARD_LINES * len(shards) + len(lines)
         lines.sort()
         _write_db(out, _header(n, count, allowed is not None),
                   heapq.merge(*shards, lines))
@@ -621,10 +626,8 @@ def _checked_masks(masks, n: int) -> tuple[int, ...]:
     masks = tuple(masks)
     if not masks:
         raise ValueError("empty collection")
-    top = full_mask(n)
     for m in masks:
-        if not 0 < m <= top:
-            raise ValueError(f"coalition {m:#x} out of range for n={n}")
+        check_coalition(m, n)
     if len(set(masks)) != len(masks):
         raise ValueError("duplicate coalitions")
     return tuple(sorted(masks))

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .model import scaled
+
 UNIQUE = "unique"
 NO_SOLUTION = "no_solution"
 NON_UNIQUE = "non_unique"
@@ -71,13 +73,7 @@ def _as_rows(matrix) -> list[list[Fraction]]:
 
 def _int_rows(matrix) -> list[list[int]]:
     """Clear denominators row by row (rank and solutions are unaffected)."""
-    out = []
-    for row in _as_rows(matrix):
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
-    return out
+    return [scaled(row)[0] for row in _as_rows(matrix)]
 
 
 def _reduce_row(row: list[int]) -> None:
@@ -95,9 +91,7 @@ def primitive(values) -> tuple[list[int], Fraction]:
     """(r, s): the rationals `values` times the positive scale s, where r is
     an integer vector with gcd 1 (all zeros, with s = 1, for a zero vector).
     A positive scale keeps every sign, so it keeps inequalities a.x >= b."""
-    values = [Fraction(x) for x in values]
-    den = lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (den // x.denominator) for x in values]
+    ints, den = scaled(values)
     g = gcd(*ints) or 1
     return [x // g for x in ints], Fraction(den, g)
 
@@ -235,8 +229,6 @@ def minimal_balanced_sets(vectors, n: int):
             if weights is not None:
                 results.append((tuple(chosen), tuple(
                     w * scales[j] for w, j in zip(weights, chosen))))
-            return
-        if depth == n:
             return
         for j in range(start, m):
             step = _extend(basis, target, rows[j][depth], n)

@@ -50,6 +50,12 @@ def coalition_mask(players) -> int:
     return mask
 
 
+def check_coalition(mask: int, n: int) -> None:
+    """Raise ValueError unless mask is a coalition of n players, 1..2^n - 1."""
+    if not 0 < mask <= full_mask(n):
+        raise ValueError(f"coalition {mask:#x} out of range for n={n}")
+
+
 def complement(mask: int, n: int) -> int:
     """Bit complement inside 1..n; the full coalition maps to 0 (empty)."""
     return full_mask(n) ^ mask
@@ -96,6 +102,14 @@ def parse_number(text: str) -> Fraction:
     if _DECIMAL_RE.match(text):
         return Fraction(text)
     raise GameFormatError(f"unparsable number {text!r}")
+
+
+def scaled(values) -> tuple[list[int], int]:
+    """A sequence of rationals (or ints) over their least common denominator
+    D: ([v·D, ...], D).  Each v is read in lowest terms, so gcd(D, *ints) is
+    1.  The library's one step from rationals to integers."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def format_value(value: Fraction) -> str:
@@ -157,9 +171,8 @@ class WeightedCollection:
     def to_row(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """The integer row (masks, nums, den): den is the least common
         denominator of the weights and weight i is nums[i]/den."""
-        den = lcm(*(w.denominator for w in self.weights))
-        return self.coalitions, tuple(w.numerator * (den // w.denominator)
-                                      for w in self.weights), den
+        nums, den = scaled(self.weights)
+        return self.coalitions, tuple(nums), den
 
     def to_payload(self) -> dict:
         """The report form: coalition keys and canonical weights."""
@@ -201,13 +214,10 @@ def _canonical_weights(texts) -> tuple[tuple[int, ...], int, int]:
     """Weight texts ``num/den`` -> (nums, den, sum(nums)) over the least
     common denominator, in lowest terms."""
     pairs = [tuple(map(int, text.split("/"))) for text in texts]
-    den = lcm(*(d for _, d in pairs))
-    if not den:
+    if not all(d for _, d in pairs):
         raise ValueError("zero denominator")
-    nums = [x * (den // d) for x, d in pairs]
-    g = gcd(den, *nums)
-    nums = tuple(x // g for x in nums)
-    return nums, den // g, sum(nums)
+    nums, den = scaled([Fraction(x, d) for x, d in pairs])
+    return tuple(nums), den, sum(nums)
 
 
 def _line_template(key) -> str:
@@ -266,10 +276,8 @@ class Game:
     def __post_init__(self):
         if not 1 <= self.n <= PLAYER_CAP:
             raise ValueError(f"n must be in 1..{PLAYER_CAP}")
-        top = full_mask(self.n)
         for mask in self.values:
-            if not 0 < mask <= top:
-                raise ValueError(f"coalition mask {mask:#x} out of range for n={self.n}")
+            check_coalition(mask, self.n)
 
     def value(self, mask: int) -> Fraction:
         if mask == 0:
@@ -348,8 +356,6 @@ def parse_game(text: str | bytes) -> Game:
             )
         else:
             raise GameFormatError(f"value for {key!r} must be a number-string")
-        if mask in values:
-            raise GameFormatError(f"duplicate coalition {key!r}")
         if value != 0:
             values[mask] = value
     return Game(n, values)

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from . import linalg
-from .model import full_mask
+from .model import full_mask, scaled
 
 DIM_CAP = 8
 
@@ -70,13 +70,12 @@ def enumerate_vertices(system: LinearSystem):
     n, d = system.n, system.n - 1
     if d > DIM_CAP:
         raise DimensionCapError(f"{d} free variables exceed the cap {DIM_CAP}")
-    scale = lcm(system.grand.denominator, *(b.denominator for _, b in system.rows))
-    G = system.grand.numerator * (scale // system.grand.denominator)
+    (G, *bounds), scale = scaled([system.grand, *(b for _, b in system.rows)])
     rows = []
-    for mask, b in system.rows:
+    for (mask, _), b in zip(system.rows, bounds):
         s1 = mask & 1
         coeffs = [(mask >> j & 1) - s1 for j in range(1, n)]
-        rhs = b.numerator * (scale // b.denominator) - s1 * G
+        rhs = b - s1 * G
         if any(coeffs):
             rows.append((coeffs, rhs))
         elif rhs > 0:

@@ -21,12 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import lcm
 from operator import mul
 
 from . import linalg
 from .generate import MbcDatabase
-from .model import Game, WeightedCollection, complement, full_mask, members
+from .model import (
+    Game,
+    WeightedCollection,
+    check_coalition,
+    complement,
+    full_mask,
+    members,
+    scaled,
+)
 from .polytope import LinearSystem, enumerate_vertices
 
 
@@ -35,25 +42,13 @@ class UnbalancedGameError(ValueError):
     without one."""
 
 
-def _check_coalition(S: int, n: int) -> None:
-    """Raise ValueError unless S is a coalition of n players, 1..2^n - 1."""
-    if not 0 < S <= full_mask(n):
-        raise ValueError(f"coalition {S:#x} out of range for n={n}")
-
-
 # ---------------------------------------------------------------------------
 # integer scans
 
 
-def _scale(values) -> tuple[list[int], int]:
-    """Rationals over their least common denominator D: ([v·D, ...], D)."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _scaled_game(game) -> tuple[list[int], int]:
     """V[mask] = v(mask)·D for every mask of the game (V[0] = 0), and D."""
-    return _scale([game.value(mask) for mask in range(1 << game.n)])
+    return scaled([game.value(mask) for mask in range(1 << game.n)])
 
 
 def _first_violated(rows, V, G):
@@ -169,7 +164,7 @@ def is_exact(S: int, game: Game, index: BalancedIndex) -> bool:
     game: for a proper S it is the slack of the database row {S, S^c}.  N
     is exact (p = 0, and the empty mask's headroom is +∞): any core
     element is efficient."""
-    _check_coalition(S, game.n)
+    check_coalition(S, game.n)
     index._require_for(game)
     p = index._rise(S)
     comp = index.full ^ S
@@ -273,7 +268,7 @@ def is_extendable(S: int, game: Game) -> bool:
     database.
     """
     n = game.n
-    _check_coalition(S, n)
+    check_coalition(S, n)
     if S == full_mask(n):
         return True
     vertices = enumerate_vertices(LinearSystem.subgame_core(game, S))
@@ -287,8 +282,8 @@ def is_extendable(S: int, game: Game) -> bool:
     for vertex in vertices:
         zsum = _payoff_sums(S, dict(zip(keep_players, vertex)))
         costs = [_max_excess(game, t, zsum) for t in coalitions]
-        scaled, _ = _scale([*costs, game.grand_value() - zsum[S]])
-        if linalg.vertex_clause(columns, scaled[:-1], scaled[-1], [False] * len(columns)):
+        (*ints, level), _ = scaled([*costs, game.grand_value() - zsum[S]])
+        if linalg.vertex_clause(columns, ints, level, [False] * len(columns)):
             return False
     return True
 
@@ -310,7 +305,7 @@ def is_core_describing(family, game: Game) -> bool:
     family = set(family)
     n = game.n
     for S in family:
-        _check_coalition(S, n)
+        check_coalition(S, n)
     V, _ = _scaled_game(game)
     full = full_mask(n)
     G = V[full]

@@ -27,7 +27,7 @@ def pytest_terminal_summary(terminalreporter):
             status = "PASS" if ok else "FAIL"
             terminalreporter.write_line(f"criterion {num}: {status} - {label}")
 
-from mbc import Game, coalition_mask, peleg
+from mbc import Game, coalition_mask, parse_game, peleg
 from mbc.model import full_mask, members
 
 
@@ -80,6 +80,13 @@ def make_studeny_kratochvil() -> Game:
         for key in keys:
             values[coalition_mask(int(p) for p in key.split(","))] = Fraction(v)
     return Game(6, values)
+
+
+def make_not_core_describing() -> Game:
+    """A balanced four-player game whose singletons are exact but whose
+    strictly vital-exact family does not describe the core."""
+    return parse_game('{"n":4,"values":{"1,3":"4","1,2,3":"17","4":"3",'
+                      '"1,2,4":"4","1,2,3,4":"20"}}')
 
 
 def make_additive(weights) -> Game:

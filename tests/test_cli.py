@@ -1,11 +1,13 @@
 import hashlib
+import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from conftest import make_biswas
+from conftest import make_biswas, make_not_core_describing
 from mbc import MbcDatabase, WeightedCollection, cli, generate, stability
 from mbc.cli import main
 
@@ -15,6 +17,8 @@ FOUR_PLAYER = (
 )
 
 ADDITIVE3 = '{"n":3,"values":{"1":"1","2":"2","3":"3","1,2":"3","1,3":"4","2,3":"5","1,2,3":"6"}}'
+
+EMPTY_CORE3 = '{"n":3,"values":{"1,2":"1","1,3":"1","2,3":"1","1,2,3":"1"}}'
 
 
 @pytest.fixture()
@@ -112,6 +116,8 @@ def test_gen_fails_on_unwritable_output_before_generating(tmp_path, capsys, monk
     (["-n", "0"], "n must be at least 1"),
     (["-n", "9", "--allow-long"], "n=9 exceeds"),
     (["-n", "3", "--restrict", "1,2"], "set system does not cover"),
+    (["-n", "3", "--restrict", ""], "empty set system"),
+    (["-n", "3", "--restrict", ";"], "empty set system"),
 ])
 def test_gen_refusal_leaves_an_existing_output_as_it_was(tmp_path, capsys, argv, message):
     out = tmp_path / "mbc.db"
@@ -174,6 +180,85 @@ def test_analyze_missing_game_file(capsys, tmp_path):
     assert "cannot read game file" in stderr
 
 
+def test_analyze_reads_the_game_from_stdin(game_file, capsys, monkeypatch):
+    code, from_file, _ = run_main(capsys, ["analyze", game_file, "-c", "core,sve"])
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(FOUR_PLAYER))
+    code, from_stdin, _ = run_main(capsys, ["analyze", "-", "-c", "core,sve"])
+    assert (code, from_stdin) == (0, from_file)
+
+
+def test_malformed_game_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.game"
+    path.write_text('{"n":3,"values":{"1,1":"1"}}')
+    code, stdout, stderr = run_main(capsys, ["analyze", str(path)])
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: bad game file: ")
+
+
+def test_malformed_database_file_exits_one(game_file, tmp_path, capsys):
+    db = tmp_path / "mbc4.db"
+    db.write_text("MBCDB 1 n=4 count=1\n1:1/1 2:1/1\n")
+    code, stdout, stderr = run_main(capsys, ["stable", game_file, "-d", str(db)])
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: cannot load database: ")
+
+
+def test_seven_players_without_database_exit_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MBC_DB_DIR", raising=False)
+    path = tmp_path / "seven.game"
+    path.write_text('{"n":7,"values":{"1,2,3,4,5,6,7":"1"}}')
+    code, stdout, stderr = run_main(capsys, ["analyze", str(path)])
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        "error: no database given and in-memory generation is capped at n=6\n")
+
+
+def test_analyze_unbalanced_game_reports_each_check(tmp_path, capsys):
+    path = tmp_path / "empty-core.game"
+    path.write_text(EMPTY_CORE3)
+    code, stdout, _ = run_main(capsys, ["analyze", str(path), "-c", "core,sve,feasible"])
+    assert code == 0
+    results = json.loads(stdout)["results"]
+    assert results["core"] == {
+        "balanced": False,
+        "violated_collection": {"coalitions": ["1,2", "1,3", "2,3"],
+                                "weights": ["1/2", "1/2", "1/2"]},
+    }
+    assert results["sve"] == results["feasible"] == {"error": "game is not balanced"}
+
+
+def _without_timings(stdout: str) -> tuple[str, list[str]]:
+    """The report printed without its timings, and the timing keys."""
+    report = json.loads(stdout)
+    timings = report.pop("timings")
+    return json.dumps(report) + "\n", list(timings)
+
+
+@pytest.mark.parametrize("argv,keys", [
+    (["stable"], ["balancedness", "singleton-exactness", "vital-exactness",
+                  "core-describing", "feasibility", "blocking"]),
+    (["analyze", "-c", "core,sve,extendable,feasible"],
+     ["core", "sve", "extendable", "feasible"]),
+])
+def test_timings_add_only_a_timings_key(game_file, capsys, argv, keys):
+    code, plain, _ = run_main(capsys, [*argv, game_file])
+    assert code == 0
+    code, timed, _ = run_main(capsys, [*argv, game_file, "--timings"])
+    assert code == 0
+    assert _without_timings(timed) == (plain, keys)
+
+
+def test_gen_timings_go_to_stderr(tmp_path, capsys):
+    plain, timed = tmp_path / "plain.db", tmp_path / "timed.db"
+    code, stdout, stderr = run_main(capsys, ["gen", "-n", "3", "-o", str(plain)])
+    assert (code, stdout, stderr) == (0, "n=3 count=6\n", "")
+    code, stdout, stderr = run_main(capsys, ["gen", "-n", "3", "-o", str(timed), "--timings"])
+    assert (code, stdout) == (0, "n=3 count=6\n")
+    assert re.fullmatch(r"elapsed=[0-9]+\.[0-9]{3}s\n", stderr)
+    assert timed.read_bytes() == plain.read_bytes()
+
+
 def test_analyze_env_db_dir(game_file, tmp_path, capsys, monkeypatch):
     db_dir = tmp_path / "dbs"
     db_dir.mkdir()
@@ -232,6 +317,18 @@ def test_stable_rejects_bad_caps(tmp_path, capsys, option, value, caps):
     code, stdout, stderr = run_main(capsys, ["stable", str(path), option, value])
     assert code == 1 and stdout == ""
     assert "must be at least 0" in stderr
+
+
+def test_stable_family_not_core_describing_report_bytes(tmp_path, capsys):
+    path = tmp_path / "not-describing.game"
+    path.write_text(make_not_core_describing().to_text())
+    code, stdout, _ = run_main(capsys, ["stable", str(path)])
+    assert code == 0
+    assert stdout == (
+        '{"game": "087c90d0ddb46f1a", "n": 4, "verdict": "NotStable", '
+        '"stage": "core-describing", '
+        '"witness": {"family": ["1", "2", "3", "1,3", "1,2,3", "4"]}, '
+        '"diagnostics": {"vital_exact_count": 6}}\n')
 
 
 def test_stable_exit_zero_on_unknown(game_file, tmp_path, capsys):

@@ -339,10 +339,10 @@ def test_peleg_three_lists_all_six():
     }
 
 
-def _stream(path, n, set_system=None, **kwargs) -> int:
+def _stream(path, n, set_system=None) -> int:
     """Write the database on n players to path with `peleg_stream`."""
     with open(path, "w") as out:
-        return peleg_stream(n, out, set_system=set_system, **kwargs)
+        return peleg_stream(n, out, set_system=set_system)
 
 
 def test_generation_deterministic_bytes(tmp_path):
@@ -551,24 +551,25 @@ def test_database_load_accepts_only_written_headers(tmp_path, header):
         MbcDatabase.load(path)
 
 
-def test_streaming_generation_matches_in_memory(tmp_path, db5):
+def test_streaming_generation_matches_in_memory(tmp_path, monkeypatch, db5):
     # several shards merged give the bytes of one in-memory pass
+    direct = tmp_path / "direct5.db"
+    count = _stream(direct, 5)
+    monkeypatch.setattr(generate, "SHARD_LINES", 200)
     out = tmp_path / "mbc5.db"
-    count = _stream(out, 5, shard_lines=200)
-    assert count == 1292
+    assert _stream(out, 5) == count == 1292
     assert list(MbcDatabase.load(out)) == list(db5)
     assert MbcDatabase.load(out) == db5
-    direct = tmp_path / "direct5.db"
-    assert _stream(direct, 5) == count
     assert out.read_bytes() == direct.read_bytes()
 
 
-def test_restricted_streaming_matches_in_memory_bytes(tmp_path):
+def test_restricted_streaming_matches_in_memory_bytes(tmp_path, monkeypatch):
     system = [0b01111, 0b11110]
-    out = tmp_path / "stream.db"
-    count = _stream(out, 5, system, shard_lines=50)
     direct = tmp_path / "direct.db"
-    assert _stream(direct, 5, system) == count
+    count = _stream(direct, 5, system)
+    monkeypatch.setattr(generate, "SHARD_LINES", 50)
+    out = tmp_path / "stream.db"
+    assert _stream(out, 5, system) == count
     assert count == len(direct.read_text().splitlines()) - 1 > 50
     assert out.read_bytes() == direct.read_bytes()
     assert MbcDatabase.load(out).rows == peleg(5, set_system=system).rows
@@ -613,8 +614,9 @@ def _emit_cases_123_twice_on_the_step_to_3(monkeypatch):
 @pytest.mark.parametrize("shard_lines", [1, 1_000_000])
 def test_streaming_refuses_a_collection_emitted_twice(tmp_path, monkeypatch, shard_lines):
     _emit_cases_123_twice_on_the_step_to_3(monkeypatch)
+    monkeypatch.setattr(generate, "SHARD_LINES", shard_lines)
     with pytest.raises(ValueError, match=r"MBCDB line '1:1/1 2:1/1 4:1/1' written twice"):
-        _stream(tmp_path / "mbc3.db", 3, shard_lines=shard_lines)
+        _stream(tmp_path / "mbc3.db", 3)
 
 
 def test_peleg_refuses_a_collection_emitted_twice(monkeypatch):

@@ -528,23 +528,27 @@ def test_feasible_collections_contain_no_balanced_subcollection(db4, game4):
 
 
 def test_feasibility_matches_region_probe_random(db4):
-    rng = random.Random(13)
-    family = tuple(range(1, 15))  # every proper nonempty coalition
-    games = 0
-    while games < 8:
-        values = {mask: F(rng.randint(0, 25), 10) for mask in range(1, 15)}
-        values[15] = F(rng.randint(22, 35), 10)
-        game = Game(4, values)
-        if not is_balanced_game(game, db4):
-            continue
-        games += 1
-        oracle = FeasibilityOracle(game, db4, family)
-        for _ in range(40):
-            size = rng.randint(1, 3)
-            collection = tuple(sorted(rng.sample(family, size)))
-            assert oracle.feasible(collection) == region_nonempty(
-                collection, family, game
-            )
+    # every proper nonempty coalition; then all but {1} and its complement
+    # {2,3,4}, so that the rows holding either of them lie outside the
+    # family and its complements and the oracle must drop them
+    for family in (tuple(range(1, 15)),
+                   tuple(m for m in range(1, 15) if m not in (0b0001, 0b1110))):
+        rng = random.Random(13)
+        games = 0
+        while games < 8:
+            values = {mask: F(rng.randint(0, 25), 10) for mask in range(1, 15)}
+            values[15] = F(rng.randint(22, 35), 10)
+            game = Game(4, values)
+            if not is_balanced_game(game, db4):
+                continue
+            games += 1
+            oracle = FeasibilityOracle(game, db4, family)
+            for _ in range(40):
+                size = rng.randint(1, 3)
+                collection = tuple(sorted(rng.sample(family, size)))
+                assert oracle.feasible(collection) == region_nonempty(
+                    collection, family, game
+                )
 
 
 def test_feasibility_survey_four_player(db4, game4):

@@ -30,11 +30,17 @@ from mbc.stability import (
     omega_base,
     omega_pattern,
 )
-from conftest import make_additive, make_biswas, make_three_player_tight
+from conftest import (
+    make_additive,
+    make_biswas,
+    make_not_core_describing,
+    make_three_player_tight,
+)
 from oracles import (
     admissible_systems,
     brute_nested_system_satisfied,
     check_minimal_balanced_reference,
+    core_describing_definition,
     minimal_balanced_sets_reference,
     nested_clause_reference,
     nested_system_reference,
@@ -617,6 +623,20 @@ def test_core_stable_non_exact_singleton(db3):
     assert report.verdict == NOT_STABLE
     assert report.stage == "singleton-exactness"
     assert report.witness["non_exact_singleton"] == "1"
+
+
+def test_core_stable_family_not_core_describing(db4):
+    # balanced, every singleton exact, and yet the strictly vital-exact
+    # family leaves out a constraint of the core
+    game = make_not_core_describing()
+    report = is_core_stable(game, db4)
+    assert report.verdict == NOT_STABLE
+    assert report.stage == "core-describing"
+    family = ["1", "2", "3", "1,3", "1,2,3", "4"]
+    assert report.witness == {"family": family}
+    assert report.diagnostics == {"vital_exact_count": 6}
+    masks = [coalition_mask(int(p) for p in key.split(",")) for key in family]
+    assert not core_describing_definition(masks, game)
 
 
 def test_core_stable_unknown_under_tight_caps(db5, biswas):
