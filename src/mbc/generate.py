@@ -514,44 +514,30 @@ def _lanes(width: int, mask: int) -> int:
     return sum(1 << (p - 1) * width for p in members(mask))
 
 
-def _allowed_masks(set_system, n: int) -> set[int]:
-    top = full_mask(n)
-    allowed: set[int] = set()
-    for f in set_system:
-        f &= top
-        sub = f
-        while sub:
-            allowed.add(sub)
-            sub = (sub - 1) & f
-    return allowed
-
-
-def _validate_set_system(set_system, n: int) -> tuple[int, ...]:
-    masks = tuple(sorted(set(set_system)))
-    if not masks:
-        raise ValueError("empty set system")
-    cover = 0
-    for m in masks:
-        if not 0 < m < (1 << n):
-            raise ValueError(f"set-system element {m:#x} out of range for n={n}")
-        cover |= m
-    if cover != full_mask(n):
-        raise ValueError("set system does not cover the player set")
-    return masks
-
-
 def restriction(n: int, set_system=None) -> set[int] | None:
     """Checks n (1..MAX_PLAYERS) and the set system of a generation on 1..n,
-    raising ValueError; returns the masks a restricted run may keep, or
-    None when it is unrestricted."""
+    raising ValueError; returns the masks a restricted run may keep (every
+    nonempty subset of an element), or None when it is unrestricted."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_PLAYERS:
         raise ValueError(f"n={n} exceeds the {MAX_PLAYERS} players a database holds")
     if set_system is None:
         return None
-    _validate_set_system(set_system, n)
-    return _allowed_masks(set_system, n)
+    if not set_system:
+        raise ValueError("empty set system")
+    cover = 0
+    allowed: set[int] = set()
+    for f in set_system:
+        check_coalition(f, n)
+        cover |= f
+        sub = f
+        while sub:
+            allowed.add(sub)
+            sub = (sub - 1) & f
+    if cover != full_mask(n):
+        raise ValueError("set system does not cover the player set")
+    return allowed
 
 
 def _rows_on(players: int, allowed: set[int] | None) -> list[Row]:

@@ -13,7 +13,6 @@ from mbc.generate import (
     NOT_BALANCED,
     MbcDatabase,
     _add_player_raw,
-    _allowed_masks,
     _children_4,
     _merged_pair,
     _orders,
@@ -28,6 +27,7 @@ from mbc.generate import (
     is_balanced_collection,
     peleg,
     peleg_stream,
+    restriction,
 )
 from mbc.linalg import RatMatrix, rank
 from mbc.model import LineCodec, WeightedCollection, coalition_mask, full_mask, members
@@ -589,7 +589,7 @@ def test_generation_is_limited_to_max_players(tmp_path):
 def test_each_collection_is_emitted_once(n, system):
     # the contract the writer relies on: at every step up to 4 -> 5, and
     # under restrictions, the emitted children are as many as the distinct ones
-    allowed = None if system is None else _allowed_masks(system, n)
+    allowed = restriction(n, system)
     rows = list(peleg(1).rows)
     for n_old in range(1, n):
         emitted = []
@@ -635,6 +635,9 @@ def test_peleg_argument_errors():
         peleg(0)
     with pytest.raises(ValueError):
         peleg(3, set_system=[0b011])  # does not cover player 3
+    for element in (0, 0b1000):
+        with pytest.raises(ValueError, match=f"coalition {element:#x} out of range for n=3"):
+            peleg(3, set_system=[0b111, element])
 
 
 # ---------------------------------------------------------------------------
