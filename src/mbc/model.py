@@ -104,12 +104,24 @@ def parse_number(text: str) -> Fraction:
     raise GameFormatError(f"unparsable number {text!r}")
 
 
+def scaled_ratios(pairs) -> tuple[list[int], int]:
+    """Integer ratios (num, den), den > 0, over their least common
+    denominator D: ([num·D/den, ...], D).  Each ratio is first reduced to
+    lowest terms, so gcd(D, *ints) is 1.  The library's one step from
+    rationals to integers: `scaled` feeds it Fractions, and a database
+    file's weight rows come here as the integer pairs they are written as."""
+    reduced = []
+    for x, d in pairs:
+        g = gcd(x, d)
+        reduced.append((x // g, d // g))
+    den = lcm(*(d for _, d in reduced))
+    return [x * (den // d) for x, d in reduced], den
+
+
 def scaled(values) -> tuple[list[int], int]:
     """A sequence of rationals (or ints) over their least common denominator
-    D: ([v·D, ...], D).  Each v is read in lowest terms, so gcd(D, *ints) is
-    1.  The library's one step from rationals to integers."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    D: ([v·D, ...], D), with gcd(D, *ints) = 1 (see `scaled_ratios`)."""
+    return scaled_ratios([v.as_integer_ratio() for v in values])
 
 
 def format_value(value: Fraction) -> str:
@@ -216,7 +228,7 @@ def _canonical_weights(texts) -> tuple[tuple[int, ...], int, int]:
     pairs = [tuple(map(int, text.split("/"))) for text in texts]
     if not all(d for _, d in pairs):
         raise ValueError("zero denominator")
-    nums, den = scaled([Fraction(x, d) for x, d in pairs])
+    nums, den = scaled_ratios(pairs)
     return tuple(nums), den, sum(nums)
 
 

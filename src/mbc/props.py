@@ -14,13 +14,20 @@ coalition), so the index keeps per coalition how far that value may rise
 The scans are integer arithmetic: a game is scaled once to a common
 denominator D, and for a database row (masks, nums, den) the inequality
 Σ λ_S v(S) <= v(N) becomes Σ nums·V <= den·G with V = v·D and G = v(N)·D.
+
+Feasible collections are decided as sets rather than one by one: a set of
+subcollections of the family is one integer with bit s for subcollection
+s, each oracle entry removes the subsets it defeats with a few integer
+operations, and the work runs in blocks of 2**BLOCK_BITS subcollections
+sharing their higher family bits.  `feasible_collections` then reads the
+set bits back in (size, lexicographic) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from operator import mul
 
 from . import linalg
@@ -346,6 +353,55 @@ class FeasibleCollectionReport:
     has_min_extendable: bool
 
 
+# Family bits left free in one block of the feasibility pass: a block is the
+# 2**BLOCK_BITS subcollections that agree on every higher family bit, held
+# as one integer of that many bits (8 KiB at 16).
+BLOCK_BITS = 16
+
+
+def _subset_patterns(free: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(IN, OUT, every) for sets of subsets of `free` bits held as one
+    integer, bit s for subset s: IN[i] is the set of subsets holding bit i,
+    OUT[i] the set of those without it, and `every` the set of all.  Made
+    once per pass and shared by its blocks."""
+    size = 1 << free
+    every = (1 << size) - 1
+    ins = []
+    for i in range(free):
+        half = 1 << i
+        # runs of `half` zeros then `half` ones, repeated across the block
+        ins.append(every // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+    return tuple(ins), tuple(every ^ p for p in ins), every
+
+
+def _reaching(hit: int, total: int, touched: bool, level: int, terms,
+              up: int, down: int) -> int:
+    """The subsets of `hit` on which an entry's adjusted sum passes the
+    level: above it, or at it with a violated complement in the subset.
+    `terms` are the entry's complements still undecided, as (weight, IN,
+    OUT), with `up` and `down` the sums of their positive and of their
+    negative weights; `total` and `touched` already count the decided ones.
+    A branch stops as soon as the remaining weights cannot change its
+    outcome."""
+    if total + up < level:
+        return 0
+    if total + down > level or (touched and total + down >= level):
+        return hit
+    if not terms:
+        return 0   # exactly at the level with no violated complement
+    (w, inside, outside), *rest = terms
+    up -= max(w, 0)
+    down -= min(w, 0)
+    out = 0
+    part = hit & inside
+    if part:
+        out = _reaching(part, total + w, True, level, rest, up, down)
+    part = hit & outside
+    if part:
+        out |= _reaching(part, total, touched, level, rest, up, down)
+    return out
+
+
 class FeasibilityOracle:
     """Feasibility of subcollections of a fixed core-describing family.
 
@@ -355,6 +411,13 @@ class FeasibilityOracle:
     database entries living inside family-union-complements can ever matter,
     so they are extracted once and annotated with the family-index bitmasks
     that decide their eligibility per query.
+
+    Subcollections are answered a block at a time (`_feasible_block`): the
+    subcollections sharing the family bits above the block's free bits, as
+    one integer with bit s for the subcollection whose free bits are s.
+    Each entry takes the subsets it defeats out of that set in a few
+    integer operations, so an entry costs the same for one subcollection as
+    for 2**BLOCK_BITS of them.  `feasible` asks a block with no free bits.
     """
 
     def __init__(self, game: Game, db: MbcDatabase, family):
@@ -410,22 +473,71 @@ class FeasibilityOracle:
             if S not in self.findex:
                 raise ValueError("collection must be drawn from the family")
             smask |= 1 << self.findex[S]
+        return self._feasible_block(_subset_patterns(0), smask) == 1
+
+    def _feasible_block(self, patterns, high: int) -> int:
+        """The feasible subcollections among those whose family bits from
+        free = len(IN) up are the bits of `high` (its lower bits clear), as
+        a set: bit s is set when the subcollection with family bits high | s
+        is feasible.  `patterns` is `_subset_patterns(free)`.  The empty
+        subcollection counts like any other."""
+        IN, OUT, alive = patterns
+        low = (1 << len(IN)) - 1
+        fixed = ~(high | low)   # family bits that are outside every subset
         for need, pure, duals, base, level, terms in self.entries:
-            if need & ~smask or pure & smask:
+            if need & fixed or pure & high:
                 continue
-            if duals and any(
-                fmask & smask and not (cmask & smask) for fmask, cmask in duals
-            ):
+            hit = alive
+            bits = need & low
+            while bits:
+                bit = bits & -bits
+                hit &= IN[bit.bit_length() - 1]
+                bits ^= bit
+            bits = pure & low
+            while bits:
+                bit = bits & -bits
+                hit &= OUT[bit.bit_length() - 1]
+                bits ^= bit
+            # a member of the subset whose complement is in the family
+            # and outside the subset keeps the entry out
+            for fmask, cmask in duals:
+                if cmask & high or fmask & fixed:
+                    continue
+                if fmask & high:
+                    hit = hit & IN[cmask.bit_length() - 1] if cmask & low else 0
+                elif cmask & low:
+                    hit &= OUT[fmask.bit_length() - 1] | IN[cmask.bit_length() - 1]
+                else:
+                    hit &= OUT[fmask.bit_length() - 1]
+                if not hit:
+                    break
+            if not hit:
                 continue
             total = base
-            touches = False
+            touched = False
+            open_terms = []
+            # complements of weight zero only decide whether one is
+            # violated, so they branch as one term: any of them inside
+            some, none = 0, alive
             for x, delta, cmask in terms:
-                if cmask & smask:
-                    touches = True
+                if cmask & high:
                     total += x * delta
-            if total > level or (touches and total == level):
-                return False
-        return True
+                    touched = True
+                elif cmask & low:
+                    i = cmask.bit_length() - 1
+                    if x * delta:
+                        open_terms.append((x * delta, IN[i], OUT[i]))
+                    else:
+                        some |= IN[i]
+                        none &= OUT[i]
+            if some:
+                open_terms.append((0, some, none))
+            up = sum(w for w, _, _ in open_terms if w > 0)
+            down = sum(w for w, _, _ in open_terms if w < 0)
+            alive &= ~_reaching(hit, total, touched, level, open_terms, up, down)
+            if not alive:
+                return 0
+        return alive
 
 
 def is_blocking(collection, n: int) -> bool:
@@ -454,11 +566,43 @@ def has_min_extendable(collection, game: Game, cache: dict) -> bool:
 
 def feasible_collections(oracle: FeasibilityOracle):
     """All feasible nonempty subcollections of the oracle's family, by
-    increasing size and lexicographic member order."""
-    for size in range(1, len(oracle.family) + 1):
-        for combo in combinations(oracle.family, size):
-            if oracle.feasible(combo):
-                yield combo
+    increasing size and lexicographic member order (the order of
+    `itertools.combinations` over the sorted family).
+
+    One pass of the oracle's entries per block of 2**BLOCK_BITS
+    subcollections (a single block when the family has at most BLOCK_BITS
+    members); a block stops once nothing in it is left feasible.  The set
+    bits of every block are gathered by size and each size sorted, so the
+    order does not depend on the block size."""
+    for combos in _feasible_by_size(oracle):
+        combos.sort()
+        yield from combos
+
+
+def _feasible_by_size(oracle: FeasibilityOracle) -> list[list[tuple[int, ...]]]:
+    """The feasible nonempty subcollections, unsorted, in one list per
+    size: the set bits of every block, as tuples of family members."""
+    family = oracle.family
+    free = min(len(family), BLOCK_BITS)
+    patterns = _subset_patterns(free)
+    member = {1 << i: S for i, S in enumerate(family)}
+    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(len(family) + 1)]
+    for high in range(0, 1 << len(family), 1 << free):
+        alive = oracle._feasible_block(patterns, high)
+        if high == 0:
+            alive &= ~1   # the empty subcollection
+        digits = bin(alive)[:1:-1]   # digits[s] is bit s
+        s = digits.find("1")
+        while s >= 0:
+            mask = high | s
+            combo = []
+            while mask:
+                bit = mask & -mask
+                combo.append(member[bit])
+                mask ^= bit
+            by_size[len(combo)].append(tuple(combo))
+            s = digits.find("1", s + 1)
+    return by_size
 
 
 def feasibility_survey(game: Game, db: MbcDatabase, family,

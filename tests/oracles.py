@@ -1,7 +1,9 @@
 """Independent oracles used to verify the library's fast paths.
 
 These deliberately avoid the code paths they check: feasibility goes through
-a strict-inequality Fourier-Motzkin probe on the region itself, extendability
+a strict-inequality Fourier-Motzkin probe on the region itself
+(`region_nonempty`), and `feasible_collections_reference` is the library's
+earlier walk of the oracle's entries, one subcollection at a time; extendability
 through exact feasibility of the pinned core system, the boundedness of a
 family polytope through Fourier-Motzkin probes of its recession cone
 (`family_unbounded_reference`, the library's test before it decided
@@ -249,6 +251,43 @@ def region_nonempty(collection, family, game: Game) -> bool:
     strict = [([-((T >> i) & 1) for i in range(n)], -game.value(T))
               for T in family if T in s_set]
     return system_feasible(system, strict)
+
+
+def feasible_reference(oracle, masks) -> bool:
+    """`FeasibilityOracle.feasible` as the library had it before the
+    subset-set pass: build the collection's family-bit mask, then walk the
+    oracle's entries until one defeats it."""
+    smask = 0
+    for S in masks:
+        if S not in oracle.findex:
+            raise ValueError("collection must be drawn from the family")
+        smask |= 1 << oracle.findex[S]
+    for need, pure, duals, base, level, terms in oracle.entries:
+        if need & ~smask or pure & smask:
+            continue
+        if duals and any(
+            fmask & smask and not (cmask & smask) for fmask, cmask in duals
+        ):
+            continue
+        total = base
+        touches = False
+        for x, delta, cmask in terms:
+            if cmask & smask:
+                touches = True
+                total += x * delta
+        if total > level or (touches and total == level):
+            return False
+    return True
+
+
+def feasible_collections_reference(oracle):
+    """Every nonempty subcollection of the oracle's family, by size and then
+    in `combinations` order, walked one at a time through
+    `feasible_reference`."""
+    for size in range(1, len(oracle.family) + 1):
+        for combo in combinations(oracle.family, size):
+            if feasible_reference(oracle, combo):
+                yield combo
 
 
 def extendable_direct(S: int, game: Game) -> bool:

@@ -37,6 +37,7 @@ from mbc.model import full_mask, members
 from mbc.polytope import LinearSystem, enumerate_vertices
 from mbc.props import (
     BalancedIndex,
+    FeasibilityOracle,
     effective_set,
     feasibility_survey,
     is_balanced_game,
@@ -190,6 +191,9 @@ def test_criterion_5_four_player_fixture(db4):
         ]
         recorded = {frozenset({1, 3, 4}), frozenset({1, 2, 3})}
         assert recorded in pairs  # the recorded certificate is reported
+        # and a direct query of its region confirms it feasible
+        assert FeasibilityOracle(game, db4, family).feasible(
+            (MASK([1, 2, 3]), MASK([1, 3, 4])))
         # deterministic first witness under canonical enumeration
         assert report.witness["blocking_pair"] == ["1,2,3", "1,2,4"]
         elapsed = time.monotonic() - start

@@ -4,10 +4,12 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import make_biswas, make_not_core_describing
+import mbc
 from mbc import MbcDatabase, WeightedCollection, cli, generate, stability
 from mbc.cli import main
 
@@ -408,10 +410,13 @@ def test_stable_builds_collections_only_for_its_witness(tmp_path, capsys,
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child finds the package under test whether or not it is installed
+    src = Path(mbc.__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-m", "mbc.cli", "gen", "-n", "2", "-o", "-"],
         capture_output=True,
         text=True,
+        env={"PYTHONPATH": str(src)},
     )
     assert result.returncode == 0
     assert result.stdout.startswith("MBCDB 1 n=2")

@@ -21,6 +21,8 @@ from mbc.model import (
     parse_coalition_key,
     parse_game,
     parse_number,
+    scaled,
+    scaled_ratios,
 )
 
 
@@ -202,6 +204,20 @@ def test_parse_coalition_key_errors():
     with pytest.raises(GameFormatError):
         parse_coalition_key("1,2\n", 3)  # `$` would match before the newline
     assert parse_coalition_key("1,3", 3) == 0b101
+
+
+def test_scaled_ratios_reduce_each_pair_like_fractions():
+    # unreduced pairs, zero numerators and whole numbers, against the
+    # Fraction path: equal integers over the same least common denominator
+    rng = random.Random(5)
+    for _ in range(200):
+        pairs = [(rng.randint(0, 12) * k, rng.randint(1, 12) * k)
+                 for k in (rng.randint(1, 4) for _ in range(rng.randint(1, 6)))]
+        ints, den = scaled_ratios(pairs)
+        assert (ints, den) == scaled([Fraction(x, d) for x, d in pairs])
+        assert [Fraction(x, den) for x in ints] == [Fraction(x, d) for x, d in pairs]
+    assert scaled_ratios([(2, 4), (0, 6), (3, 3)]) == ([1, 0, 2], 2)
+    assert scaled_ratios([]) == ([], 1)
 
 
 def test_format_value():

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from mbc import Game, MbcDatabase, coalition_mask, peleg, stability
+from mbc import Game, MbcDatabase, coalition_mask, parse_game, peleg, props, stability
 from mbc.generate import peleg_stream
 from mbc.model import full_mask
 from mbc.polytope import LinearSystem, enumerate_vertices
@@ -32,6 +33,7 @@ from oracles import (
     exact_reference,
     extendable_direct,
     family_unbounded_reference,
+    feasible_collections_reference,
     region_nonempty,
     sve_reference,
 )
@@ -549,6 +551,90 @@ def test_feasibility_matches_region_probe_random(db4):
                 assert oracle.feasible(collection) == region_nonempty(
                     collection, family, game
                 )
+
+
+def _assert_walk_agrees(game, db, family=None):
+    """The subset-set pass lists the same feasible collections, in the same
+    order, as one walk of the entries per subcollection."""
+    if family is None:
+        family = sve_family(game, db)
+    oracle = FeasibilityOracle(game, db, family)
+    found = list(feasible_collections(oracle))
+    assert found == list(feasible_collections_reference(oracle))
+    return found
+
+
+def _relabelled(game, perm):
+    """The game with player p renamed perm[p - 1]."""
+    def moved(mask):
+        return sum(1 << (perm[i] - 1) for i in range(game.n) if mask >> i & 1)
+    return Game(game.n, {moved(m): v for m, v in game.values.items()})
+
+
+def test_feasible_collections_match_entry_walk_on_fixtures(
+        db4, game4, db5, biswas, biswas_mod, db6, sk_game):
+    counts = [len(_assert_walk_agrees(game, db)) for game, db in (
+        (game4, db4), (biswas, db5), (biswas_mod, db5), (sk_game, db6))]
+    assert counts == [64, 300, 760, 1545]
+    # every distinct relabelling of the Biswas game (the stable5 inputs)
+    games = {}
+    for perm in permutations(range(1, 6)):
+        game = _relabelled(biswas, perm)
+        games[tuple(sorted(game.values.items()))] = game
+    assert len(games) == 20
+    for game in games.values():
+        assert len(_assert_walk_agrees(game, db5)) == 300
+
+
+def test_feasible_collections_match_entry_walk_on_seeded_games(db3, db4, db5):
+    dbs = {3: db3, 4: db4, 5: db5}
+    rng = random.Random(24)
+    sizes = set()
+    games = 0
+    while games < 300:
+        n = rng.randint(3, 5)
+        full = full_mask(n)
+        values = {m: F(rng.randint(0, 9)) for m in range(1, full)
+                  if rng.random() < 0.7}
+        # v(N) at or just above the largest weighted sum of a collection,
+        # so the game is balanced and some collections are tight
+        db = dbs[n]
+        values[full] = max(
+            F(sum(x * values.get(m, 0) for m, x in zip(masks, nums)), den)
+            for masks, nums, den in db.rows) + F(rng.randint(0, 3), rng.randint(1, 4))
+        game = Game(n, values)
+        family = sve_family(game, db)
+        if len(family) > 14:
+            continue
+        games += 1
+        sizes.add(len(family))
+        _assert_walk_agrees(game, db, family)
+    assert len(sizes) >= 8
+
+
+# a nonnegative sum of unanimity games (so convex) whose strictly vital-exact
+# family has 16 members: 65,535 subcollections, 1,371 of them feasible
+CONVEX5 = (
+    '{"n":5,"values":{"1":"4","1,2":"4","3":"2","1,3":"6","2,3":"2",'
+    '"1,2,3":"6","1,4":"5","1,2,4":"9","3,4":"2","1,3,4":"7","2,3,4":"3",'
+    '"1,2,3,4":"12","1,5":"4","1,2,5":"6","3,5":"2","1,3,5":"6","2,3,5":"4",'
+    '"1,2,3,5":"10","1,4,5":"5","1,2,4,5":"11","3,4,5":"5","1,3,4,5":"10",'
+    '"2,3,4,5":"8","1,2,3,4,5":"19"}}')
+
+
+def test_feasible_collections_match_entry_walk_on_convex_game(db5):
+    game = parse_game(CONVEX5)
+    assert len(sve_family(game, db5)) == 16
+    assert len(_assert_walk_agrees(game, db5)) == 1371
+
+
+@pytest.mark.parametrize("bits", [0, 3])
+def test_feasible_collections_across_block_boundaries(db5, biswas_mod, bits,
+                                                      monkeypatch):
+    # a 14-member family over blocks of 2**bits subcollections: 16,384 blocks
+    # of one subcollection each, or 2,048 of eight
+    monkeypatch.setattr(props, "BLOCK_BITS", bits)
+    assert len(_assert_walk_agrees(biswas_mod, db5)) == 760
 
 
 def test_feasibility_survey_four_player(db4, game4):
