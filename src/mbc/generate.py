@@ -80,19 +80,17 @@ from math import gcd, lcm
 from operator import itemgetter, lt, mul
 
 from .model import (
+    MAX_PLAYERS,
     LineCodec,
     WeightedCollection,
     _Memo,
     check_coalition,
     full_mask,
     members,
+    subset_sums,
 )
 from . import linalg
 from .linalg import _echelon
-
-# The most players a database holds: every analysis allocates 2^n values,
-# no count is known beyond n = 7, and an n = 8 run is out of reach.
-MAX_PLAYERS = 8
 
 MINIMAL = "minimal"
 BALANCED_NOT_MINIMAL = "balanced_not_minimal"
@@ -103,14 +101,6 @@ NOT_BALANCED = "not_balanced"
 # MbcDatabase are canonical: gcd(den, *nums) == 1, so equal collections give
 # equal rows whether generated or loaded.
 Row = tuple[tuple[int, ...], tuple[int, ...], int]
-
-
-def _subset_sums(nums) -> list[int]:
-    """sums[I] = the sum of nums[i] over the set bits of I, for all I < 2^k."""
-    sums = [0]
-    for w in nums:
-        sums += [s + w for s in sums]
-    return sums
 
 
 def _rank01(masks, n: int) -> int:
@@ -255,7 +245,7 @@ def _children_123(masks, nums, den, p_bit, orders, emit):
     """Cases 1-3 for one parent; `orders` is `_orders(len(masks))`."""
     with_p = [m | p_bit for m in masks]
     ext = (*masks, *with_p)
-    for I, s in enumerate(_subset_sums(nums)):
+    for I, s in enumerate(subset_sums(nums)):
         if s > den:
             continue
         order, one, low, high = orders[I]

@@ -13,9 +13,14 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 PLAYER_CAP = 32
+
+# The most players a database holds and `Game.scaled` covers: both take 2^n
+# values, no count is known beyond n = 7, and an n = 8 run is out of reach.
+MAX_PLAYERS = 8
 
 
 class GameFormatError(ValueError):
@@ -122,6 +127,14 @@ def scaled(values) -> tuple[list[int], int]:
     """A sequence of rationals (or ints) over their least common denominator
     D: ([v·D, ...], D), with gcd(D, *ints) = 1 (see `scaled_ratios`)."""
     return scaled_ratios([v.as_integer_ratio() for v in values])
+
+
+def subset_sums(nums) -> list[int]:
+    """sums[I] = the sum of nums[i] over the set bits of I, for all I < 2^k."""
+    sums = [0]
+    for w in nums:
+        sums += [s + w for s in sums]
+    return sums
 
 
 def format_value(value: Fraction) -> str:
@@ -292,23 +305,29 @@ class Game:
             check_coalition(mask, self.n)
 
     def value(self, mask: int) -> Fraction:
+        """v(mask); 0 for the empty mask.  ValueError for a mask outside
+        0..2^n - 1, which names a player the game does not have."""
         if mask == 0:
             return Fraction(0)
+        check_coalition(mask, self.n)
         return self.values.get(mask, Fraction(0))
 
     def grand_value(self) -> Fraction:
         return self.value(full_mask(self.n))
 
-    def subgame(self, keep_mask: int) -> "Game":
-        """Restriction to the players of `keep_mask`, relabelled 1..|S| in
-        ascending player order."""
-        players = members(keep_mask)
-        mapping = {p: i + 1 for i, p in enumerate(players)}
-        values: dict[int, Fraction] = {}
-        for mask, v in self.values.items():
-            if mask & ~keep_mask == 0 and v != 0:
-                values[coalition_mask(mapping[p] for p in members(mask))] = v
-        return Game(len(players), values)
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """The game's one integer form (V, D): V[mask] = v(mask)·D for every
+        mask 0..2^n - 1, over the values' least common denominator D.  Made
+        on first use; ValueError for more than MAX_PLAYERS players."""
+        if self.n > MAX_PLAYERS:
+            raise ValueError(
+                f"n={self.n} exceeds the {MAX_PLAYERS} players an integer form covers")
+        V = [0] * (1 << self.n)
+        nums, D = scaled(self.values.values())
+        for mask, x in zip(self.values, nums):
+            V[mask] = x
+        return tuple(V), D
 
     def to_text(self) -> str:
         """Canonical game-file serialization: keys sorted by mask, zero values

@@ -4,14 +4,13 @@ Every polytope here is {x in Q^n : x(N) = c, x(S) >= b_S for each (S, b_S)
 in a row list}: a core, a subgame core or a family polytope.
 `enumerate_vertices` lists its vertices by solving every candidate set of
 tight rows in integers, and every vertex it returns satisfies each row.
-Its one library caller is `props.is_extendable`, on subgame cores, which
-are small enough that the enumeration beats any clever pivoting.  Family
-polytopes, bounded or not, are decided by balanced collections in `props`,
-with no vertex list: `is_core_describing` runs `linalg.vertex_clause`
-programs.  `DIM_CAP` guards direct calls, such as `props.is_extendable`
-on a game of more than ten players; the stability pipeline and the CLI
-work with a database of at most `generate.MAX_PLAYERS` players, so they
-never meet it.
+Its one library caller is `props.is_extendable`, on subgame cores at the
+game's integer scale, which are small enough that the enumeration beats
+any clever pivoting.  Family polytopes, bounded or not, are decided by
+balanced collections in `props`, with no vertex list: `is_core_describing`
+runs `linalg.vertex_clause` programs.  `DIM_CAP` guards direct calls only:
+`model.Game.scaled` covers at most `model.MAX_PLAYERS` players, so the
+subgame cores of `props.is_extendable` never meet it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from itertools import combinations
 from math import gcd
 
 from . import linalg
-from .model import full_mask, scaled
+from .model import check_coalition, full_mask, scaled
 
 DIM_CAP = 8
 
@@ -33,22 +32,23 @@ class DimensionCapError(ValueError):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """{x in Q^n : x(N) = grand, x(S) >= b for each (S, b) in rows}, with S
-    a coalition mask."""
+    """{x in Q^n : x(N) = grand, x(S) >= b for each (S, b) in rows}, with
+    n >= 1 and S a coalition mask in 1..2^n - 1 (ValueError otherwise)."""
 
     n: int
     grand: Fraction
     rows: tuple[tuple[int, Fraction], ...]
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, not {self.n}")
+        for mask, _ in self.rows:
+            check_coalition(mask, self.n)
+
     @classmethod
     def core(cls, game) -> "LinearSystem":
         """C(N,v): x(S) >= v(S) for every proper nonempty S, x(N) = v(N)."""
         return cls.family_polytope(game, range(1, full_mask(game.n)))
-
-    @classmethod
-    def subgame_core(cls, game, keep_mask: int) -> "LinearSystem":
-        """C(S,v) in the coordinates of S's players taken in ascending order."""
-        return cls.core(game.subgame(keep_mask))
 
     @classmethod
     def family_polytope(cls, game, family) -> "LinearSystem":

@@ -11,9 +11,10 @@ derived games only ever move one value (the complement of the studied
 coalition), so the index keeps per coalition how far that value may rise
 (its headroom) and decides a derived game without rescanning.
 
-The scans are integer arithmetic: a game is scaled once to a common
-denominator D, and for a database row (masks, nums, den) the inequality
-Σ λ_S v(S) <= v(N) becomes Σ nums·V <= den·G with V = v·D and G = v(N)·D.
+Everything here is integer arithmetic at the game's one integer form
+`model.Game.scaled`, V = v·D, and G = v(N)·D: for a database row
+(masks, nums, den) the inequality Σ λ_S v(S) <= v(N) becomes
+Σ nums·V <= den·G, and extendability reads subgame cores off V.
 
 Feasible collections are decided as sets rather than one by one: a set of
 subcollections of the family is one integer with bit s for subcollection
@@ -26,7 +27,6 @@ set bits back in (size, lexicographic) order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from operator import mul
 
@@ -40,6 +40,7 @@ from .model import (
     full_mask,
     members,
     scaled,
+    subset_sums,
 )
 from .polytope import LinearSystem, enumerate_vertices
 
@@ -51,11 +52,6 @@ class UnbalancedGameError(ValueError):
 
 # ---------------------------------------------------------------------------
 # integer scans
-
-
-def _scaled_game(game) -> tuple[list[int], int]:
-    """V[mask] = v(mask)·D for every mask of the game (V[0] = 0), and D."""
-    return scaled([game.value(mask) for mask in range(1 << game.n)])
 
 
 def _first_violated(rows, V, G):
@@ -100,7 +96,7 @@ class BalancedIndex:
         _require_database(game, db)
         self.game = game
         self.db = db
-        V, _ = _scaled_game(game)
+        V, _ = game.scaled
         G = V[-1]
         hs = [1] * len(V)
         hx = [0] * len(V)
@@ -160,7 +156,7 @@ def is_balanced_game(game, db: MbcDatabase) -> bool:
     collection pushes the weighted value sum above v(N).  Stops at the first
     violation."""
     _require_database(game, db)
-    V, _ = _scaled_game(game)
+    V, _ = game.scaled
     return _first_violated(db.rows, V, V[full_mask(game.n)]) is None
 
 
@@ -240,25 +236,6 @@ def exact_coalitions(game: Game, db: MbcDatabase, index: BalancedIndex | None = 
 # extendability
 
 
-def _payoff_sums(S: int, fixed: dict[int, Fraction]) -> dict[int, Fraction]:
-    """x(Q) for every submask Q of S under the pinned payoffs, in increasing
-    mask order."""
-    zsum: dict[int, Fraction] = {0: Fraction(0)}
-    q = 0
-    while True:
-        q = (q - S) & S
-        if q == 0:
-            return zsum
-        low = q & -q
-        zsum[q] = zsum[q ^ low] + fixed[low.bit_length()]
-
-
-def _max_excess(game: Game, t: int, zsum: dict[int, Fraction]) -> Fraction:
-    """The reduced-game excess of T: max over the Q of `zsum` of
-    v(T u Q) - x(Q)."""
-    return max(game.value(t | q) - z for q, z in zsum.items())
-
-
 def is_extendable(S: int, game: Game) -> bool:
     """Every subgame-core allocation on S extends to a full core element iff
     every vertex of C(S,v) induces a balanced reduced game on S^c.  An empty
@@ -273,24 +250,37 @@ def is_extendable(S: int, game: Game) -> bool:
     coalitions, so one `linalg.vertex_clause` program per subgame-core
     vertex decides whether some collection sums above the level, with no
     database.
+
+    At the integer form V = v·D: the c-th submask of S is coalition c in
+    S's own coordinates, so D·C(S,v) is read off V.  A vertex D·x is the
+    row (nums, den) with payoff sums X = subset_sums(nums), and the costs
+    V[T u Q]·den - X(Q) and the level are the above times D·den > 0.
     """
     n = game.n
     check_coalition(S, n)
-    if S == full_mask(n):
+    V, _ = game.scaled
+    full = full_mask(n)
+    if S == full:
         return True
-    vertices = enumerate_vertices(LinearSystem.subgame_core(game, S))
+    subs = [0]   # every submask of S, increasing
+    while subs[-1] != S:
+        subs.append((subs[-1] - S) & S)
+    vertices = enumerate_vertices(LinearSystem(
+        S.bit_count(), V[S],
+        tuple((c, V[q]) for c, q in enumerate(subs[1:-1], 1))))
     if not vertices:
         return True
-    outside = complement(S, n)
+    outside = full ^ S
     players = members(outside)
     coalitions = [t for t in range(1, outside + 1) if t & ~outside == 0]
     columns = [[(t >> (p - 1)) & 1 for p in players] for t in coalitions]
-    keep_players = members(S)
+    values = [[V[t | q] for q in subs] for t in coalitions]
+    marks = [False] * len(columns)
     for vertex in vertices:
-        zsum = _payoff_sums(S, dict(zip(keep_players, vertex)))
-        costs = [_max_excess(game, t, zsum) for t in coalitions]
-        (*ints, level), _ = scaled([*costs, game.grand_value() - zsum[S]])
-        if linalg.vertex_clause(columns, ints, level, [False] * len(columns)):
+        nums, den = scaled(vertex)
+        X = subset_sums(nums)
+        costs = [max(v * den - x for v, x in zip(row, X)) for row in values]
+        if linalg.vertex_clause(columns, costs, V[full] * den - X[-1], marks):
             return False
     return True
 
@@ -313,7 +303,7 @@ def is_core_describing(family, game: Game) -> bool:
     n = game.n
     for S in family:
         check_coalition(S, n)
-    V, _ = _scaled_game(game)
+    V, _ = game.scaled
     full = full_mask(n)
     G = V[full]
     order = sorted(family)
@@ -422,8 +412,6 @@ class FeasibilityOracle:
 
     def __init__(self, game: Game, db: MbcDatabase, family):
         _require_database(game, db)
-        self.game = game
-        self.db = db
         self.family = tuple(sorted(family))
         self.n = game.n
         self.findex = {mask: i for i, mask in enumerate(self.family)}
@@ -431,7 +419,7 @@ class FeasibilityOracle:
             complement(S, self.n) for S in self.family
         }
         universe.discard(0)
-        V, _ = _scaled_game(game)
+        V, _ = game.scaled
         G = V[full_mask(self.n)]
         # the one scan of the database; the nested stage reuses the pool
         self.pool = association_pool(db, self.family, self.n)

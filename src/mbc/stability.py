@@ -9,7 +9,7 @@ singletons, the family being core-describing, blocking pairs, and the
 weak-extendability sufficient condition.  The core-describing gate is
 decided by balanced-collection programs (`props.is_core_describing`) and
 weak extendability lists the vertices of subgame cores of at most
-`generate.MAX_PLAYERS` - 1 players, so no stage meets the dimension cap of
+`model.MAX_PLAYERS` - 1 players, so no stage meets the dimension cap of
 the vertex loop.
 
 The second level generalizes balanced collections to balanced sets: finite
@@ -21,11 +21,12 @@ v(N) with a vector of B0 in its support) is decided by linear programs over
 P, with no listing of subsets: maximise ψ, and when the maximum is exactly
 v(N), maximise the B0 weight over the optimal face (`linalg.vertex_clause`).
 The programs run in integers at the game's one scale, with no pass over
-Omega to clear denominators.  The game is scaled once to V = v·D and
-G = v(N)·D (`props._scaled_game`), and the association pool, the
-associated and the admissible collections are database rows.  The pool is
-the one the feasibility oracle keeps from its scan of the database
-(`props.association_pool`), so `is_core_stable` scans the rows once.  An
+Omega to clear denominators: V = v·D and G = v(N)·D come from the game's
+one integer form (`model.Game.scaled`), shared with `props`, and the
+association pool, the associated and the admissible collections are
+database rows.  The pool is the one the feasibility oracle keeps from its
+scan of the database (`props.association_pool`), so `is_core_stable`
+scans the rows once.  An
 Omega vector u/s with a-value a (u an integer vector, s > 0) is the entry
 (u, s, k): the column u with the cost k = a·D·s, since its weight on u is
 w/s.  A complement vector is (1_{S^c}, 1, G − V[S]), a family vector
@@ -259,7 +260,7 @@ def nested_balancedness_ok(collection, family, db, game: Game,
     if diagnostics is None:
         diagnostics = {}
 
-    V, _ = props._scaled_game(game)
+    V, _ = game.scaled
     G = V[full_mask(n)]
     choice_lists = []
     for S in collection:

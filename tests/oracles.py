@@ -294,23 +294,31 @@ def extendable_direct(S: int, game: Game) -> bool:
     """Every vertex of the subgame core extends to a full core element,
     checked by exact feasibility of the pinned core system, written over
     the players of S^c: x(S^c) = v(N) - x(S) and x(T minus S) >= v(T) -
-    x(T and S) for every proper coalition T."""
+    x(T and S) for every proper coalition T not inside S.  The subgame core
+    is built here in the coordinates of S's players taken in ascending
+    order, each player relabelled by its place in `members(S)`."""
     n = game.n
     if S == full_mask(n):
         return True
     inside, outside = members(S), members(complement(S, n))
 
-    def on_outside(T):
-        return sum(1 << i for i, p in enumerate(outside) if T >> (p - 1) & 1)
+    def relabel(T, players):
+        return sum(1 << i for i, p in enumerate(players) if T >> (p - 1) & 1)
 
-    for vertex in enumerate_vertices(LinearSystem.subgame_core(game, S)):
+    subgame_core = LinearSystem(
+        len(inside), game.value(S),
+        tuple((relabel(T, inside), game.value(T))
+              for T in range(1, S) if T & ~S == 0))
+    for vertex in enumerate_vertices(subgame_core):
         def x_of(T):
             return sum(x for p, x in zip(inside, vertex) if T >> (p - 1) & 1)
 
+        # a T inside S pins nothing outside: 0 >= v(T) - x(T) holds at
+        # every subgame-core vertex
         pinned = LinearSystem(
             len(outside), game.grand_value() - x_of(S),
-            tuple((on_outside(T), game.value(T) - x_of(T))
-                  for T in range(1, full_mask(n))))
+            tuple((relabel(T, outside), game.value(T) - x_of(T))
+                  for T in range(1, full_mask(n)) if T & ~S))
         if not system_feasible(pinned):
             return False
     return True

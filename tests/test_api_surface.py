@@ -5,7 +5,9 @@ in `src/mbc` outside its own definition (in its module or another one),
 exported by `mbc/__init__.py`, or imported by `tests/test_acceptance.py`.
 Every public method of a public class must appear as an attribute use in
 `src/mbc` outside its own body, or in `tests/test_acceptance.py`.  A name
-that only tests call belongs in `tests/oracles.py`, or nowhere."""
+that only tests call belongs in `tests/oracles.py`, or nowhere.  The
+analysis modules `props` and `stability` compute in integers, at the
+game's integer form, and import nothing from `fractions`."""
 
 import ast
 from collections import Counter
@@ -71,3 +73,20 @@ def test_every_public_method_has_a_caller():
                         and node.name not in accepted):
                     unused.append(f"{stem}.{cls.name}.{node.name}")
     assert unused == []
+
+
+def test_analysis_modules_do_not_import_fractions():
+    # props and stability work at the game's integer scale; a Fraction
+    # there means a second numeric form of the same game
+    importers = []
+    for stem in ("props", "stability"):
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                importers.append(stem)
+    assert importers == []

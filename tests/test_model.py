@@ -143,12 +143,26 @@ def test_game_digest_stable_under_formatting():
     assert a.digest() == b.digest()
 
 
-def test_subgame_relabels():
-    game = Game(4, {coalition_mask([2, 4]): Fraction(5), coalition_mask([2]): Fraction(1)})
-    sub = game.subgame(coalition_mask([2, 4]))
-    assert sub.n == 2
-    assert sub.value(0b11) == 5
-    assert sub.value(0b01) == 1
+def test_value_rejects_masks_outside_the_game():
+    game = Game(2, {3: 1})
+    assert game.value(0) == 0
+    assert game.value(3) == 1
+    assert game.value(0b10) == 0
+    # a mask naming a third player, or a negative one, is no coalition of
+    # the game, not a coalition of value 0
+    for mask in (0b100, 0b101, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            game.value(mask)
+
+
+def test_scaled_is_the_values_over_their_common_denominator():
+    game = Game(3, {0b001: Fraction(1, 2), 0b110: 2, 0b111: Fraction(3, 4)})
+    V, D = game.scaled
+    assert D == 4
+    assert V == (0, 2, 0, 0, 0, 0, 8, 3)
+    assert all(Fraction(V[m], D) == game.value(m) for m in range(8))
+    assert game.scaled is game.scaled   # made once and kept
+    assert Game(2, {}).scaled == ((0, 0, 0, 0), 1)
 
 
 def test_weighted_collection_validation():
@@ -228,29 +242,21 @@ def test_format_value():
 NEGATIVE_MASK_PROBE = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-from mbc.model import Game, coalition_key
-from mbc.polytope import LinearSystem
-game = Game(3, {7: 1})
-for name, call in (("coalition_key", lambda: coalition_key(-1)),
-                   ("subgame", lambda: game.subgame(-1)),
-                   ("subgame_core", lambda: LinearSystem.subgame_core(game, -1))):
-    try:
-        call()
-    except ValueError as exc:
-        print(name, "ValueError", exc)
+from mbc.model import coalition_key
+try:
+    coalition_key(-1)
+except ValueError as exc:
+    print("ValueError", exc)
 """
 
 
 def test_negative_masks_rejected_before_looping():
     # members(-1) would shift forever (-1 >> 1 == -1) and fill memory, so the
-    # three entry points run in a child process with a memory limit and a
-    # timeout: a regression fails here instead of hanging the suite
+    # entry point runs in a child process with a memory limit and a timeout:
+    # a regression fails here instead of hanging the suite
     src = Path(mbc.__file__).resolve().parents[1]
     result = subprocess.run([sys.executable, "-c", NEGATIVE_MASK_PROBE],
                             capture_output=True, text=True, timeout=60,
                             env={"PYTHONPATH": str(src)})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        f"{name} ValueError coalition mask -1 is negative"
-        for name in ("coalition_key", "subgame", "subgame_core")
-    ]
+    assert result.stdout == "ValueError coalition mask -1 is negative\n"

@@ -44,6 +44,20 @@ def test_empty_polytope_has_no_vertices():
     assert not system_feasible(system)
 
 
+@pytest.mark.parametrize("n,rows", [
+    (2, ((0b100, F(1)),)),    # a third player
+    (2, ((0b101, F(1)),)),    # a third player beside player 1
+    (2, ((-1, F(1)),)),       # every player there is
+    (2, ((0, F(1)),)),        # no player
+    (0, ()),
+    (-1, ()),
+])
+def test_linear_system_rejects_n_and_rows_outside_its_players(n, rows):
+    # such a row used to read as another row, or make the polytope empty
+    with pytest.raises(ValueError):
+        LinearSystem(n, F(1), rows)
+
+
 def test_dimension_cap():
     with pytest.raises(DimensionCapError):
         enumerate_vertices(LinearSystem.core(Game(10, {})))

@@ -6,7 +6,7 @@ import pytest
 
 from mbc import Game, MbcDatabase, coalition_mask, parse_game, peleg, props, stability
 from mbc.generate import peleg_stream
-from mbc.model import full_mask
+from mbc.model import MAX_PLAYERS, full_mask
 from mbc.polytope import LinearSystem, enumerate_vertices
 from mbc.props import (
     BalancedIndex,
@@ -373,18 +373,48 @@ def _seeded_games(rng, n, db, count):
         yield Game(n, values)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_extendability_matches_direct_oracle_on_seeded_games(n):
+@pytest.mark.parametrize("n,count", [(3, 30), (4, 30), (5, 5)], ids=["3", "4", "5"])
+def test_extendability_matches_direct_oracle_on_seeded_games(n, count):
     # every proper coalition, so S^c carries its own excess max over Q of
     # v(S^c u Q) - x(Q) against the level v(N) - x(S) in every game
     rng = random.Random(40 + n)
     seen = {True: 0, False: 0}
-    for game in _seeded_games(rng, n, peleg(n), 30):
+    for game in _seeded_games(rng, n, peleg(n), count):
         for S in range(1, full_mask(n)):
             verdict = is_extendable(S, game)
             assert verdict == extendable_direct(S, game)
             seen[verdict] += 1
     assert seen[True] > 30 and seen[False] > 30
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_coalition_of_a_convex_game_is_extendable(n):
+    # a positive sum of unanimity games is convex, and in a convex game
+    # every core element of a subgame extends to a core element
+    rng = random.Random(60 + n)
+    for _ in range(25):
+        carriers = rng.sample(range(1, full_mask(n) + 1), rng.randint(1, 2 * n))
+        values = {}
+        for T in carriers:
+            c = F(rng.randint(1, 12), rng.randint(1, 4))
+            for S in range(T, full_mask(n) + 1):
+                if S & T == T:
+                    values[S] = values.get(S, 0) + c
+        game = Game(n, values)
+        for S in range(1, full_mask(n) + 1):
+            assert is_extendable(S, game)
+
+
+def test_integer_form_refuses_more_than_max_players():
+    # neither check takes a database, so the game's integer form is where
+    # a game of too many players is refused, before its 2^n values are
+    # allocated (at n = 9 a missing check would build only 512 of them)
+    game = Game(MAX_PLAYERS + 1, {full_mask(MAX_PLAYERS + 1): F(1)})
+    for call in (lambda: game.scaled, lambda: is_extendable(1, game),
+                 lambda: is_core_describing({1}, game)):
+        with pytest.raises(ValueError, match=f"exceeds the {MAX_PLAYERS} players"):
+            call()
+    assert len(Game(MAX_PLAYERS, {}).scaled[0]) == 1 << MAX_PLAYERS
 
 
 def test_four_player_triples_not_extendable(game4):

@@ -12,7 +12,6 @@ from mbc.linalg import is_minimal_balanced_set, minimal_balanced_sets
 from mbc.model import full_mask
 from mbc.props import (
     FeasibilityOracle,
-    _scaled_game,
     feasibility_survey,
     feasible_collections,
     sve_family,
@@ -137,7 +136,7 @@ def test_shared_pattern_vector(db3, monkeypatch):
     monkeypatch.setattr(linalg, "vertex_clause", record_lp)
     for v1 in (F(1, 2), F(3, 2)):
         game = Game(3, {0b001: v1, 0b110: F(1), 0b111: F(2)})
-        V, scale = _scaled_game(game)
+        V, scale = game.scaled
         entry = omega_pattern(S, shared, V, V[0b111], 3)
         assert entry[:2] == (pattern, 1)
         assert _a_value(entry, scale) == F(1)
@@ -154,7 +153,7 @@ def test_shared_pattern_vector(db3, monkeypatch):
 
 def test_a_value_cases():
     game = Game(3, {0b011: F(1), 0b111: F(2), 0b100: F(1, 4), 0b101: F(1, 2)})
-    V, scale = _scaled_game(game)
+    V, scale = game.scaled
     S = 0b011
     family = (S, 0b100, 0b101)
     table, b0 = omega_base((S,), family, V, V[0b111], 3)
