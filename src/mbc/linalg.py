@@ -3,15 +3,18 @@
 Everything here is small (a handful of rows and columns) but must be exact:
 rank decisions and unique-solution tests feed equality-sensitive
 combinatorics, so no floating point appears anywhere.  No kernel or affine
-hull is built: a solve returns the one solution or none.  Elimination
-clears denominators first and then runs fraction-free integer row reduction
-with per-row gcd normalization to keep intermediate entries small.
+hull is built: a solve returns the one solution or none.  Rows are integer
+rows with their denominators cleared, and every combination of two rows is
+one step, `_eliminate`: it clears one column fraction-free and divides the
+result by its gcd, so each row stays a nonzero multiple of its rational
+counterpart at its own scale, with no common denominator.
 
-That elimination is `_echelon`, behind every rank and unique solve:
-`rank` counts its pivots, and `solve_int` decides an integer system
-[A | b] three ways from one echelon form and back-substitutes the unique
-solution; `solve_unique` is its Fraction wrapper.  The depth-first search
-below keeps its own incremental step and the simplex its Bareiss pivot.
+`_echelon` runs that step for every rank and unique solve: `rank` counts
+its pivots, and `solve_int` decides an integer system [A | b] three ways
+from one echelon form and back-substitutes the unique solution with the
+same step; `solve_unique` is its Fraction wrapper.  The depth-first search
+reduces each candidate vector against the chosen ones with it, and the
+simplex pivots with it.
 
 Two decisions over the weight polytope P = {w >= 0 : Σ_j w_j·v_j = 1} of
 finitely many nonnegative vectors v_j live here.  `vertex_clause` decides
@@ -76,17 +79,6 @@ def _int_rows(matrix) -> list[list[int]]:
     return [scaled(row)[0] for row in _as_rows(matrix)]
 
 
-def _reduce_row(row: list[int]) -> None:
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            return
-    if g > 1:
-        for i, x in enumerate(row):
-            row[i] = x // g
-
-
 def primitive(values) -> tuple[list[int], Fraction]:
     """(r, s): the rationals `values` times the positive scale s, where r is
     an integer vector with gcd 1 (all zeros, with s = 1, for a zero vector).
@@ -94,6 +86,17 @@ def primitive(values) -> tuple[list[int], Fraction]:
     ints, den = scaled(values)
     g = gcd(*ints) or 1
     return [x // g for x in ints], Fraction(den, g)
+
+
+def _eliminate(row: list[int], prow: list[int], s: int) -> list[int]:
+    """p·row − row[s]·prow over its gcd, where p = prow[s] ≠ 0: row with
+    column s cleared.  The result is a nonzero multiple of the rational row
+    combination, and a positive multiple when p > 0, so signs, zeros and
+    ratios within a row are those of exact rational elimination."""
+    p, x = prow[s], row[s]
+    out = [p * u - x * v for u, v in zip(row, prow)]
+    g = gcd(*out)
+    return [u // g for u in out] if g > 1 else out
 
 
 def vertex_clause(columns, costs, bound: int, marked) -> bool:
@@ -106,7 +109,9 @@ def vertex_clause(columns, costs, bound: int, marked) -> bool:
     (Bland's rule) in up to three phases: find a vertex (P empty: False),
     maximise the costs, and only when the maximum equals the bound,
     maximise the marked weight over the optimal face (the columns of zero
-    reduced cost).  Costs and bound are integers; no Fraction is built."""
+    reduced cost).  Each tableau row is an integer row, a positive multiple
+    of its rational counterpart, so every exit is the sign of one entry.
+    Costs and bound are integers; no Fraction is built."""
     if not columns:
         return False
     m, n = len(columns), len(columns[0])
@@ -116,10 +121,10 @@ def vertex_clause(columns, costs, bound: int, marked) -> bool:
     # phase 1: one artificial column per row, maximise minus their sum
     tab = [[col[i] for col in columns] + [int(i == k) for k in range(n)] + [1]
            for i in range(n)]
-    tab.append([-sum(col) for col in columns] + [0] * n + [-n])
     basis = list(range(m, m + n))
-    d = _simplex(tab, basis, 1, real)
-    if tab[-1][-1] < 0:
+    tab.append(_objective_row(tab, basis, [0] * m + [-1] * n, 0))
+    _simplex(tab, basis, real)
+    if tab.pop()[-1] < 0:
         return False
     # pivot out the artificials left at level zero; a row with no real
     # entry is a dependent equation and is dropped with its artificial
@@ -127,48 +132,45 @@ def vertex_clause(columns, costs, bound: int, marked) -> bool:
         if b >= m:
             s = next((j for j in real if tab[r][j]), None)
             if s is not None:
-                d = _pivot(tab, basis, d, r, s)
+                _pivot(tab, basis, r, s)
     keep = [r for r, b in enumerate(basis) if b < m]
     tab = [tab[r][:m] + tab[r][-1:] for r in keep]
     basis = [basis[r] for r in keep]
     # phase 2: maximise the costs; the last entry of the objective row is
-    # d times the current value
-    tab.append(_objective_row(tab, basis, d, costs))
-    d = _simplex(tab, basis, d, real)
-    value, target = tab[-1][-1], d * bound
-    if value != target:
-        return value > target
+    # a positive multiple of the current value minus the bound
+    tab.append(_objective_row(tab, basis, costs, bound))
+    _simplex(tab, basis, real)
+    if tab[-1][-1]:
+        return tab[-1][-1] > 0
     # phase 3: maximise the marked weight over the optimal face
     face = [j for j in real if not tab[-1][j]]
-    tab[-1] = _objective_row(tab[:-1], basis, d, [int(x) for x in marked])
-    d = _simplex(tab, basis, d, face)
+    tab[-1] = _objective_row(tab[:-1], basis, [int(x) for x in marked], 0)
+    _simplex(tab, basis, face)
     return tab[-1][-1] > 0
 
 
-def _objective_row(rows, basis, d: int, costs) -> list[int]:
-    """The objective row of the tableau `rows` (common denominator d) for
-    maximising costs·w: −d·c + Σ c_B·row.  Every entry is then d times the
-    reduced cost, a minor of the bordered starting tableau, so the exact
-    divisions of later pivots stay exact."""
-    obj = [-d * c for c in costs] + [0]
+def _objective_row(rows, basis, costs, bound: int) -> list[int]:
+    """The objective row for maximising costs·w against the bound: the row
+    [−costs | −bound] with every basic column eliminated.  It is one
+    positive multiple of the reduced costs followed by value − bound."""
+    obj = [-c for c in costs] + [-bound]
     for row, b in zip(rows, basis):
-        c = costs[b]
-        if c:
-            obj = [o + c * x for o, x in zip(obj, row)]
+        if obj[b]:
+            obj = _eliminate(obj, row, b)
     return obj
 
 
-def _simplex(tab, basis, d: int, allowed) -> int:
+def _simplex(tab, basis, allowed) -> None:
     """Maximise the objective in the last row of tab, entering only the
     allowed columns (ascending), by Bland's rule: the first column of
     negative reduced cost enters, and the ratio-test tie with the smallest
-    basic column leaves.  Returns the final common denominator."""
+    basic column leaves."""
     rows = range(len(basis))
     while True:
         obj = tab[-1]
         s = next((j for j in allowed if obj[j] < 0), None)
         if s is None:
-            return d
+            return
         r = None
         for i in rows:
             x = tab[i][s]
@@ -181,26 +183,22 @@ def _simplex(tab, basis, d: int, allowed) -> int:
             r = i
         if r is None:
             raise ValueError("unbounded linear program")
-        d = _pivot(tab, basis, d, r, s)
+        _pivot(tab, basis, r, s)
 
 
-def _pivot(tab, basis, d: int, r: int, s: int) -> int:
-    """Bareiss pivot on tab[r][s]: the pivot row stays, every other row x
-    becomes (p·x − x[s]·pivot row) // d, and the pivot p is the new common
-    denominator.  Every entry stays a minor of the starting tableau, so each
-    division is exact.  A negative pivot (an artificial leaving at level
-    zero) negates the whole tableau, which keeps d positive."""
+def _pivot(tab, basis, r: int, s: int) -> None:
+    """Pivot on tab[r][s]: column s enters the basis in row r, and every
+    other row with an entry in column s has it eliminated (`_eliminate`).
+    A negative pivot, from an artificial leaving at level zero, negates the
+    pivot row first; that row's right-hand side is 0, so the equation and
+    the vertex stay, and the other rows keep their positive scale."""
     prow = tab[r]
-    p = prow[s]
+    if prow[s] < 0:
+        prow = tab[r] = [-x for x in prow]
     for i, row in enumerate(tab):
-        if i != r:
-            f = row[s]
-            tab[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        if i != r and row[s]:
+            tab[i] = _eliminate(row, prow, s)
     basis[r] = s
-    if p < 0:
-        tab[:] = [[-x for x in row] for row in tab]
-        p = -p
-    return p
 
 
 def minimal_balanced_sets(vectors, n: int):
@@ -287,21 +285,15 @@ def _extend(basis, target, row, n: int):
     residual).  Each row is a nonzero multiple of its Fraction counterpart,
     so pivots and zero tests are those of exact rational elimination."""
     for piv, b in basis:
-        x = row[piv]
-        if x:
-            p = b[piv]
-            row = [p * u - x * v for u, v in zip(row, b)]
+        if row[piv]:
+            row = _eliminate(row, b, piv)
     for piv in range(n):
         if row[piv]:
             break
     else:
         return None
-    _reduce_row(row)
-    x = target[piv]
-    if x:
-        r = row[piv]
-        target = [r * t - x * v for t, v in zip(target, row)]
-        _reduce_row(target)
+    if target[piv]:
+        target = _eliminate(target, row, piv)
     return piv, row, target
 
 
@@ -328,7 +320,8 @@ def is_minimal_balanced_set(vectors, n: int) -> bool:
 
 
 def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place integer row echelon form; returns (rows, pivot column list)."""
+    """Integer row echelon form of the list of rows, in place (reduced rows
+    replace their entries); returns (rows, pivot column list)."""
     if not rows:
         return rows, []
     n_cols = len(rows[0])
@@ -343,15 +336,9 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
         for i in range(r + 1, len(rows)):
-            x = rows[i][c]
-            if x:
-                row_i = rows[i]
-                row_r = rows[r]
-                for j in range(c, n_cols):
-                    row_i[j] = row_i[j] * piv - row_r[j] * x
-                _reduce_row(row_i)
+            if rows[i][c]:
+                rows[i] = _eliminate(rows[i], rows[r], c)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -381,14 +368,9 @@ def solve_int(aug: list[list[int]], n_cols: int):
         return NON_UNIQUE, None
     # pivots are 0..n_cols-1: row c has its pivot in column c
     for c in range(n_cols - 1, 0, -1):
-        pivot_row = rows[c]
-        p = pivot_row[c]
         for i in range(c):
-            x = rows[i][c]
-            if x:
-                row = [p * a - x * b for a, b in zip(rows[i], pivot_row)]
-                _reduce_row(row)
-                rows[i] = row
+            if rows[i][c]:
+                rows[i] = _eliminate(rows[i], rows[c], c)
     den = lcm(*(rows[c][c] for c in range(n_cols)))
     return UNIQUE, ([rows[c][n_cols] * (den // rows[c][c]) for c in range(n_cols)], den)
 

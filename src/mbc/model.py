@@ -181,12 +181,14 @@ class WeightedCollection:
 
     def player_sums(self, n: int) -> list[Fraction]:
         """Per-player weight totals; all equal 1 iff the collection is balanced
-        with these weights."""
-        sums = [Fraction(0)] * n
-        for mask, w in self.items():
+        with these weights.  Summed as the integer numerators of `to_row`,
+        with one Fraction per player."""
+        masks, nums, den = self.to_row()
+        sums = [0] * n
+        for mask, x in zip(masks, nums):
             for p in members(mask):
-                sums[p - 1] += w
-        return sums
+                sums[p - 1] += x
+        return [Fraction(x, den) for x in sums]
 
     @classmethod
     def from_row(cls, masks, nums, den) -> "WeightedCollection":

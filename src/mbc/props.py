@@ -532,23 +532,17 @@ def is_blocking(collection, n: int) -> bool:
     return len(collection) == 2 and (collection[0] | collection[1]) == full_mask(n)
 
 
-def minimal_members(collection):
-    """Members with no proper subset inside the collection."""
-    out = []
-    for S in collection:
-        if not any(T != S and T & ~S == 0 for T in collection):
-            out.append(S)
-    return out
-
-
 def has_min_extendable(collection, game: Game, cache: dict) -> bool:
-    """Is some minimal member of the collection extendable?  `cache` holds
-    the extendability of every coalition tested so far, and grows."""
-    for S in minimal_members(collection):
-        if S not in cache:
-            cache[S] = is_extendable(S, game)
-        if cache[S]:
-            return True
+    """Is some minimal member of the collection (one with no proper subset
+    inside it) extendable?  `cache` holds the extendability of every
+    coalition tested so far, and grows; a member it holds as not
+    extendable is passed over before its minimality is tested."""
+    for S in collection:
+        if cache.get(S, True) and not any(T != S and T & ~S == 0 for T in collection):
+            if S not in cache:
+                cache[S] = is_extendable(S, game)
+            if cache[S]:
+                return True
     return False
 
 

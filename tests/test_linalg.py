@@ -3,7 +3,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -151,6 +151,46 @@ def test_solve_int_edge_shapes():
     assert solve_unique([[0, 0], [0, 0]], [0, 1]) == (NO_SOLUTION, None)
 
 
+def test_eliminate_clears_the_column_at_a_positive_scale():
+    # against the rational step row − (row[s]/p)·prow, on random rows and
+    # pivots of either sign
+    rng = random.Random(5)
+    for _ in range(400):
+        width = rng.randint(1, 6)
+        prow = [rng.randint(-6, 6) for _ in range(width)]
+        s = rng.randrange(width)
+        prow[s] = prow[s] or rng.choice([-3, 2])
+        row = [rng.randint(-6, 6) * rng.choice([1, 4]) for _ in range(width)]
+        got = linalg._eliminate(row, prow, s)
+        assert got[s] == 0
+        assert gcd(*got) in (0, 1)
+        rational = [F(u) - F(row[s], prow[s]) * v for u, v in zip(row, prow)]
+        if not any(rational):
+            assert not any(got)
+            continue
+        k = next(j for j, x in enumerate(rational) if x)
+        factor = F(got[k]) / rational[k]
+        assert [factor * x for x in rational] == got
+        if prow[s] > 0:
+            assert factor > 0
+
+
+def test_pivot_leaves_rows_without_the_pivot_column():
+    tab = [[2, 0, 1, 4], [0, 3, 0, 6], [1, 1, 0, 2], [-1, -2, 0, 0]]
+    untouched = tab[1]
+    basis = [2, 4, 5]
+    linalg._pivot(tab, basis, 0, 0)
+    assert tab[1] is untouched
+    assert basis == [0, 4, 5]
+    assert [row[0] for row in tab] == [2, 0, 0, 0]
+    # an artificial leaving on a negative entry: its row is negated, the
+    # others stay positive multiples
+    tab = [[-2, 1, 0], [1, 0, 3]]
+    basis = [5, 1]
+    linalg._pivot(tab, basis, 0, 0)
+    assert tab == [[2, -1, 0], [0, 1, 6]] and basis == [0, 1]
+
+
 # ---------------------------------------------------------------------------
 # the fraction-free simplex behind the nested stage
 
@@ -162,7 +202,7 @@ def _vertex_clause_by_subsets(columns, costs, bound, marked):
     for r in range(1, n + 1):
         for subset in combinations(range(len(columns)), r):
             rows = [[columns[j][i] for j in subset] for i in range(n)]
-            status, w = solve_unique(rows, [1] * n)
+            status, w = solve_reference(rows, [1] * n)
             if status != UNIQUE or any(x <= 0 for x in w):
                 continue
             psi = sum(costs[j] * x for j, x in zip(subset, w))
@@ -221,9 +261,9 @@ def test_vertex_clause_matches_vertex_definition(monkeypatch):
     pivots = []
     pivot = linalg._pivot
 
-    def recording(tab, basis, d, r, s):
+    def recording(tab, basis, r, s):
         pivots.append(tab[r][s])
-        return pivot(tab, basis, d, r, s)
+        pivot(tab, basis, r, s)
 
     monkeypatch.setattr(linalg, "_pivot", recording)
     rng = random.Random(17)
@@ -248,7 +288,7 @@ def test_vertex_clause_matches_vertex_definition(monkeypatch):
             for r in range(1, n + 1):
                 for subset in combinations(range(len(columns)), r):
                     rows = [[columns[j][i] for j in subset] for i in range(n)]
-                    status, w = solve_unique(rows, [1] * n)
+                    status, w = solve_reference(rows, [1] * n)
                     if status == UNIQUE and all(x > 0 for x in w):
                         psis.append(sum(costs[j] * x for j, x in zip(subset, w)))
             if psis:

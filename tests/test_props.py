@@ -22,7 +22,6 @@ from mbc.props import (
     is_exact,
     is_extendable,
     is_strictly_vital_exact,
-    minimal_members,
     sve_family,
 )
 from conftest import make_additive, make_three_player_tight
@@ -185,8 +184,8 @@ def test_exact_singleton_is_strictly_vital_exact(db5, biswas):
 def test_minimal_effective_members_are_sve(db5, biswas):
     index = BalancedIndex(biswas, db5)
     effective = effective_set(biswas, db5)
-    for S in minimal_members(sorted(effective)):
-        if S != full_mask(5):
+    for S in effective:
+        if S != full_mask(5) and not any(T != S and T & ~S == 0 for T in effective):
             assert is_strictly_vital_exact(S, biswas, index)
 
 
@@ -677,9 +676,3 @@ def test_feasibility_survey_four_player(db4, game4):
     singles = [r for r in survey if len(r.collection) == 1
                and r.collection[0].bit_count() == 1]
     assert len(singles) == 4 and all(r.has_min_extendable for r in singles)
-
-
-def test_minimal_members():
-    a, b, c = 0b001, 0b011, 0b110
-    assert minimal_members((a, b, c)) == [a, c]
-    assert minimal_members((b,)) == [b]
