@@ -32,6 +32,13 @@ has the top bit of lane I set exactly when L lies strictly between mu(I)
 and nu(I), and its set bits, lowest first, are the children in subset
 order; alpha and beta are read back from the two lanes.
 
+Everything in that but the masks depends on (mu, nu, L) alone: which
+subsets give children, their reduced weights and the order of their
+entries.  Pairs repeat it often (the 32,986 merged pairs at 5 -> 6 have
+4,414 distinct (mu, nu, L)), so that half is cached, bounded and emptied
+when the step ends, and each pair only puts its own masks in the cached
+order.
+
 Only some unions need a rank test.  A minimal balanced collection has
 independent characteristic vectors and mu - nu is a nonzero vector in the
 kernel of U's, so max(|A|, |B|) <= rank <= |U|-1: a union one larger than
@@ -133,21 +140,24 @@ def _getter(indices):
     return lambda seq: tuple([seq[i] for i in indices])
 
 
-def _orders(k: int) -> list[tuple]:
+@lru_cache(maxsize=16)
+def _orders(k: int) -> tuple[tuple, ...]:
     """For each subset I of k members (a bitmask), the getters that put a
     child's entries in increasing mask order.  The new player's bit is above
     every old mask, so a child lists the unpicked members in parent order,
     then {p} when present, then the picked members with p added.  `order`
     and `one` give all k members of a k-sequence and of the 2k-sequence
     (*masks, *masks with p); `low` and `high` give the unpicked and the
-    picked members of a k-sequence."""
+    picked members of a k-sequence.  Built once per k; the bound keeps the
+    2^k-entry tables of the large k an `apply_case1` collection may have
+    from piling up."""
     tables = []
     for I in range(1 << k):
         low = [i for i in range(k) if not (I >> i) & 1]
         high = [i for i in range(k) if (I >> i) & 1]
         tables.append((_getter(low + high), _getter(low + [k + i for i in high]),
                        _getter(low), _getter(high)))
-    return tables
+    return tuple(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +173,7 @@ def apply_case1(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
     positions."""
     masks, nums, den = wc.to_row()
     p_bit, targets = _moved(masks, picked, p)
-    return _emitted(partial(_children_123, masks, nums, den, p_bit, _orders(len(masks))),
+    return _emitted(partial(_children_123, masks, nums, den, p_bit),
                     targets, "case 1 needs the picked weights to sum to exactly 1")
 
 
@@ -172,7 +182,7 @@ def apply_case2(wc: WeightedCollection, picked, p: int) -> WeightedCollection:
     the singleton {p} enters with weight 1-s."""
     masks, nums, den = wc.to_row()
     p_bit, targets = _moved(masks, picked, p)
-    return _emitted(partial(_children_123, masks, nums, den, p_bit, _orders(len(masks))),
+    return _emitted(partial(_children_123, masks, nums, den, p_bit),
                     targets + [p_bit], "case 2 needs the picked weights to sum below 1")
 
 
@@ -185,7 +195,7 @@ def apply_case3(wc: WeightedCollection, picked, split, p: int) -> WeightedCollec
     if split in picked:
         raise ValueError("the split member must not be picked")
     p_bit, targets = _moved(masks, picked | {split}, p)
-    return _emitted(partial(_children_123, masks, nums, den, p_bit, _orders(len(masks))),
+    return _emitted(partial(_children_123, masks, nums, den, p_bit),
                     targets + [masks[split]],
                     "case 3 needs 1 > sum of picked weights > 1 - split weight")
 
@@ -205,8 +215,7 @@ def apply_case4(first: WeightedCollection, second: WeightedCollection, picked,
         raise ValueError("case 4 needs characteristic rank exactly |union| - 1")
     union_masks, mu, nu, L = pair
     p_bit, targets = _moved(union_masks, picked, p)
-    return _emitted(partial(_children_4, union_masks, mu, nu, L, p_bit,
-                            _orders(len(union_masks))),
+    return _emitted(partial(_children_4, union_masks, mu, nu, L, p_bit),
                     targets, "case 4 needs the interpolation parameter inside ]0,1[")
 
 
@@ -241,8 +250,9 @@ def _emitted(children, targets, message: str) -> WeightedCollection:
     return found[0]
 
 
-def _children_123(masks, nums, den, p_bit, orders, emit):
-    """Cases 1-3 for one parent; `orders` is `_orders(len(masks))`."""
+def _children_123(masks, nums, den, p_bit, emit):
+    """Cases 1-3 for one parent."""
+    orders = _orders(len(masks))
     with_p = [m | p_bit for m in masks]
     ext = (*masks, *with_p)
     for I, s in enumerate(subset_sums(nums)):
@@ -276,24 +286,50 @@ def _lane_tables(k: int, w: int) -> tuple[int, int, tuple[int, ...]]:
                                     for i in range(k))
 
 
-def _children_4(masks, mu, nu, L, p_bit, orders, emit):
+def _children_4(masks, mu, nu, L, p_bit, emit):
     """Case 4 for one merged pair: mu, nu are the two weight systems extended
     by zeros to the union, as nonnegative integers over the common
-    denominator L, and `orders` is `_orders(len(masks))`.  The subset I
-    gives a child when mu(I) - L and nu(I) - L have opposite signs, with
-    weights alpha*mu + beta*nu over L*(alpha+beta), alpha = |nu(I) - L| and
-    beta = |mu(I) - L|, emitted in lowest terms.  All subsets are tested at
-    once in w-bit lanes (see the module docstring): 2^(w-1) exceeds L and
-    every mu(I) and nu(I)."""
+    denominator L.  Which subsets give children, and their weights, depend
+    on (mu, nu, L) alone (see `_case4_weights`); only the masks are this
+    pair's own."""
+    ext = (*masks, *[m | p_bit for m in masks])
+    children = iter(_case4_weights(L, *mu, *nu))
+    for one_of, nums, den in zip(children, children, children):
+        emit(one_of(ext), nums, den)
+
+
+@lru_cache(maxsize=2048)
+def _case4_weights(L: int, *weights: int) -> tuple:
+    """The case-4 children of every pair with weight structure (mu, nu, L),
+    weights being (*mu, *nu): lowest subset first, (one, nums, den) for
+    each child, all in one flat tuple so that an entry is one object.
+    `one` is the getter that puts the 2k masks (*masks, *masks with p) in
+    the child's order, and nums/den are its weights in that order and in
+    lowest terms.  The subset I gives a child when
+    mu(I) - L and nu(I) - L have opposite signs, with weights
+    alpha*mu + beta*nu over L*(alpha+beta), alpha = |nu(I) - L| and
+    beta = |mu(I) - L|.  All subsets are tested at once in w-bit lanes (see
+    the module docstring): 2^(w-1) exceeds L and every mu(I) and nu(I).
+
+    Many pairs share one structure (4,414 of the 32,986 merged pairs at
+    5 -> 6), so the results are cached for the pairs still to come; 2,048
+    entries keep 28,494 of the 28,572 possible hits there.
+    `_add_player_raw` empties the cache when its step ends.  The children
+    of different structures have few distinct weights (2,267 distinct
+    (nums, den) among the 172,776 at 5 -> 6), so equal numerator tuples are
+    shared through `_shared_nums`."""
+    k = len(weights) // 2
+    mu, nu = weights[:k], weights[k:]
     w = max(sum(mu), sum(nu), L).bit_length() + 2
-    one, top, lane_masks = _lane_tables(len(masks), w)
+    one, top, lane_masks = _lane_tables(k, w)
     half = 1 << w - 1
     lifted = (half - L) * one
     X = sum(map(mul, mu, lane_masks)) + lifted
     Y = sum(map(mul, nu, lane_masks)) + lifted
     R = ((X - one) & ~Y | (Y - one) & ~X) & top
     lane = (1 << w) - 1
-    ext = (*masks, *[m | p_bit for m in masks])
+    orders = _orders(k)
+    children = []
     while R:
         low = R & -R
         R ^= low
@@ -307,7 +343,15 @@ def _children_4(masks, mu, nu, L, p_bit, orders, emit):
             den //= g
             nums = [x // g for x in nums]
         order, one_of, _, _ = orders[at // w]
-        emit(one_of(ext), order(nums), den)
+        children += one_of, _shared_nums(*order(nums)), den
+    return tuple(children)
+
+
+@lru_cache(maxsize=4096)
+def _shared_nums(*nums: int) -> tuple[int, ...]:
+    """The first cached tuple of these numerators (the cache keeps the
+    argument tuple itself as its key); 1,603 distinct tuples at 5 -> 6."""
+    return nums
 
 
 def _pair_form(row: Row):
@@ -350,7 +394,6 @@ def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
     collection comes twice).  With `allowed`, only collections whose masks
     all lie in it are emitted."""
     p_bit = 1 << n_old
-    orders = _Memo(_orders)
     if allowed is not None:
         emit_any = emit
 
@@ -359,21 +402,25 @@ def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
                 emit_any(masks, nums, den)
 
     for masks, nums, den in parents:
-        _children_123(masks, nums, den, p_bit, orders[len(masks)], emit)
+        _children_123(masks, nums, den, p_bit, emit)
 
     # case 4 over unordered pairs; the two orderings of a pair generate the
     # same children, so one suffices
     forms = [_pair_form(row) for row in parents]
     covers = [cover for cover, _, _ in forms]
     size_limit = n_old + 1
-    for ia, a in enumerate(forms):
-        ca = a[0]
-        for ib in range(ia + 1, len(forms)):
-            if (ca | covers[ib]).bit_count() > size_limit:
-                continue
-            pair = _merged_pair(a, forms[ib], n_old)
-            if pair is not None:
-                _children_4(*pair, p_bit, orders[len(pair[0])], emit)
+    try:
+        for ia, a in enumerate(forms):
+            ca = a[0]
+            for ib in range(ia + 1, len(forms)):
+                if (ca | covers[ib]).bit_count() > size_limit:
+                    continue
+                pair = _merged_pair(a, forms[ib], n_old)
+                if pair is not None:
+                    _children_4(*pair, p_bit, emit)
+    finally:
+        _case4_weights.cache_clear()
+        _shared_nums.cache_clear()
 
 
 # ---------------------------------------------------------------------------

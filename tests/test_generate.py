@@ -15,7 +15,6 @@ from mbc.generate import (
     _add_player_raw,
     _children_4,
     _merged_pair,
-    _orders,
     _pair_form,
     _rank01,
     _rank2,
@@ -247,8 +246,7 @@ def test_rank_falls_back_when_the_gf2_rank_is_short():
 
 def _children_4_rows(masks, mu, nu, L, p_bit):
     got = []
-    _children_4(masks, mu, nu, L, p_bit, _orders(len(masks)),
-                lambda *row: got.append(row))
+    _children_4(masks, mu, nu, L, p_bit, lambda *row: got.append(row))
     return got
 
 
@@ -302,10 +300,99 @@ def test_case4_children_match_sign_test_reference(n_old):
             g = gcd(den, *nums)
             got.append((masks, tuple(x // g for x in nums), den // g))
 
-        _children_4(union, mu, nu, L, p_bit, _orders(len(union)), emit)
+        _children_4(union, mu, nu, L, p_bit, emit)
         assert got == children_4_reference(union, mu, nu, L, p_bit)
         emitted += len(got)
     assert emitted >= len(merged) > 0
+
+
+def _pairs_sharing_a_weight_structure(n_old):
+    """The first two merged pairs of the step from n_old players, in
+    generation order, with equal (mu, nu, L) and different unions."""
+    forms = [_pair_form(row) for row in peleg(n_old).rows]
+    first = {}
+    for a, b in combinations(forms, 2):
+        if (a[0] | b[0]).bit_count() > n_old + 1:
+            continue
+        pair = _merged_pair(a, b, n_old)
+        if pair is None:
+            continue
+        union, mu, nu, L = pair
+        key = (tuple(mu), tuple(nu), L)
+        if key in first and first[key][0] != union:
+            return first[key], pair
+        first.setdefault(key, pair)
+    raise AssertionError("no two pairs share a weight structure")
+
+
+def test_case4_cache_keys_on_the_weights_not_the_masks():
+    # the cached half of case 4 never reads the masks: two unions with one
+    # weight structure give the reference children, whichever comes first
+    one, other = _pairs_sharing_a_weight_structure(5)
+    p_bit = 1 << 5
+    for first, second in ((one, other), (other, one)):
+        generate._case4_weights.cache_clear()
+        for warm, (union, mu, nu, L) in enumerate((first, second, first)):
+            hits = generate._case4_weights.cache_info().hits
+            assert _children_4_rows(union, mu, nu, L, p_bit) \
+                == children_4_reference(union, mu, nu, L, p_bit) != []
+            assert generate._case4_weights.cache_info().hits == hits + (warm > 0)
+
+
+def test_restricted_run_after_an_unrestricted_one_matches_a_cold_cache(monkeypatch):
+    system = [0b00111, 0b01110, 0b11100, 0b11001, 0b10011]
+    allowed = restriction(5, system)
+    generate._case4_weights.cache_clear()
+    cold = peleg(5, set_system=system).rows
+    full = peleg(5).rows
+    assert peleg(5, set_system=system).rows == cold
+    assert cold == tuple(row for row in full if allowed.issuperset(row[0]))
+    # the restricted step to 5 again, with the cache warm from every
+    # unrestricted pair of that step: each of its pairs is a hit
+    parents = generate._rows_on(4, allowed)
+    for a, b in combinations([_pair_form(row) for row in peleg(4).rows], 2):
+        pair = _merged_pair(a, b, 4)
+        if pair is not None:
+            _children_4(*pair, 1 << 4, lambda *row: None)
+    misses = generate._case4_weights.cache_info().misses
+    seen = []
+
+    def children_4(*args):
+        _children_4(*args)
+        seen.append(generate._case4_weights.cache_info().misses)
+
+    monkeypatch.setattr(generate, "_children_4", children_4)
+    children = []
+    _add_player_raw(parents, 4, allowed, lambda *row: children.append(row))
+    assert seen and set(seen) == {misses}
+    assert tuple(sorted(children)) == cold
+
+
+def test_case4_cache_is_bounded_and_released(tmp_path, monkeypatch, db5):
+    # the step to 6 fills the cache to its bound; no generation leaves an
+    # entry behind, and a second run in the same process writes the same
+    # bytes as the first
+    caches = (generate._case4_weights, generate._shared_nums)
+    sizes = []
+
+    def children_4(*args):
+        sizes.append([cache.cache_info().currsize for cache in caches])
+        _children_4(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(generate, "_children_4", children_4)
+        emitted = []
+        _add_player_raw(list(db5.rows), 5, None, lambda *row: emitted.append(1))
+    assert len(emitted) == 200214
+    bound, nums_bound = [cache.cache_info().maxsize for cache in caches]
+    assert max(size for size, _ in sizes) == bound
+    assert all(size <= nums_bound for _, size in sizes)
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+    paths = [tmp_path / "first.db", tmp_path / "second.db"]
+    for path in paths:
+        assert _stream(path, 5) == 1292
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +689,11 @@ def test_each_collection_is_emitted_once(n, system):
 def _emit_cases_123_twice_on_the_step_to_3(monkeypatch):
     children_123 = generate._children_123
 
-    def twice(masks, nums, den, p_bit, orders, emit):
+    def twice(masks, nums, den, p_bit, emit):
         def emit_twice(*row):
             emit(*row)
             emit(*row)
-        children_123(masks, nums, den, p_bit, orders, emit_twice if p_bit == 4 else emit)
+        children_123(masks, nums, den, p_bit, emit_twice if p_bit == 4 else emit)
 
     monkeypatch.setattr(generate, "_children_123", twice)
 
