@@ -70,7 +70,9 @@ emits with the requested coalitions.  The new player's bit lies above every
 old mask, so each rule emits its children with their masks already in
 increasing order.  The generator and the database work on integer rows
 (masks, numerators, denominator); fractions only materialize at the API
-boundary.  The rules emit canonical rows (see `Row`): a case 1-3 child of
+boundary.  A row kept in memory, as a database row or a parent of the next
+step, holds its masks as one byte string (see `Row`), which the rules read
+as they read a tuple.  The rules emit canonical rows: a case 1-3 child of
 a canonical parent keeps every parent numerator or splits one into two
 parts, so no common factor appears, and case 4 divides out its own.
 """
@@ -106,8 +108,11 @@ NOT_BALANCED = "not_balanced"
 # One collection as an integer row: (masks strictly increasing, weight
 # numerators, denominator), weight i being nums[i]/den.  Rows held by an
 # MbcDatabase are canonical: gcd(den, *nums) == 1, so equal collections give
-# equal rows whether generated or loaded.
-Row = tuple[tuple[int, ...], tuple[int, ...], int]
+# equal rows whether generated or loaded.  Their masks are one byte string,
+# a byte per coalition (MAX_PLAYERS keeps every mask below 256): it iterates,
+# indexes and orders as the tuple of its masks does, in a fraction of the
+# memory.  The rules themselves emit tuple masks.
+Row = tuple[bytes, tuple[int, ...], int]
 
 
 def _rank01(masks, n: int) -> int:
@@ -450,7 +455,12 @@ class MbcDatabase:
         return iter(self.collections)
 
     def contains(self, masks) -> bool:
-        key = tuple(sorted(masks))
+        """Is this collection of coalitions in the database?  False for a
+        coalition outside 1..2^n-1 or a repeated one."""
+        key = sorted(masks)
+        if not key or not 0 < key[0] <= key[-1] <= full_mask(self.n):
+            return False
+        key = bytes(key)
         i = bisect_left(self.rows, key, key=lambda row: row[0])
         return i < len(self.rows) and self.rows[i][0] == key
 
@@ -507,7 +517,7 @@ class MbcDatabase:
                 except ValueError as exc:
                     raise ValueError(
                         f"MBCDB line {lineno} {line.strip()!r}: {exc}") from exc
-                rows.append((masks, nums, den))
+                rows.append((bytes(masks), nums, den))
         if len(rows) != count:
             raise ValueError(
                 f"MBCDB count mismatch: header says {count}, file has {len(rows)}"
@@ -580,10 +590,11 @@ def restriction(n: int, set_system=None) -> set[int] | None:
 def _rows_on(players: int, allowed: set[int] | None) -> list[Row]:
     """The canonical rows on 1..players, sorted by masks, by induction from
     the empty collection on no players (case 2 turns it into {{1}})."""
-    rows: list[Row] = [((), (), 1)]
+    rows: list[Row] = [(b"", (), 1)]
     for n_old in range(players):
         children: list[Row] = []
-        _add_player_raw(rows, n_old, allowed, lambda *row: children.append(row))
+        _add_player_raw(rows, n_old, allowed, lambda masks, nums, den:
+                        children.append((bytes(masks), nums, den)))
         children.sort()
         _check_once(children, "a collection is emitted twice")
         rows = children

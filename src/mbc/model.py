@@ -20,6 +20,8 @@ PLAYER_CAP = 32
 
 # The most players a database holds and `Game.scaled` covers: both take 2^n
 # values, no count is known beyond n = 7, and an n = 8 run is out of reach.
+# A database row also keeps its masks as one byte string (`generate.Row`),
+# which holds masks up to 2^8 - 1 only.
 MAX_PLAYERS = 8
 
 

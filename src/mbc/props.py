@@ -13,8 +13,10 @@ coalition), so the index keeps per coalition how far that value may rise
 
 Everything here is integer arithmetic at the game's one integer form
 `model.Game.scaled`, V = v·D, and G = v(N)·D: for a database row
-(masks, nums, den) the inequality Σ λ_S v(S) <= v(N) becomes
-Σ nums·V <= den·G, and extendability reads subgame cores off V.
+(masks, nums, den), masks being a byte string of coalitions, the
+inequality Σ λ_S v(S) <= v(N) becomes Σ nums·V <= den·G.  The index of
+a game keeps, besides the headrooms, only the first violated row and the
+tight rows, not a slack per row.  Extendability reads subgame cores off V.
 
 Feasible collections are decided as sets rather than one by one: a set of
 subcollections of the family is one integer with bit s for subcollection
@@ -55,12 +57,10 @@ class UnbalancedGameError(ValueError):
 
 
 def _first_violated(rows, V, G):
-    """Index of the first row with Σ nums·V > den·G, or None."""
+    """Index of the first row with Σ nums·V > den·G, or None.  The sum is
+    the one `BalancedIndex` takes."""
     for i, (masks, nums, den) in enumerate(rows):
-        total = 0
-        for m, x in zip(masks, nums):
-            total += x * V[m]
-        if total > den * G:
+        if sum(map(mul, nums, map(V.__getitem__, masks))) > den * G:
             return i
     return None
 
@@ -80,17 +80,20 @@ def _require_database(game, db: MbcDatabase) -> None:
 
 
 class BalancedIndex:
-    """Per-(game, database) slacks of the core-nonemptiness inequalities,
+    """Per-(game, database) summary of the core-nonemptiness inequalities,
     with one headroom per coalition, so that a game differing from the base
     at a single coalition is decided without a row scan.
 
-    slack[i] = den·G - Σ nums·V for row i: the row is violated when it is
-    negative and tight when it is zero.  The headroom of coalition m is the
-    least slack[i]/x over the rows i holding m with weight numerator x, kept
-    as the integer pair (hs[m], hx[m]); the empty mask, in no row, keeps 1/0
-    for +∞.  argmin[m] lists, ascending, the rows attaining it.  Raising
-    V[m] by p > 0 keeps every row satisfied iff p·hx[m] <= hs[m], and then
-    the rows it makes tight are exactly argmin[m] when equality holds."""
+    The slack of row i is den·G - Σ nums·V: the row is violated when it is
+    negative and tight when it is zero.  The index keeps the first violated
+    row (`violated`, None when the game is balanced) and the tight rows
+    (`base_tight`, ascending), not the slacks themselves.  The headroom of
+    coalition m is the least slack/x over the rows holding m with weight
+    numerator x, kept as the integer pair (hs[m], hx[m]); the empty mask,
+    in no row, keeps 1/0 for +∞.  argmin[m] lists, ascending, the rows
+    attaining it.  Raising V[m] by p > 0 keeps every row satisfied iff
+    p·hx[m] <= hs[m], and then the rows it makes tight are exactly
+    argmin[m] when equality holds."""
 
     def __init__(self, game: Game, db: MbcDatabase):
         _require_database(game, db)
@@ -101,10 +104,15 @@ class BalancedIndex:
         hs = [1] * len(V)
         hx = [0] * len(V)
         argmin: list[list[int]] = [[] for _ in V]
-        slack = []
+        violated = None
+        base_tight = []
         for i, (masks, nums, den) in enumerate(db.rows):
             s = den * G - sum(map(mul, nums, map(V.__getitem__, masks)))
-            slack.append(s)
+            if s <= 0:
+                if s == 0:
+                    base_tight.append(i)
+                elif violated is None:
+                    violated = i
             for m, x in zip(masks, nums):
                 # compare s/x with hs[m]/hx[m] by cross-multiplying
                 lhs = s * hx[m]
@@ -117,20 +125,19 @@ class BalancedIndex:
                     argmin[m].append(i)
         self.V = V
         self.full = full_mask(game.n)
-        self.slack = slack
         self.hs = hs
         self.hx = hx
         self.argmin = argmin
-        self.base_tight = [i for i, s in enumerate(slack) if s == 0]
-        self.balanced = all(s >= 0 for s in slack)
+        self.violated = violated
+        self.base_tight = base_tight
+        self.balanced = violated is None
 
     def witness(self):
         """The first collection violating the core-nonemptiness inequality,
         or None when balanced."""
-        for i, s in enumerate(self.slack):
-            if s < 0:
-                return WeightedCollection.from_row(*self.db.rows[i])
-        return None
+        if self.violated is None:
+            return None
+        return WeightedCollection.from_row(*self.db.rows[self.violated])
 
     def require_balanced(self):
         if not self.balanced:

@@ -35,6 +35,13 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def db_row(collection):
+    """The collection's integer row in the form a database holds it, with
+    its masks as one byte string (`generate.Row`)."""
+    masks, nums, den = collection.to_row()
+    return bytes(masks), nums, den
+
+
 def make_three_player_tight() -> Game:
     """v({i,j}) = 1, v(N) = 3/2: the core is the single point (1/2,1/2,1/2)."""
     return Game(3, {3: Fraction(1), 5: Fraction(1), 6: Fraction(1), 7: Fraction(3, 2)})

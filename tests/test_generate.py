@@ -29,7 +29,15 @@ from mbc.generate import (
     restriction,
 )
 from mbc.linalg import RatMatrix, rank
-from mbc.model import LineCodec, WeightedCollection, coalition_mask, full_mask, members
+from mbc.model import (
+    MAX_PLAYERS,
+    LineCodec,
+    WeightedCollection,
+    coalition_mask,
+    full_mask,
+    members,
+)
+from conftest import db_row
 from oracles import (
     balanced_union_reference,
     brute_force_mbcs,
@@ -363,7 +371,8 @@ def test_restricted_run_after_an_unrestricted_one_matches_a_cold_cache(monkeypat
 
     monkeypatch.setattr(generate, "_children_4", children_4)
     children = []
-    _add_player_raw(parents, 4, allowed, lambda *row: children.append(row))
+    _add_player_raw(parents, 4, allowed, lambda masks, nums, den:
+                    children.append((bytes(masks), nums, den)))
     assert seen and set(seen) == {misses}
     assert tuple(sorted(children)) == cold
 
@@ -462,6 +471,19 @@ def test_database_rows_roundtrip(tmp_path, n):
     assert MbcDatabase.load(path).rows == peleg(n).rows
 
 
+def test_database_rows_keep_their_masks_as_bytes(tmp_path):
+    # a row holds its masks as one byte string, a byte per coalition, so
+    # every mask of the largest database must fit in a byte: raising
+    # MAX_PLAYERS past 8 fails here, not inside `bytes()`
+    assert full_mask(MAX_PLAYERS) < 256
+    path = tmp_path / "mbc4.db"
+    _stream(path, 4)
+    for db in (peleg(4), MbcDatabase.load(path), peleg(4, set_system=[0b0111, 0b1100])):
+        assert db.rows
+        for masks, nums, den in db.rows:
+            assert type(masks) is bytes and type(nums) is tuple and type(den) is int
+
+
 def _probe(tmp_path, db, old, new):
     """Write the generated database on db.n players with the row `old`
     replaced by `new`; returns the path and the probed row's file line
@@ -544,7 +566,7 @@ def _hybrid_line(db):
         by_weights.setdefault((nums, den), []).append(masks)
     for (nums, den), group in by_weights.items():
         for first, rest in combinations(group, 2):
-            masks = (first[0],) + rest[1:]
+            masks = (first[0], *rest[1:])
             if masks[0] < masks[1] and not is_balanced_collection(masks, db):
                 return LineCodec().write(masks, nums, den)
     raise AssertionError("no hybrid row")
@@ -680,7 +702,8 @@ def test_each_collection_is_emitted_once(n, system):
     rows = list(peleg(1).rows)
     for n_old in range(1, n):
         emitted = []
-        _add_player_raw(rows, n_old, allowed, lambda *row: emitted.append(row))
+        _add_player_raw(rows, n_old, allowed, lambda masks, nums, den:
+                        emitted.append((bytes(masks), nums, den)))
         assert len(emitted) == len({masks for masks, _, _ in emitted})
         rows = sorted(emitted)
     assert rows == list(peleg(n, set_system=system).rows)
@@ -830,6 +853,13 @@ def test_check_against_brute_force_families():
             assert (status != NOT_BALANCED) == balanced
             minimal = db.contains(combo)
             assert (status == MINIMAL) == minimal
+    # a collection with a coalition outside 1..2^n-1 or a repeated one is
+    # not in the database, and asking does not raise: a row's masks are
+    # bytes, which hold 0..255 only
+    assert db.contains([0b001, 0b010, 0b100])
+    for masks in ([0, 0b111], [0b001, 0b010, 0b100, 0b1000], [0b111, 256],
+                  [-1, 0b111], [0b001, 0b001, 0b010, 0b100], [0b111, 0b111], []):
+        assert not db.contains(masks)
 
 
 def test_is_balanced_collection_examples(db3):
@@ -898,7 +928,7 @@ def test_rows_are_canonical_and_match_solved_weights(n):
     for row, collection in zip(db.rows, db.collections):
         masks, nums, den = row
         assert gcd(den, *nums) == 1
-        assert collection.to_row() == row
+        assert db_row(collection) == row
         status, weights = check_minimal_balanced(masks, n)
         assert status == MINIMAL and collection.weights == weights
 

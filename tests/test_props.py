@@ -4,7 +4,16 @@ from itertools import permutations
 
 import pytest
 
-from mbc import Game, MbcDatabase, coalition_mask, parse_game, peleg, props, stability
+from mbc import (
+    Game,
+    MbcDatabase,
+    WeightedCollection,
+    coalition_mask,
+    parse_game,
+    peleg,
+    props,
+    stability,
+)
 from mbc.generate import peleg_stream
 from mbc.model import MAX_PLAYERS, full_mask
 from mbc.polytope import LinearSystem, enumerate_vertices
@@ -78,6 +87,41 @@ def test_index_witness_is_the_first_violated_collection(db4):
         assert is_balanced_game(game, db4) == (first is None)
         unbalanced += witness is not None
     assert 0 < unbalanced < 60
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_index_keeps_the_first_violated_row_and_the_tight_rows(n):
+    # the index keeps no slack per row; its witness and its tight rows are
+    # checked against a scan of the rows in Fractions.  v(N) is the weighted
+    # sum of some row: the largest one (balanced) or a random one, which
+    # leaves the rows above it violated
+    db = peleg(n)
+    rng = random.Random(80 + n)
+    full = full_mask(n)
+    violations = []
+    for k in range(12):
+        values = {m: F(rng.randint(0, 20), 10) for m in range(1, full)
+                  if rng.random() < 0.7}
+        sums = [sum((F(x, den) * values.get(m, 0) for m, x in zip(masks, nums)), F(0))
+                for masks, nums, den in db.rows if full not in masks]
+        values[full] = max(sums) if k % 3 == 0 else rng.choice(sums)
+        game = Game(n, values)
+        violated, tight = [], []
+        for i, (masks, nums, den) in enumerate(db.rows):
+            total = sum(F(x, den) * game.value(m) for m, x in zip(masks, nums))
+            if total > game.grand_value():
+                violated.append(i)
+            elif total == game.grand_value():
+                tight.append(i)
+        index = BalancedIndex(game, db)
+        assert index.base_tight == tight
+        assert index.balanced == is_balanced_game(game, db) == (not violated)
+        if violated:
+            assert index.witness() == WeightedCollection.from_row(*db.rows[violated[0]])
+        else:
+            assert index.witness() is None
+        violations.append(len(violated))
+    assert 0 in violations and max(violations) > 1
 
 
 def test_balancedness_needs_matching_n(db3, game4):
@@ -256,7 +300,7 @@ def _balanced_games(rng, n, db, count):
             values = {m: F(rng.randint(-5, 20), 10) for m in range(1, full)
                       if rng.random() < 0.7}
         level = max(sum((F(x, den) * values.get(m, 0) for m, x in zip(masks, nums)), F(0))
-                    for masks, nums, den in db.rows if masks != (full,))
+                    for masks, nums, den in db.rows if masks != bytes([full]))
         values[full] = level + rng.choice([F(0), F(0), F(0), F(1), F(1, 2)])
         yield Game(n, values)
 
@@ -367,7 +411,7 @@ def _seeded_games(rng, n, db, count):
         values = {m: F(rng.randint(0, 20), 10) for m in range(1, full_mask(n))
                   if rng.random() < 0.7}
         level = max(sum((F(x, den) * values.get(m, 0) for m, x in zip(masks, nums)), F(0))
-                    for masks, nums, den in db.rows if masks != (full_mask(n),))
+                    for masks, nums, den in db.rows if masks != bytes([full_mask(n)]))
         values[full_mask(n)] = level + rng.choice([F(0), F(0), F(1, 10), F(-1, 10)])
         yield Game(n, values)
 

@@ -30,6 +30,7 @@ from mbc.stability import (
     omega_pattern,
 )
 from conftest import (
+    db_row,
     make_additive,
     make_biswas,
     make_not_core_describing,
@@ -68,13 +69,13 @@ def test_association_example(db4):
     family = tuple(range(1, 16))
     collection = wc([(0b0001, 1), (0b0010, 1), (0b1100, 1)])
     S = coalition_mask([1, 2])
-    assert collection.to_row() in associated(S, family, db4)
+    assert db_row(collection) in associated(S, family, db4)
     # the same collection is associated with {1,2,3} as well
-    assert collection.to_row() in associated(coalition_mask([1, 2, 3]), family, db4)
+    assert db_row(collection) in associated(coalition_mask([1, 2, 3]), family, db4)
     # {N} is never associated: it contains no singleton
     grand = wc([(0b1111, 1)])
     for S in family:
-        assert grand.to_row() not in associated(S, family, db4)
+        assert db_row(grand) not in associated(S, family, db4)
 
 
 def test_admissibility_example(db4):
@@ -83,12 +84,12 @@ def test_admissibility_example(db4):
     collection = (coalition_mask([2, 3]), S)
     candidate = wc([(0b0011, F(1, 2)), (0b0101, F(1, 2)), (0b0110, F(1, 2)), (0b1000, 1)])
     admissible = admissible_collections(S, collection, 4, family, db4.rows)
-    assert candidate.to_row() in admissible
+    assert db_row(candidate) in admissible
     # second clause: dropping S's singletons leaves nothing touching the
     # collection or its complements
     partition = wc([(0b0001, 1), (0b1000, 1), (0b0110, 1)])
-    assert partition.to_row() in associated(S, family, db4)
-    assert partition.to_row() in admissible
+    assert db_row(partition) in associated(S, family, db4)
+    assert db_row(partition) in admissible
 
 
 def test_admissible_systems_product(db4):
@@ -439,7 +440,7 @@ def test_nested_failure_verified_by_brute_force(db5, biswas):
     system = {}
     for entry in witness["system"]:
         S = coalition_mask(int(p) for p in entry["coalition"].split(","))
-        masks = tuple(
+        masks = bytes(
             sorted(
                 coalition_mask(int(p) for p in key.split(","))
                 for key in entry["collection"]["coalitions"]
