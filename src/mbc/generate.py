@@ -84,7 +84,7 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from math import gcd, lcm
 from operator import itemgetter, lt, mul
 
@@ -437,22 +437,18 @@ class MbcDatabase:
     """All minimal balanced collections for a fixed n, as canonical rows
     sorted by masks; optionally generated under a set-system restriction (in
     which case only collections whose coalitions fit inside some set-system
-    element are present).  `collections` is the `WeightedCollection` view of
-    the rows, built on first use."""
+    element are present).  The rows are the only per-row storage: iterating
+    builds each row's `WeightedCollection` as it goes and keeps none."""
 
     n: int
     rows: tuple[Row, ...]
     restricted: bool = False
 
-    @cached_property
-    def collections(self) -> tuple[WeightedCollection, ...]:
-        return tuple(WeightedCollection.from_row(*row) for row in self.rows)
-
     def __len__(self) -> int:
         return len(self.rows)
 
     def __iter__(self):
-        return iter(self.collections)
+        return (WeightedCollection.from_row(*row) for row in self.rows)
 
     def contains(self, masks) -> bool:
         """Is this collection of coalitions in the database?  False for a

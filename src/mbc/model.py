@@ -184,8 +184,11 @@ class WeightedCollection:
     def player_sums(self, n: int) -> list[Fraction]:
         """Per-player weight totals; all equal 1 iff the collection is balanced
         with these weights.  Summed as the integer numerators of `to_row`,
-        with one Fraction per player."""
+        with one Fraction per player.  ValueError when a coalition names a
+        player above n."""
         masks, nums, den = self.to_row()
+        if masks[-1] > full_mask(n):
+            raise ValueError(f"coalition {masks[-1]:#x} out of range for n={n}")
         sums = [0] * n
         for mask, x in zip(masks, nums):
             for p in members(mask):

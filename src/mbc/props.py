@@ -15,8 +15,9 @@ Everything here is integer arithmetic at the game's one integer form
 `model.Game.scaled`, V = v·D, and G = v(N)·D: for a database row
 (masks, nums, den), masks being a byte string of coalitions, the
 inequality Σ λ_S v(S) <= v(N) becomes Σ nums·V <= den·G.  The index of
-a game keeps, besides the headrooms, only the first violated row and the
-tight rows, not a slack per row.  Extendability reads subgame cores off V.
+a game keeps the headrooms, the first violated row and sets of
+coalitions, at most 4^n entries in all, and nothing per row.
+Extendability reads subgame cores off V.
 
 Feasible collections are decided as sets rather than one by one: a set of
 subcollections of the family is one integer with bit s for subcollection
@@ -29,7 +30,6 @@ set bits back in (size, lexicographic) order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from operator import mul
 
 from . import linalg
@@ -86,14 +86,18 @@ class BalancedIndex:
 
     The slack of row i is den·G - Σ nums·V: the row is violated when it is
     negative and tight when it is zero.  The index keeps the first violated
-    row (`violated`, None when the game is balanced) and the tight rows
-    (`base_tight`, ascending), not the slacks themselves.  The headroom of
-    coalition m is the least slack/x over the rows holding m with weight
+    row (`violated`, None when the game is balanced) and `tight`, the
+    coalitions of the tight rows, not the slacks themselves.  The headroom
+    of coalition m is the least slack/x over the rows holding m with weight
     numerator x, kept as the integer pair (hs[m], hx[m]); the empty mask,
-    in no row, keeps 1/0 for +∞.  argmin[m] lists, ascending, the rows
-    attaining it.  Raising V[m] by p > 0 keeps every row satisfied iff
-    p·hx[m] <= hs[m], and then the rows it makes tight are exactly
-    argmin[m] when equality holds."""
+    in no row, keeps 1/0 for +∞.  When that headroom is positive,
+    at_headroom[m] is the set of coalitions of the rows attaining it.
+    Raising V[m] by p > 0 keeps every row satisfied iff p·hx[m] <= hs[m],
+    and when equality holds the rows it makes tight are exactly those.  A
+    headroom of zero or less keeps None: a positive rise never equals it,
+    and the queries refuse an unbalanced game.  The readers need only the
+    union of the rows' coalitions, so the index holds at most 4^n of them
+    however many rows are tight or tied."""
 
     def __init__(self, game: Game, db: MbcDatabase):
         _require_database(game, db)
@@ -103,14 +107,14 @@ class BalancedIndex:
         G = V[-1]
         hs = [1] * len(V)
         hx = [0] * len(V)
-        argmin: list[list[int]] = [[] for _ in V]
+        at_headroom: list[set[int] | None] = [None] * len(V)
         violated = None
-        base_tight = []
+        tight = set()
         for i, (masks, nums, den) in enumerate(db.rows):
             s = den * G - sum(map(mul, nums, map(V.__getitem__, masks)))
             if s <= 0:
                 if s == 0:
-                    base_tight.append(i)
+                    tight.update(masks)
                 elif violated is None:
                     violated = i
             for m, x in zip(masks, nums):
@@ -120,16 +124,16 @@ class BalancedIndex:
                 if lhs < rhs:
                     hs[m] = s
                     hx[m] = x
-                    argmin[m] = [i]
-                elif lhs == rhs:
-                    argmin[m].append(i)
+                    at_headroom[m] = set(masks) if s > 0 else None
+                elif lhs == rhs and s > 0:
+                    at_headroom[m].update(masks)
         self.V = V
         self.full = full_mask(game.n)
         self.hs = hs
         self.hx = hx
-        self.argmin = argmin
+        self.at_headroom = at_headroom
         self.violated = violated
-        self.base_tight = base_tight
+        self.tight = frozenset(tight)
         self.balanced = violated is None
 
     def witness(self):
@@ -187,10 +191,7 @@ def effective_set(game: Game, db: MbcDatabase, index: BalancedIndex | None = Non
     if index is None:
         index = BalancedIndex(game, db)
     index._require_for(game, db)
-    out: set[int] = set()
-    for i in index.base_tight:
-        out.update(db.rows[i][0])
-    return frozenset(out)
+    return index.tight
 
 
 def is_strictly_vital_exact(S: int, game: Game, index: BalancedIndex) -> bool:
@@ -199,22 +200,18 @@ def is_strictly_vital_exact(S: int, game: Game, index: BalancedIndex) -> bool:
     collection of v^S may contain a proper subset of S (S itself excluded).
 
     When v^S is balanced, its tight rows are the base-tight rows plus the
-    argmin rows of S^c when v^S raises that value by exactly its headroom
-    (p >= 0, see `is_exact`).  A base-tight row cannot hold S^c when
+    rows attaining the headroom of S^c when v^S raises that value by
+    exactly its headroom (p >= 0, see `is_exact`), so its effective set is
+    `tight` plus at_headroom[S^c].  A base-tight row cannot hold S^c when
     p > 0: that headroom is zero."""
     if not is_exact(S, game, index):
         return False
     p = index._rise(S)
     comp = index.full ^ S
-    rows = index.db.rows
-    tight = index.base_tight
+    tight = index.tight
     if p > 0 and p * index.hx[comp] == index.hs[comp]:
-        tight = chain(tight, index.argmin[comp])
-    for i in tight:
-        for T in rows[i][0]:
-            if T != S and T & ~S == 0:
-                return False
-    return True
+        tight = tight | index.at_headroom[comp]
+    return not any(T != S and T & ~S == 0 for T in tight)
 
 
 def sve_family(game: Game, db: MbcDatabase, index: BalancedIndex | None = None):

@@ -918,14 +918,25 @@ def test_collections_verify_individually(db4):
         assert is_minimal_balanced(collection, 4)
 
 
+def test_iteration_keeps_no_collections():
+    # iterating builds each row's collection as it goes: the rows stay the
+    # database's only per-row storage
+    db = peleg(4)
+    first = list(db)
+    assert set(vars(db)) == {"n", "rows", "restricted"}
+    assert list(db) == first
+    assert first == [WeightedCollection.from_row(*row) for row in db.rows]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_rows_are_canonical_and_match_solved_weights(n):
     # the collection view of every row carries the Fraction weights that
     # linear algebra solves for its coalitions, independently of the generator
     db = peleg(n)
-    assert len(db.collections) == len(db.rows)
+    collections = list(db)
+    assert len(collections) == len(db.rows)
     assert [masks for masks, _, _ in db.rows] == sorted({m for m, _, _ in db.rows})
-    for row, collection in zip(db.rows, db.collections):
+    for row, collection in zip(db.rows, collections):
         masks, nums, den = row
         assert gcd(den, *nums) == 1
         assert db_row(collection) == row

@@ -189,6 +189,13 @@ def test_weighted_collection_line_roundtrip():
     assert wc.player_sums(4) == [Fraction(1)] * 4
 
 
+def test_player_sums_rejects_a_player_above_n():
+    wc = WeightedCollection((0b001, 0b110), (Fraction(1), Fraction(1)))
+    assert wc.player_sums(3) == [Fraction(1)] * 3
+    with pytest.raises(ValueError, match="out of range for n=2"):
+        wc.player_sums(2)
+
+
 @pytest.mark.parametrize(
     "masks,nums,den,line,row",
     [

@@ -79,7 +79,7 @@ def test_index_witness_is_the_first_violated_collection(db4):
         game = Game(4, values)
         witness = BalancedIndex(game, db4).witness()
         first = None
-        for wc in db4.collections:
+        for wc in db4:
             if sum(w * game.value(m) for m, w in wc.items()) > game.grand_value():
                 first = wc
                 break
@@ -114,7 +114,7 @@ def test_index_keeps_the_first_violated_row_and_the_tight_rows(n):
             elif total == game.grand_value():
                 tight.append(i)
         index = BalancedIndex(game, db)
-        assert index.base_tight == tight
+        assert index.tight == {m for i in tight for m in db.rows[i][0]}
         assert index.balanced == is_balanced_game(game, db) == (not violated)
         if violated:
             assert index.witness() == WeightedCollection.from_row(*db.rows[violated[0]])
@@ -122,6 +122,22 @@ def test_index_keeps_the_first_violated_row_and_the_tight_rows(n):
             assert index.witness() is None
         violations.append(len(violated))
     assert 0 in violations and max(violations) > 1
+
+
+def test_index_of_a_game_with_every_row_tight(db6):
+    # the unique core point of an additive game is tight on every
+    # coalition, so all 200,214 rows are tight and every headroom is zero;
+    # the index still holds at most one set of coalitions per coalition
+    game = make_additive([1, 2, 3, 4, 5, 6])
+    index = BalancedIndex(game, db6)
+    full = full_mask(6)
+    everything = frozenset(range(1, full + 1))
+    assert index.balanced
+    assert effective_set(game, db6, index) == index.tight == everything
+    assert exact_coalitions(game, db6, index) == tuple(range(1, full + 1))
+    assert sve_family(game, db6, index) == tuple(1 << i for i in range(6))
+    held = len(index.tight) + sum(len(s) for s in index.at_headroom if s)
+    assert held <= 4 ** 6
 
 
 def test_balancedness_needs_matching_n(db3, game4):
@@ -358,7 +374,7 @@ def test_override_above_headroom_is_not_exact(db3):
     index = BalancedIndex(tied, db3)
     assert is_exact(0b100, tied, index)
     assert is_strictly_vital_exact(0b100, tied, index)
-    assert len(index.argmin[0b011]) == 2
+    assert index.at_headroom[0b011] == {0b011, 0b100, 0b101, 0b110}
     derived = Game(3, {**tied.values, 0b011: F(1, 2)})
     assert effective_set(derived, db3) == {0b011, 0b100, 0b101, 0b110, 0b111}
     assert exact_coalitions(tied, db3, index) == exact_reference(tied, db3)
