@@ -121,8 +121,13 @@ def cmd_analyze(args) -> int:
             raise CliError(f"unknown check {name!r}; pick from {','.join(ANALYZE_CHECKS)}")
         if name not in checks:
             checks.append(name)
+    begun = time.monotonic()
     db = _load_db(args, game)
+    loaded = time.monotonic()
     index = props.BalancedIndex(game, db)
+    started = time.monotonic()
+    timings = {"database": round(loaded - begun, 6),
+               "index": round(started - loaded, 6)}
     report = {
         "game": game.digest(),
         "n": game.n,
@@ -130,12 +135,10 @@ def cmd_analyze(args) -> int:
         "checks": checks,
         "results": {},
     }
-    timings = {}
     balanced = index.balanced
     extendable_cache: dict[int, bool] = {}
     # a check's time runs from the end of the one before, so the first
     # check also carries the family that sve, extendable and feasible share
-    started = time.monotonic()
     family = None
     if balanced and not {"sve", "extendable", "feasible"}.isdisjoint(checks):
         family = props.sve_family(game, db, index)
@@ -202,8 +205,11 @@ def cmd_stable(args) -> int:
         time_limit=args.time_limit,
     )
     game = _load_game(args.game)
+    started = time.monotonic()
     db = _load_db(args, game)
+    loaded = time.monotonic()
     report = stability.is_core_stable(game, db, caps)
+    report.timings = {"database": loaded - started, **report.timings}
     payload = {"game": game.digest(), "n": game.n}
     payload.update(report.to_payload(with_timings=args.timings))
     json.dump(payload, sys.stdout)
@@ -237,9 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     stable = sub.add_parser("stable", help="decide core stability")
     stable.add_argument("game", help="game file path, or - for stdin")
     stable.add_argument("-d", "--db", help=f"database path (default: ${DB_DIR_ENV}/mbc<n>.db)")
-    stable.add_argument("--max-systems", type=int, default=20_000,
+    stable.add_argument("--max-systems", type=int,
+                        default=stability.StabilityCaps.max_systems,
                         help="cap on admissible systems per feasible collection")
-    stable.add_argument("--time-limit", type=float, default=600.0,
+    stable.add_argument("--time-limit", type=float,
+                        default=stability.StabilityCaps.time_limit,
                         help="wall-clock cap for the nested stage, seconds")
     stable.add_argument("--timings", action="store_true")
     stable.set_defaults(func=cmd_stable)

@@ -1,9 +1,10 @@
 """Value types shared by the whole library.
 
 Coalitions are plain integer bitmasks: bit (i-1) set means player i is in
-the coalition, players are numbered 1..n.  All numeric data (game values,
-balancing weights) lives in `fractions.Fraction`, so every comparison made
-anywhere in the library is exact.
+the coalition, players are numbered 1..n.  Game values and weights are
+`fractions.Fraction` at the API and integers over a common denominator
+inside (`Game.scaled`, `WeightedCollection.to_row`), so every comparison
+made anywhere in the library is exact.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-PLAYER_CAP = 32
-
-# The most players a database holds and `Game.scaled` covers: both take 2^n
-# values, no count is known beyond n = 7, and an n = 8 run is out of reach.
-# A database row also keeps its masks as one byte string (`generate.Row`),
-# which holds masks up to 2^8 - 1 only.
+# The most players a game, a database or a linear system has: a game's
+# integer form and a database take 2^n values, no count is known beyond
+# n = 7, and an n = 8 run is out of reach.  A database row also keeps its
+# masks as one byte string (`generate.Row`), which holds masks up to
+# 2^8 - 1 only.
 MAX_PLAYERS = 8
 
 
@@ -178,9 +178,6 @@ class WeightedCollection:
     def __len__(self) -> int:
         return len(self.coalitions)
 
-    def items(self):
-        return zip(self.coalitions, self.weights)
-
     def player_sums(self, n: int) -> list[Fraction]:
         """Per-player weight totals; all equal 1 iff the collection is balanced
         with these weights.  Summed as the integer numerators of `to_row`,
@@ -297,7 +294,8 @@ class LineCodec:
 
 @dataclass(frozen=True)
 class Game:
-    """A TU game: player count and a map coalition-mask -> exact value.
+    """A TU game: player count n in 1..MAX_PLAYERS (ValueError otherwise)
+    and a map coalition-mask -> exact value.
 
     Absent coalitions have value 0; the empty coalition is never stored.
     """
@@ -306,8 +304,8 @@ class Game:
     values: dict[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 1 <= self.n <= PLAYER_CAP:
-            raise ValueError(f"n must be in 1..{PLAYER_CAP}")
+        if not 1 <= self.n <= MAX_PLAYERS:
+            raise ValueError(f"n must be in 1..{MAX_PLAYERS}")
         for mask in self.values:
             check_coalition(mask, self.n)
 
@@ -326,10 +324,7 @@ class Game:
     def scaled(self) -> tuple[tuple[int, ...], int]:
         """The game's one integer form (V, D): V[mask] = v(mask)·D for every
         mask 0..2^n - 1, over the values' least common denominator D.  Made
-        on first use; ValueError for more than MAX_PLAYERS players."""
-        if self.n > MAX_PLAYERS:
-            raise ValueError(
-                f"n={self.n} exceeds the {MAX_PLAYERS} players an integer form covers")
+        on first use."""
         V = [0] * (1 << self.n)
         nums, D = scaled(self.values.values())
         for mask, x in zip(self.values, nums):
@@ -376,8 +371,8 @@ def parse_game(text: str | bytes) -> Game:
     if not isinstance(payload.get("n"), int) or isinstance(payload["n"], bool):
         raise GameFormatError("missing or non-integer field 'n'")
     n = payload["n"]
-    if not 1 <= n <= PLAYER_CAP:
-        raise GameFormatError(f"n must be in 1..{PLAYER_CAP}")
+    if not 1 <= n <= MAX_PLAYERS:
+        raise GameFormatError(f"n must be in 1..{MAX_PLAYERS}")
     raw_values = payload.get("values", {})
     if not isinstance(raw_values, dict):
         raise GameFormatError("'values' must be an object")

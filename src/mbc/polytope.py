@@ -8,11 +8,10 @@ Its one library caller is `props.is_extendable`, on subgame cores at the
 game's integer scale, which are small enough that the enumeration beats
 any clever pivoting.  Family polytopes, bounded or not, are decided by
 balanced collections in `props`, with no vertex list: `is_core_describing`
-runs `linalg.vertex_clause` programs.  `DIM_CAP` guards direct calls only:
-`model.Game.scaled` covers at most `model.MAX_PLAYERS` players, so the
-subgame cores of `props.is_extendable` never meet it.  It bounds the free
-variables, not the C(rows, n - 1) solves: the core of an 8-player game
-passes it with C(254, 7) ≈ 1.2e13 row subsets to solve.
+runs `linalg.vertex_clause` programs.  A system has at most
+`model.MAX_PLAYERS` players, as a game does.  The loop makes C(rows, n - 1)
+solves, so that limit does not keep it short: the core of an 8-player game
+has C(254, 7) ≈ 1.2e13 row subsets to solve.
 """
 
 from __future__ import annotations
@@ -23,27 +22,22 @@ from itertools import combinations
 from math import gcd
 
 from . import linalg
-from .model import check_coalition, full_mask, scaled
-
-DIM_CAP = 8
-
-
-class DimensionCapError(ValueError):
-    """The number of free variables exceeds `DIM_CAP`."""
+from .model import MAX_PLAYERS, check_coalition, full_mask, scaled
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     """{x in Q^n : x(N) = grand, x(S) >= b for each (S, b) in rows}, with
-    n >= 1 and S a coalition mask in 1..2^n - 1 (ValueError otherwise)."""
+    n in 1..MAX_PLAYERS and S a coalition mask in 1..2^n - 1 (ValueError
+    otherwise)."""
 
     n: int
     grand: Fraction
     rows: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, not {self.n}")
+        if not 1 <= self.n <= MAX_PLAYERS:
+            raise ValueError(f"n must be in 1..{MAX_PLAYERS}, not {self.n}")
         for mask, _ in self.rows:
             check_coalition(mask, self.n)
 
@@ -63,15 +57,13 @@ def enumerate_vertices(system: LinearSystem):
     """All vertices, exactly, deduplicated and sorted.  Every returned point
     satisfies each row and makes n - 1 rows with independent coefficients
     tight.  Empty output means no vertex (for a bounded polytope: empty
-    polytope).  Raises DimensionCapError when n - 1 exceeds DIM_CAP.
+    polytope).
 
     The right-hand sides are scaled once to integers by their common
     denominator D, and x_1 = G - Σ_{j>1} x_j is substituted (G = D·c), so
     row S reads Σ_{j>1} (s_j - s_1)·x_j >= D·b_S - s_1·G with integer
     coefficients; the solves and the checks are integer."""
     n, d = system.n, system.n - 1
-    if d > DIM_CAP:
-        raise DimensionCapError(f"{d} free variables exceed the cap {DIM_CAP}")
     (G, *bounds), scale = scaled([system.grand, *(b for _, b in system.rows)])
     rows = []
     for (mask, _), b in zip(system.rows, bounds):

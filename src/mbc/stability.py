@@ -9,8 +9,7 @@ singletons, the family being core-describing, blocking pairs, and the
 weak-extendability sufficient condition.  The core-describing gate is
 decided by balanced-collection programs (`props.is_core_describing`) and
 weak extendability lists the vertices of subgame cores of at most
-`model.MAX_PLAYERS` - 1 players, so no stage meets the dimension cap of
-the vertex loop.
+`model.MAX_PLAYERS` - 1 players.
 
 The second level generalizes balanced collections to balanced sets: finite
 sets of nonnegative vectors whose positive combinations reach the all-ones

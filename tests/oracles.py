@@ -355,7 +355,8 @@ def omega_reference(game: Game, family, collection, system):
         comp = complement(S, n)
         z = [Fraction(0)] * n
         c = grand
-        for mask, w in WeightedCollection.from_row(*system[S]).items():
+        wc = WeightedCollection.from_row(*system[S])
+        for mask, w in zip(wc.coalitions, wc.weights):
             if mask.bit_count() == 1 and mask & S:
                 z[mask.bit_length() - 1] = w
             else:

@@ -216,6 +216,25 @@ def test_seven_players_without_database_exit_one(tmp_path, capsys, monkeypatch):
         "error: no database given and in-memory generation is capped at n=6\n")
 
 
+@pytest.mark.parametrize("command", ["analyze", "stable"])
+def test_more_than_max_players_is_a_bad_game_file(command, tmp_path, capsys):
+    # refused when the file is read, before any database is looked for
+    path = tmp_path / "nine.game"
+    path.write_text('{"n":9,"values":{"1,2,3,4,5,6,7,8,9":"1"}}')
+    db = tmp_path / "mbc3.db"
+    run_main(capsys, ["gen", "-n", "3", "-o", str(db)])
+    for argv in ([command, str(path)], [command, str(path), "-d", str(db)]):
+        code, stdout, stderr = run_main(capsys, argv)
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: bad game file: n must be in 1..8\n"
+
+
+def test_stable_defaults_are_the_library_caps():
+    args = cli.build_parser().parse_args(["stable", "game.json"])
+    caps = stability.StabilityCaps()
+    assert (args.max_systems, args.time_limit) == (caps.max_systems, caps.time_limit)
+
+
 def test_analyze_unbalanced_game_reports_each_check(tmp_path, capsys):
     path = tmp_path / "empty-core.game"
     path.write_text(EMPTY_CORE3)
@@ -238,10 +257,10 @@ def _without_timings(stdout: str) -> tuple[str, list[str]]:
 
 
 @pytest.mark.parametrize("argv,keys", [
-    (["stable"], ["balancedness", "singleton-exactness", "vital-exactness",
-                  "core-describing", "feasibility", "blocking"]),
+    (["stable"], ["database", "balancedness", "singleton-exactness",
+                  "vital-exactness", "core-describing", "feasibility", "blocking"]),
     (["analyze", "-c", "core,sve,extendable,feasible"],
-     ["core", "sve", "extendable", "feasible"]),
+     ["database", "index", "core", "sve", "extendable", "feasible"]),
 ])
 def test_timings_add_only_a_timings_key(game_file, capsys, argv, keys):
     code, plain, _ = run_main(capsys, [*argv, game_file])

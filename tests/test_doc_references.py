@@ -2,7 +2,9 @@
 
 A reference is a backquoted `module.name` or `mbc.module.name` (call
 arguments after the name allowed) for one of the library modules below, in
-README.md or in a docstring of `src/mbc`.  A renamed or deleted function
+README.md or in a docstring of `src/mbc`.  Any other `mbc.name`, backquoted
+or in a code block, must be a module or an attribute of the package, which
+exports the names of the README's examples.  A renamed or deleted function
 leaves such references behind; this test names each one.  A backquoted
 bare name ending in `Error` must be a builtin exception or an attribute of
 one of those modules, so a deleted exception type is caught without its
@@ -27,6 +29,7 @@ SRC = Path(mbc.__file__).resolve().parent
 README = SRC.parents[1] / "README.md"
 MODULES = ("generate", "props", "stability", "linalg", "polytope", "model", "cli")
 REFERENCE = re.compile(rf"`(?:mbc\.)?({'|'.join(MODULES)})((?:\.\w+)+)")
+PACKAGE_NAME = re.compile(r"\bmbc\.(\w+)")
 ERROR_NAME = re.compile(r"`(\w+Error)\b")
 
 
@@ -46,6 +49,8 @@ def _unresolved(text: str) -> list[str]:
                 missing.append(match[0].lstrip("`"))
                 break
             target = getattr(target, attr)
+    missing += [match[0] for match in PACKAGE_NAME.finditer(text)
+                if match[1] not in MODULES and not hasattr(mbc, match[1])]
     return missing
 
 
@@ -66,10 +71,13 @@ def test_reference_pattern():
         "`polytope.LinearSystem", "`generate.MbcDatabase.load"]
     assert _unresolved(text) == [
         "linalg.no_such_name", "mbc.generate.MbcDatabase.no_such_method"]
-    errors = ("`ValueError`, `DimensionCapError`, `GameFormatError`, "
+    package = ("`mbc.check_minimal_balanced`, `mbc.is_balanced_collection(masks, db)`, "
+               "db = mbc.peleg(4), `mbc.props`, `mbc.no_such_name`, mbc.nosuch(1)")
+    assert _unresolved(package) == ["mbc.no_such_name", "mbc.nosuch"]
+    errors = ("`ValueError`, `UnbalancedGameError`, `GameFormatError`, "
               "`NoSuchError` and `polytope.NoSuchError(...)`")
     assert ERROR_NAME.findall(errors) == [
-        "ValueError", "DimensionCapError", "GameFormatError", "NoSuchError"]
+        "ValueError", "UnbalancedGameError", "GameFormatError", "NoSuchError"]
     assert _unknown_errors(errors) == ["NoSuchError"]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import mbc
 from mbc.model import (
+    MAX_PLAYERS,
     Game,
     GameFormatError,
     LineCodec,
@@ -129,6 +130,21 @@ def test_parse_game_rejects(text):
         parse_game(text)
 
 
+@pytest.mark.parametrize("n", [0, MAX_PLAYERS + 1])
+def test_game_player_limit(n):
+    message = f"n must be in 1..{MAX_PLAYERS}"
+    with pytest.raises(ValueError, match=message):
+        Game(n, {})
+    with pytest.raises(GameFormatError, match=message):
+        parse_game(f'{{"n":{n},"values":{{}}}}')
+
+
+def test_game_accepts_max_players():
+    grand = full_mask(MAX_PLAYERS)
+    game = parse_game(f'{{"n":{MAX_PLAYERS},"values":{{"{coalition_key(grand)}":"1"}}}}')
+    assert game == Game(MAX_PLAYERS, {grand: Fraction(1)})
+
+
 def test_serialization_idempotent_after_canonicalization():
     text = '{"n":3,"values":{"2,3":"0.50","1":"0","1,2":"2/4"}}'
     once = parse_game(text).to_text()
@@ -202,7 +218,7 @@ def test_player_sums_rejects_a_player_above_n():
         # weights not in lowest terms are written reduced, each on its own
         ((3, 5), (2, 4), 6, "3:1/3 5:2/3", ((3, 5), (1, 2), 3)),
         ((1, 2, 4), (3, 3, 6), 6, "1:1/2 2:1/2 4:1/1", ((1, 2, 4), (1, 1, 2), 2)),
-        # masks above one byte, as n up to PLAYER_CAP allows
+        # masks above one byte: the codec reads and writes any mask
         ((0xFF, 0x100, 0xFFFFFFFF), (1, 1, 2), 4, "ff:1/4 100:1/4 ffffffff:1/2",
          ((0xFF, 0x100, 0xFFFFFFFF), (1, 1, 2), 4)),
         # masks given as a list

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from mbc import Game, peleg
-from mbc.polytope import DimensionCapError, LinearSystem, enumerate_vertices
+from mbc.model import MAX_PLAYERS
+from mbc.polytope import LinearSystem, enumerate_vertices
 from conftest import make_additive, make_three_player_tight
 from oracles import (
     mbc_via_vertices,
@@ -58,9 +59,14 @@ def test_linear_system_rejects_n_and_rows_outside_its_players(n, rows):
         LinearSystem(n, F(1), rows)
 
 
-def test_dimension_cap():
-    with pytest.raises(DimensionCapError):
-        enumerate_vertices(LinearSystem.core(Game(10, {})))
+def test_linear_system_player_limit():
+    # a system has at most as many players as a game
+    with pytest.raises(ValueError, match=f"n must be in 1..{MAX_PLAYERS}"):
+        LinearSystem(MAX_PLAYERS + 1, F(1), ())
+    # x_i >= 0 for every player but the first: the one vertex (1, 0, ..., 0)
+    rows = tuple((1 << i, F(0)) for i in range(1, MAX_PLAYERS))
+    assert enumerate_vertices(LinearSystem(MAX_PLAYERS, F(1), rows)) == [
+        (F(1),) + (F(0),) * (MAX_PLAYERS - 1)]
 
 
 def test_feasibility_with_strict_rows():

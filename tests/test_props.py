@@ -80,7 +80,8 @@ def test_index_witness_is_the_first_violated_collection(db4):
         witness = BalancedIndex(game, db4).witness()
         first = None
         for wc in db4:
-            if sum(w * game.value(m) for m, w in wc.items()) > game.grand_value():
+            total = sum(w * game.value(m) for m, w in zip(wc.coalitions, wc.weights))
+            if total > game.grand_value():
                 first = wc
                 break
         assert witness == first
@@ -271,7 +272,7 @@ def test_exactness_matches_vertex_oracle_random(db4):
         values = {mask: F(rng.randint(0, 30), 10) for mask in range(1, 15)}
         probe = Game(4, values)
         level = max(
-            sum((w * probe.value(m) for m, w in wc.items()), F(0))
+            sum((w * probe.value(m) for m, w in zip(wc.coalitions, wc.weights)), F(0))
             for wc in db4
             if wc.coalitions != (15,)
         )
@@ -465,14 +466,11 @@ def test_every_coalition_of_a_convex_game_is_extendable(n):
 
 
 def test_integer_form_refuses_more_than_max_players():
-    # neither check takes a database, so the game's integer form is where
-    # a game of too many players is refused, before its 2^n values are
-    # allocated (at n = 9 a missing check would build only 512 of them)
-    game = Game(MAX_PLAYERS + 1, {full_mask(MAX_PLAYERS + 1): F(1)})
-    for call in (lambda: game.scaled, lambda: is_extendable(1, game),
-                 lambda: is_core_describing({1}, game)):
-        with pytest.raises(ValueError, match=f"exceeds the {MAX_PLAYERS} players"):
-            call()
+    # neither is_extendable nor is_core_describing takes a database, so a
+    # game of too many players must be refused before its integer form
+    # allocates 2^n values: `Game` itself refuses it
+    with pytest.raises(ValueError, match=f"n must be in 1..{MAX_PLAYERS}"):
+        Game(MAX_PLAYERS + 1, {full_mask(MAX_PLAYERS + 1): F(1)})
     assert len(Game(MAX_PLAYERS, {}).scaled[0]) == 1 << MAX_PLAYERS
 
 
