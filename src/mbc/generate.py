@@ -82,17 +82,21 @@ from __future__ import annotations
 import heapq
 import tempfile
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import compress, islice, repeat
 from math import gcd, lcm
-from operator import itemgetter, lt, mul
+from operator import eq, itemgetter, lt, mul
 
 from .model import (
     MAX_PLAYERS,
     LineCodec,
     WeightedCollection,
     _Memo,
+    _canonical_weights,
+    _parse_item,
     check_coalition,
     full_mask,
     members,
@@ -463,10 +467,10 @@ class MbcDatabase:
     def save(self, path) -> None:
         """Write the rows as an MBCDB file, byte for byte what `peleg_stream`
         writes for the same collections."""
-        write = LineCodec().write
+        write = LineCodec("\n").write
         with open(path, "w") as fh:
             _write_db(fh, _header(self.n, len(self.rows), self.restricted),
-                      sorted(write(*row) + "\n" for row in self.rows))
+                      sorted(write(*row) for row in self.rows))
 
     @classmethod
     def load(cls, path) -> "MbcDatabase":
@@ -474,7 +478,15 @@ class MbcDatabase:
         `_header` writes or with n outside 1..MAX_PLAYERS, a row whose masks
         are not strictly increasing inside 1..2^n-1, whose weights are not
         positive, or in which some player's weights do not sum to exactly 1,
-        and a collection listed twice.  Minimality is not checked."""
+        a collection listed twice, and an unrestricted file on n <= 6
+        players that does not hold as many collections as there are minimal
+        balanced collections on n players.  Minimality is not checked.
+
+        The rows come from one bulk pass over the file (`_bulk_rows`).
+        Only when that pass meets a fault is the file read again from the
+        start, line by line (`_first_fault`), to name the first faulty
+        line; a file that cannot seek back, such as a pipe, then fails
+        with the error of its seek."""
         with open(path) as fh:
             header = fh.readline().strip()
             fields = header.split()
@@ -490,45 +502,135 @@ class MbcDatabase:
                 raise ValueError(f"bad MBCDB header: {header!r}")
             if not 1 <= n <= MAX_PLAYERS:
                 raise ValueError(f"bad MBCDB header: n={n} out of range")
-            top = full_mask(n)
-            width = 0
-            read = LineCodec().read
-            rows = []
-            for lineno, line in enumerate(fh, 2):
-                if line.isspace():
-                    continue
-                try:
-                    masks, nums, den, total = read(line)
-                    if not all(map(lt, masks, masks[1:])):
-                        raise ValueError("coalitions are not strictly increasing")
-                    if not 0 < masks[0] <= masks[-1] <= top:
-                        raise ValueError(f"coalition out of range for n={n}")
-                    if min(nums) <= 0:
-                        raise ValueError("weights must be positive")
-                    if total >> width:
-                        width = total.bit_length()
-                        lanes = _Memo(partial(_lanes, width))
-                    if sum(map(mul, nums, map(lanes.__getitem__, masks))) != den * lanes[top]:
-                        raise ValueError("player weight sums are not all 1")
-                except ValueError as exc:
-                    raise ValueError(
-                        f"MBCDB line {lineno} {line.strip()!r}: {exc}") from exc
-                rows.append((bytes(masks), nums, den))
+            try:
+                rows = _bulk_rows(fh, full_mask(n))
+            except ValueError:
+                rows = None
+            if rows is None:
+                fh.seek(0)
+                fh.readline()
+                _first_fault(fh, n)
+                raise RuntimeError("MBCDB: the bulk pass found a fault that "
+                                   "the line checks do not")
         if len(rows) != count:
             raise ValueError(
                 f"MBCDB count mismatch: header says {count}, file has {len(rows)}"
             )
         rows.sort()
+        rows = tuple(rows)
         _check_once(rows, "MBCDB lists a collection twice")
-        return cls(n, tuple(rows), restricted)
+        if not restricted and n <= len(_KNOWN_COUNTS) and count != _KNOWN_COUNTS[n - 1]:
+            raise ValueError(
+                f"MBCDB holds {count} collections, but there are "
+                f"{_KNOWN_COUNTS[n - 1]} minimal balanced collections on {n} players")
+        return cls(n, rows, restricted)
 
 
-def _check_once(rows: list[Row], message: str) -> None:
+# the number of minimal balanced collections on n = 1..6 players; an
+# unrestricted database with another count misses rows or holds extra ones
+_KNOWN_COUNTS = (1, 2, 6, 42, 1292, 200214)
+
+# characters `_bulk_rows` reads at a time, before it completes the last
+# line.  A piece's tokens and lists die with it; small pieces keep them from
+# leaving freed memory scattered among the rows, which outlive the load.
+LOAD_CHUNK = 1 << 13
+
+# the token that stands for a line end in the token stream of a piece of a
+# file: no item holds it, so a file in which it appears is malformed
+_LINE_END = ";"
+
+
+def _bulk_rows(fh, top: int) -> list[Row]:
+    """The rows of the lines of `fh`, an MBCDB file after its header, in
+    file order, each checked as `_first_fault` checks a line; raises
+    ValueError, naming no line, when some row fails.
+
+    The file is read `LOAD_CHUNK` characters at a time, completed to the
+    end of a line, and a piece is split once into tokens, with `_LINE_END`
+    for each line end.  Each distinct item is parsed, and its mask checked
+    to lie in 1..top, once; each distinct weight row, the weight texts of a
+    line, is reduced and checked for a zero denominator and for positive
+    weights once.  After that a piece is checked with C-level maps only: a
+    token is two table lookups, its mask byte and its weight text, the
+    piece's masks are one byte string, and each line's player sums are one
+    sum of `_lanes` integers, compared with its weight row's."""
+    def item(token: str) -> tuple[int, str]:
+        mask, text = _parse_item(token)
+        if not 0 < mask <= top:
+            raise ValueError("coalition out of range")
+        return mask, text
+
+    def weight_row(texts: str):
+        nums, den, total = _canonical_weights(texts.split())
+        if min(nums) <= 0:
+            raise ValueError("weights must be positive")
+        lanes = lane_tables[total.bit_length()]
+        return nums, den, lanes.__getitem__, den * lanes[top]
+
+    lane_tables = _Memo(lambda width: tuple(_lanes(width, m) for m in range(top + 1)))
+    mask_of = _Memo(lambda token: item(token)[0])
+    text_of = _Memo(lambda token: item(token)[1] + " ")
+    mask_of[_LINE_END], text_of[_LINE_END] = 0, "\n"
+    weight_rows = _Memo(weight_row)
+    rows: list[Row] = []
+    while text := fh.read(LOAD_CHUNK):
+        text += fh.readline()
+        if _LINE_END in text:
+            raise ValueError("malformed MBCDB line")
+        tokens = text.replace("\n", f" {_LINE_END} ").split()
+        masks = b"\0" + bytes(map(mask_of.__getitem__, tokens))
+        # a line end (0) lies below every mask, so each mask follows a line
+        # end or a smaller mask exactly when every line's masks increase
+        if sum(map(lt, masks, masks[1:])) != len(masks) - masks.count(0):
+            raise ValueError("coalitions are not strictly increasing")
+        lines = list(filter(None, masks.split(b"\0")))
+        if not lines:
+            continue
+        keys = filter(None, "".join(map(text_of.__getitem__, tokens)).split("\n"))
+        nums, dens, lanes, targets = zip(*map(weight_rows.__getitem__, keys))
+        sums = map(sum, map(map, repeat(mul), nums, map(map, lanes, lines)))
+        if not all(map(eq, sums, targets)):
+            raise ValueError("player weight sums are not all 1")
+        rows += zip(lines, nums, dens)
+    return rows
+
+
+def _first_fault(fh, n: int) -> None:
+    """Raises ValueError naming the first faulty line of `fh`, an MBCDB
+    file on n players after its header, and returns when no line is
+    faulty.  A line's checks run in one fixed order: syntax, zero
+    denominator, increasing masks, mask range, positive weights, sums."""
+    top = full_mask(n)
+    width = 0
+    read = LineCodec().read
+    for lineno, line in enumerate(fh, 2):
+        if line.isspace():
+            continue
+        try:
+            masks, nums, den, total = read(line)
+            if not all(map(lt, masks, masks[1:])):
+                raise ValueError("coalitions are not strictly increasing")
+            if not 0 < masks[0] <= masks[-1] <= top:
+                raise ValueError(f"coalition out of range for n={n}")
+            if min(nums) <= 0:
+                raise ValueError("weights must be positive")
+            if total >> width:
+                width = total.bit_length()
+                lanes = _Memo(partial(_lanes, width))
+            if sum(map(mul, nums, map(lanes.__getitem__, masks))) != den * lanes[top]:
+                raise ValueError("player weight sums are not all 1")
+        except ValueError as exc:
+            raise ValueError(
+                f"MBCDB line {lineno} {line.strip()!r}: {exc}") from exc
+
+
+def _check_once(rows: Sequence[Row], message: str) -> None:
     """Raises ValueError with the message and the first of the sorted rows
     whose masks equal those of the row before it."""
-    for a, b in zip(rows, rows[1:]):
-        if a[0] == b[0]:
-            raise ValueError(f"{message}: {LineCodec().write(*b)!r}")
+    masks = itemgetter(0)
+    repeats = map(eq, map(masks, rows), map(masks, islice(rows, 1, None)))
+    for row in compress(islice(rows, 1, None), repeats):
+        raise ValueError(f"{message}: {LineCodec().write(*row)!r}")
 
 
 def _header(n: int, count: int, restricted: bool) -> str:
@@ -539,8 +641,13 @@ def _header(n: int, count: int, restricted: bool) -> str:
 
 def _write_db(out, header: str, lines) -> None:
     """Write the header and the lines, sorted and each ending in a newline;
-    raises ValueError, naming the line, when a line comes twice."""
+    raises ValueError, naming the line, when a line comes twice.  A list
+    with no line twice, found by one comparison of neighbours, is written
+    at once; other lines (a merge of shards) are written one at a time."""
     out.write(header + "\n")
+    if isinstance(lines, list) and not any(map(eq, lines, islice(lines, 1, None))):
+        out.writelines(lines)
+        return
     previous = None
     for line in lines:
         if line == previous:
@@ -619,12 +726,12 @@ def peleg_stream(n: int, out, set_system=None) -> int:
     and the shards are merged with the lines left in memory.  A collection
     emitted twice, at any step, raises ValueError."""
     allowed = restriction(n, set_system)
-    write = LineCodec().write
+    write = LineCodec("\n").write
     shards = []
     lines: list[str] = []
 
     def emit(masks, nums, den):
-        lines.append(write(masks, nums, den) + "\n")
+        lines.append(write(masks, nums, den))
         if len(lines) == SHARD_LINES:
             lines.sort()
             shard = tempfile.TemporaryFile("w+", prefix="mbcshard")
@@ -638,7 +745,7 @@ def peleg_stream(n: int, out, set_system=None) -> int:
         count = SHARD_LINES * len(shards) + len(lines)
         lines.sort()
         _write_db(out, _header(n, count, allowed is not None),
-                  heapq.merge(*shards, lines))
+                  heapq.merge(*shards, lines) if shards else lines)
     finally:
         for shard in shards:
             shard.close()

@@ -265,13 +265,14 @@ class LineCodec:
     items.  A database file repeats few distinct items and weight rows, so
     the codec parses each item and weight row once and looks it up after
     that; it writes a line by filling the masks into the printf template of
-    its weight row, made once per row.  Use one codec per file: its tables
-    live as long as it does."""
+    its weight row, made once per row and ending in `end` (the MBCDB
+    writers pass a newline).  Use one codec per file: its tables live as
+    long as it does."""
 
-    def __init__(self):
+    def __init__(self, end: str = ""):
         self._items = _Memo(_parse_item)
         self._weight_rows = _Memo(_canonical_weights)
-        self._templates = _Memo(_line_template)
+        self._templates = _Memo(lambda key: _line_template(key) + end)
 
     def read(self, line: str) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
         """One line -> (masks, nums, den, sum(nums)): the integer row over
@@ -284,7 +285,8 @@ class LineCodec:
         return (masks, *self._weight_rows[texts])
 
     def write(self, masks, nums: tuple[int, ...], den: int) -> str:
-        """The line of an integer row, each weight in lowest terms."""
+        """The line of an integer row, each weight in lowest terms, followed
+        by the codec's `end`."""
         return self._templates[nums, den] % tuple(masks)
 
 

@@ -47,8 +47,13 @@ sign test per subset with the child's entries sorted afterwards.
 library's earlier per-row override scan, in Fractions: every row holding
 the complement of S is re-summed for the derived game v^S, where the
 library compares one headroom per coalition.
+`load_line_by_line` is an MBCDB reader that checks each line on its own,
+in Fractions, in the documented order; it is the reference for the bulk
+pass of `MbcDatabase.load`, for the rows it accepts and the message it
+refuses a file with.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -674,3 +679,68 @@ def effective_reference(game: Game, db: MbcDatabase):
     if tight is None:
         return None
     return frozenset(T for i in tight for T in db.rows[i][0])
+
+
+# ---------------------------------------------------------------------------
+# MBCDB files, one line at a time
+
+_HEADER = re.compile(r"MBCDB 1 n=([0-9]+) count=([0-9]+)( restricted)?")
+_ITEM = re.compile(r"([0-9a-fA-F]+):([0-9]+)/([0-9]+)")
+# the minimal balanced collections on n = 1..6 players (acceptance criterion 1)
+_COUNTS = {1: 1, 2: 2, 3: 6, 4: 42, 5: 1292, 6: 200214}
+
+
+def _reference_row(line: str, n: int):
+    """The canonical row of one MBCDB line, or ValueError for its first
+    fault: syntax, zero denominator, increasing masks, mask range, positive
+    weights, player sums."""
+    items = [_ITEM.fullmatch(field) for field in line.split()]
+    if not all(items):
+        raise ValueError("malformed MBCDB line")
+    masks = [int(item[1], 16) for item in items]
+    if any(int(item[3]) == 0 for item in items):
+        raise ValueError("zero denominator")
+    weights = [Fraction(int(item[2]), int(item[3])) for item in items]
+    if any(a >= b for a, b in zip(masks, masks[1:])):
+        raise ValueError("coalitions are not strictly increasing")
+    if not all(0 < m < 1 << n for m in masks):
+        raise ValueError(f"coalition out of range for n={n}")
+    if min(weights) <= 0:
+        raise ValueError("weights must be positive")
+    for p in range(n):
+        if sum(w for m, w in zip(masks, weights) if m >> p & 1) != 1:
+            raise ValueError("player weight sums are not all 1")
+    den = lcm(*(w.denominator for w in weights))
+    return bytes(masks), tuple(int(w * den) for w in weights), den
+
+
+def load_line_by_line(path):
+    """(n, rows sorted, restricted) of the MBCDB file at `path`, whose
+    header must be well formed, or ValueError with the message
+    `MbcDatabase.load` gives: the first faulty line, then a count other
+    than the header's, then a collection listed twice, then an
+    unrestricted count other than the known one for n <= 6."""
+    with open(path) as fh:
+        header = _HEADER.fullmatch(fh.readline().rstrip("\n"))
+        n, count, restricted = int(header[1]), int(header[2]), bool(header[3])
+        rows = []
+        for lineno, line in enumerate(fh, 2):
+            if line.isspace():
+                continue
+            try:
+                rows.append(_reference_row(line, n))
+            except ValueError as exc:
+                raise ValueError(f"MBCDB line {lineno} {line.strip()!r}: {exc}") from None
+    if len(rows) != count:
+        raise ValueError(f"MBCDB count mismatch: header says {count}, file has {len(rows)}")
+    rows.sort()
+    for a, b in zip(rows, rows[1:]):
+        if a[0] == b[0]:
+            masks, nums, den = b
+            line = " ".join(f"{m:x}:{Fraction(x, den).numerator}/{Fraction(x, den).denominator}"
+                            for m, x in zip(masks, nums))
+            raise ValueError(f"MBCDB lists a collection twice: {line!r}")
+    if not restricted and _COUNTS.get(n, count) != count:
+        raise ValueError(f"MBCDB holds {count} collections, but there are "
+                         f"{_COUNTS[n]} minimal balanced collections on {n} players")
+    return n, tuple(rows), restricted

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from mbc import generate
+from mbc import Game, generate, is_balanced_game
 from mbc.generate import (
     BALANCED_NOT_MINIMAL,
     MINIMAL,
@@ -44,6 +44,7 @@ from oracles import (
     check_minimal_balanced_reference,
     children_4_reference,
     is_minimal_balanced,
+    load_line_by_line,
     merged_pair_reference,
 )
 
@@ -658,6 +659,201 @@ def test_database_load_accepts_only_written_headers(tmp_path, header):
     path.write_text(f"{header}\n{body}")
     with pytest.raises(ValueError, match="bad MBCDB header"):
         MbcDatabase.load(path)
+
+
+def test_database_load_refuses_an_unrestricted_file_with_rows_dropped(tmp_path, db5):
+    # the one row this game violates, dropped with the header count edited,
+    # would make the game look balanced; an unrestricted file on n <= 6
+    # players must hold every minimal balanced collection, as many as known
+    v = {0b00011: F(3, 5), 0b11100: F(3, 5), 0b11111: F(1)}
+    game = Game(5, v)
+    violated = [row for row in db5.rows
+                if sum(F(x, row[2]) * v.get(m, 0) for m, x in zip(*row[:2])) > 1]
+    kept = tuple(row for row in db5.rows if row not in violated)
+    assert len(violated) == 1 and not is_balanced_game(game, db5)
+    assert is_balanced_game(game, MbcDatabase(5, kept))
+    write = LineCodec().write
+    path = tmp_path / "tampered5.db"
+    path.write_text(f"MBCDB 1 n=5 count={len(kept)}\n"
+                    + "".join(sorted(write(*row) + "\n" for row in kept)))
+    with pytest.raises(ValueError) as info:
+        MbcDatabase.load(path)
+    assert str(info.value) == ("MBCDB holds 1291 collections, but there are "
+                               "1292 minimal balanced collections on 5 players")
+    # a restricted file holds only some of the collections, so any count goes
+    path.write_text(path.read_text().replace("count=1291", "count=1291 restricted", 1))
+    assert MbcDatabase.load(path).rows == kept
+
+
+def _respelled(line, k):
+    """The line with every weight num/den written k*num/k*den."""
+    items = (item.replace("/", ":").split(":") for item in line.split())
+    return " ".join(f"{m}:{k * int(x)}/{k * int(d)}" for m, x, d in items)
+
+
+def _with_a_zero_weight(items):
+    """The items plus one more coalition, weighted 0, in mask order: only
+    the positivity check fails."""
+    masks = {int(item.split(":")[0], 16): item for item in items}
+    new = min(set(range(1, max(masks) + 2)) - set(masks))
+    masks[new] = f"{new:x}:0/1"
+    return [masks[m] for m in sorted(masks)]
+
+
+# one fault per check, made from a line's items: only that check fails, or
+# it is the first in the per-line order that does
+LINE_FAULTS = {
+    "malformed": lambda items: [items[0].replace(":", "-"), *items[1:]],
+    "denominator": lambda items: [items[0].split("/")[0] + "/0", *items[1:]],
+    "increasing": lambda items: [*items, items[0]],
+    "range": lambda items: [*items[:-1], "100:" + items[-1].split(":")[1]],
+    "positive": _with_a_zero_weight,
+    "sums": lambda items: [_respelled(items[0], 2).replace("/", "1/", 1), *items[1:]],
+}
+
+
+def _load_corpus(tmp_path):
+    """(name, MBCDB file text) pairs: generated files, the same files with
+    each line fault at the first, a middle and the last line, and with
+    faults and spellings no single line shows."""
+    bodies = {}
+    for name, n, system in [("n3", 3, None), ("n4", 4, None), ("n5", 5, None),
+                            ("r4", 4, [0b0111, 0b1100, 0b1010])]:
+        _stream(tmp_path / "base.db", n, system)
+        header, *lines = (tmp_path / "base.db").read_text().splitlines()
+        bodies[name] = header, lines
+    corpus = []
+
+    def add(name, header, lines, end="\n"):
+        corpus.append((name, header + end + "".join(line + end for line in lines)))
+
+    for name, (header, lines) in bodies.items():
+        add(name, header, lines)
+        for fault, make in LINE_FAULTS.items():
+            for i in (0, len(lines) // 2, len(lines) - 1):
+                faulty = list(lines)
+                faulty[i] = " ".join(make(lines[i].split()))
+                add(f"{name} {fault} at {i}", header, faulty)
+    header, lines = bodies["n4"]
+    add("crlf", header, lines, "\r\n")
+    add("cr", header, lines, "\r")
+    add("upper hex, tabs", header, [line.upper().replace(" ", "\t") for line in lines])
+    add("whitespace-only lines", header,
+        ["", "  ", *lines[:20], "\t \f", *["   "] * 50, *lines[20:], " "])
+    corpus.append(("no final newline", "\n".join([header, *lines])))
+    add("line-end token", header, [*lines[:-1], lines[-1].replace(" ", " ; ", 1)])
+    add("line-end glued", header, [*lines[:-1], lines[-1] + ";"])
+    # two valid rows on one line, the count still that of the rows
+    add("line-end token between rows", header,
+        [*lines[:-2], f"{lines[-2]} ; {lines[-1]}"])
+    add("two spellings", header.replace("42", "43"), [*lines, _respelled(lines[7], 3)])
+    add("count", header.replace("42", "43"), lines)
+    add("known count", header.replace("42", "41"), lines[1:])
+    add("known count, and twice", header.replace("42", "41"),
+        [*lines[2:], _respelled(lines[5], 2)])
+    header, lines = bodies["r4"]
+    count = f"count={len(lines)}"
+    add("restricted, one row dropped", header.replace(count, f"count={len(lines) - 1}"),
+        lines[1:])
+    add("restricted, empty", header.replace(count, "count=0"), [])
+    header, lines = bodies["n5"]
+    # every line spelled its own way: 1,292 weight spellings
+    scaled = [_respelled(line, k) for k, line in enumerate(lines, 2)]
+    add("n5 spelled per line", header, scaled)
+    add("n5 spelled per line, sums", header, [*scaled[:-1], _respelled(lines[-1], 1) + " 1f:1/1"])
+    add("n5 spelled per line, upper hex", header, [line.upper() for line in scaled])
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def load_corpus(tmp_path_factory):
+    """The corpus, each file with the reference reader's outcome: its
+    (n, rows, restricted), or the message it refuses the file with."""
+    tmp_path = tmp_path_factory.mktemp("corpus")
+    path = tmp_path / "variant.db"
+    cases = []
+    for name, text in _load_corpus(tmp_path):
+        path.write_bytes(text.encode())
+        try:
+            expected = load_line_by_line(path)
+        except ValueError as exc:
+            expected = str(exc)
+        cases.append((name, text, expected))
+    return cases
+
+
+def test_load_corpus_covers_every_outcome(load_corpus):
+    messages = [expected for _, _, expected in load_corpus if isinstance(expected, str)]
+    for problem in LOAD_ERRORS.values():
+        assert sum(message.endswith(problem) for message in messages) >= 3
+    for start in ("MBCDB count mismatch", "MBCDB lists a collection twice", "MBCDB holds"):
+        assert any(message.startswith(start) for message in messages)
+    spellings = {line.split(":", 1)[1] for name, text, _ in load_corpus
+                 if name == "n5 spelled per line" for line in text.splitlines()[1:]}
+    assert len(spellings) > 255
+
+
+@pytest.mark.parametrize("chunk", [16, 100, generate.LOAD_CHUNK])
+def test_database_load_matches_line_by_line_reader(tmp_path, monkeypatch, load_corpus, chunk):
+    # small pieces make every file span several of them, and cut most lines
+    monkeypatch.setattr(generate, "LOAD_CHUNK", chunk)
+    first_fault = generate._first_fault
+    reread = []
+
+    def recorded(*args):
+        reread.append(args)
+        return first_fault(*args)
+
+    monkeypatch.setattr(generate, "_first_fault", recorded)
+    path = tmp_path / "variant.db"
+    for name, text, expected in load_corpus:
+        path.write_bytes(text.encode())
+        reread.clear()
+        try:
+            db = MbcDatabase.load(path)
+            got = db.n, db.rows, db.restricted
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, name
+        # the file is read line by line only to name a faulty line
+        assert bool(reread) == str(got).startswith("MBCDB line"), name
+
+
+def test_database_load_matches_line_by_line_reader_on_edited_files(tmp_path, monkeypatch):
+    # seeded character edits of a generated file, among them the line-end
+    # token, CR, NUL, and \x1c and \x85, which split as whitespace but end
+    # no line
+    monkeypatch.setattr(generate, "LOAD_CHUNK", 16)
+    _stream(tmp_path / "base.db", 4)
+    header, body = (tmp_path / "base.db").read_text().split("\n", 1)
+    pieces = [";", "\r", "\x00", "\x1c", "\x85", " ", "\t", "\n", "0", "f", ":", "/",
+              ":1/1", "2/2", "100"]
+    rng = random.Random(31)
+    path = tmp_path / "edited.db"
+    loaded = 0
+    for _ in range(300):
+        chars = list(body)
+        for _ in range(rng.randint(1, 3)):
+            at, edit = rng.randrange(len(chars)), rng.random()
+            if edit < 0.5:
+                chars[at:at] = rng.choice(pieces)
+            elif edit < 0.8:
+                del chars[at]
+            else:
+                chars[at] = rng.choice(pieces)
+        path.write_bytes(f"{header}\n{''.join(chars)}".encode())
+        try:
+            expected = load_line_by_line(path)
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            db = MbcDatabase.load(path)
+            got = db.n, db.rows, db.restricted
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, "".join(chars)
+        loaded += not isinstance(got, str)
+    assert 0 < loaded < 300
 
 
 def test_streaming_generation_matches_in_memory(tmp_path, monkeypatch, db5):
