@@ -26,6 +26,7 @@ from .model import (
 from .props import (
     BalancedIndex,
     effective_set,
+    index_for,
     is_balanced_game,
     sve_family,
 )

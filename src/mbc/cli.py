@@ -124,7 +124,7 @@ def cmd_analyze(args) -> int:
     begun = time.monotonic()
     db = _load_db(args, game)
     loaded = time.monotonic()
-    index = props.BalancedIndex(game, db)
+    index = props.index_for(game, db)
     started = time.monotonic()
     timings = {"database": round(loaded - begun, 6),
                "index": round(started - loaded, 6)}

@@ -726,12 +726,13 @@ def peleg_stream(n: int, out, set_system=None) -> int:
     and the shards are merged with the lines left in memory.  A collection
     emitted twice, at any step, raises ValueError."""
     allowed = restriction(n, set_system)
-    write = LineCodec("\n").write
+    templates = LineCodec("\n").templates
     shards = []
     lines: list[str] = []
 
     def emit(masks, nums, den):
-        lines.append(write(masks, nums, den))
+        # the rules emit tuple masks, so the template takes them as they are
+        lines.append(templates[nums, den] % masks)
         if len(lines) == SHARD_LINES:
             lines.sort()
             shard = tempfile.TemporaryFile("w+", prefix="mbcshard")

@@ -266,13 +266,14 @@ class LineCodec:
     the codec parses each item and weight row once and looks it up after
     that; it writes a line by filling the masks into the printf template of
     its weight row, made once per row and ending in `end` (the MBCDB
-    writers pass a newline).  Use one codec per file: its tables live as
-    long as it does."""
+    writers pass a newline).  `templates[nums, den] % masks` is that line
+    for a tuple of masks, with no call in between.  Use one codec per file:
+    its tables live as long as it does."""
 
     def __init__(self, end: str = ""):
         self._items = _Memo(_parse_item)
         self._weight_rows = _Memo(_canonical_weights)
-        self._templates = _Memo(lambda key: _line_template(key) + end)
+        self.templates = _Memo(lambda key: _line_template(key) + end)
 
     def read(self, line: str) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
         """One line -> (masks, nums, den, sum(nums)): the integer row over
@@ -287,7 +288,7 @@ class LineCodec:
     def write(self, masks, nums: tuple[int, ...], den: int) -> str:
         """The line of an integer row, each weight in lowest terms, followed
         by the codec's `end`."""
-        return self._templates[nums, den] % tuple(masks)
+        return self.templates[nums, den] % tuple(masks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,30 @@
-"""Coalition and game predicates driven by the collection database.
+"""Coalition and game predicates over the minimal balanced collections.
 
 Everything here reduces to weighted-sum tests over the minimal balanced
 collections of the player set: core nonemptiness, exactness, effectiveness,
 strict vital-exactness, feasibility of collections.  Extendability asks the
 same question of reduced games on fewer players, and the core-describing
 gate of the balanced collections of a family plus one complement, both by
-linear programs over a weight polytope instead of a database.  Since the database does not
-depend on the game, it is built once and scanned with per-game indexes;
-derived games only ever move one value (the complement of the studied
-coalition), so the index keeps per coalition how far that value may rise
-(its headroom) and decides a derived game without rescanning.
+linear programs over a weight polytope instead of a database.
+
+The four coalition checks (balancedness, exactness, the effective set and
+strict vital-exactness) have two paths with equal answers, chosen by
+`index_for` from the number of players.  Below `PROGRAM_PLAYERS` (6) a
+`BalancedIndex` scans the database once per game: derived games only ever
+move one value (the complement of the studied coalition), so the index
+keeps per coalition how far that value may rise (its headroom) and
+decides a derived game without rescanning.  From 6 players on, where the
+scan is 200,214 rows, a `ProgramIndex` asks `linalg.vertex_clause`
+programs over all 2^n - 1 characteristic vectors instead, and reads a
+row only to name the first one an unbalanced game violates.  So the row
+checks are faster than linear programs here up to 5
+players, and slower from 6 on (the measurements are at
+`PROGRAM_PLAYERS`).
 
 Everything here is integer arithmetic at the game's one integer form
 `model.Game.scaled`, V = v·D, and G = v(N)·D: for a database row
 (masks, nums, den), masks being a byte string of coalitions, the
-inequality Σ λ_S v(S) <= v(N) becomes Σ nums·V <= den·G.  The index of
+inequality Σ λ_S v(S) <= v(N) becomes Σ nums·V <= den·G.  The row index of
 a game keeps the headrooms, the first violated row and sets of
 coalitions, at most 4^n entries in all, and nothing per row.
 Extendability reads subgame cores off V.
@@ -30,6 +40,7 @@ set bits back in (size, lexicographic) order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import mul
 
 from . import linalg
@@ -76,10 +87,78 @@ def _require_database(game, db: MbcDatabase) -> None:
 
 
 # ---------------------------------------------------------------------------
-# balancedness index
+# coalition indexes
+
+# Players from which `index_for` and `is_balanced_game` decide by programs
+# instead of a row scan.  The scan is one Python step per database row, the
+# programs up to a few hundred `linalg.vertex_clause` calls over the 2^n - 1
+# characteristic vectors.  All four checks of one game, the database loaded
+# beforehand, best of 3 (2 CPUs, Python 3.11): at n = 5 (1,292 rows) the
+# scan took 2.3 ms and the programs 17.8 ms on the Biswas fixture, 3.5 and
+# 7.3 ms over 20 seeded games; at n = 6 (200,214 rows) 0.41 s and 0.059 s
+# on the 6-player fixture, 0.43 s and 0.018 s over 20 seeded games, and
+# 0.38 s and 0.15 s on v(S) = |S|^2.
+PROGRAM_PLAYERS = 6
 
 
-class BalancedIndex:
+@cache
+def _coalition_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """The characteristic vectors of the coalitions 1..2^n - 1, in mask
+    order: column T - 1 is coalition T."""
+    return tuple(tuple((T >> i) & 1 for i in range(n)) for T in range(1, 1 << n))
+
+
+def _beats(n: int, costs, bound: int, marked=()) -> bool:
+    """Whether some minimal balanced collection on n players sums the
+    costs (costs[T - 1] for coalition T) above the bound, or to it with
+    positive weight on a marked coalition: one `linalg.vertex_clause`
+    program, since the minimal balanced collections are the vertices of
+    the weight polytope of every coalition."""
+    marks = [False] * len(costs)
+    for T in marked:
+        marks[T - 1] = True
+    return linalg.vertex_clause(_coalition_columns(n), costs, bound, marks)
+
+
+class CoalitionIndex:
+    """What the coalition checks of one (game, database) pair share: the
+    game's integer form V, G = V[N], whether the game is balanced, and the
+    first database row it violates.  `BalancedIndex` decides the checks by
+    one scan of the rows, `ProgramIndex` by programs; `index_for` picks
+    one by the number of players.  Both give the same answers."""
+
+    def __init__(self, game: Game, db: MbcDatabase):
+        _require_database(game, db)
+        self.game = game
+        self.db = db
+        self.V, _ = game.scaled
+        self.full = full_mask(game.n)
+        self.G = self.V[self.full]
+
+    def witness(self):
+        """The first collection violating the core-nonemptiness inequality,
+        or None when balanced."""
+        if self.balanced:
+            return None
+        return WeightedCollection.from_row(*self.db.rows[self._violated()])
+
+    def _violated(self) -> int:
+        return _first_violated(self.db.rows, self.V, self.G)
+
+    def require_balanced(self):
+        if not self.balanced:
+            raise UnbalancedGameError("the game has an empty core")
+
+    def _require_for(self, game: Game, db: MbcDatabase | None = None) -> None:
+        """Raise ValueError unless the index was built for this game (and
+        this database, when given); then require a balanced base game."""
+        if (self.game is not game and self.game != game) or (
+                db is not None and self.db is not db):
+            raise ValueError("the index was built for another game or database")
+        self.require_balanced()
+
+
+class BalancedIndex(CoalitionIndex):
     """Per-(game, database) summary of the core-nonemptiness inequalities,
     with one headroom per coalition, so that a game differing from the base
     at a single coalition is decided without a row scan.
@@ -100,11 +179,8 @@ class BalancedIndex:
     however many rows are tight or tied."""
 
     def __init__(self, game: Game, db: MbcDatabase):
-        _require_database(game, db)
-        self.game = game
-        self.db = db
-        V, _ = game.scaled
-        G = V[-1]
+        super().__init__(game, db)
+        V, G = self.V, self.G
         hs = [1] * len(V)
         hx = [0] * len(V)
         at_headroom: list[set[int] | None] = [None] * len(V)
@@ -127,8 +203,6 @@ class BalancedIndex:
                     at_headroom[m] = set(masks) if s > 0 else None
                 elif lhs == rhs and s > 0:
                     at_headroom[m].update(masks)
-        self.V = V
-        self.full = full_mask(game.n)
         self.hs = hs
         self.hx = hx
         self.at_headroom = at_headroom
@@ -136,89 +210,138 @@ class BalancedIndex:
         self.tight = frozenset(tight)
         self.balanced = violated is None
 
-    def witness(self):
-        """The first collection violating the core-nonemptiness inequality,
-        or None when balanced."""
-        if self.violated is None:
-            return None
-        return WeightedCollection.from_row(*self.db.rows[self.violated])
-
-    def require_balanced(self):
-        if not self.balanced:
-            raise UnbalancedGameError("the game has an empty core")
-
-    def _require_for(self, game: Game, db: MbcDatabase | None = None) -> None:
-        """Raise ValueError unless the index was built for this game (and
-        this database, when given); then require a balanced base game."""
-        if (self.game is not game and self.game != game) or (
-                db is not None and self.db is not db):
-            raise ValueError("the index was built for another game or database")
-        self.require_balanced()
+    def _violated(self) -> int:
+        return self.violated
 
     def _rise(self, S: int) -> int:
         """(v(N) - v(S) - v(S^c))·D: how far the derived game v^S raises
         the scaled value of the complement of S.  Zero for S = N."""
-        V = self.V
-        return V[self.full] - V[S] - V[self.full ^ S]
+        return self.G - self.V[S] - self.V[self.full ^ S]
+
+    def _exact(self, S: int) -> bool:
+        """v^S keeps a nonempty core iff its rise p is at most the
+        complement's headroom.  The rise p is never negative in a balanced
+        game: for a proper S it is the slack of the database row {S, S^c}.
+        For N, p = 0 and the empty mask's headroom is +∞."""
+        comp = self.full ^ S
+        return self._rise(S) * self.hx[comp] <= self.hs[comp]
+
+    def _strict(self, S: int) -> bool:
+        """For an exact S: the effective set of v^S holds no proper subset
+        of S.  That set is `tight` plus at_headroom[S^c] when v^S raises
+        S^c by exactly its headroom (p >= 0, see `_exact`).  A base-tight
+        row cannot hold S^c when p > 0: that headroom is zero."""
+        p = self._rise(S)
+        comp = self.full ^ S
+        tight = self.tight
+        if p > 0 and p * self.hx[comp] == self.hs[comp]:
+            tight = tight | self.at_headroom[comp]
+        return not any(T != S and T & ~S == 0 for T in tight)
+
+    def _effective(self) -> frozenset:
+        return self.tight
+
+
+class ProgramIndex(CoalitionIndex):
+    """The coalition checks as `linalg.vertex_clause` programs over every
+    characteristic vector, costs V and bound G, with no row read:
+
+    - balanced: no minimal balanced collection beats G (one program, made
+      here);
+    - S exact: the same for v^S, whose cost of S^c is G - V[S]; made once
+      per coalition and kept;
+    - T effective: some collection reaches G with weight on T;
+    - an exact S strictly vital-exact: no collection of v^S reaches G with
+      weight on a proper subset of S.
+
+    Only the witness of an unbalanced game reads the database: the first
+    violated row, as `BalancedIndex` reports it."""
+
+    def __init__(self, game: Game, db: MbcDatabase):
+        super().__init__(game, db)
+        self.balanced = not _beats(game.n, self.V[1:], self.G)
+        self._exact_of: dict[int, bool] = {}
+
+    def _derived(self, S: int) -> list[int]:
+        """The costs of v^S."""
+        costs = list(self.V[1:])
+        if S != self.full:
+            costs[(self.full ^ S) - 1] = self.G - self.V[S]
+        return costs
+
+    def _exact(self, S: int) -> bool:
+        if S not in self._exact_of:
+            self._exact_of[S] = S == self.full or not _beats(
+                self.game.n, self._derived(S), self.G)
+        return self._exact_of[S]
+
+    def _strict(self, S: int) -> bool:
+        below = [T for T in range(1, S) if T & ~S == 0]
+        return not below or not _beats(self.game.n, self._derived(S), self.G, below)
+
+    def _effective(self) -> frozenset:
+        """N, which the partition {N} makes tight, and every proper T some
+        program finds tight.  One program with all of them marked first
+        answers the common case where none is."""
+        n, costs, G, full = self.game.n, self.V[1:], self.G, self.full
+        if not _beats(n, costs, G, range(1, full)):
+            return frozenset((full,))
+        return frozenset(T for T in range(1, full + 1)
+                         if T == full or _beats(n, costs, G, (T,)))
+
+
+def index_for(game: Game, db: MbcDatabase) -> CoalitionIndex:
+    """The coalition index of the game: `BalancedIndex` below
+    `PROGRAM_PLAYERS` players, `ProgramIndex` from there on."""
+    if game.n < PROGRAM_PLAYERS:
+        return BalancedIndex(game, db)
+    return ProgramIndex(game, db)
 
 
 def is_balanced_game(game, db: MbcDatabase) -> bool:
     """Bondareva-Shapley: the core is nonempty iff no minimal balanced
-    collection pushes the weighted value sum above v(N).  Stops at the first
-    violation."""
+    collection pushes the weighted value sum above v(N).  A row scan that
+    stops at the first violation below `PROGRAM_PLAYERS` players, one
+    program from there on."""
     _require_database(game, db)
     V, _ = game.scaled
-    return _first_violated(db.rows, V, V[full_mask(game.n)]) is None
+    if game.n >= PROGRAM_PLAYERS:
+        return not _beats(game.n, V[1:], V[-1])
+    return _first_violated(db.rows, V, V[-1]) is None
 
 
-def is_exact(S: int, game: Game, index: BalancedIndex) -> bool:
+def is_exact(S: int, game: Game, index: CoalitionIndex) -> bool:
     """S is exact iff the derived game v^S, which sets the complement of S
-    to v(N) - v(S), keeps a nonempty core: its rise p is at most the
-    complement's headroom.  The rise p is never negative in a balanced
-    game: for a proper S it is the slack of the database row {S, S^c}.  N
-    is exact (p = 0, and the empty mask's headroom is +∞): any core
-    element is efficient."""
+    to v(N) - v(S), keeps a nonempty core.  N is exact: any core element
+    is efficient."""
     check_coalition(S, game.n)
     index._require_for(game)
-    p = index._rise(S)
-    comp = index.full ^ S
-    return p * index.hx[comp] <= index.hs[comp]
+    return index._exact(S)
 
 
-def effective_set(game: Game, db: MbcDatabase, index: BalancedIndex | None = None):
+def effective_set(game: Game, db: MbcDatabase, index: CoalitionIndex | None = None):
     """Coalitions tight at every core element: the union of the minimal
     balanced collections whose weighted sum meets v(N) exactly."""
     if index is None:
-        index = BalancedIndex(game, db)
+        index = index_for(game, db)
     index._require_for(game, db)
-    return index.tight
+    return index._effective()
 
 
-def is_strictly_vital_exact(S: int, game: Game, index: BalancedIndex) -> bool:
+def is_strictly_vital_exact(S: int, game: Game, index: CoalitionIndex) -> bool:
     """S admits a core element tight on S and strictly slack on every proper
     nonempty subset of S.  Checked through the effective set of v^S: no tight
-    collection of v^S may contain a proper subset of S (S itself excluded).
-
-    When v^S is balanced, its tight rows are the base-tight rows plus the
-    rows attaining the headroom of S^c when v^S raises that value by
-    exactly its headroom (p >= 0, see `is_exact`), so its effective set is
-    `tight` plus at_headroom[S^c].  A base-tight row cannot hold S^c when
-    p > 0: that headroom is zero."""
+    collection of v^S may contain a proper subset of S (S itself excluded)."""
     if not is_exact(S, game, index):
         return False
-    p = index._rise(S)
-    comp = index.full ^ S
-    tight = index.tight
-    if p > 0 and p * index.hx[comp] == index.hs[comp]:
-        tight = tight | index.at_headroom[comp]
-    return not any(T != S and T & ~S == 0 for T in tight)
+    return index._strict(S)
 
 
-def sve_family(game: Game, db: MbcDatabase, index: BalancedIndex | None = None):
+def sve_family(game: Game, db: MbcDatabase, index: CoalitionIndex | None = None):
     """The strictly vital-exact proper coalitions, ascending by mask.  This
     is the core-describing family the stability pipeline works over."""
     if index is None:
-        index = BalancedIndex(game, db)
+        index = index_for(game, db)
     index._require_for(game, db)
     return tuple(
         S
@@ -227,9 +350,9 @@ def sve_family(game: Game, db: MbcDatabase, index: BalancedIndex | None = None):
     )
 
 
-def exact_coalitions(game: Game, db: MbcDatabase, index: BalancedIndex | None = None):
+def exact_coalitions(game: Game, db: MbcDatabase, index: CoalitionIndex | None = None):
     if index is None:
-        index = BalancedIndex(game, db)
+        index = index_for(game, db)
     index._require_for(game, db)
     return tuple(
         S for S in range(1, full_mask(game.n) + 1) if is_exact(S, game, index)

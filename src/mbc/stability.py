@@ -315,7 +315,7 @@ def is_core_stable(game: Game, db: MbcDatabase,
     core-describing, blocking pairs, weak extendability, then the nested
     balancedness condition region by region.  The database must be the
     unrestricted one on the game's players (ValueError otherwise, from
-    `props.BalancedIndex`)."""
+    `props.index_for`)."""
     if caps is None:
         caps = StabilityCaps()
     timings: dict[str, float] = {}
@@ -328,7 +328,7 @@ def is_core_stable(game: Game, db: MbcDatabase,
         timings[stage] = now - t0
         t0 = now
 
-    index = props.BalancedIndex(game, db)
+    index = props.index_for(game, db)
     violated = index.witness()
     mark("balancedness")
     if violated is not None:

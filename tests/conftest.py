@@ -106,6 +106,19 @@ def make_additive(weights) -> Game:
     return Game(n, values)
 
 
+def make_convex(n: int, rng) -> Game:
+    """A seeded positive sum of unanimity games on 1 to 2n carriers: a
+    convex game."""
+    full = full_mask(n)
+    values = {}
+    for T in rng.sample(range(1, full + 1), rng.randint(1, 2 * n)):
+        c = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        for S in range(T, full + 1):
+            if S & T == T:
+                values[S] = values.get(S, 0) + c
+    return Game(n, values)
+
+
 @pytest.fixture(scope="session")
 def db3():
     return peleg(3)

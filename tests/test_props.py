@@ -20,11 +20,13 @@ from mbc.polytope import LinearSystem, enumerate_vertices
 from mbc.props import (
     BalancedIndex,
     FeasibilityOracle,
+    ProgramIndex,
     UnbalancedGameError,
     effective_set,
     exact_coalitions,
     feasibility_survey,
     feasible_collections,
+    index_for,
     is_balanced_game,
     is_blocking,
     is_core_describing,
@@ -33,7 +35,7 @@ from mbc.props import (
     is_strictly_vital_exact,
     sve_family,
 )
-from conftest import make_additive, make_three_player_tight
+from conftest import make_additive, make_convex, make_three_player_tight
 from oracles import (
     core_describing_definition,
     core_describing_reference,
@@ -128,21 +130,98 @@ def test_index_keeps_the_first_violated_row_and_the_tight_rows(n):
 def test_index_of_a_game_with_every_row_tight(db6):
     # the unique core point of an additive game is tight on every
     # coalition, so all 200,214 rows are tight and every headroom is zero;
-    # the index still holds at most one set of coalitions per coalition
+    # the row index still holds at most one set of coalitions per coalition
     game = make_additive([1, 2, 3, 4, 5, 6])
-    index = BalancedIndex(game, db6)
     full = full_mask(6)
     everything = frozenset(range(1, full + 1))
-    assert index.balanced
-    assert effective_set(game, db6, index) == index.tight == everything
-    assert exact_coalitions(game, db6, index) == tuple(range(1, full + 1))
-    assert sve_family(game, db6, index) == tuple(1 << i for i in range(6))
-    held = len(index.tight) + sum(len(s) for s in index.at_headroom if s)
+    rows = BalancedIndex(game, db6)
+    for index in (rows, ProgramIndex(game, db6)):
+        assert index.balanced
+        assert effective_set(game, db6, index) == everything
+        assert exact_coalitions(game, db6, index) == tuple(range(1, full + 1))
+        assert sve_family(game, db6, index) == tuple(1 << i for i in range(6))
+    assert rows.tight == everything
+    held = len(rows.tight) + sum(len(s) for s in rows.at_headroom if s)
     assert held <= 4 ** 6
 
 
+@pytest.mark.parametrize("path", [BalancedIndex, ProgramIndex])
+def test_every_coalition_of_a_convex_game_is_exact(db6, path):
+    # the marginal vector of an order listing S first lies in the core of
+    # a convex game and has x(S) = v(S) (Shapley 1971)
+    game = make_convex(6, random.Random(61))
+    index = path(game, db6)
+    assert index.balanced
+    assert exact_coalitions(game, db6, index) == tuple(range(1, full_mask(6) + 1))
+
+
+def _index_answers(index, game, db):
+    """Everything a coalition index answers for the game: balancedness, the
+    witness and, for a balanced game, the three coalition lists."""
+    answers = [index.balanced, index.witness()]
+    if index.balanced:
+        answers += [exact_coalitions(game, db, index),
+                    effective_set(game, db, index),
+                    sve_family(game, db, index)]
+    return answers
+
+
+def _index_cases(rng, n, db, count):
+    """Games for the two index paths: `_balanced_games`, every third one
+    with v(N) lowered by 1/2 (unbalanced where it sat at the tightest
+    level, at that level where it sat 1/2 above it), and every tenth an
+    additive game, where every row is tight."""
+    full = full_mask(n)
+    for k, game in enumerate(_balanced_games(rng, n, db, count)):
+        if k % 10 == 9:
+            game = make_additive([rng.randint(-2, 3) for _ in range(n)])
+        elif k % 3 == 1:
+            game = Game(n, {**game.values, full: game.grand_value() - F(1, 2)})
+        yield game
+
+
+@pytest.mark.parametrize("n, count", [(3, 120), (4, 140), (5, 40)])
+def test_index_paths_agree_on_seeded_games(n, count, monkeypatch):
+    db = peleg(n)
+    kinds = set()
+    for game in _index_cases(random.Random(3200 + n), n, db, count):
+        answers = _index_answers(BalancedIndex(game, db), game, db)
+        assert _index_answers(ProgramIndex(game, db), game, db) == answers
+        assert is_balanced_game(game, db) == answers[0]
+        monkeypatch.setattr(props, "PROGRAM_PLAYERS", n)
+        assert is_balanced_game(game, db) == answers[0]
+        monkeypatch.undo()
+        kinds.add((answers[0], len(answers) > 2 and len(answers[3]) == full_mask(n)))
+    # unbalanced games, balanced ones, and balanced ones with every
+    # coalition effective
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def test_index_paths_agree_on_fixtures(db3, db4, db5, db6, game4, biswas,
+                                       biswas_mod, sk_game):
+    # the 3-player games of `test_override_above_headroom_is_not_exact`,
+    # one with a rise exactly at a headroom; the 6-player fixture with v(N)
+    # lowered from 10 to 7, which leaves it unbalanced; a seeded 6-player
+    # game with values in {0, 1, 2}, so with ties at its headrooms
+    values = {0b101: F(3, 4), 0b110: F(3, 4), 0b111: F(1)}
+    rng = random.Random(66)
+    seeded = Game(6, {**{m: F(rng.randint(0, 2)) for m in range(1, 63)}, 63: F(9)})
+    cases = [(Game(3, values), db3), (Game(3, {**values, 0b100: F(1, 2)}), db3),
+             (game4, db4), (biswas, db5), (biswas_mod, db5), (sk_game, db6),
+             (Game(6, {**sk_game.values, 63: F(7)}), db6), (seeded, db6)]
+    balanced = []
+    for game, db in cases:
+        answers = _index_answers(BalancedIndex(game, db), game, db)
+        index = index_for(game, db)
+        assert type(index) is (ProgramIndex if game.n >= 6 else BalancedIndex)
+        assert _index_answers(ProgramIndex(game, db), game, db) == answers
+        assert is_balanced_game(game, db) == answers[0]
+        balanced.append(answers[0])
+    assert balanced == [True] * 6 + [False, True]
+
+
 def test_balancedness_needs_matching_n(db3, game4):
-    for check in (is_balanced_game, BalancedIndex):
+    for check in (is_balanced_game, BalancedIndex, ProgramIndex):
         with pytest.raises(ValueError, match="n=4.*n=3"):
             check(game4, db3)
 
@@ -172,6 +251,7 @@ def test_analysis_refuses_a_restricted_database(system, game, stage, loaded, tmp
     assert db.restricted
     family = (0b011,)
     for call in (lambda: BalancedIndex(game, db),
+                 lambda: ProgramIndex(game, db),
                  lambda: is_balanced_game(game, db),
                  lambda: effective_set(game, db),
                  lambda: sve_family(game, db),
@@ -453,14 +533,7 @@ def test_every_coalition_of_a_convex_game_is_extendable(n):
     # every core element of a subgame extends to a core element
     rng = random.Random(60 + n)
     for _ in range(25):
-        carriers = rng.sample(range(1, full_mask(n) + 1), rng.randint(1, 2 * n))
-        values = {}
-        for T in carriers:
-            c = F(rng.randint(1, 12), rng.randint(1, 4))
-            for S in range(T, full_mask(n) + 1):
-                if S & T == T:
-                    values[S] = values.get(S, 0) + c
-        game = Game(n, values)
+        game = make_convex(n, rng)
         for S in range(1, full_mask(n) + 1):
             assert is_extendable(S, game)
 
