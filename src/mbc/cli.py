@@ -194,8 +194,9 @@ def cmd_analyze(args) -> int:
         started = now
     if args.timings:
         report["timings"] = timings
-    json.dump(report, sys.stdout)
-    sys.stdout.write("\n")
+    # one write of `json.dumps`, the C encoder; `json.dump` to a stream
+    # encodes in Python
+    sys.stdout.write(json.dumps(report) + "\n")
     return 0
 
 
@@ -212,8 +213,7 @@ def cmd_stable(args) -> int:
     report.timings = {"database": loaded - started, **report.timings}
     payload = {"game": game.digest(), "n": game.n}
     payload.update(report.to_payload(with_timings=args.timings))
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 
 

@@ -70,25 +70,26 @@ emits with the requested coalitions.  The new player's bit lies above every
 old mask, so each rule emits its children with their masks already in
 increasing order.  The generator and the database work on integer rows
 (masks, numerators, denominator); fractions only materialize at the API
-boundary.  A row kept in memory, as a database row or a parent of the next
-step, holds its masks as one byte string (see `Row`), which the rules read
-as they read a tuple.  The rules emit canonical rows: a case 1-3 child of
-a canonical parent keeps every parent numerator or splits one into two
-parts, so no common factor appears, and case 4 divides out its own.
+boundary.  A parent of the next step holds its masks as one byte string
+(see `Row`), which the rules read as they read a tuple; a database keeps
+each row as one integer (see `Rows`).  The rules emit canonical rows: a
+case 1-3 child of a canonical parent keeps every parent numerator or
+splits one into two parts, so no common factor appears, and case 4
+divides out its own.
 """
 
 from __future__ import annotations
 
 import heapq
 import tempfile
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress, islice, repeat
 from math import gcd, lcm
-from operator import eq, itemgetter, lt, mul
+from operator import and_, eq, itemgetter, lshift, lt, mul, or_, rshift
 
 from .model import (
     MAX_PLAYERS,
@@ -115,7 +116,9 @@ NOT_BALANCED = "not_balanced"
 # equal rows whether generated or loaded.  Their masks are one byte string,
 # a byte per coalition (MAX_PLAYERS keeps every mask below 256): it iterates,
 # indexes and orders as the tuple of its masks does, in a fraction of the
-# memory.  The rules themselves emit tuple masks.
+# memory.  The rules themselves emit tuple masks.  A database holds no row
+# in this form: it keeps one integer per row and builds the row when it is
+# read (see `Rows`).
 Row = tuple[bytes, tuple[int, ...], int]
 
 
@@ -436,17 +439,170 @@ def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
 # database
 
 
+def _id_width(n: int, ids: int) -> int:
+    """The bits a key keeps below its n mask bytes for `ids` weight-row
+    ids: those that 8n bits leave free in the last 30-bit digit of a
+    CPython int, plus 30 while that is too few.  At n = 6 that is 12 bits
+    for 2,373 ids, and a key of 60 bits takes 32 bytes; one of 61 bits
+    would take 40."""
+    width = -8 * n % 30
+    while ids > 1 << width:
+        width += 30
+    return width
+
+
+def _keys(masks, n: int, width: int, ids):
+    """The keys of rows given by their masks (byte strings of at most n
+    coalitions) and their weight-row ids."""
+    padded = map(bytes.ljust, masks, repeat(n), repeat(b"\0"))
+    return map(or_, map(lshift, map(int.from_bytes, padded, repeat("big")),
+                        repeat(width)), ids)
+
+
+def _weight_tables(ids) -> tuple[tuple, tuple]:
+    """(nums, dens) by id, from a table of (nums, den) -> id built in id
+    order."""
+    return tuple(nums for nums, _ in ids), tuple(den for _, den in ids)
+
+
+class Rows(Sequence):
+    """The rows of a database on n players, sorted, one integer (key) each.
+
+    A key holds the row's masks as n bytes, padded with zero bytes and read
+    big-endian, above the `width`-bit id of its weight row (nums, den) in a
+    table of the distinct weight rows (2,373 at n = 6).  No mask is zero,
+    so masks that begin longer ones pad below them: keys order as the rows
+    do.  A row (masks, nums, den) is built when it is read, by index or in
+    iteration, and the rows compare equal to a tuple of the same rows or to
+    other `Rows`."""
+
+    def __init__(self, n: int, keys: list[int], width: int, nums, dens):
+        self.n = n
+        self._keys = keys
+        self._width = width
+        self._nums = nums
+        self._dens = dens
+
+    @classmethod
+    def pack(cls, n: int, rows: Sequence[Row]) -> "Rows":
+        """A sequence of canonical rows on n players, packed and sorted.
+        Raises ValueError for a row with more than n coalitions: n + 1
+        vectors in R^n are dependent, so it is never minimal, and a key
+        holds n."""
+        masks, weights = itemgetter(0), itemgetter(1, 2)
+        if max(map(len, map(masks, rows)), default=0) > n:
+            raise ValueError(f"a row holds more than n={n} coalitions")
+        ids = dict.fromkeys(map(weights, rows))
+        for i, key in enumerate(ids):
+            ids[key] = i
+        width = _id_width(n, len(ids))
+        keys = list(_keys(map(bytes, map(masks, rows)), n, width,
+                          map(ids.__getitem__, map(weights, rows))))
+        keys.sort()
+        return cls(n, keys, width, *_weight_tables(ids))
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._decoded(self._keys[i]))
+        return next(self._decoded((self._keys[i],)))
+
+    def __iter__(self):
+        return self._decoded(self._keys)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Rows, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"Rows(n={self.n}, count={len(self)})"
+
+    def _decoded(self, keys):
+        """The rows of these keys, in their order."""
+        width = self._width
+        low = (1 << width) - 1
+        padded = map(int.to_bytes, map(rshift, keys, repeat(width)),
+                     repeat(self.n), repeat("big"))
+        return zip(map(bytes.rstrip, padded, repeat(b"\0")),
+                   map(self._nums.__getitem__, map(and_, keys, repeat(low))),
+                   map(self._dens.__getitem__, map(and_, keys, repeat(low))))
+
+    def holds(self, masks: bytes) -> bool:
+        """Whether a row has exactly these masks, at most n of them."""
+        head = int.from_bytes(masks.ljust(self.n, b"\0"), "big")
+        i = bisect_left(self._keys, head << self._width)
+        return i < len(self._keys) and self._keys[i] >> self._width == head
+
+    def within(self, universe: set[int]) -> list[Row]:
+        """The rows whose masks all lie in the universe, in row order.
+
+        The rows whose first d masks are one prefix are one range of keys.
+        The walk reads the next mask of the first key of a range: a zero
+        byte is a row that ends there, a mask in the universe is the range
+        of a longer prefix, walked in turn and then skipped by one bisect,
+        and any other mask is skipped by one bisect to the next mask in the
+        universe.  So it bisects once or twice per prefix it meets instead
+        of reading every row."""
+        keys, width, n = self._keys, self._width, self.n
+        inside = sorted(universe)
+        found: list[int] = []
+
+        def walk(prefix: int, depth: int, lo: int, hi: int) -> None:
+            if depth == n:
+                found.extend(keys[lo:hi])
+                return
+            shift = width + 8 * (n - 1 - depth)
+            i = lo
+            while i < hi:
+                m = keys[i] >> shift & 0xFF
+                if not m:
+                    found.append(keys[i])
+                    i += 1
+                elif m in universe:
+                    end = bisect_left(keys, ((prefix << 8 | m) + 1) << shift, i, hi)
+                    walk(prefix << 8 | m, depth + 1, i, end)
+                    i = end
+                else:
+                    j = bisect_right(inside, m)
+                    if j == len(inside):
+                        return
+                    i = bisect_left(keys, (prefix << 8 | inside[j]) << shift, i, hi)
+
+        walk(0, 0, 0, len(keys))
+        return list(self._decoded(found))
+
+    def _refuse_repeats(self, message: str) -> None:
+        """`_check_once` on the rows, reading keys: the first rows whose
+        masks agree are found by comparing neighbours' masks, and only they
+        are built and sorted, to name the row `_check_once` names."""
+        keys, width = self._keys, self._width
+        heads = map(rshift, keys, repeat(width))
+        repeats = map(eq, heads, map(rshift, islice(keys, 1, None), repeat(width)))
+        for i in compress(range(len(keys)), repeats):
+            end = bisect_left(keys, ((keys[i] >> width) + 1) << width, i)
+            _check_once(sorted(self[i:end]), message)
+
+
 @dataclass(frozen=True)
 class MbcDatabase:
     """All minimal balanced collections for a fixed n, as canonical rows
     sorted by masks; optionally generated under a set-system restriction (in
     which case only collections whose coalitions fit inside some set-system
-    element are present).  The rows are the only per-row storage: iterating
-    builds each row's `WeightedCollection` as it goes and keeps none."""
+    element are present).  The rows are `Rows`, one integer per row; given
+    as a sequence of rows they are packed into that form, which refuses a
+    row with more than n coalitions.  Iterating builds each row's
+    `WeightedCollection` as it goes and keeps none."""
 
     n: int
-    rows: tuple[Row, ...]
+    rows: Rows
     restricted: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.rows, Rows):
+            object.__setattr__(self, "rows", Rows.pack(self.n, self.rows))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -456,13 +612,11 @@ class MbcDatabase:
 
     def contains(self, masks) -> bool:
         """Is this collection of coalitions in the database?  False for a
-        coalition outside 1..2^n-1 or a repeated one."""
+        coalition outside 1..2^n-1, a repeated one or more than n."""
         key = sorted(masks)
-        if not key or not 0 < key[0] <= key[-1] <= full_mask(self.n):
+        if not key or len(key) > self.n or not 0 < key[0] <= key[-1] <= full_mask(self.n):
             return False
-        key = bytes(key)
-        i = bisect_left(self.rows, key, key=lambda row: row[0])
-        return i < len(self.rows) and self.rows[i][0] == key
+        return self.rows.holds(bytes(key))
 
     def save(self, path) -> None:
         """Write the rows as an MBCDB file, byte for byte what `peleg_stream`
@@ -476,17 +630,18 @@ class MbcDatabase:
     def load(cls, path) -> "MbcDatabase":
         """Read an MBCDB file, rejecting a header other than the one
         `_header` writes or with n outside 1..MAX_PLAYERS, a row whose masks
-        are not strictly increasing inside 1..2^n-1, whose weights are not
-        positive, or in which some player's weights do not sum to exactly 1,
-        a collection listed twice, and an unrestricted file on n <= 6
-        players that does not hold as many collections as there are minimal
-        balanced collections on n players.  Minimality is not checked.
+        are not strictly increasing inside 1..2^n-1, that has more than n
+        coalitions, whose weights are not positive, or in which some
+        player's weights do not sum to exactly 1, a collection listed twice,
+        and an unrestricted file on n <= 6 players that does not hold as
+        many collections as there are minimal balanced collections on n
+        players.  Minimality is not checked.
 
-        The rows come from one bulk pass over the file (`_bulk_rows`).
-        Only when that pass meets a fault is the file read again from the
-        start, line by line (`_first_fault`), to name the first faulty
-        line; a file that cannot seek back, such as a pipe, then fails
-        with the error of its seek."""
+        The rows come from one bulk pass over the file (`_bulk_rows`) as
+        keys of `Rows`, sorted in place.  Only when that pass meets a fault
+        is the file read again from the start, line by line
+        (`_first_fault`), to name the first faulty line; a file that cannot
+        seek back, such as a pipe, then fails with the error of its seek."""
         with open(path) as fh:
             header = fh.readline().strip()
             fields = header.split()
@@ -503,22 +658,22 @@ class MbcDatabase:
             if not 1 <= n <= MAX_PLAYERS:
                 raise ValueError(f"bad MBCDB header: n={n} out of range")
             try:
-                rows = _bulk_rows(fh, full_mask(n))
+                keys, width, ids = _bulk_rows(fh, n)
             except ValueError:
-                rows = None
-            if rows is None:
+                keys = None
+            if keys is None:
                 fh.seek(0)
                 fh.readline()
                 _first_fault(fh, n)
                 raise RuntimeError("MBCDB: the bulk pass found a fault that "
                                    "the line checks do not")
-        if len(rows) != count:
+        if len(keys) != count:
             raise ValueError(
-                f"MBCDB count mismatch: header says {count}, file has {len(rows)}"
+                f"MBCDB count mismatch: header says {count}, file has {len(keys)}"
             )
-        rows.sort()
-        rows = tuple(rows)
-        _check_once(rows, "MBCDB lists a collection twice")
+        keys.sort()
+        rows = Rows(n, keys, width, *_weight_tables(ids))
+        rows._refuse_repeats("MBCDB lists a collection twice")
         if not restricted and n <= len(_KNOWN_COUNTS) and count != _KNOWN_COUNTS[n - 1]:
             raise ValueError(
                 f"MBCDB holds {count} collections, but there are "
@@ -540,20 +695,25 @@ LOAD_CHUNK = 1 << 13
 _LINE_END = ";"
 
 
-def _bulk_rows(fh, top: int) -> list[Row]:
-    """The rows of the lines of `fh`, an MBCDB file after its header, in
-    file order, each checked as `_first_fault` checks a line; raises
+def _bulk_rows(fh, n: int) -> tuple[list[int], int, dict]:
+    """The rows of the lines of `fh`, an MBCDB file on n players after its
+    header, each checked as `_first_fault` checks a line, as `Rows` keys
+    in file order: (keys, width, the table of (nums, den) -> id).  Raises
     ValueError, naming no line, when some row fails.
 
     The file is read `LOAD_CHUNK` characters at a time, completed to the
     end of a line, and a piece is split once into tokens, with `_LINE_END`
     for each line end.  Each distinct item is parsed, and its mask checked
-    to lie in 1..top, once; each distinct weight row, the weight texts of a
-    line, is reduced and checked for a zero denominator and for positive
-    weights once.  After that a piece is checked with C-level maps only: a
-    token is two table lookups, its mask byte and its weight text, the
-    piece's masks are one byte string, and each line's player sums are one
-    sum of `_lanes` integers, compared with its weight row's."""
+    to lie in 1..2^n-1, once; each distinct weight row, the weight texts of
+    a line, is reduced and checked for a zero denominator and for positive
+    weights once, and given the id of its reduced form.  After that a piece
+    is checked with C-level maps only: a token is two table lookups, its
+    mask byte and its weight text, the piece's masks are one byte string,
+    each line's player sums are one sum of `_lanes` integers, compared with
+    its weight row's, and its key is built from its masks and id.  When the
+    ids outgrow the key's width, the keys so far are widened."""
+    top = full_mask(n)
+
     def item(token: str) -> tuple[int, str]:
         mask, text = _parse_item(token)
         if not 0 < mask <= top:
@@ -565,14 +725,17 @@ def _bulk_rows(fh, top: int) -> list[Row]:
         if min(nums) <= 0:
             raise ValueError("weights must be positive")
         lanes = lane_tables[total.bit_length()]
-        return nums, den, lanes.__getitem__, den * lanes[top]
+        weight_id = ids.setdefault((nums, den), len(ids))
+        return weight_id, nums, lanes.__getitem__, den * lanes[top]
 
     lane_tables = _Memo(lambda width: tuple(_lanes(width, m) for m in range(top + 1)))
     mask_of = _Memo(lambda token: item(token)[0])
     text_of = _Memo(lambda token: item(token)[1] + " ")
     mask_of[_LINE_END], text_of[_LINE_END] = 0, "\n"
     weight_rows = _Memo(weight_row)
-    rows: list[Row] = []
+    ids: dict[tuple, int] = {}
+    width = _id_width(n, 1)
+    keys: list[int] = []
     while text := fh.read(LOAD_CHUNK):
         text += fh.readline()
         if _LINE_END in text:
@@ -586,20 +749,28 @@ def _bulk_rows(fh, top: int) -> list[Row]:
         lines = list(filter(None, masks.split(b"\0")))
         if not lines:
             continue
-        keys = filter(None, "".join(map(text_of.__getitem__, tokens)).split("\n"))
-        nums, dens, lanes, targets = zip(*map(weight_rows.__getitem__, keys))
+        if max(map(len, lines)) > n:
+            raise ValueError(f"more than n={n} coalitions")
+        texts = filter(None, "".join(map(text_of.__getitem__, tokens)).split("\n"))
+        row_ids, nums, lanes, targets = zip(*map(weight_rows.__getitem__, texts))
         sums = map(sum, map(map, repeat(mul), nums, map(map, lanes, lines)))
         if not all(map(eq, sums, targets)):
             raise ValueError("player weight sums are not all 1")
-        rows += zip(lines, nums, dens)
-    return rows
+        if len(ids) > 1 << width:
+            wider = _id_width(n, len(ids))
+            low = (1 << width) - 1
+            keys[:] = [key >> width << wider | key & low for key in keys]
+            width = wider
+        keys += _keys(lines, n, width, row_ids)
+    return keys, width, ids
 
 
 def _first_fault(fh, n: int) -> None:
     """Raises ValueError naming the first faulty line of `fh`, an MBCDB
     file on n players after its header, and returns when no line is
     faulty.  A line's checks run in one fixed order: syntax, zero
-    denominator, increasing masks, mask range, positive weights, sums."""
+    denominator, increasing masks, mask range, positive weights, sums, and
+    last at most n coalitions."""
     top = full_mask(n)
     width = 0
     read = LineCodec().read
@@ -619,6 +790,8 @@ def _first_fault(fh, n: int) -> None:
                 lanes = _Memo(partial(_lanes, width))
             if sum(map(mul, nums, map(lanes.__getitem__, masks))) != den * lanes[top]:
                 raise ValueError("player weight sums are not all 1")
+            if len(masks) > n:
+                raise ValueError(f"more than n={n} coalitions")
         except ValueError as exc:
             raise ValueError(
                 f"MBCDB line {lineno} {line.strip()!r}: {exc}") from exc
@@ -690,17 +863,22 @@ def restriction(n: int, set_system=None) -> set[int] | None:
     return allowed
 
 
+def _children(parents: list[Row], n_old: int, allowed: set[int] | None) -> list[Row]:
+    """The rows one induction step emits from the parents, unsorted."""
+    children: list[Row] = []
+    _add_player_raw(parents, n_old, allowed, lambda masks, nums, den:
+                    children.append((bytes(masks), nums, den)))
+    return children
+
+
 def _rows_on(players: int, allowed: set[int] | None) -> list[Row]:
     """The canonical rows on 1..players, sorted by masks, by induction from
     the empty collection on no players (case 2 turns it into {{1}})."""
     rows: list[Row] = [(b"", (), 1)]
     for n_old in range(players):
-        children: list[Row] = []
-        _add_player_raw(rows, n_old, allowed, lambda masks, nums, den:
-                        children.append((bytes(masks), nums, den)))
-        children.sort()
-        _check_once(children, "a collection is emitted twice")
-        rows = children
+        rows = _children(rows, n_old, allowed)
+        rows.sort()
+        _check_once(rows, "a collection is emitted twice")
     return rows
 
 
@@ -708,10 +886,13 @@ def peleg(n: int, set_system=None) -> MbcDatabase:
     """All minimal balanced collections on 1..n, by induction on the players.
 
     With `set_system`, collections whose coalitions do not all fit inside
-    some element of the system are discarded as soon as they appear.
+    some element of the system are discarded as soon as they appear.  The
+    last step's rows are packed as they come and sorted as keys.
     """
     allowed = restriction(n, set_system)
-    return MbcDatabase(n, tuple(_rows_on(n, allowed)), allowed is not None)
+    rows = Rows.pack(n, _children(_rows_on(n - 1, allowed), n - 1, allowed))
+    rows._refuse_repeats("a collection is emitted twice")
+    return MbcDatabase(n, rows, allowed is not None)
 
 
 # lines `peleg_stream` holds in memory before it sorts them into a shard

@@ -109,33 +109,47 @@ def vertex_clause(columns, costs, bound: int, marked) -> bool:
     (Bland's rule) in up to three phases: find a vertex (P empty: False),
     maximise the costs, and only when the maximum equals the bound,
     maximise the marked weight over the optimal face (the columns of zero
-    reduced cost).  Each tableau row is an integer row, a positive multiple
-    of its rational counterpart, so every exit is the sign of one entry.
-    Costs and bound are integers; no Fraction is built."""
+    reduced cost).  The first phase starts from the columns with a single
+    nonzero entry, one per row that has one, and covers only the other
+    rows, so it is skipped when every row has one (a singleton coalition's
+    characteristic vector is such a column).  Each tableau row is an
+    integer row, a positive multiple of its rational counterpart, so every
+    exit is the sign of one entry.  Costs and bound are integers; no
+    Fraction is built."""
     if not columns:
         return False
     m, n = len(columns), len(columns[0])
     if any(len(col) != n or min(col) < 0 or not any(col) for col in columns):
         raise ValueError("columns must be nonnegative, nonzero and of one length")
     real = range(m)
-    # phase 1: one artificial column per row, maximise minus their sum
-    tab = [[col[i] for col in columns] + [int(i == k) for k in range(n)] + [1]
+    # a column with one nonzero entry starts as the basic column of that
+    # row, at weight 1/entry; every other row gets an artificial column
+    start: dict[int, int] = {}
+    for j, col in enumerate(columns):
+        support = [i for i, x in enumerate(col) if x]
+        if len(support) == 1:
+            start.setdefault(support[0], j)
+    bare = [i for i in range(n) if i not in start]
+    tab = [[col[i] for col in columns] + [int(i == k) for k in bare] + [1]
            for i in range(n)]
-    basis = list(range(m, m + n))
-    tab.append(_objective_row(tab, basis, [0] * m + [-1] * n, 0))
-    _simplex(tab, basis, real)
-    if tab.pop()[-1] < 0:
-        return False
-    # pivot out the artificials left at level zero; a row with no real
-    # entry is a dependent equation and is dropped with its artificial
-    for r, b in enumerate(basis):
-        if b >= m:
-            s = next((j for j in real if tab[r][j]), None)
-            if s is not None:
-                _pivot(tab, basis, r, s)
-    keep = [r for r, b in enumerate(basis) if b < m]
-    tab = [tab[r][:m] + tab[r][-1:] for r in keep]
-    basis = [basis[r] for r in keep]
+    artificial = iter(range(m, m + len(bare)))
+    basis = [start[i] if i in start else next(artificial) for i in range(n)]
+    if bare:
+        # phase 1: maximise minus the sum of the artificials
+        tab.append(_objective_row(tab, basis, [0] * m + [-1] * len(bare), 0))
+        _simplex(tab, basis, real)
+        if tab.pop()[-1] < 0:
+            return False
+        # pivot out the artificials left at level zero; a row with no real
+        # entry is a dependent equation and is dropped with its artificial
+        for r, b in enumerate(basis):
+            if b >= m:
+                s = next((j for j in real if tab[r][j]), None)
+                if s is not None:
+                    _pivot(tab, basis, r, s)
+        keep = [r for r, b in enumerate(basis) if b < m]
+        tab = [tab[r][:m] + tab[r][-1:] for r in keep]
+        basis = [basis[r] for r in keep]
     # phase 2: maximise the costs; the last entry of the objective row is
     # a positive multiple of the current value minus the bound
     tab.append(_objective_row(tab, basis, costs, bound))

@@ -24,8 +24,8 @@ Omega to clear denominators: V = v·D and G = v(N)·D come from the game's
 one integer form (`model.Game.scaled`), shared with `props`, and the
 association pool, the associated and the admissible collections are
 database rows.  The pool is the one the feasibility oracle keeps from its
-scan of the database (`props.association_pool`), so `is_core_stable`
-scans the rows once.  An
+walk of the database (`props.association_pool`), so `is_core_stable`
+reads the rows once.  An
 Omega vector u/s with a-value a (u an integer vector, s > 0) is the entry
 (u, s, k): the column u with the cost k = a·D·s, since its weight on u is
 w/s.  A complement vector is (1_{S^c}, 1, G − V[S]), a family vector

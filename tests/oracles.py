@@ -693,7 +693,8 @@ _COUNTS = {1: 1, 2: 2, 3: 6, 4: 42, 5: 1292, 6: 200214}
 def _reference_row(line: str, n: int):
     """The canonical row of one MBCDB line, or ValueError for its first
     fault: syntax, zero denominator, increasing masks, mask range, positive
-    weights, player sums."""
+    weights, player sums, more than n coalitions (n + 1 vectors in R^n are
+    dependent, so such a row is never minimal)."""
     items = [_ITEM.fullmatch(field) for field in line.split()]
     if not all(items):
         raise ValueError("malformed MBCDB line")
@@ -710,6 +711,8 @@ def _reference_row(line: str, n: int):
     for p in range(n):
         if sum(w for m, w in zip(masks, weights) if m >> p & 1) != 1:
             raise ValueError("player weight sums are not all 1")
+    if len(masks) > n:
+        raise ValueError(f"more than n={n} coalitions")
     den = lcm(*(w.denominator for w in weights))
     return bytes(masks), tuple(int(w * den) for w in weights), den
 

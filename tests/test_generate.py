@@ -1,5 +1,7 @@
+import gc
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -18,6 +20,7 @@ from mbc.generate import (
     _pair_form,
     _rank01,
     _rank2,
+    _rows_on,
     apply_case1,
     apply_case2,
     apply_case3,
@@ -517,6 +520,92 @@ def test_database_load_rejects_bad_rows(tmp_path, db4, new, problem):
     assert f"line {lineno} {new!r}" in str(info.value)
 
 
+def test_database_refuses_a_row_of_more_than_n_coalitions(tmp_path):
+    # balanced with positive weights, but n + 1 vectors in R^n are dependent
+    path = tmp_path / "three.db"
+    path.write_text("MBCDB 1 n=2 count=1 restricted\n1:1/2 2:1/2 3:1/2\n")
+    with pytest.raises(ValueError) as info:
+        MbcDatabase.load(path)
+    assert str(info.value) == "MBCDB line 2 '1:1/2 2:1/2 3:1/2': more than n=2 coalitions"
+    with pytest.raises(ValueError, match="more than n=2 coalitions"):
+        MbcDatabase(2, [(b"\x01\x02\x03", (1, 1, 1), 2)], restricted=True)
+
+
+@pytest.mark.parametrize("n,system", [*((n, None) for n in range(1, 7)), *RESTRICTED_SYSTEMS])
+def test_rows_read_as_the_generated_tuples(request, tmp_path, n, system):
+    # one integer per row, read back as the (masks, nums, den) tuples the
+    # generator makes, generated or loaded
+    expected = tuple(_rows_on(n, restriction(n, system)))
+    path = tmp_path / "rows.db"
+    _stream(path, n, system)
+    generated = request.getfixturevalue("db6") if n == 6 else peleg(n, set_system=system)
+    loaded = MbcDatabase.load(path)
+    assert loaded == generated
+    rng = random.Random(n)
+    for rows in (generated.rows, loaded.rows):
+        assert rows == expected and expected == rows and not rows != expected
+        assert rows != expected[:-1] and rows != list(expected)
+        assert len(rows) == len(expected) and list(rows) == list(expected)
+        count = len(expected)
+        for i in [0, -1, count - 1, *rng.sample(range(count), min(50, count))]:
+            assert rows[i] == expected[i]
+        assert rows[1:4] == expected[1:4]
+        with pytest.raises(IndexError):
+            rows[len(expected)]
+    full = full_mask(n)
+    present = {row[0] for row in expected}
+    probes = [list(row[0]) for row in rng.sample(expected, min(40, len(expected)))]
+    probes += [masks[::-1] for masks in probes]                   # present, any order
+    probes += [masks[:-1] for masks in probes if len(masks) > 1]  # absent
+    probes += [[*masks, masks[0]] for masks in probes if masks]   # repeated
+    probes += [[0, *masks] for masks in probes[:10]]              # out of range
+    probes += [[*masks, full + 1] for masks in probes[:10]]
+    probes += [[1 << i for i in range(n)] + [full], list(range(1, full + 1)), [], [full]]
+    for masks in probes:
+        key = sorted(masks)
+        in_range = len(set(key)) == len(key) and all(0 < m <= full for m in key)
+        assert loaded.contains(masks) == (in_range and bytes(key) in present), masks
+
+
+def test_loaded_database_holds_at_most_64_bytes_per_row(tmp_path):
+    # one integer and its list slot per row, and a table of the 105
+    # distinct weight rows; rows as (masks, nums, den) tuples took 112
+    path = tmp_path / "mbc5.db"
+    _stream(path, 5)
+    tracemalloc.start()
+    try:
+        db = MbcDatabase.load(path)
+        # freed tuples wait on free lists, whose blocks tracemalloc counts
+        # as held until a collection empties them
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(db) == 1292
+    assert held <= 64 * len(db)
+
+
+def test_load_widens_the_weight_ids_of_many_weight_rows(tmp_path, monkeypatch):
+    # a key starts with the id bits left in the last 30-bit digit of its
+    # masks, 4 at n = 7, and widens when more weight rows come: here 21
+    # balanced rows {p}, {q}, {p,q} and the rest, weighted a, a, 1 - a, 1
+    # with a different a each (never minimal)
+    lines = []
+    for k, (p, q) in enumerate(combinations(range(7), 2), 2):
+        a = F(1, k)
+        pair = 1 << p | 1 << q
+        items = {1 << p: a, 1 << q: a, pair: 1 - a, 0x7F ^ pair: F(1)}
+        lines.append(" ".join(f"{m:x}:{w.numerator}/{w.denominator}"
+                              for m, w in sorted(items.items())))
+    path = tmp_path / "wide.db"
+    path.write_text(f"MBCDB 1 n=7 count={len(lines)} restricted\n" + "\n".join(lines) + "\n")
+    monkeypatch.setattr(generate, "LOAD_CHUNK", 64)
+    db = MbcDatabase.load(path)
+    assert (db.n, db.rows, db.restricted) == load_line_by_line(path)
+    assert db.rows._width == 34
+    assert MbcDatabase(7, tuple(db.rows), True) == db
+
+
 def test_database_load_rejects_repeated_collection(tmp_path, db4):
     # the same collection written with unreduced weights parses to the same row
     path, _ = _probe(tmp_path, db4, "1:1/1 e:1/1", "1:1/1 2:1/1 4:1/1 8:2/2")
@@ -536,6 +625,7 @@ LOAD_ERRORS = {
     "range": "coalition out of range for n=4",
     "positive": "weights must be positive",
     "sums": "player weight sums are not all 1",
+    "count": "more than n=4 coalitions",
 }
 
 
@@ -548,10 +638,14 @@ LOAD_ERRORS = {
         ("1:1/1 2:1/1 8:0/1 4:1/1", "increasing"),
         ("1:1/1 2:1/1 4:1/1 ff:0/1", "range"),
         ("1:1/1 2:1/1 4:0/1 8:1/1", "positive"),
+        ("1:1/1 2:1/1 4:1/1 8:1/1 f:0/1", "positive"),
+        ("1:1/1 2:1/1 4:1/1 8:1/1 f:1/1", "sums"),
+        ("1:1/2 2:1/2 4:1/2 8:1/2 f:1/2", "count"),
     ],
 )
 def test_database_load_reports_first_fault(tmp_path, db4, new, first):
-    # check order: syntax, zero denominator, increasing, range, positive, sums
+    # check order: syntax, zero denominator, increasing, range, positive,
+    # sums, and last more than n coalitions
     path, lineno = _probe(tmp_path, db4, "1:1/1 2:1/1 4:1/1 8:1/1", new)
     with pytest.raises(ValueError) as info:
         MbcDatabase.load(path)
@@ -700,6 +794,22 @@ def _with_a_zero_weight(items):
     return [masks[m] for m in sorted(masks)]
 
 
+def _with_every_singleton(items):
+    """The row with a third of its weights, plus every singleton and the
+    grand coalition at a third each: balanced with positive weights, and
+    more than n coalitions for n >= 2."""
+    weights = {}
+    for item in items:
+        mask, weight = item.split(":")
+        weights[int(mask, 16)] = Fraction(weight) / 3
+    full = 0
+    for mask in weights:
+        full |= mask
+    for mask in [1 << i for i in range(full.bit_length())] + [full]:
+        weights[mask] = weights.get(mask, 0) + Fraction(1, 3)
+    return [f"{m:x}:{w.numerator}/{w.denominator}" for m, w in sorted(weights.items())]
+
+
 # one fault per check, made from a line's items: only that check fails, or
 # it is the first in the per-line order that does
 LINE_FAULTS = {
@@ -709,6 +819,7 @@ LINE_FAULTS = {
     "range": lambda items: [*items[:-1], "100:" + items[-1].split(":")[1]],
     "positive": _with_a_zero_weight,
     "sums": lambda items: [_respelled(items[0], 2).replace("/", "1/", 1), *items[1:]],
+    "count": _with_every_singleton,
 }
 
 
@@ -748,6 +859,10 @@ def _load_corpus(tmp_path):
         [*lines[:-2], f"{lines[-2]} ; {lines[-1]}"])
     add("two spellings", header.replace("42", "43"), [*lines, _respelled(lines[7], 3)])
     add("count", header.replace("42", "43"), lines)
+    # one collection twice, with two weight systems, the later one in row
+    # order first in the file
+    add("twice, two weight systems", "MBCDB 1 n=4 count=2 restricted",
+        ["1:1/3 2:1/3 3:2/3 c:1/1", "1:1/2 2:1/2 3:1/2 c:1/1"])
     add("known count", header.replace("42", "41"), lines[1:])
     add("known count, and twice", header.replace("42", "41"),
         [*lines[2:], _respelled(lines[5], 2)])

@@ -303,6 +303,44 @@ def test_vertex_clause_matches_vertex_definition(monkeypatch):
     assert any(p < 0 for p in pivots)
 
 
+def test_vertex_clause_starts_from_unit_columns(monkeypatch):
+    # a column with one nonzero entry starts as the basic column of its
+    # row, and phase 1 (the only objective with artificial costs) runs
+    # exactly when some row has no such column
+    widths = []
+    objective_row = linalg._objective_row
+
+    def recording(rows, basis, costs, bound):
+        widths.append(len(costs))
+        return objective_row(rows, basis, costs, bound)
+
+    monkeypatch.setattr(linalg, "_objective_row", recording)
+    rng = random.Random(23)
+    seen = {(every, verdict): 0 for every in (True, False) for verdict in (True, False)}
+    for n in range(2, 5):
+        for _ in range(150):
+            columns = []
+            for _ in range(rng.randint(1, n + 3)):
+                col = tuple(rng.choice([0, 0, 1, 1, 2, 5]) for _ in range(n))
+                columns.append(col if any(col) else (1,) * n)
+            # unit columns, scaled, for every row or for a few rows only
+            rows = range(n) if rng.random() < 0.5 else rng.sample(range(n), rng.randint(0, n - 1))
+            for i in rows:
+                columns.insert(rng.randint(0, len(columns)),
+                               tuple(rng.choice([1, 2, 3]) * (k == i) for k in range(n)))
+            every = all(any(sum(map(bool, col)) == 1 and col[i] for col in columns)
+                        for i in range(n))
+            costs = [rng.randint(-4, 12) for _ in columns]
+            marked = [rng.random() < 0.3 for _ in columns]
+            bound = rng.randint(-2, 8)
+            widths.clear()
+            verdict = vertex_clause(columns, costs, bound, marked)
+            assert verdict == _vertex_clause_by_subsets(columns, costs, bound, marked)
+            assert (max(widths) > len(columns)) == (not every)
+            seen[every, verdict] += 1
+    assert min(seen.values()) > 20, seen
+
+
 def test_vertex_clause_builds_no_fraction():
     # a run through all three phases, with ties and a redundant equation
     columns = [(1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (2, 2, 2, 2),

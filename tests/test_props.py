@@ -660,6 +660,38 @@ def test_core_describing_matches_definition_on_seeded_pairs(n, count):
 # feasibility
 
 
+def test_association_pool_is_the_row_filter(db3, db4, db5, db6, game4, biswas,
+                                            biswas_mod, sk_game):
+    # the walk over the sorted keys keeps what a filter of every row keeps,
+    # in row order: the fixtures' pools, and seeded universes with the
+    # singletons alone and with every coalition among them
+    dbs = {2: peleg(2), 3: db3, 4: db4, 5: db5, 6: db6}
+    rows = {n: tuple(db.rows) for n, db in dbs.items()}
+
+    def filtered(n, universe):
+        return [row for row in rows[n] if universe.issuperset(row[0])]
+
+    for game, db in [(game4, db4), (biswas, db5), (biswas_mod, db5), (sk_game, db6)]:
+        family = sve_family(game, db)
+        universe = {1 << i for i in range(game.n)} | set(family)
+        universe |= {full_mask(game.n) ^ T for T in family}
+        pool = props.association_pool(db, family, game.n)
+        assert pool == filtered(game.n, universe) and pool
+    rng = random.Random(35)
+    sizes = set()
+    for n, count in [(2, 45), (3, 45), (4, 45), (5, 45), (6, 20)]:
+        full = full_mask(n)
+        universes = [{1 << i for i in range(n)}, set(range(1, full + 1))]
+        for _ in range(count):
+            p = rng.random()
+            universes.append({m for m in range(1, full + 1) if rng.random() < p})
+        for universe in universes:
+            within = dbs[n].rows.within(universe)
+            assert within == filtered(n, universe)
+            sizes.add(len(within) / len(rows[n]))
+    assert {0, 1} < sizes and len(sizes) > 50
+
+
 def test_empty_collection_feasible(db4, game4):
     family = sve_family(game4, db4)
     assert FeasibilityOracle(game4, db4, family).feasible(())
