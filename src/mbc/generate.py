@@ -39,6 +39,18 @@ entries.  Pairs repeat it often (the 32,986 merged pairs at 5 -> 6 have
 when the step ends, and each pair only puts its own masks in the cached
 order.
 
+A child has |U| coalitions and a minimal balanced collection on
+n_old + 1 players at most n_old + 1, so only pairs with |U| <= n_old + 1
+count.  Parents of sizes a and b have such a union exactly when they share
+at least r = a + b - n_old - 1 coalitions, so the pairs come from a join
+rather than a pass over all pairs (see `_case4_pairs`): for each pair of
+sizes with r > 0 the smaller parents are indexed by their r-subsets of
+coalitions and the larger ones look theirs up, and with r <= 0 every pair
+of those sizes counts.  A pair sharing more than r coalitions meets in
+several buckets and is kept in the one of its r lowest shared coalitions
+only, so each pair comes once.  At 5 -> 6 that yields 34,871 of the
+C(1292, 2) = 833,986 pairs, and at 6 -> 7 12,834,560 of about 2.0e10.
+
 Only some unions need a rank test.  A minimal balanced collection has
 independent characteristic vectors and mu - nu is a nonzero vector in the
 kernel of U's, so max(|A|, |B|) <= rank <= |U|-1: a union one larger than
@@ -59,7 +71,8 @@ So the child gives the rule, and then its parent (the projection, with {p}
 dropped or S u {p} folded into S), or its pair: the weight systems on U
 form a segment, whose two endpoints are the only minimal balanced
 collections inside U.  The picked members are those holding p.  The
-generator visits each parent, unordered pair, subset and split member once,
+generator visits each parent, unordered pair, subset and split member once
+(the pairs the join leaves out have too large a union to give a child),
 so no child is emitted twice (the generation raises if one is).  A
 restriction only filters the children: the allowed masks are closed under
 taking subsets, so a kept child's parent or pair was kept the step before.
@@ -87,7 +100,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import compress, islice, repeat
+from itertools import combinations, compress, islice, repeat
 from math import gcd, lcm
 from operator import and_, eq, itemgetter, lshift, lt, mul, or_, rshift
 
@@ -324,8 +337,9 @@ def _case4_weights(L: int, *weights: int) -> tuple:
     the module docstring): 2^(w-1) exceeds L and every mu(I) and nu(I).
 
     Many pairs share one structure (4,414 of the 32,986 merged pairs at
-    5 -> 6), so the results are cached for the pairs still to come; 2,048
-    entries keep 28,494 of the 28,572 possible hits there.
+    5 -> 6), so the results are cached for the pairs still to come; in the
+    order `_case4_pairs` yields the pairs, 2,048 entries keep all 28,572
+    possible hits there.
     `_add_player_raw` empties the cache when its step ends.  The children
     of different structures have few distinct weights (2,267 distinct
     (nums, den) among the 172,776 at 5 -> 6), so equal numerator tuples are
@@ -376,14 +390,61 @@ def _pair_form(row: Row):
     return cover, dict(zip(masks, nums)), den
 
 
+def _case4_pairs(forms: list, limit: int):
+    """The pairs (i, j), i < j, of parents in `_pair_form` whose union has
+    at most `limit` coalitions, each once, grouped by the parents' sizes.
+
+    Parents of sizes a and b pass exactly when they share at least
+    r = a + b - limit coalitions, and every pair of them when r <= 0.  The
+    parents of the smaller size are indexed by their r-subsets of
+    coalitions (taking r = 0 when r <= 0, whose one subset is empty),
+    each keyed as the bits of a cover, and a pair is looked up in the
+    buckets of the larger parent's r-subsets (of the same bucket's parents
+    when a = b).  A pair sharing t >= r coalitions meets in C(t, r)
+    buckets and is yielded from one only: the bucket keyed by the r lowest
+    coalitions of the two covers' AND."""
+    covers = [cover for cover, _, _ in forms]
+    by_size: dict[int, list[int]] = {}
+    for i, (_, weights, _) in enumerate(forms):
+        by_size.setdefault(len(weights), []).append(i)
+    sizes = sorted(by_size)
+    for s, a in enumerate(sizes):
+        for b in sizes[s:]:
+            r = max(a + b - limit, 0)
+            index: dict[int, list[int]] = {}
+            for i in by_size[a]:
+                for key in _subset_keys(forms[i], r):
+                    index.setdefault(key, []).append(i)
+            if a == b:
+                for key, bucket in index.items():
+                    below = (1 << key.bit_length()) - 1
+                    for i, j in combinations(bucket, 2):
+                        if covers[i] & covers[j] & below == key:
+                            yield i, j
+                continue
+            for j in by_size[b]:
+                cover = covers[j]
+                for key in filter(index.__contains__, _subset_keys(forms[j], r)):
+                    below = (1 << key.bit_length()) - 1
+                    for i in index[key]:
+                        if covers[i] & cover & below == key:
+                            yield (i, j) if i < j else (j, i)
+
+
+def _subset_keys(form, r: int):
+    """The r-subsets of a parent's coalitions in `_pair_form`, each as the
+    bits m-1 of its coalitions m."""
+    return map(sum, combinations([1 << m - 1 for m in form[1]], r))
+
+
 def _merged_pair(a, b, n_old: int):
     """The arguments of `_children_4` before the new player's bit for two
     parents in `_pair_form`: the sorted union of their coalitions and both
     weight systems extended by zeros to it over the common denominator L.
     None when the union's characteristic rank on n_old players is not one
     below its size."""
-    (cover_a, weights_a, den_a), (cover_b, weights_b, den_b) = a, b
-    union_masks = members(cover_a | cover_b)
+    (_, weights_a, den_a), (_, weights_b, den_b) = a, b
+    union_masks = sorted(weights_a.keys() | weights_b.keys())
     # max(|A|, |B|) <= rank <= |union| - 1 and rank >= the GF(2) rank (see
     # the module docstring)
     size = len(union_masks)
@@ -416,20 +477,17 @@ def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
     for masks, nums, den in parents:
         _children_123(masks, nums, den, p_bit, emit)
 
-    # case 4 over unordered pairs; the two orderings of a pair generate the
-    # same children, so one suffices
+    # case 4 over the unordered pairs whose union has at most n_old + 1
+    # coalitions, the most a child on n_old + 1 players holds; the join
+    # finds them without a pass over all pairs and yields each once (see
+    # `_case4_pairs`).  The two orderings of a pair generate the same
+    # children, so one suffices.
     forms = [_pair_form(row) for row in parents]
-    covers = [cover for cover, _, _ in forms]
-    size_limit = n_old + 1
     try:
-        for ia, a in enumerate(forms):
-            ca = a[0]
-            for ib in range(ia + 1, len(forms)):
-                if (ca | covers[ib]).bit_count() > size_limit:
-                    continue
-                pair = _merged_pair(a, forms[ib], n_old)
-                if pair is not None:
-                    _children_4(*pair, p_bit, emit)
+        for i, j in _case4_pairs(forms, n_old + 1):
+            pair = _merged_pair(forms[i], forms[j], n_old)
+            if pair is not None:
+                _children_4(*pair, p_bit, emit)
     finally:
         _case4_weights.cache_clear()
         _shared_nums.cache_clear()
@@ -621,7 +679,7 @@ class MbcDatabase:
     def save(self, path) -> None:
         """Write the rows as an MBCDB file, byte for byte what `peleg_stream`
         writes for the same collections."""
-        write = LineCodec("\n").write
+        write = LineCodec(b"\n").write
         with open(path, "w") as fh:
             _write_db(fh, _header(self.n, len(self.rows), self.restricted),
                       sorted(write(*row) for row in self.rows))
@@ -714,11 +772,14 @@ def _bulk_rows(fh, n: int) -> tuple[list[int], int, dict]:
     ids outgrow the key's width, the keys so far are widened."""
     top = full_mask(n)
 
-    def item(token: str) -> tuple[int, str]:
+    def mask_of_item(token: str) -> int:
+        # the one parse of a token fills both tables; `text_of` is read
+        # only after every token of the piece has its mask
         mask, text = _parse_item(token)
         if not 0 < mask <= top:
             raise ValueError("coalition out of range")
-        return mask, text
+        text_of[token] = text + " "
+        return mask
 
     def weight_row(texts: str):
         nums, den, total = _canonical_weights(texts.split())
@@ -729,9 +790,9 @@ def _bulk_rows(fh, n: int) -> tuple[list[int], int, dict]:
         return weight_id, nums, lanes.__getitem__, den * lanes[top]
 
     lane_tables = _Memo(lambda width: tuple(_lanes(width, m) for m in range(top + 1)))
-    mask_of = _Memo(lambda token: item(token)[0])
-    text_of = _Memo(lambda token: item(token)[1] + " ")
-    mask_of[_LINE_END], text_of[_LINE_END] = 0, "\n"
+    mask_of = _Memo(mask_of_item)
+    text_of = {_LINE_END: "\n"}
+    mask_of[_LINE_END] = 0
     weight_rows = _Memo(weight_row)
     ids: dict[tuple, int] = {}
     width = _id_width(n, 1)
@@ -812,20 +873,33 @@ def _header(n: int, count: int, restricted: bool) -> str:
     return f"MBCDB 1 n={n} count={count}{tail}"
 
 
+# lines `_write_db` joins, decodes and writes at a time
+WRITE_CHUNK = 1 << 12
+
+
 def _write_db(out, header: str, lines) -> None:
-    """Write the header and the lines, sorted and each ending in a newline;
-    raises ValueError, naming the line, when a line comes twice.  A list
-    with no line twice, found by one comparison of neighbours, is written
-    at once; other lines (a merge of shards) are written one at a time."""
+    """Write the header and the lines to the text file `out`: the lines are
+    bytes, sorted and each ending in a newline, and go out `WRITE_CHUNK` at
+    a time, joined and decoded as one text.  Raises ValueError, naming the
+    line as text, when a line comes twice.  A list is checked by one
+    comparison of neighbours; other lines (a merge of shards), and a list
+    with a line twice, are checked one at a time as they are written."""
     out.write(header + "\n")
-    if isinstance(lines, list) and not any(map(eq, lines, islice(lines, 1, None))):
-        out.writelines(lines)
-        return
+    if not isinstance(lines, list) or any(map(eq, lines, islice(lines, 1, None))):
+        lines = _each_once(lines)
+    lines = iter(lines)
+    while chunk := b"".join(islice(lines, WRITE_CHUNK)):
+        out.write(chunk.decode())
+
+
+def _each_once(lines):
+    """The lines, raising ValueError, naming the line, at one equal to the
+    line before it."""
     previous = None
     for line in lines:
         if line == previous:
-            raise ValueError(f"MBCDB line {line.rstrip()!r} written twice")
-        out.write(line)
+            raise ValueError(f"MBCDB line {line.decode().rstrip()!r} written twice")
+        yield line
         previous = line
 
 
@@ -902,21 +976,22 @@ SHARD_LINES = 1_000_000
 def peleg_stream(n: int, out, set_system=None) -> int:
     """Like `peleg`, but writes the MBCDB file to the open text file `out`
     and returns the collection count.  The last step's children become
-    lines as they are emitted, each once, so the header comes first; every
-    `SHARD_LINES` lines are sorted into a temporary file (under `TMPDIR`)
-    and the shards are merged with the lines left in memory.  A collection
-    emitted twice, at any step, raises ValueError."""
+    lines as they are emitted, each once, so the header comes first.  The
+    lines are bytes until `_write_db` decodes them; every `SHARD_LINES`
+    lines are sorted into a temporary binary file (under `TMPDIR`) and the
+    shards are merged with the lines left in memory.  A collection emitted
+    twice, at any step, raises ValueError."""
     allowed = restriction(n, set_system)
-    templates = LineCodec("\n").templates
+    templates = LineCodec(b"\n").templates
     shards = []
-    lines: list[str] = []
+    lines: list[bytes] = []
 
     def emit(masks, nums, den):
         # the rules emit tuple masks, so the template takes them as they are
         lines.append(templates[nums, den] % masks)
         if len(lines) == SHARD_LINES:
             lines.sort()
-            shard = tempfile.TemporaryFile("w+", prefix="mbcshard")
+            shard = tempfile.TemporaryFile("w+b", prefix="mbcshard")
             shards.append(shard)
             shard.writelines(lines)
             shard.seek(0)

@@ -15,6 +15,7 @@ from mbc.generate import (
     NOT_BALANCED,
     MbcDatabase,
     _add_player_raw,
+    _case4_pairs,
     _children_4,
     _merged_pair,
     _pair_form,
@@ -206,12 +207,42 @@ def test_single_step_helpers_reproduce_the_induction_step(n_old):
 # case 4 pair by pair
 
 
-def _size_filtered_pairs(n_old):
+def _size_filtered_pairs(n_old, rows=None):
     """The parent pairs the induction step from n_old players passes to
-    `_merged_pair`: their union has at most n_old + 1 coalitions."""
-    forms = [_pair_form(row) for row in peleg(n_old).rows]
+    `_merged_pair`, found by a pass over all pairs: their union has at most
+    n_old + 1 coalitions.  The parents are `rows`, or by default every
+    collection on n_old players."""
+    forms = [_pair_form(row) for row in (peleg(n_old).rows if rows is None else rows)]
     return [(a, b) for a, b in combinations(forms, 2)
             if (a[0] | b[0]).bit_count() <= n_old + 1]
+
+
+def _joined_pairs_match_the_pass_over_all_pairs(rows, n_old) -> int:
+    """Asserts that `_case4_pairs` yields the pairs of `_size_filtered_pairs`
+    on these parents, each in parent order and none twice, and returns how
+    many.  Distinct parents have distinct coalitions, so a pair is named by
+    its two covers."""
+    forms = [_pair_form(row) for row in rows]
+    joined = [(forms[i][0], forms[j][0]) for i, j in _case4_pairs(forms, n_old + 1)]
+    assert len(joined) == len(set(joined))
+    assert set(joined) == {(a[0], b[0]) for a, b in _size_filtered_pairs(n_old, rows)}
+    return len(joined)
+
+
+@pytest.mark.parametrize("n_old", [1, 2, 3, 4, 5])
+def test_case4_join_yields_the_size_filtered_pairs_once(n_old):
+    count = _joined_pairs_match_the_pass_over_all_pairs(peleg(n_old).rows, n_old)
+    assert count == FILTERED_PAIRS[n_old][0]
+
+
+def test_case4_join_matches_on_a_sample_of_six_player_parents(db6):
+    # a seeded sample holds parents of several sizes and keeps the reference
+    # pass over all its pairs short; the join pairs them as the 6 -> 7 step
+    # would
+    rows = db6.rows
+    sample = [rows[i] for i in sorted(random.Random(35).sample(range(len(rows)), 2000))]
+    assert len({len(masks) for masks, _, _ in sample}) >= 4
+    assert _joined_pairs_match_the_pass_over_all_pairs(sample, 6) > 0
 
 
 # size-filtered pairs, and those whose union has one coalition more than the
@@ -606,6 +637,18 @@ def test_load_widens_the_weight_ids_of_many_weight_rows(tmp_path, monkeypatch):
     assert MbcDatabase(7, tuple(db.rows), True) == db
 
 
+def test_database_load_parses_each_distinct_item_once(tmp_path, monkeypatch):
+    # one parse of a token gives both its mask and its weight text
+    path = tmp_path / "mbc5.db"
+    _stream(path, 5)
+    parsed = []
+    parse = generate._parse_item
+    monkeypatch.setattr(generate, "_parse_item",
+                        lambda token: parsed.append(token) or parse(token))
+    MbcDatabase.load(path)
+    assert len(parsed) == len(set(parsed)) == 221
+
+
 def test_database_load_rejects_repeated_collection(tmp_path, db4):
     # the same collection written with unreduced weights parses to the same row
     path, _ = _probe(tmp_path, db4, "1:1/1 e:1/1", "1:1/1 2:1/1 4:1/1 8:2/2")
@@ -983,6 +1026,19 @@ def test_streaming_generation_matches_in_memory(tmp_path, monkeypatch, db5):
     assert out.read_bytes() == direct.read_bytes()
 
 
+def test_streaming_in_small_chunks_matches_one_chunk(tmp_path, monkeypatch):
+    # the lines go out a chunk at a time, from a list and from a merge of
+    # shards alike, with a short last chunk
+    direct = tmp_path / "direct5.db"
+    _stream(direct, 5)
+    monkeypatch.setattr(generate, "WRITE_CHUNK", 7)
+    for shard_lines in (1_000_000, 200):
+        monkeypatch.setattr(generate, "SHARD_LINES", shard_lines)
+        out = tmp_path / f"chunked{shard_lines}.db"
+        assert _stream(out, 5) == 1292
+        assert out.read_bytes() == direct.read_bytes()
+
+
 def test_restricted_streaming_matches_in_memory_bytes(tmp_path, monkeypatch):
     system = [0b01111, 0b11110]
     direct = tmp_path / "direct.db"
@@ -1018,6 +1074,14 @@ def test_each_collection_is_emitted_once(n, system):
         assert len(emitted) == len({masks for masks, _, _ in emitted})
         rows = sorted(emitted)
     assert rows == list(peleg(n, set_system=system).rows)
+
+
+@pytest.mark.parametrize("n,system", RESTRICTED_SYSTEMS)
+def test_case4_join_matches_on_every_restricted_step(n, system):
+    allowed = restriction(n, system)
+    counts = [_joined_pairs_match_the_pass_over_all_pairs(_rows_on(n_old, allowed), n_old)
+              for n_old in range(1, n)]
+    assert sum(counts) > 0
 
 
 def _emit_cases_123_twice_on_the_step_to_3(monkeypatch):
