@@ -249,17 +249,14 @@ def _canonical_weights(texts) -> tuple[tuple[int, ...], int, int]:
     return tuple(nums), den, sum(nums)
 
 
-def _line_template(key, end: str | bytes) -> str | bytes:
-    """(nums, den) -> the format string of a line with these weights: one
-    ``%x:num/den`` item per weight, each weight in lowest terms, then
-    `end`; bytes when `end` is bytes."""
-    nums, den = key
+def _line_template(nums: tuple[int, ...], den: int) -> str:
+    """The printf format of a line with these weights: one ``%x:num/den``
+    item per weight, each weight in lowest terms."""
     items = []
     for x in nums:
         g = gcd(x, den)
         items.append(f"%x:{x // g}/{den // g}")
-    line = " ".join(items)
-    return line + end if isinstance(end, str) else line.encode() + end
+    return " ".join(items)
 
 
 class LineCodec:
@@ -267,17 +264,13 @@ class LineCodec:
     items.  A database file repeats few distinct items and weight rows, so
     the codec parses each item and weight row once and looks it up after
     that; it writes a line by filling the masks into the printf template of
-    its weight row, made once per row and ending in `end` (the MBCDB
-    writers pass a newline).  `templates[nums, den] % masks` is that line
-    for a tuple of masks, with no call in between.  With a bytes `end` the
-    templates, and the lines `write` returns, are bytes: the writers hold
-    their lines so, which formats them faster and keeps them smaller than
-    text.  Use one codec per file: its tables live as long as it does."""
+    its weight row (`_line_template`), made once per row.  Use one codec
+    per file: its tables live as long as it does."""
 
-    def __init__(self, end: str | bytes = ""):
+    def __init__(self):
         self._items = _Memo(_parse_item)
         self._weight_rows = _Memo(_canonical_weights)
-        self.templates = _Memo(lambda key: _line_template(key, end))
+        self._templates = _Memo(lambda key: _line_template(*key))
 
     def read(self, line: str) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
         """One line -> (masks, nums, den, sum(nums)): the integer row over
@@ -289,10 +282,10 @@ class LineCodec:
         masks, texts = zip(*map(self._items.__getitem__, fields))
         return (masks, *self._weight_rows[texts])
 
-    def write(self, masks, nums: tuple[int, ...], den: int) -> str | bytes:
-        """The line of an integer row, each weight in lowest terms, followed
-        by the codec's `end`; text unless `end` is bytes."""
-        return self.templates[nums, den] % tuple(masks)
+    def write(self, masks, nums: tuple[int, ...], den: int) -> str:
+        """The line of an integer row, each weight in lowest terms, without
+        a newline."""
+        return self._templates[nums, den] % tuple(masks)
 
 
 # ---------------------------------------------------------------------------

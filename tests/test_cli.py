@@ -441,6 +441,22 @@ def test_console_script_entry_point(tmp_path):
     assert result.stdout.startswith("MBCDB 1 n=2")
 
 
+def test_cli_import_leaves_tempfile_unloaded():
+    # only a generation that spills its lines needs a temporary file, so
+    # starting `mbc` does not pay for `tempfile` and what it imports; -I -S
+    # keeps site hooks, which may import it themselves, out of the child
+    src = Path(mbc.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c",
+         f"import sys; sys.path.insert(0, {str(src)!r}); import mbc.cli; "
+         "print('tempfile' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_analyze_does_not_build_every_collection(tmp_path, capsys, monkeypatch,
                                                  db6, sk_game):
     # the scans read the integer rows; building the WeightedCollection view

@@ -499,6 +499,18 @@ def test_database_save_load_roundtrip(tmp_path, db4):
     assert loaded == db4
 
 
+@pytest.mark.parametrize("n,system", [*((n, None) for n in range(1, 6)), *RESTRICTED_SYSTEMS])
+def test_save_with_every_line_spilled_matches_the_stream(tmp_path, monkeypatch, n, system):
+    streamed = tmp_path / "streamed.db"
+    count = _stream(streamed, n, system)
+    monkeypatch.setattr(generate, "SPILL_BYTES", 1)
+    saved = tmp_path / "saved.db"
+    db = peleg(n, set_system=system)
+    db.save(saved)
+    assert len(db) == count
+    assert saved.read_bytes() == streamed.read_bytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_database_rows_roundtrip(tmp_path, n):
     path = tmp_path / f"mbc{n}.db"
@@ -1015,10 +1027,11 @@ def test_database_load_matches_line_by_line_reader_on_edited_files(tmp_path, mon
 
 
 def test_streaming_generation_matches_in_memory(tmp_path, monkeypatch, db5):
-    # several shards merged give the bytes of one in-memory pass
+    # groups spilled to the temporary file several times give the bytes of
+    # one in-memory pass
     direct = tmp_path / "direct5.db"
     count = _stream(direct, 5)
-    monkeypatch.setattr(generate, "SHARD_LINES", 200)
+    monkeypatch.setattr(generate, "SPILL_BYTES", 8_000)
     out = tmp_path / "mbc5.db"
     assert _stream(out, 5) == count == 1292
     assert list(MbcDatabase.load(out)) == list(db5)
@@ -1027,14 +1040,15 @@ def test_streaming_generation_matches_in_memory(tmp_path, monkeypatch, db5):
 
 
 def test_streaming_in_small_chunks_matches_one_chunk(tmp_path, monkeypatch):
-    # the lines go out a chunk at a time, from a list and from a merge of
-    # shards alike, with a short last chunk
+    # every line spilled on its own, a few spills, and none give the same
+    # bytes, with groups split across spills and held in memory alike, and
+    # each group written 7 lines at a time with a short last write
     direct = tmp_path / "direct5.db"
     _stream(direct, 5)
-    monkeypatch.setattr(generate, "WRITE_CHUNK", 7)
-    for shard_lines in (1_000_000, 200):
-        monkeypatch.setattr(generate, "SHARD_LINES", shard_lines)
-        out = tmp_path / f"chunked{shard_lines}.db"
+    monkeypatch.setattr(generate, "WRITE_LINES", 7)
+    for spill_bytes in (1, 8_000, generate.SPILL_BYTES):
+        monkeypatch.setattr(generate, "SPILL_BYTES", spill_bytes)
+        out = tmp_path / f"chunked{spill_bytes}.db"
         assert _stream(out, 5) == 1292
         assert out.read_bytes() == direct.read_bytes()
 
@@ -1043,7 +1057,7 @@ def test_restricted_streaming_matches_in_memory_bytes(tmp_path, monkeypatch):
     system = [0b01111, 0b11110]
     direct = tmp_path / "direct.db"
     count = _stream(direct, 5, system)
-    monkeypatch.setattr(generate, "SHARD_LINES", 50)
+    monkeypatch.setattr(generate, "SPILL_BYTES", 1_000)
     out = tmp_path / "stream.db"
     assert _stream(out, 5, system) == count
     assert count == len(direct.read_text().splitlines()) - 1 > 50
@@ -1096,10 +1110,10 @@ def _emit_cases_123_twice_on_the_step_to_3(monkeypatch):
     monkeypatch.setattr(generate, "_children_123", twice)
 
 
-@pytest.mark.parametrize("shard_lines", [1, 1_000_000])
-def test_streaming_refuses_a_collection_emitted_twice(tmp_path, monkeypatch, shard_lines):
+@pytest.mark.parametrize("spill_bytes", [1, generate.SPILL_BYTES])
+def test_streaming_refuses_a_collection_emitted_twice(tmp_path, monkeypatch, spill_bytes):
     _emit_cases_123_twice_on_the_step_to_3(monkeypatch)
-    monkeypatch.setattr(generate, "SHARD_LINES", shard_lines)
+    monkeypatch.setattr(generate, "SPILL_BYTES", spill_bytes)
     with pytest.raises(ValueError, match=r"MBCDB line '1:1/1 2:1/1 4:1/1' written twice"):
         _stream(tmp_path / "mbc3.db", 3)
 
