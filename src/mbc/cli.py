@@ -217,14 +217,7 @@ def cmd_stable(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mbc",
-        description="Minimal balanced collections and core stability of TU games",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a minimal-balanced-collection database")
+def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("-n", "--players", type=int, required=True)
     gen.add_argument("-o", "--output", required=True, help="output path, or - for stdout")
     gen.add_argument("--restrict", help="set system: semicolon-separated coalitions, e.g. '1,2;2,3'")
@@ -233,14 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--timings", action="store_true")
     gen.set_defaults(func=cmd_generate)
 
-    analyze = sub.add_parser("analyze", help="check properties of a game")
+
+def _analyze_arguments(analyze: argparse.ArgumentParser) -> None:
     analyze.add_argument("game", help="game file path, or - for stdin")
     analyze.add_argument("-d", "--db", help=f"database path (default: ${DB_DIR_ENV}/mbc<n>.db)")
     analyze.add_argument("-c", "--checks", help="comma list: " + ",".join(ANALYZE_CHECKS))
     analyze.add_argument("--timings", action="store_true")
     analyze.set_defaults(func=cmd_analyze)
 
-    stable = sub.add_parser("stable", help="decide core stability")
+
+def _stable_arguments(stable: argparse.ArgumentParser) -> None:
     stable.add_argument("game", help="game file path, or - for stdin")
     stable.add_argument("-d", "--db", help=f"database path (default: ${DB_DIR_ENV}/mbc<n>.db)")
     stable.add_argument("--max-systems", type=int,
@@ -251,12 +246,47 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wall-clock cap for the nested stage, seconds")
     stable.add_argument("--timings", action="store_true")
     stable.set_defaults(func=cmd_stable)
+
+
+# subcommand -> (its help line, the function that adds its arguments)
+_COMMANDS = {
+    "gen": ("generate a minimal-balanced-collection database", _gen_arguments),
+    "analyze": ("check properties of a game", _analyze_arguments),
+    "stable": ("decide core stability", _stable_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mbc",
+        description="Minimal balanced collections and core stability of TU games",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of `mbc` as `build_parser()` parses them.  When argv
+    starts with a subcommand, only that subcommand's parser is built: the
+    whole parser hands it every later argument and adds nothing but a
+    refusal of those it leaves over.  Anything else (no subcommand, an
+    unknown one, top-level help, arguments left over) goes to the whole
+    parser, which gives the same help and errors."""
+    if argv and argv[0] in _COMMANDS:
+        # the prog and usage the whole parser gives this subcommand
+        parser = argparse.ArgumentParser(prog=f"mbc {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

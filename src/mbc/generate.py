@@ -85,10 +85,10 @@ increasing order.  The generator and the database work on integer rows
 (masks, numerators, denominator); fractions only materialize at the API
 boundary.  A parent of the next step holds its masks as one byte string
 (see `Row`), which the rules read as they read a tuple; a database keeps
-each row as one integer (see `Rows`).  The rules emit canonical rows: a
-case 1-3 child of a canonical parent keeps every parent numerator or
-splits one into two parts, so no common factor appears, and case 4
-divides out its own.
+each row as a mask word and a weight-row id in two packed arrays (see
+`Rows`).  The rules emit canonical rows: a case 1-3 child of a canonical
+parent keeps every parent numerator or splits one into two parts, so no
+common factor appears, and case 4 divides out its own.
 
 The MBCDB writer (`_write_db`, behind `peleg_stream` and
 `MbcDatabase.save`) sorts the lines by distribution on their first item:
@@ -107,9 +107,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, compress, islice, pairwise, repeat
 from math import gcd, lcm
-from operator import and_, eq, itemgetter, lshift, lt, mul, or_, rshift
+from operator import and_, eq, getitem, itemgetter, lshift, lt, mul, ne, or_, rshift
 
 from .model import (
     MAX_PLAYERS,
@@ -138,8 +138,8 @@ NOT_BALANCED = "not_balanced"
 # a byte per coalition (MAX_PLAYERS keeps every mask below 256): it iterates,
 # indexes and orders as the tuple of its masks does, in a fraction of the
 # memory.  The rules themselves emit tuple masks.  A database holds no row
-# in this form: it keeps one integer per row and builds the row when it is
-# read (see `Rows`).
+# in this form: it keeps a mask word and a weight-row id per row and builds
+# the row when it is read (see `Rows`).
 Row = tuple[bytes, tuple[int, ...], int]
 
 
@@ -505,24 +505,28 @@ def _add_player_raw(parents: list[Row], n_old: int, allowed: set[int] | None,
 # database
 
 
-def _id_width(n: int, ids: int) -> int:
-    """The bits a key keeps below its n mask bytes for `ids` weight-row
-    ids: those that 8n bits leave free in the last 30-bit digit of a
-    CPython int, plus 30 while that is too few.  At n = 6 that is 12 bits
-    for 2,373 ids, and a key of 60 bits takes 32 bytes; one of 61 bits
-    would take 40."""
-    width = -8 * n % 30
-    while ids > 1 << width:
-        width += 30
-    return width
+# bits of a weight-row id: a sort key is a row's mask word above its id
+_ID_BITS = 32
 
 
-def _keys(masks, n: int, width: int, ids):
-    """The keys of rows given by their masks (byte strings of at most n
-    coalitions) and their weight-row ids."""
+def _words(masks, n: int):
+    """The mask words of rows given by their masks (byte strings of at most
+    n coalitions): n bytes, padded with zero bytes and read big-endian."""
     padded = map(bytes.ljust, masks, repeat(n), repeat(b"\0"))
-    return map(or_, map(lshift, map(int.from_bytes, padded, repeat("big")),
-                        repeat(width)), ids)
+    return map(int.from_bytes, padded, repeat("big"))
+
+
+def _keys(words, ids):
+    """The sort keys `word << _ID_BITS | id` of rows given by their mask
+    words and weight-row ids."""
+    return map(or_, map(lshift, words, repeat(_ID_BITS)), ids)
+
+
+def _sorted_into(words: array, ids: array, keys: list[int]) -> None:
+    """Sorts the keys and appends their mask words and ids to the arrays."""
+    keys.sort()
+    words.extend(map(rshift, keys, repeat(_ID_BITS)))
+    ids.extend(map(and_, keys, repeat((1 << _ID_BITS) - 1)))
 
 
 def _weight_tables(ids) -> tuple[tuple, tuple]:
@@ -532,20 +536,23 @@ def _weight_tables(ids) -> tuple[tuple, tuple]:
 
 
 class Rows(Sequence):
-    """The rows of a database on n players, sorted, one integer (key) each.
+    """The rows of a database on n players, sorted, in two parallel arrays:
+    12 bytes a row.
 
-    A key holds the row's masks as n bytes, padded with zero bytes and read
-    big-endian, above the `width`-bit id of its weight row (nums, den) in a
-    table of the distinct weight rows (2,373 at n = 6).  No mask is zero,
-    so masks that begin longer ones pad below them: keys order as the rows
-    do.  A row (masks, nums, den) is built when it is read, by index or in
-    iteration, and the rows compare equal to a tuple of the same rows or to
-    other `Rows`."""
+    `words` (array 'Q') holds each row's masks as one word, n bytes padded
+    with zero bytes and read big-endian; `MAX_PLAYERS` = 8 keeps a word
+    within 64 bits.  No mask is zero, so masks that begin longer ones pad
+    below them: words order as the rows do.  `ids` (array 'I') holds the id
+    of each row's weight row (nums, den) in a table of the distinct weight
+    rows (2,373 at n = 6).  Rows with equal words, a collection listed
+    twice, are in id order.  A row (masks, nums, den) is built when it is
+    read, by index or in iteration, and the rows compare equal to a tuple
+    of the same rows or to other `Rows`."""
 
-    def __init__(self, n: int, keys: list[int], width: int, nums, dens):
+    def __init__(self, n: int, words: array, ids: array, nums, dens):
         self.n = n
-        self._keys = keys
-        self._width = width
+        self._words = words
+        self._ids = ids
         self._nums = nums
         self._dens = dens
 
@@ -553,7 +560,7 @@ class Rows(Sequence):
     def pack(cls, n: int, rows: Sequence[Row]) -> "Rows":
         """A sequence of canonical rows on n players, packed and sorted.
         Raises ValueError for a row with more than n coalitions: n + 1
-        vectors in R^n are dependent, so it is never minimal, and a key
+        vectors in R^n are dependent, so it is never minimal, and a word
         holds n."""
         masks, weights = itemgetter(0), itemgetter(1, 2)
         if max(map(len, map(masks, rows)), default=0) > n:
@@ -561,22 +568,22 @@ class Rows(Sequence):
         ids = dict.fromkeys(map(weights, rows))
         for i, key in enumerate(ids):
             ids[key] = i
-        width = _id_width(n, len(ids))
-        keys = list(_keys(map(bytes, map(masks, rows)), n, width,
+        keys = list(_keys(_words(map(bytes, map(masks, rows)), n),
                           map(ids.__getitem__, map(weights, rows))))
-        keys.sort()
-        return cls(n, keys, width, *_weight_tables(ids))
+        words, row_ids = array("Q"), array("I")
+        _sorted_into(words, row_ids, keys)
+        return cls(n, words, row_ids, *_weight_tables(ids))
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._words)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self._decoded(self._keys[i]))
-        return next(self._decoded((self._keys[i],)))
+            return tuple(self._decoded(self._words[i], self._ids[i]))
+        return next(self._decoded((self._words[i],), (self._ids[i],)))
 
     def __iter__(self):
-        return self._decoded(self._keys)
+        return self._decoded(self._words, self._ids)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Rows, tuple)):
@@ -586,69 +593,66 @@ class Rows(Sequence):
     def __repr__(self) -> str:
         return f"Rows(n={self.n}, count={len(self)})"
 
-    def _decoded(self, keys):
-        """The rows of these keys, in their order."""
-        width = self._width
-        low = (1 << width) - 1
-        padded = map(int.to_bytes, map(rshift, keys, repeat(width)),
-                     repeat(self.n), repeat("big"))
+    def _decoded(self, words, ids):
+        """The rows of these mask words and ids (ids a sequence, read
+        twice), in their order."""
+        padded = map(int.to_bytes, words, repeat(self.n), repeat("big"))
         return zip(map(bytes.rstrip, padded, repeat(b"\0")),
-                   map(self._nums.__getitem__, map(and_, keys, repeat(low))),
-                   map(self._dens.__getitem__, map(and_, keys, repeat(low))))
+                   map(self._nums.__getitem__, ids), map(self._dens.__getitem__, ids))
 
     def holds(self, masks: bytes) -> bool:
         """Whether a row has exactly these masks, at most n of them."""
-        head = int.from_bytes(masks.ljust(self.n, b"\0"), "big")
-        i = bisect_left(self._keys, head << self._width)
-        return i < len(self._keys) and self._keys[i] >> self._width == head
+        word = int.from_bytes(masks.ljust(self.n, b"\0"), "big")
+        i = bisect_left(self._words, word)
+        return i < len(self._words) and self._words[i] == word
 
     def within(self, universe: set[int]) -> list[Row]:
         """The rows whose masks all lie in the universe, in row order.
 
-        The rows whose first d masks are one prefix are one range of keys.
-        The walk reads the next mask of the first key of a range: a zero
+        The rows whose first d masks are one prefix are one range of words.
+        The walk reads the next mask of the first word of a range: a zero
         byte is a row that ends there, a mask in the universe is the range
         of a longer prefix, walked in turn and then skipped by one bisect,
         and any other mask is skipped by one bisect to the next mask in the
         universe.  So it bisects once or twice per prefix it meets instead
         of reading every row."""
-        keys, width, n = self._keys, self._width, self.n
+        words, n = self._words, self.n
         inside = sorted(universe)
         found: list[int] = []
 
         def walk(prefix: int, depth: int, lo: int, hi: int) -> None:
             if depth == n:
-                found.extend(keys[lo:hi])
+                found.extend(range(lo, hi))
                 return
-            shift = width + 8 * (n - 1 - depth)
+            shift = 8 * (n - 1 - depth)
             i = lo
             while i < hi:
-                m = keys[i] >> shift & 0xFF
+                m = words[i] >> shift & 0xFF
                 if not m:
-                    found.append(keys[i])
+                    found.append(i)
                     i += 1
                 elif m in universe:
-                    end = bisect_left(keys, ((prefix << 8 | m) + 1) << shift, i, hi)
+                    end = bisect_left(words, ((prefix << 8 | m) + 1) << shift, i, hi)
                     walk(prefix << 8 | m, depth + 1, i, end)
                     i = end
                 else:
                     j = bisect_right(inside, m)
                     if j == len(inside):
                         return
-                    i = bisect_left(keys, (prefix << 8 | inside[j]) << shift, i, hi)
+                    i = bisect_left(words, (prefix << 8 | inside[j]) << shift, i, hi)
 
-        walk(0, 0, 0, len(keys))
-        return list(self._decoded(found))
+        walk(0, 0, 0, len(words))
+        return list(self._decoded(map(words.__getitem__, found),
+                                  list(map(self._ids.__getitem__, found))))
 
     def _refuse_repeats(self, message: str) -> None:
-        """`_check_once` on the rows, reading keys: the first rows whose
-        masks agree are found by comparing neighbours' masks, and only they
+        """`_check_once` on the rows, reading words: the first rows whose
+        masks agree are found by comparing neighbours' words, and only they
         are built and sorted, to name the row `_check_once` names."""
-        keys, width = self._keys, self._width
-        heads = map(rshift, keys, repeat(width))
-        repeats = map(eq, heads, map(rshift, islice(keys, 1, None), repeat(width)))
-        for i in compress(range(len(keys)), repeats):
-            end = bisect_left(keys, ((keys[i] >> width) + 1) << width, i)
+        words = self._words
+        repeats = map(eq, words, islice(words, 1, None))
+        for i in compress(range(len(words)), repeats):
+            end = bisect_right(words, words[i], i)
             _check_once(sorted(self[i:end]), message)
 
 
@@ -657,10 +661,11 @@ class MbcDatabase:
     """All minimal balanced collections for a fixed n, as canonical rows
     sorted by masks; optionally generated under a set-system restriction (in
     which case only collections whose coalitions fit inside some set-system
-    element are present).  The rows are `Rows`, one integer per row; given
-    as a sequence of rows they are packed into that form, which refuses a
-    row with more than n coalitions.  Iterating builds each row's
-    `WeightedCollection` as it goes and keeps none."""
+    element are present).  The rows are `Rows`, a mask word and a
+    weight-row id per row in two packed arrays; given as a sequence of rows
+    they are packed into that form, which refuses a row with more than n
+    coalitions.  Iterating builds each row's `WeightedCollection` as it
+    goes and keeps none."""
 
     n: int
     rows: Rows
@@ -706,10 +711,15 @@ class MbcDatabase:
         players.  Minimality is not checked.
 
         The rows come from one bulk pass over the file (`_bulk_rows`) as
-        keys of `Rows`, sorted in place.  Only when that pass meets a fault
-        is the file read again from the start, line by line
-        (`_first_fault`), to name the first faulty line; a file that cannot
-        seek back, such as a pipe, then fails with the error of its seek."""
+        mask words and weight-row ids in a group per first mask.  The groups
+        are then sorted one at a time, in the order of their first masks, as
+        `_keys` integers, and moved into the arrays of `Rows`, each group
+        freed as it goes: the only list of integers is that of the largest
+        group (19,358 of the 200,214 rows at n = 6).  Only when the bulk
+        pass meets a fault is the file read again from the start, line by
+        line (`_first_fault`), to name the first faulty line; a file that
+        cannot seek back, such as a pipe, then fails with the error of its
+        seek."""
         with open(path) as fh:
             header = fh.readline().strip()
             fields = header.split()
@@ -726,32 +736,43 @@ class MbcDatabase:
             if not 1 <= n <= MAX_PLAYERS:
                 raise ValueError(f"bad MBCDB header: n={n} out of range")
             try:
-                keys, width, ids = _bulk_rows(fh, n)
+                groups, ids = _bulk_rows(fh, n)
             except ValueError:
-                keys = None
-            if keys is None:
+                groups = None
+            if groups is None:
                 fh.seek(0)
                 fh.readline()
                 _first_fault(fh, n)
                 raise RuntimeError("MBCDB: the bulk pass found a fault that "
                                    "the line checks do not")
-        if len(keys) != count:
+        found = sum(len(words) for words, _ in groups.values())
+        if found != count:
             raise ValueError(
-                f"MBCDB count mismatch: header says {count}, file has {len(keys)}"
+                f"MBCDB count mismatch: header says {count}, file has {found}"
             )
-        keys.sort()
-        rows = Rows(n, keys, width, *_weight_tables(ids))
+        words, row_ids = array("Q"), array("I")
+        for first in sorted(groups):
+            _sorted_into(words, row_ids, list(_keys(*groups.pop(first))))
+        rows = Rows(n, words, row_ids, *_weight_tables(ids))
         rows._refuse_repeats("MBCDB lists a collection twice")
-        if not restricted and n <= len(_KNOWN_COUNTS) and count != _KNOWN_COUNTS[n - 1]:
-            raise ValueError(
-                f"MBCDB holds {count} collections, but there are "
-                f"{_KNOWN_COUNTS[n - 1]} minimal balanced collections on {n} players")
+        if not restricted:
+            _require_known_count(n, count)
         return cls(n, rows, restricted)
 
 
 # the number of minimal balanced collections on n = 1..6 players; an
 # unrestricted database with another count misses rows or holds extra ones
 _KNOWN_COUNTS = (1, 2, 6, 42, 1292, 200214)
+
+
+def _require_known_count(n: int, count: int) -> None:
+    """Raises ValueError when an unrestricted database on n <= 6 players
+    holds `count` collections and that is not the known number."""
+    if n <= len(_KNOWN_COUNTS) and count != _KNOWN_COUNTS[n - 1]:
+        raise ValueError(
+            f"MBCDB holds {count} collections, but there are "
+            f"{_KNOWN_COUNTS[n - 1]} minimal balanced collections on {n} players")
+
 
 # characters `_bulk_rows` reads at a time, before it completes the last
 # line.  A piece's tokens and lists die with it; small pieces keep them from
@@ -763,11 +784,13 @@ LOAD_CHUNK = 1 << 13
 _LINE_END = ";"
 
 
-def _bulk_rows(fh, n: int) -> tuple[list[int], int, dict]:
+def _bulk_rows(fh, n: int) -> tuple[dict[int, tuple[array, array]], dict]:
     """The rows of the lines of `fh`, an MBCDB file on n players after its
-    header, each checked as `_first_fault` checks a line, as `Rows` keys
-    in file order: (keys, width, the table of (nums, den) -> id).  Raises
-    ValueError, naming no line, when some row fails.
+    header, each checked as `_first_fault` checks a line: (first mask ->
+    the group of rows with that first mask, as an array 'Q' of mask words
+    and an array 'I' of weight-row ids in file order, the table of
+    (nums, den) -> id).  Raises ValueError, naming no line, when some row
+    fails.
 
     The file is read `LOAD_CHUNK` characters at a time, completed to the
     end of a line, and a piece is split once into tokens, with `_LINE_END`
@@ -777,9 +800,12 @@ def _bulk_rows(fh, n: int) -> tuple[list[int], int, dict]:
     weights once, and given the id of its reduced form.  After that a piece
     is checked with C-level maps only: a token is two table lookups, its
     mask byte and its weight text, the piece's masks are one byte string,
-    each line's player sums are one sum of `_lanes` integers, compared with
-    its weight row's, and its key is built from its masks and id.  When the
-    ids outgrow the key's width, the keys so far are widened."""
+    and each line's player sums are one sum of table entries, compared with
+    its weight row's.  A weight row shares with every other its table per
+    numerator x and lane width, x times the `_lanes` integer of each mask,
+    15 tables at n = 6.  The piece's words and ids go to the groups of their
+    first masks a run of equal first masks at a time; in the order
+    `_write_db` writes the lines a piece holds one or two runs."""
     top = full_mask(n)
 
     def mask_of_item(token: str) -> int:
@@ -795,18 +821,18 @@ def _bulk_rows(fh, n: int) -> tuple[list[int], int, dict]:
         nums, den, total = _canonical_weights(texts.split())
         if min(nums) <= 0:
             raise ValueError("weights must be positive")
-        lanes = lane_tables[total.bit_length()]
+        width = total.bit_length()
         weight_id = ids.setdefault((nums, den), len(ids))
-        return weight_id, nums, lanes.__getitem__, den * lanes[top]
+        return weight_id, tuple(scaled[x, width] for x in nums), den * lanes[width][top]
 
-    lane_tables = _Memo(lambda width: tuple(_lanes(width, m) for m in range(top + 1)))
+    lanes = _Memo(lambda width: tuple(_lanes(width, m) for m in range(top + 1)))
+    scaled = _Memo(lambda key: tuple(map(mul, lanes[key[1]], repeat(key[0]))))
     mask_of = _Memo(mask_of_item)
     text_of = {_LINE_END: "\n"}
     mask_of[_LINE_END] = 0
     weight_rows = _Memo(weight_row)
     ids: dict[tuple, int] = {}
-    width = _id_width(n, 1)
-    keys: list[int] = []
+    groups = _Memo(lambda first: (array("Q"), array("I")))
     while text := fh.read(LOAD_CHUNK):
         text += fh.readline()
         if _LINE_END in text:
@@ -823,17 +849,18 @@ def _bulk_rows(fh, n: int) -> tuple[list[int], int, dict]:
         if max(map(len, lines)) > n:
             raise ValueError(f"more than n={n} coalitions")
         texts = filter(None, "".join(map(text_of.__getitem__, tokens)).split("\n"))
-        row_ids, nums, lanes, targets = zip(*map(weight_rows.__getitem__, texts))
-        sums = map(sum, map(map, repeat(mul), nums, map(map, lanes, lines)))
+        row_ids, tables, targets = zip(*map(weight_rows.__getitem__, texts))
+        sums = map(sum, map(map, repeat(getitem), tables, lines))
         if not all(map(eq, sums, targets)):
             raise ValueError("player weight sums are not all 1")
-        if len(ids) > 1 << width:
-            wider = _id_width(n, len(ids))
-            low = (1 << width) - 1
-            keys[:] = [key >> width << wider | key & low for key in keys]
-            width = wider
-        keys += _keys(lines, n, width, row_ids)
-    return keys, width, ids
+        words, row_ids = array("Q", _words(lines, n)), array("I", row_ids)
+        firsts = bytes(map(itemgetter(0), lines))
+        starts = [0, *compress(range(1, len(lines)), map(ne, firsts, firsts[1:])), len(lines)]
+        for a, b in pairwise(starts):
+            group_words, group_ids = groups[firsts[a]]
+            group_words += words[a:b]
+            group_ids += row_ids[a:b]
+    return groups, ids
 
 
 def _first_fault(fh, n: int) -> None:

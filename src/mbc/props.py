@@ -50,7 +50,7 @@ from functools import cache
 from operator import mul
 
 from . import linalg
-from .generate import MbcDatabase
+from .generate import MbcDatabase, _require_known_count
 from .model import (
     Game,
     WeightedCollection,
@@ -85,11 +85,14 @@ def _first_violated(rows, V, G):
 def _require_database(game, db: MbcDatabase) -> None:
     """Raise ValueError unless db holds every minimal balanced collection on
     the game's players: Bondareva-Shapley and the stability theorem range
-    over all of them, so a restricted database gives no verdict."""
+    over all of them, so a restricted database gives no verdict, and
+    neither does one on n <= 6 players, loaded or built by hand, that holds
+    other than the known number of collections."""
     if game.n != db.n:
         raise ValueError(f"game has n={game.n}, database has n={db.n}")
     if db.restricted:
         raise ValueError("analysis needs an unrestricted database")
+    _require_known_count(db.n, len(db))
 
 
 # ---------------------------------------------------------------------------

@@ -487,3 +487,27 @@ def test_analyze_does_not_build_every_collection(tmp_path, capsys, monkeypatch,
     assert report["database"]["count"] == 200214
     assert len(report["results"]["sve"]["coalitions"]) == 13
     assert len(built) < 1000
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["--he"], ["bogus"], ["sta"], ["-x", "stable"],
+    ["gen", "--help"], ["analyze", "-h"], ["stable", "--help"], ["stable", "-h", "g.json"],
+    ["gen"], ["gen", "-n", "3"], ["gen", "-n", "x", "-o", "-"], ["analyze"], ["stable"],
+    ["gen", "-n", "3", "-o", "-", "--restrict", "1,2;2,3", "--allow-long", "--timings"],
+    ["analyze", "g.json", "-d", "x.db", "-c", "core", "--timings"],
+    ["stable", "g.json", "--max-systems", "x"], ["stable", "g.json", "--max-systems"],
+    ["stable", "g.json", "--max-systems", "5", "--time-limit", "1.5", "--timings"],
+    ["stable", "g.json", "--time-limit", "abc"], ["stable", "g.json", "--bogus"],
+    ["stable", "g.json", "extra"], ["--", "stable", "g.json"], ["stable", "--", "g.json"],
+])
+def test_parse_builds_one_subcommand_as_the_whole_parser_parses(capsys, argv):
+    # the same arguments, help, usage errors and exit codes as
+    # `build_parser()`, which builds every subcommand's parser
+    def outcome(parse):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+        return result, *capsys.readouterr()
+
+    assert outcome(cli._parse) == outcome(cli.build_parser().parse_args)

@@ -574,10 +574,11 @@ def test_database_refuses_a_row_of_more_than_n_coalitions(tmp_path):
         MbcDatabase(2, [(b"\x01\x02\x03", (1, 1, 1), 2)], restricted=True)
 
 
-@pytest.mark.parametrize("n,system", [*((n, None) for n in range(1, 7)), *RESTRICTED_SYSTEMS])
+@pytest.mark.parametrize("n,system", [*((n, None) for n in range(1, 7)), *RESTRICTED_SYSTEMS,
+                                      (7, [0b0000111, 0b0011100, 0b1110000, 0b1001001])])
 def test_rows_read_as_the_generated_tuples(request, tmp_path, n, system):
-    # one integer per row, read back as the (masks, nums, den) tuples the
-    # generator makes, generated or loaded
+    # a mask word and a weight-row id per row, read back as the
+    # (masks, nums, den) tuples the generator makes, generated or loaded
     expected = tuple(_rows_on(n, restriction(n, system)))
     path = tmp_path / "rows.db"
     _stream(path, n, system)
@@ -629,10 +630,9 @@ def test_loaded_database_holds_at_most_64_bytes_per_row(tmp_path):
 
 
 def test_load_widens_the_weight_ids_of_many_weight_rows(tmp_path, monkeypatch):
-    # a key starts with the id bits left in the last 30-bit digit of its
-    # masks, 4 at n = 7, and widens when more weight rows come: here 21
-    # balanced rows {p}, {q}, {p,q} and the rest, weighted a, a, 1 - a, 1
-    # with a different a each (never minimal)
+    # 21 distinct weight rows, read back through their ids: balanced rows
+    # {p}, {q}, {p,q} and the rest, weighted a, a, 1 - a, 1 with a
+    # different a each (never minimal)
     lines = []
     for k, (p, q) in enumerate(combinations(range(7), 2), 2):
         a = F(1, k)
@@ -645,8 +645,69 @@ def test_load_widens_the_weight_ids_of_many_weight_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(generate, "LOAD_CHUNK", 64)
     db = MbcDatabase.load(path)
     assert (db.n, db.rows, db.restricted) == load_line_by_line(path)
-    assert db.rows._width == 34
+    assert len({(nums, den) for _, nums, den in db.rows}) == 21
     assert MbcDatabase(7, tuple(db.rows), True) == db
+
+
+def test_loaded_database_holds_at_most_24_bytes_per_row(tmp_path):
+    # an 8-byte mask word and a 4-byte weight-row id per row, with the
+    # arrays' spare room and the table of the 105 distinct weight rows
+    path = tmp_path / "mbc5.db"
+    _stream(path, 5)
+    tracemalloc.start()
+    try:
+        db = MbcDatabase.load(path)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(db) == 1292
+    assert held <= 24 * len(db)
+
+
+# balanced collections on 8 players, written by hand: the grand coalition,
+# whose mask word has its top bit set, partitions, and rows of 8 coalitions
+EIGHT_PLAYER_LINES = [
+    "ff:1/1",
+    "7f:1/1 80:1/1",
+    "f:1/1 f0:1/1",
+    "1:1/1 fe:1/1",
+    "3:1/1 c:1/1 30:1/1 c0:1/1",
+    "1:1/1 2:1/1 4:1/1 8:1/1 10:1/1 20:1/1 40:1/1 80:1/1",
+    "3:1/2 5:1/2 6:1/2 8:1/1 10:1/1 20:1/1 40:1/1 80:1/1",
+    "3:1/2 5:1/2 6:1/2 f8:1/1",
+    "11:1/2 21:1/2 30:1/2 ce:1/1",
+    "7:1/3 b:1/3 d:1/3 e:1/3 f0:1/1",
+]
+
+
+@pytest.mark.parametrize("chunk", [16, generate.LOAD_CHUNK])
+def test_load_of_eight_players_matches_the_reference(tmp_path, monkeypatch, chunk):
+    rng = random.Random(8)
+    path = tmp_path / "eight.db"
+    lines = rng.sample(EIGHT_PLAYER_LINES, len(EIGHT_PLAYER_LINES))
+    path.write_text(f"MBCDB 1 n=8 count={len(lines)} restricted\n" + "\n".join(lines) + "\n")
+    monkeypatch.setattr(generate, "LOAD_CHUNK", chunk)
+    db = MbcDatabase.load(path)
+    reference = load_line_by_line(path)
+    assert (db.n, db.rows, db.restricted) == reference
+    rows = reference[1]
+    assert len(rows) == len(lines) and db.rows[-1] == (b"\xff", (1,), 1)
+    assert max(len(masks) for masks, _, _ in rows) == 8
+    present = {masks for masks, _, _ in rows}
+    used = sorted({m for masks in present for m in masks})
+    probes = [list(masks) for masks in present]
+    probes += [masks[::-1] for masks in probes] + [masks[:-1] for masks in probes]
+    probes += [rng.sample(used, k) for k in (1, 2, 4, 8) for _ in range(20)]
+    probes += [[0x80], [0x7F, 0x80, 0xFF], [0xFF, 0xFF], [0x100], list(range(1, 10))]
+    for masks in probes:
+        key = sorted(masks)
+        in_range = len(set(key)) == len(key) and all(0 < m <= 0xFF for m in key)
+        assert db.contains(masks) == (in_range and bytes(key) in present), masks
+    universes = [set(used), set(), {0xFF}, set(range(1, 256))]
+    universes += [set(rng.sample(used, k)) for k in (3, 6, 10, 14, 18) for _ in range(8)]
+    for universe in universes:
+        assert db.rows.within(universe) == [row for row in rows if set(row[0]) <= universe]
 
 
 def test_database_load_parses_each_distinct_item_once(tmp_path, monkeypatch):
@@ -820,7 +881,11 @@ def test_database_load_refuses_an_unrestricted_file_with_rows_dropped(tmp_path, 
                 if sum(F(x, row[2]) * v.get(m, 0) for m, x in zip(*row[:2])) > 1]
     kept = tuple(row for row in db5.rows if row not in violated)
     assert len(violated) == 1 and not is_balanced_game(game, db5)
-    assert is_balanced_game(game, MbcDatabase(5, kept))
+    # nor is a database built by hand with that row left out
+    with pytest.raises(ValueError) as info:
+        is_balanced_game(game, MbcDatabase(5, kept))
+    assert str(info.value) == ("MBCDB holds 1291 collections, but there are "
+                               "1292 minimal balanced collections on 5 players")
     write = LineCodec().write
     path = tmp_path / "tampered5.db"
     path.write_text(f"MBCDB 1 n=5 count={len(kept)}\n"
@@ -912,6 +977,8 @@ def _load_corpus(tmp_path):
     # two valid rows on one line, the count still that of the rows
     add("line-end token between rows", header,
         [*lines[:-2], f"{lines[-2]} ; {lines[-1]}"])
+    # a collection of first mask 1 again after the lines of every other
+    # first mask: in small pieces, a later run of its first mask's group
     add("two spellings", header.replace("42", "43"), [*lines, _respelled(lines[7], 3)])
     add("count", header.replace("42", "43"), lines)
     # one collection twice, with two weight systems, the later one in row
@@ -932,6 +999,7 @@ def _load_corpus(tmp_path):
     add("n5 spelled per line", header, scaled)
     add("n5 spelled per line, sums", header, [*scaled[:-1], _respelled(lines[-1], 1) + " 1f:1/1"])
     add("n5 spelled per line, upper hex", header, [line.upper() for line in scaled])
+    add("n5 in reverse order", header, lines[::-1])
     return corpus
 
 
