@@ -91,25 +91,27 @@ parent keeps every parent numerator or splits one into two parts, so no
 common factor appears, and case 4 divides out its own.
 
 The MBCDB writer (`_write_db`, behind `peleg_stream` and
-`MbcDatabase.save`) sorts the lines by distribution on their first item:
-each line is appended to the bytes of its group as it is emitted, the
-groups move to one temporary file past `SPILL_BYTES`, and each group is
-sorted on its own as text when it is written, in the order of the first
-items.  At n = 7 the 132,422,036 lines fall into 3,805 groups of at most
-1,172,604 lines each.
+`MbcDatabase.save`) sorts the lines by distribution on their first item.
+As a row is emitted it goes to the group of its first item as an n-byte
+mask record and a weight-row id, n + 4 bytes; the groups move to one
+temporary file past `SPILL_BYTES`.  A group's lines are made only when it
+is written, in the order of the first items, and sorted on their own as
+text.  At n = 7 the 132,422,036 lines fall into 3,805 groups of at most
+1,172,604 lines each, and the spilled rows take 11 bytes each.
 """
 
 from __future__ import annotations
 
+import struct
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, combinations, compress, islice, pairwise, repeat
 from math import gcd, lcm
-from operator import and_, eq, getitem, itemgetter, lshift, lt, mul, ne, or_, rshift
+from operator import and_, eq, getitem, itemgetter, lshift, lt, mod, mul, ne, or_, rshift
 
 from .model import (
     MAX_PLAYERS,
@@ -557,22 +559,13 @@ class Rows(Sequence):
         self._dens = dens
 
     @classmethod
-    def pack(cls, n: int, rows: Sequence[Row]) -> "Rows":
-        """A sequence of canonical rows on n players, packed and sorted.
-        Raises ValueError for a row with more than n coalitions: n + 1
-        vectors in R^n are dependent, so it is never minimal, and a word
-        holds n."""
-        masks, weights = itemgetter(0), itemgetter(1, 2)
-        if max(map(len, map(masks, rows)), default=0) > n:
-            raise ValueError(f"a row holds more than n={n} coalitions")
-        ids = dict.fromkeys(map(weights, rows))
-        for i, key in enumerate(ids):
-            ids[key] = i
-        keys = list(_keys(_words(map(bytes, map(masks, rows)), n),
-                          map(ids.__getitem__, map(weights, rows))))
-        words, row_ids = array("Q"), array("I")
-        _sorted_into(words, row_ids, keys)
-        return cls(n, words, row_ids, *_weight_tables(ids))
+    def pack(cls, n: int, rows: Iterable[Row]) -> "Rows":
+        """Canonical rows on n players, packed and sorted (see `_Packer`).
+        Raises ValueError for a row with more than n coalitions."""
+        packer = _Packer(n)
+        for row in rows:
+            packer.emit(*row)
+        return packer.rows()
 
     def __len__(self) -> int:
         return len(self._words)
@@ -656,6 +649,39 @@ class Rows(Sequence):
             _check_once(sorted(self[i:end]), message)
 
 
+class _Packer:
+    """Canonical rows on n players, packed as they come: emit(masks, nums,
+    den) appends a row's mask word and weight-row id to the arrays of its
+    first mask in `groups` (first mask -> an array 'Q' of mask words and
+    an array 'I' of ids), giving its weight row the next id in `ids`
+    ((nums, den) -> id) when it has none.  Raises ValueError for a row
+    with more than n coalitions: n + 1 vectors in R^n are dependent, so it
+    is never minimal, and a word holds n.
+
+    `rows()` then sorts the groups one at a time, in the order of their
+    first masks, as `_keys` integers and moves them into the arrays of
+    `Rows`, each group freed as it goes.  So the rows are never held as
+    tuples, and only the largest group as a list of integers."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.groups = _Memo(lambda first: (array("Q"), array("I")))
+        self.ids: dict[tuple, int] = {}
+
+    def emit(self, masks, nums, den) -> None:
+        if len(masks) > self.n:
+            raise ValueError(f"a row holds more than n={self.n} coalitions")
+        words, ids = self.groups[masks[0]]
+        words.append(int.from_bytes(bytes(masks).ljust(self.n, b"\0"), "big"))
+        ids.append(self.ids.setdefault((nums, den), len(self.ids)))
+
+    def rows(self) -> Rows:
+        words, row_ids = array("Q"), array("I")
+        for first in sorted(self.groups):
+            _sorted_into(words, row_ids, list(_keys(*self.groups.pop(first))))
+        return Rows(self.n, words, row_ids, *_weight_tables(self.ids))
+
+
 @dataclass(frozen=True)
 class MbcDatabase:
     """All minimal balanced collections for a fixed n, as canonical rows
@@ -693,8 +719,8 @@ class MbcDatabase:
         """Write the rows as an MBCDB file, byte for byte what `peleg_stream`
         writes for the same collections."""
         def fill(emit):
-            for masks, nums, den in self.rows:
-                emit(tuple(masks), nums, den)
+            for row in self.rows:
+                emit(*row)
 
         with open(path, "w") as fh:
             _write_db(fh, self.n, self.restricted, fill)
@@ -711,15 +737,15 @@ class MbcDatabase:
         players.  Minimality is not checked.
 
         The rows come from one bulk pass over the file (`_bulk_rows`) as
-        mask words and weight-row ids in a group per first mask.  The groups
-        are then sorted one at a time, in the order of their first masks, as
-        `_keys` integers, and moved into the arrays of `Rows`, each group
-        freed as it goes: the only list of integers is that of the largest
-        group (19,358 of the 200,214 rows at n = 6).  Only when the bulk
-        pass meets a fault is the file read again from the start, line by
-        line (`_first_fault`), to name the first faulty line; a file that
-        cannot seek back, such as a pipe, then fails with the error of its
-        seek."""
+        mask words and weight-row ids in a group per first mask, a
+        `_Packer`.  The groups are then sorted one at a time, in the order
+        of their first masks, as `_keys` integers, and moved into the
+        arrays of `Rows`, each group freed as it goes: the only list of
+        integers is that of the largest group (19,358 of the 200,214 rows
+        at n = 6).  Only when the bulk pass meets a fault is the file read
+        again from the start, line by line (`_first_fault`), to name the
+        first faulty line; a file that cannot seek back, such as a pipe,
+        then fails with the error of its seek."""
         with open(path) as fh:
             header = fh.readline().strip()
             fields = header.split()
@@ -736,24 +762,21 @@ class MbcDatabase:
             if not 1 <= n <= MAX_PLAYERS:
                 raise ValueError(f"bad MBCDB header: n={n} out of range")
             try:
-                groups, ids = _bulk_rows(fh, n)
+                packer = _bulk_rows(fh, n)
             except ValueError:
-                groups = None
-            if groups is None:
+                packer = None
+            if packer is None:
                 fh.seek(0)
                 fh.readline()
                 _first_fault(fh, n)
                 raise RuntimeError("MBCDB: the bulk pass found a fault that "
                                    "the line checks do not")
-        found = sum(len(words) for words, _ in groups.values())
+        found = sum(len(words) for words, _ in packer.groups.values())
         if found != count:
             raise ValueError(
                 f"MBCDB count mismatch: header says {count}, file has {found}"
             )
-        words, row_ids = array("Q"), array("I")
-        for first in sorted(groups):
-            _sorted_into(words, row_ids, list(_keys(*groups.pop(first))))
-        rows = Rows(n, words, row_ids, *_weight_tables(ids))
+        rows = packer.rows()
         rows._refuse_repeats("MBCDB lists a collection twice")
         if not restricted:
             _require_known_count(n, count)
@@ -784,13 +807,11 @@ LOAD_CHUNK = 1 << 13
 _LINE_END = ";"
 
 
-def _bulk_rows(fh, n: int) -> tuple[dict[int, tuple[array, array]], dict]:
+def _bulk_rows(fh, n: int) -> _Packer:
     """The rows of the lines of `fh`, an MBCDB file on n players after its
-    header, each checked as `_first_fault` checks a line: (first mask ->
-    the group of rows with that first mask, as an array 'Q' of mask words
-    and an array 'I' of weight-row ids in file order, the table of
-    (nums, den) -> id).  Raises ValueError, naming no line, when some row
-    fails.
+    header, each checked as `_first_fault` checks a line, packed into a
+    `_Packer` in file order.  Raises ValueError, naming no line, when some
+    row fails.
 
     The file is read `LOAD_CHUNK` characters at a time, completed to the
     end of a line, and a piece is split once into tokens, with `_LINE_END`
@@ -831,8 +852,8 @@ def _bulk_rows(fh, n: int) -> tuple[dict[int, tuple[array, array]], dict]:
     text_of = {_LINE_END: "\n"}
     mask_of[_LINE_END] = 0
     weight_rows = _Memo(weight_row)
-    ids: dict[tuple, int] = {}
-    groups = _Memo(lambda first: (array("Q"), array("I")))
+    packer = _Packer(n)
+    ids, groups = packer.ids, packer.groups
     while text := fh.read(LOAD_CHUNK):
         text += fh.readline()
         if _LINE_END in text:
@@ -860,7 +881,7 @@ def _bulk_rows(fh, n: int) -> tuple[dict[int, tuple[array, array]], dict]:
             group_words, group_ids = groups[firsts[a]]
             group_words += words[a:b]
             group_ids += row_ids[a:b]
-    return groups, ids
+    return packer
 
 
 def _first_fault(fh, n: int) -> None:
@@ -910,9 +931,10 @@ def _header(n: int, count: int, restricted: bool) -> str:
     return f"MBCDB 1 n={n} count={count}{tail}"
 
 
-# bytes of line text `_write_db` holds in its groups before it appends them
-# all to its temporary file: above the about 8 MB of the n = 6 file, so
-# n <= 6 writes no file but the output
+# bytes of mask records and weight-row ids `_write_db` holds in its groups
+# before it appends them all to its temporary file: n + 4 a row, so the
+# 200,214 rows of n = 6 hold about 2 MB and n <= 6 writes no file but the
+# output
 SPILL_BYTES = 1 << 26
 
 # lines of a sorted group `_write_db` joins into one text write: the n = 6
@@ -922,46 +944,52 @@ WRITE_LINES = 1 << 16
 
 def _write_db(out, n: int, restricted: bool, fill) -> int:
     """Write the MBCDB file of the rows that fill(emit) passes, each once,
-    to emit(masks, nums, den) (masks a tuple) to the text file `out`, and
-    return their count.  Raises ValueError, naming the line, when a line
-    comes twice.
+    to emit(masks, nums, den) (masks a tuple or byte string of at most n
+    masks) to the text file `out`, and return their count.  Raises
+    ValueError, naming the line, when a line comes twice.
 
-    The lines are sorted by distribution on their first item, a group per
-    first coalition and weight.  `emit` fills the row's masks into the
-    bytes template of its weight row and appends the line to its group's
-    bytearray, found through the first mask in a table the weight row
-    shares with every row of the same first weight.  Past `SPILL_BYTES` of
-    text in all groups, every group is appended to one temporary binary
-    file (under `TMPDIR`), its (offset, length) recorded and its lines
-    counted, and the groups start empty.  Once every row is in (and, after
-    a spill, every group spilled too), the header goes out, then each group
-    in the text order of its first item: read back a spill at a time,
-    decoded and split, sorted and checked for a line twice as text, and
-    written `WRITE_LINES` lines at a time.  An item ends at a space or a
-    newline, both below every item character, so the groups' order is the
-    lines' order."""
+    The rows are sorted by distribution on their first item, a group per
+    first coalition and weight, found through the first mask in a table
+    the weight row shares with every row of the same first weight.  A
+    group holds its rows as a bytearray of n-byte mask records (the masks,
+    padded with zero bytes) and an array 'I' of the ids of their weight
+    rows.  Past `SPILL_BYTES` of records and ids in all groups, every
+    group is appended to one temporary binary file (under `TMPDIR`), its
+    records and then its ids, with its offset and row count recorded, and
+    the groups start empty.  Once every row is in (and, after a spill,
+    every group spilled too), the header goes out, then each group in the
+    text order of its first item: read back a spill at a time, its lines
+    made by filling each record into the str template of its weight row,
+    sorted and checked for a line twice as text, and written `WRITE_LINES`
+    lines at a time.  A template ends in one "%.0s" per pad byte, which
+    prints nothing.  An item ends at a space or a newline, both below
+    every item character, so the groups' order is the lines' order."""
     firsts: dict[str, _Memo] = {}  # first weight text -> first mask -> group
+    templates: list[str] = []      # weight-row id -> line template
 
     def table(key):
         nums, den = key
         g = gcd(nums[0], den)
         weight = f"{nums[0] // g}/{den // g}"
         if weight not in firsts:
-            firsts[weight] = _Memo(lambda mask: bytearray())
-        return (_line_template(nums, den) + "\n").encode(), firsts[weight]
+            firsts[weight] = _Memo(lambda mask: (bytearray(), array("I")))
+        templates.append(_line_template(nums, den) + "%.0s" * (n - len(nums)) + "\n")
+        return len(templates) - 1, firsts[weight]
 
     tables = _Memo(table)
-    # first item -> the offset and length of each of its spills, in turn
+    # first item -> the offset and row count of each of its spills, in turn
     spans: dict[str, array] = {}
     spill = None
     held = flushed = 0
+    row_bytes = n + array("I").itemsize
 
     def emit(masks, nums, den):
         nonlocal held
-        template, groups = tables[nums, den]
-        line = template % masks
-        groups[masks[0]] += line
-        held += len(line)
+        weight_id, groups = tables[nums, den]
+        records, ids = groups[masks[0]]
+        records += bytes(masks).ljust(n, b"\0")
+        ids.append(weight_id)
+        held += row_bytes
         if held > SPILL_BYTES:
             flush()
 
@@ -977,31 +1005,35 @@ def _write_db(out, n: int, restricted: bool, fill) -> int:
             import tempfile
             spill = tempfile.TemporaryFile(prefix="mbcspill")
         offset = spill.tell()
-        for item, group in taken():
-            spans.setdefault(item, array("q")).extend((offset, len(group)))
-            offset += len(group)
-            flushed += group.count(b"\n")
-            spill.write(group)
+        for item, (records, ids) in taken():
+            spans.setdefault(item, array("q")).extend((offset, len(ids)))
+            offset += len(ids) * row_bytes
+            flushed += len(ids)
+            spill.write(records)
+            ids.tofile(spill)
         held = 0
 
     def spilled(item: str):
         places = iter(spans.get(item, ()))
-        for offset, length in zip(places, places):
+        for offset, count in zip(places, places):
             spill.seek(offset)
-            yield spill.read(length)
+            records, ids = spill.read(count * n), array("I")
+            ids.fromfile(spill, count)
+            yield records, ids
 
+    records_of = struct.Struct(f"{n}B").iter_unpack
     try:
         fill(emit)
         if spill is not None:
             # then no group but the one being sorted is held
             flush()
         kept = dict(taken())
-        count = flushed + sum(group.count(b"\n") for group in kept.values())
+        count = flushed + sum(len(ids) for _, ids in kept.values())
         out.write(_header(n, count, restricted) + "\n")
         for item in sorted(spans.keys() | kept.keys()):
             lines = []
-            for text in chain(spilled(item), [kept.pop(item, b"")]):
-                lines += text.decode().splitlines(True)
+            for records, ids in chain(spilled(item), [kept.pop(item, (b"", ()))]):
+                lines += map(mod, map(templates.__getitem__, ids), records_of(records))
             lines.sort()
             for line in compress(islice(lines, 1, None), map(eq, lines, islice(lines, 1, None))):
                 raise ValueError(f"MBCDB line {line.rstrip()!r} written twice")
@@ -1071,23 +1103,26 @@ def peleg(n: int, set_system=None) -> MbcDatabase:
 
     With `set_system`, collections whose coalitions do not all fit inside
     some element of the system are discarded as soon as they appear.  The
-    last step's rows are packed as they come and sorted as keys.
+    last step's rows are packed as they are emitted, into a group per
+    first mask, and sorted a group at a time (see `_Packer`).
     """
     allowed = restriction(n, set_system)
-    rows = Rows.pack(n, _children(_rows_on(n - 1, allowed), n - 1, allowed))
+    packer = _Packer(n)
+    _add_player_raw(_rows_on(n - 1, allowed), n - 1, allowed, packer.emit)
+    rows = packer.rows()
     rows._refuse_repeats("a collection is emitted twice")
     return MbcDatabase(n, rows, allowed is not None)
 
 
 def peleg_stream(n: int, out, set_system=None) -> int:
     """Like `peleg`, but writes the MBCDB file to the open text file `out`
-    and returns the collection count.  The last step's children become
-    lines as they are emitted, each held once as bytes in the group of its
-    first item, and go out sorted after the header (see `_write_db`); past
-    `SPILL_BYTES` of lines the groups move to a temporary file.  A
-    collection emitted twice, at any step, raises ValueError."""
+    and returns the collection count.  The last step's children are held
+    as they are emitted, each as a mask record and a weight-row id in the
+    group of its first item, and go out as sorted lines after the header
+    (see `_write_db`); past `SPILL_BYTES` of rows the groups move to a
+    temporary file.  A collection emitted twice, at any step, raises
+    ValueError."""
     allowed = restriction(n, set_system)
-    # the rules emit tuple masks, so the templates take them as they are
     return _write_db(out, n, allowed is not None, lambda emit: _add_player_raw(
         _rows_on(n - 1, allowed), n - 1, allowed, emit))
 

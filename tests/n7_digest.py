@@ -6,8 +6,10 @@ output against the recorded SHA-256, without keeping the 6.4 GB file.
 The child's stdout is hashed as it streams.  The script prints the wall
 time, the child's peak RSS, the most bytes the child held at once in open
 regular files (its temporary spill file; read from /proc, so Linux only,
-and sampled twice a second) and whether the digest equals the recorded
-one.  `--tmpdir` sets the child's TMPDIR, where the spill file goes.
+and sampled twice a second), those bytes per collection line of the
+output, which reads off the size of a spilled row, and whether the
+digest equals the recorded one.  `--tmpdir` sets the child's TMPDIR,
+where the spill file goes.
 The full n = 7 run takes minutes, so pytest does not collect this file.
 Exits 0 when the child exits 0 and the digest matches.
 """
@@ -89,6 +91,9 @@ def main() -> int:
     print(f"child peak RSS: {peak_rss_mb:.1f} MB")
     held = "not sampled" if peak_file[0] is None else f"{peak_file[0]:,} bytes"
     print(f"temporary bytes on disk, at most: {held}")
+    if peak_file[0] is not None and lines > 1:
+        # the header is no collection, so it is not counted
+        print(f"temporary bytes per collection line, at most: {peak_file[0] / (lines - 1):.2f}")
     print(f"output: {size:,} bytes, {lines:,} lines")
     print(f"sha256: {got}")
     matches = got == RECORDED

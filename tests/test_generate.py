@@ -1,9 +1,10 @@
 import gc
 import io
+import os
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 
 import pytest
@@ -1131,6 +1132,61 @@ def test_restricted_streaming_matches_in_memory_bytes(tmp_path, monkeypatch):
     assert count == len(direct.read_text().splitlines()) - 1 > 50
     assert out.read_bytes() == direct.read_bytes()
     assert MbcDatabase.load(out).rows == peleg(5, set_system=system).rows
+
+
+@pytest.mark.parametrize("spill_bytes", [1, generate.SPILL_BYTES])
+def test_eight_player_records_go_through_save_and_load(tmp_path, monkeypatch, spill_bytes):
+    # the writer holds a row as an 8-byte mask record: "ff:1/1" pads 7 zero
+    # bytes and the rows of 8 coalitions none, and no mask of 0x80 or above
+    # may read back as padding
+    text = f"MBCDB 1 n=8 count={len(EIGHT_PLAYER_LINES)} restricted\n"
+    text += "".join(sorted(line + "\n" for line in EIGHT_PLAYER_LINES))
+    path = tmp_path / "eight.db"
+    path.write_text(text)
+    db = MbcDatabase.load(path)
+    assert {1, 8} <= {len(masks) for masks, _, _ in db.rows}
+    monkeypatch.setattr(generate, "SPILL_BYTES", spill_bytes)
+    saved = tmp_path / "saved.db"
+    db.save(saved)
+    assert saved.read_text() == text
+    assert MbcDatabase.load(saved).rows == db.rows
+
+    def fill(emit):
+        # tuple masks, as the rules emit them for `peleg_stream`
+        for masks, nums, den in reversed(db.rows):
+            emit(tuple(masks), nums, den)
+
+    out = io.StringIO()
+    assert generate._write_db(out, 8, True, fill) == len(EIGHT_PLAYER_LINES)
+    assert out.getvalue() == text
+
+
+def test_writer_holds_about_n_plus_4_bytes_per_row():
+    # until a group is written the writer keeps each row as an n-byte mask
+    # record and a 4-byte weight-row id: 12 bytes at n = 8.  The slack to 14
+    # is the containers' spare room (a bytearray grows by up to 1/8, an
+    # array by up to 1/16) and the few groups and templates.  A row held
+    # as its line of text, "1:1/8 81:1/8 ...", takes about 60 bytes.
+    n, count = 8, 50_000
+    weights = [((1,) * 7 + (k,), 8) for k in (1, 3, 5)]
+    rests = islice(combinations(range(0x81, 0x100), n - 1), count)
+    held = []
+
+    def fill(emit):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for i, rest in enumerate(rests):
+                emit((1 + i % 4, *rest), *weights[i % 3])
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+            held.append(after - before)
+        finally:
+            tracemalloc.stop()
+
+    with open(os.devnull, "w") as out:
+        assert generate._write_db(out, n, True, fill) == count
+    assert held[0] <= 14 * count
 
 
 def test_generation_is_limited_to_max_players(tmp_path):
